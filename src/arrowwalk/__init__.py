@@ -44,17 +44,9 @@ from .verify import (
     CoupledPair,
     PairChecker,
     STATEMENT_IDS,
-    VERIFIERS,
     VerifyResult,
     check_pair,
     make_pair,
-    verify_count_dominance,
-    verify_envelopes,
-    verify_hitting_order,
-    verify_kth_visit_counts,
-    verify_max_visits,
-    verify_neighbour_interval,
-    verify_record_lead,
 )
 from .counterexamples import (
     CE2_LEFT_PATH,
@@ -79,7 +71,6 @@ from .couplings import (
     EnvOrderReport,
     EnvelopeWalkResult,
     EtaSystem,
-    OrrwSystem,
     SampledCookieSystem,
     UniformField,
     WalkView,
@@ -96,7 +87,6 @@ from .couplings import (
     favourable_swaps,
     load_env,
     load_partition,
-    orrw_coupling_report,
     orrw_drift_law,
     pair_swap_block,
     parse_env,

@@ -13,11 +13,12 @@ sorts its keys.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Optional, Sequence
 
@@ -39,7 +40,7 @@ from .couplings import (
     shared_pair,
     sorted_env,
 )
-from .verify import STATEMENT_IDS, CoupledPair, PairChecker
+from .verify import STATEMENT_IDS, CoupledPair, PairChecker, make_pair
 
 FAMILIES = (
     "shared-uniform",
@@ -166,11 +167,10 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
         pair = shared_pair(lo, hi, field, h, stream=("trial", trial))
     elif fam == "independent-control":
         env = config.env or constant_env(0.5)
-        sys_l = sample_system(env, field, ("ctl", trial, "L"))
-        sys_r = sample_system(env, field, ("ctl", trial, "R"))
-        pair = CoupledPair(
-            run_walk(sys_l, h),
-            run_walk(sys_r, h),
+        pair = make_pair(
+            sample_system(env, field, ("ctl", trial, "L")),
+            sample_system(env, field, ("ctl", trial, "R")),
+            h,
             relation_mode="trileq",
             provenance="independent-control",
         )
@@ -183,13 +183,8 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
             base = cookie_env(tuple(vals))
         slow = sorted_env(base, partition)
         fast = _reversed_env(base, partition)
-        sys_l, sys_r = couple_block_family(base, partition, [slow, fast], field, ("bf", trial))
-        pair = CoupledPair(
-            run_walk(sys_l, h),
-            run_walk(sys_r, h),
-            relation_mode="preceq",
-            provenance="block-family",
-        )
+        systems = couple_block_family(base, partition, [slow, fast], field, ("bf", trial))
+        pair = make_pair(*systems, h, relation_mode="preceq", provenance="block-family")
     elif fam == "swap-chain":
         partition = config.partition or _default_partition()
         if config.env is not None and config.env2 is not None:
@@ -208,13 +203,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
         extra["alpha"] = result.alpha
         extra["alpha_labels"] = classify_alpha(result.alpha)
     elif fam == "ce1":
-        sys_l, sys_r = build_ce1(config.n)
-        pair = CoupledPair(
-            run_walk(sys_l, h),
-            run_walk(sys_r, h),
-            relation_mode="trileq",
-            provenance=f"ce1-{config.n}",
-        )
+        pair = make_pair(*build_ce1(config.n), h, relation_mode="trileq", provenance=f"ce1-{config.n}")
         miles = ce1_milestones(config.n, config.kmax)
         extra["milestones"] = {
             "sites": miles.sites,
@@ -359,20 +348,19 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every trial of a campaign and aggregate the results.
 
     Trials are independent given their index, so they may be farmed out to
-    worker processes; the merge is in trial order either way, making the
-    report identical for any worker count.
+    worker processes, at most one per CPU and per trial; the merge is in
+    trial order either way, making the report identical for any worker
+    count.
     """
     started = time.perf_counter()
     trials_n = config.effective_trials()
     indices = list(range(trials_n))
-    if config.workers > 1 and trials_n > 1:
-        batches = [
-            (config, indices[k :: config.workers * 4])
-            for k in range(config.workers * 4)
-        ]
+    workers = min(config.workers, os.cpu_count() or 1, trials_n)
+    if workers > 1:
+        batches = [(config, indices[k :: workers * 4]) for k in range(workers * 4)]
         batches = [b for b in batches if b[1]]
         rows: list[dict] = []
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_trial_batch, batches):
                 rows.extend(batch)
         rows.sort(key=lambda r: r["trial"])

@@ -7,7 +7,6 @@ Exit codes: 0 when everything asked for passed, 1 when a check failed,
 from __future__ import annotations
 
 import json
-import sys
 from typing import Optional
 
 import click
@@ -40,7 +39,7 @@ from .couplings import (
     shared_pair,
     sorted_env,
 )
-from .verify import STATEMENT_IDS, check_pair, CoupledPair
+from .verify import STATEMENT_IDS, check_pair, make_pair
 
 
 def _load(loader, path: str, what: str):
@@ -240,12 +239,7 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
             else:
                 base = sorted_env(env_l, partition)
                 systems = couple_block_family(base, partition, [env_l, env_r], field)
-                pair = CoupledPair(
-                    run_walk(systems[0], horizon),
-                    run_walk(systems[1], horizon),
-                    relation_mode="preceq",
-                    provenance="block-family",
-                )
+                pair = make_pair(*systems, horizon, relation_mode="preceq", provenance="block-family")
     except ValueError as err:
         raise click.UsageError(str(err))
     results = check_pair(pair)
@@ -308,7 +302,10 @@ def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_
         collect_returns=not no_returns,
         include_timestamp=not no_timestamp,
     )
-    report = run_campaign(config)
+    try:
+        report = run_campaign(config)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     _emit(report.to_json(), out)
     if dump_trials:
         with click.open_file(dump_trials, "w") as fh:

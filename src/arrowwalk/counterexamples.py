@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 from .core import (
     LEFT,
@@ -45,7 +45,8 @@ class Ce1LeftSystem(ArrowSystem):
 
 
 class Ce1RightSystem(ArrowSystem):
-    """Fast member of the ce1 pair, parameterized by n >= 3.
+    """Fast member of the ce1 pair, parameterized by n >= 2 (the pair
+    built by `build_ce1` needs n >= 3).
 
     Site 0 holds only Rights.  A sparse increasing set of marker sites
     x_1 < x_2 < ... holds one Left then Rights; every other positive site
@@ -63,12 +64,7 @@ class Ce1RightSystem(ArrowSystem):
 
     kind = "rule-based"
 
-    def __init__(self, n: int, allow_small: bool = False):
-        if n < 3 and not allow_small:
-            raise ValueError(
-                f"n must be >= 3 for the speed inversion to occur, got {n} "
-                "(pass allow_small=True to build anyway)"
-            )
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         self.n = n
@@ -107,9 +103,11 @@ def marker_site(n: int, k: int) -> int:
     return total
 
 
-def build_ce1(n: int = 3, allow_small: bool = False) -> tuple[ArrowSystem, ArrowSystem]:
+def build_ce1(n: int = 3) -> tuple[ArrowSystem, ArrowSystem]:
     """The ce1 pair (slow system, fast system) for a given n >= 3."""
-    return Ce1LeftSystem(), Ce1RightSystem(n, allow_small=allow_small)
+    if n < 3:
+        raise ValueError(f"n must be >= 3 for the speed inversion to occur, got {n}")
+    return Ce1LeftSystem(), Ce1RightSystem(n)
 
 
 @dataclass
@@ -192,7 +190,7 @@ def observe_ce1_milestones(n: int, kmax: int, horizon: int) -> Ce1Milestones:
     once the walk has passed x_{k+1}, which it reaches before wrapping up
     three visits to everything below).
     """
-    sys_r = Ce1RightSystem(n, allow_small=True)
+    sys_r = Ce1RightSystem(n)
     traj = run_walk(sys_r, horizon)
     sites = [marker_site(n, k) for k in range(1, kmax + 1)]
     prev = [0] + sites[:-1]

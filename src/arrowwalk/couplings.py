@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from hashlib import blake2b
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
     LEFT,
@@ -29,7 +29,7 @@ from .core import (
     Trajectory,
     run_walk,
 )
-from .verify import CoupledPair
+from .verify import CoupledPair, make_pair
 
 StreamTag = Union[int, str, tuple]
 
@@ -255,11 +255,10 @@ def shared_pair(
     bad = env_leq_pointwise(env_l, env_r)
     if bad is not None:
         raise ValueError(f"env_l exceeds env_r at (site lane, level) = {bad}")
-    sys_l = sample_system(env_l, field, stream)
-    sys_r = sample_system(env_r, field, stream)
-    return CoupledPair(
-        run_walk(sys_l, horizon),
-        run_walk(sys_r, horizon),
+    return make_pair(
+        sample_system(env_l, field, stream),
+        sample_system(env_r, field, stream),
+        horizon,
         relation_mode="trileq",
         provenance="shared-uniform",
     )
@@ -826,11 +825,10 @@ def couple_swap_chain(
     if not report.swap_reachable:
         raise ValueError(f"env2 is not favourable-swap reachable from env: {report.witness}")
     state = _ChainState(env, env2, partition, field, stream)
-    sys_l = ChainEndSystem(state, 0)
-    sys_r = ChainEndSystem(state, 1)
-    pair = CoupledPair(
-        run_walk(sys_l, horizon),
-        run_walk(sys_r, horizon),
+    pair = make_pair(
+        ChainEndSystem(state, 0),
+        ChainEndSystem(state, 1),
+        horizon,
         relation_mode="preceq",
         provenance="swap-chain",
     )
@@ -881,7 +879,11 @@ class WalkView:
 
 class EtaSystem(ArrowSystem):
     """Threshold system: Right at (x, k) iff U(x, k) <= eta_k, with the
-    tail threshold 1/2 above the excitement window."""
+    tail threshold 1/2 above the excitement window.
+
+    Raw field blocks are memoized, so `uniform` and `arrow_at` together
+    hash each block of a site's uniforms once.
+    """
 
     kind = "sampled"
 
@@ -892,26 +894,25 @@ class EtaSystem(ArrowSystem):
                 raise ValueError(f"eta entries must be in [0, 1], got {e}")
         self.field = field
         self.stream = stream
-        self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
+        self._blocks: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def threshold(self, level: int) -> float:
         return self.eta[level - 1] if level <= len(self.eta) else 0.5
 
-    def arrow_at(self, site: int, level: int) -> Arrow:
+    def uniform(self, site: int, level: int) -> float:
+        """U(site, level) on this system's stream."""
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
         key = (site, q)
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            raw = self.field.block(self.stream, site, q)
-            base = q * 8
-            chunk = tuple(
-                RIGHT if raw[i] <= self.threshold(base + i + 1) else LEFT
-                for i in range(8)
-            )
-            self._chunks[key] = chunk
-        return chunk[r]
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self.field.block(self.stream, site, q)
+            self._blocks[key] = blk
+        return blk[r]
+
+    def arrow_at(self, site: int, level: int) -> Arrow:
+        return RIGHT if self.uniform(site, level) <= self.threshold(level) else LEFT
 
 
 @dataclass
@@ -957,8 +958,7 @@ def envelope_walk(
     eta_sys = EtaSystem(eta, field, stream)
     eta_t = eta_sys.eta
     m = len(eta_t)
-    fetch = field.block
-    blocks: dict[tuple[int, int], tuple[float, ...]] = {}
+    uniform = eta_sys.uniform
     pos = 0
     positions = [0]
     visits = {0: 1}
@@ -970,14 +970,7 @@ def envelope_walk(
         bound = eta_t[k - 1] if k <= m else 0.5
         if p > bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
-        q, r = divmod(k - 1, 8)
-        key = (pos, q)
-        blk = blocks.get(key)
-        if blk is None:
-            blk = fetch(stream, pos, q)
-            blocks[key] = blk
-        u = blk[r]
-        if u <= p:
+        if uniform(pos, k) <= p:
             arrow = RIGHT
             if eta_sys.arrow_at(pos, k) is not RIGHT:
                 raise RuntimeError(
@@ -1023,100 +1016,3 @@ def orrw_drift_law(beta: float) -> Callable[[WalkView, int], float]:
 
     return law
 
-
-class OrrwSystem(ArrowSystem):
-    """Experimental shared-threshold rule for the one-sided once-reinforced
-    walk.
-
-    Site 0 and all negative sites are forced Right.  At x > 0 the level-k
-    arrow is Right iff its uniform falls below 1/(2+beta), or below 1/2
-    when some earlier level at x already fell below 1/(2+beta).  Along its
-    own walk the rule reproduces the once-reinforced drift (on the
-    nonnegative half-line the right neighbour of x has been visited
-    exactly when some earlier departure from x went right); cell by cell,
-    lowering beta can only turn Lefts into Rights under shared uniforms.
-    The claim is checked empirically by `orrw_coupling_report`, not
-    assumed.
-    """
-
-    kind = "sampled"
-
-    def __init__(self, beta: float, field: UniformField, stream: StreamTag = 0):
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        self.beta = beta
-        self.field = field
-        self.stream = stream
-        self._fresh = 1.0 / (2.0 + beta)
-        self._us: dict[int, list[float]] = {}
-        self._hit: dict[int, list[bool]] = {}
-
-    def _uniforms(self, site: int, level: int) -> tuple[list[float], list[bool]]:
-        us = self._us.setdefault(site, [])
-        hit = self._hit.setdefault(site, [])
-        while len(us) < level:
-            lo = len(us) + 1
-            got = self.field.values(self.stream, site, lo, level - len(us))
-            for u in got:
-                prev = hit[-1] if hit else False
-                us.append(u)
-                hit.append(prev or u < self._fresh)
-        return us, hit
-
-    def arrow_at(self, site: int, level: int) -> Arrow:
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        if site <= 0:
-            return RIGHT
-        us, hit = self._uniforms(site, level)
-        u = us[level - 1]
-        if u < self._fresh:
-            return RIGHT
-        if u < 0.5 and level >= 2 and hit[level - 2]:
-            return RIGHT
-        return LEFT
-
-
-def orrw_coupling_report(
-    betas: Sequence[float],
-    field: UniformField,
-    horizon: int,
-    stream: StreamTag = 0,
-    max_level: int = 32,
-) -> dict:
-    """Empirical cell-by-cell order check between once-reinforced rules.
-
-    Builds `OrrwSystem` instances for all betas over shared uniforms, runs
-    each walk, and for every pair beta >= zeta scans the window touched by
-    the walks for a Right in the beta system without a matching Right in
-    the zeta system.  Violations are findings to report, not assertion
-    failures; none are expected.
-    """
-    from .core import check_relation
-
-    betas = sorted(set(float(b) for b in betas), reverse=True)
-    systems = {b: OrrwSystem(b, field, stream) for b in betas}
-    walks = {b: run_walk(systems[b], horizon) for b in betas}
-    hi = max(max(w.positions) for w in walks.values())
-    pairs = []
-    for i, beta in enumerate(betas):
-        for zeta in betas[i + 1 :]:
-            rel = check_relation(
-                systems[beta], systems[zeta], range(0, hi + 1), max_level, mode="trileq"
-            )
-            pairs.append(
-                {
-                    "beta": beta,
-                    "zeta": zeta,
-                    "ordered": rel.holds,
-                    "witness": rel.witness,
-                }
-            )
-    return {
-        "betas": betas,
-        "horizon": horizon,
-        "max_level": max_level,
-        "pairs": pairs,
-        "violations": sum(1 for p in pairs if not p["ordered"]),
-        "final_positions": {str(b): walks[b].positions[-1] for b in betas},
-    }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import RELATION_MODES, ArrowSystem, Trajectory, run_walk, validate_path
 
@@ -340,60 +340,3 @@ def check_pair(
     """Run the selected statement checks (default: all) over a coupled pair."""
     return PairChecker(pair.traj_l.positions, pair.traj_r.positions, checks).run()
 
-
-def _single(pair: CoupledPair, check: str) -> VerifyResult:
-    return check_pair(pair, (check,))[check]
-
-
-def verify_envelopes(pair: CoupledPair) -> VerifyResult:
-    """R's running maximum and running minimum never drop below L's."""
-    return _single(pair, "envelopes")
-
-
-def verify_hitting_order(pair: CoupledPair) -> VerifyResult:
-    """R reaches each positive site no later than L, and L reaches each
-    negative site no later than R, among sites hit within the horizon."""
-    return _single(pair, "hitting_order")
-
-
-def verify_count_dominance(pair: CoupledPair) -> VerifyResult:
-    """If R has strictly more visits than L somewhere, R has at least as
-    many visits everywhere to the right of that site."""
-    return _single(pair, "count_dominance")
-
-
-def verify_max_visits(pair: CoupledPair) -> VerifyResult:
-    """R visits its own running maximum at least as often as L does, and L
-    visits its own running minimum at least as often as R does."""
-    return _single(pair, "max_visits")
-
-
-def verify_neighbour_interval(pair: CoupledPair) -> VerifyResult:
-    """Two local consequences of count dominance: a strict R lead in visits
-    at x-1 forbids an R deficit at x, and whenever R sits strictly left of
-    L with a strict R visit lead at some site between them, R has no visit
-    deficit between that site and L's position."""
-    return _single(pair, "neighbour_interval")
-
-
-def verify_kth_visit_counts(pair: CoupledPair) -> VerifyResult:
-    """At matched visit milestones (the k-th visit to x by each walk), R
-    has seen x-1 at most as often as L had at its own k-th visit to x."""
-    return _single(pair, "kth_visit_counts")
-
-
-def verify_record_lead(pair: CoupledPair) -> VerifyResult:
-    """Whenever R sets a new running-maximum record, R is at or ahead of L;
-    whenever L sets a new running-minimum record, L is at or behind R."""
-    return _single(pair, "record_lead")
-
-
-VERIFIERS = {
-    "envelopes": verify_envelopes,
-    "hitting_order": verify_hitting_order,
-    "count_dominance": verify_count_dominance,
-    "max_visits": verify_max_visits,
-    "neighbour_interval": verify_neighbour_interval,
-    "kth_visit_counts": verify_kth_visit_counts,
-    "record_lead": verify_record_lead,
-}

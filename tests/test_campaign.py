@@ -3,6 +3,7 @@ report stability, and the directional walk statistics."""
 
 import io
 import json
+import os
 
 import pytest
 
@@ -201,6 +202,42 @@ def test_workers_do_not_change_the_report():
     serial = run_campaign(quiet("shared-uniform", trials=25, horizon=150))
     parallel = run_campaign(quiet("shared-uniform", trials=25, horizon=150, workers=3))
     assert serial.to_json() == parallel.to_json()
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs batches in-process and
+    records the worker count it was asked for."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, trials, expected",
+    [(64, 2, 25, 2), (64, None, 25, None), (8, 16, 3, 3), (4, 16, 25, 4)],
+)
+def test_workers_are_clamped(monkeypatch, workers, cpus, trials, expected):
+    from arrowwalk import campaign
+
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = quiet("shared-uniform", trials=trials, horizon=50, workers=workers)
+    report = run_campaign(config)
+    assert _RecordingPool.max_workers == ([] if expected is None else [expected])
+    serial = run_campaign(quiet("shared-uniform", trials=trials, horizon=50))
+    assert report.to_json() == serial.to_json()
 
 
 def test_seed_changes_the_trials():

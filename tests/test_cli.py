@@ -289,6 +289,25 @@ def test_campaign_rejects_unknown_check(runner):
     assert result.exit_code == 2
 
 
+def test_campaign_rejects_unordered_shared_envs(runner, files):
+    result = runner.invoke(
+        main, ["campaign", "--env", files["env_hi"], "--env2", files["env_lo"],
+               "--trials", "2", "--horizon", "50"]
+    )
+    assert result.exit_code == 2
+    assert "env_l exceeds env_r" in result.output
+
+
+def test_campaign_rejects_unreachable_swap_chain(runner, files):
+    result = runner.invoke(
+        main, ["campaign", "--family", "swap-chain", "--env", files["env_desc"],
+               "--env2", files["env_asc"], "--partition", files["part"],
+               "--trials", "2", "--horizon", "50"]
+    )
+    assert result.exit_code == 2
+    assert "not favourable-swap reachable" in result.output
+
+
 # ----------------------------------------------------------------- stats
 
 

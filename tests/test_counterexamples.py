@@ -66,10 +66,9 @@ def test_right_system_marks_only_marker_sites():
 def test_build_ce1_rejects_tiny_spacing():
     with pytest.raises(ValueError):
         build_ce1(2)
-    sys_l, sys_r = build_ce1(2, allow_small=True)
-    assert sys_r.arrow_at(2, 1) is LEFT
+    assert Ce1RightSystem(2).arrow_at(2, 1) is LEFT
     with pytest.raises(ValueError):
-        Ce1RightSystem(1, allow_small=True)
+        Ce1RightSystem(1)
 
 
 def test_marker_pair_is_cellwise_ordered():

@@ -1,11 +1,11 @@
 """Sampled environments and the coupling constructions: shared uniforms,
-block permutations, favourable-swap chains, drift envelopes, and the
-once-reinforced threshold rule."""
+block permutations, favourable-swap chains, and drift envelopes."""
 
 import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from arrowwalk import (
     CookieEnvironment,
     DriftContractError,
     EtaSystem,
-    OrrwSystem,
     UniformField,
     WalkView,
     check_pair,
@@ -37,7 +36,6 @@ from arrowwalk import (
     favourable_swaps,
     load_env,
     load_partition,
-    orrw_coupling_report,
     orrw_drift_law,
     pair_swap_block,
     parse_env,
@@ -653,6 +651,25 @@ def test_envelope_walk_matches_eta_walk():
     assert result.eta == (0.9, 0.9)
 
 
+def test_envelope_walk_hashes_each_block_once():
+    calls = Counter()
+
+    class CountingField(UniformField):
+        def block(self, stream, site, index):
+            calls[(site, index)] += 1
+            return super().block(stream, site, index)
+
+    result = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), CountingField(8), 800, stream="env")
+    assert calls and max(calls.values()) == 1
+    eta_sys = result.traj_r.system
+    reference = UniformField(8)
+    for site, index in calls:
+        for level in range(8 * index + 1, 8 * index + 9):
+            u = reference.value("env", site, level)
+            assert eta_sys.uniform(site, level) == u
+            assert (eta_sys.arrow_at(site, level) is RIGHT) == (u <= eta_sys.threshold(level))
+
+
 def test_envelope_walk_adaptive_lane_bookkeeping():
     result = envelope_walk(orrw_drift_law(0.5), (0.8, 0.8), UniformField(12), 600, stream="bk")
     report = scan_identities(result.traj_l)
@@ -716,49 +733,3 @@ def test_orrw_drift_law_values():
     with pytest.raises(ValueError, match="beta"):
         orrw_drift_law(-0.5)
 
-
-def test_orrw_system_forced_right_at_origin():
-    sysm = OrrwSystem(1.0, UniformField(0), "orrw")
-    for site in (0, -1, -7):
-        for level in (1, 2, 5):
-            assert sysm.arrow_at(site, level) is RIGHT
-    with pytest.raises(ValueError, match="beta"):
-        OrrwSystem(-1.0, UniformField(0))
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])
-def test_orrw_system_walks_the_drift_law(beta):
-    horizon = 3000
-    stream = ("walk", str(beta))
-    traj = run_walk(OrrwSystem(beta, UniformField(11), stream), horizon)
-    field = UniformField(11)
-    fresh = 1.0 / (2.0 + beta)
-    pos = 0
-    positions = [0]
-    visits = {0: 1}
-    for _ in range(horizon):
-        if pos <= 0:
-            step = 1
-        else:
-            u = field.value(stream, pos, visits[pos])
-            p = 0.5 if (pos + 1) in visits else fresh
-            step = 1 if u < p else -1
-        pos += step
-        positions.append(pos)
-        visits[pos] = visits.get(pos, 0) + 1
-    assert traj.positions == positions
-
-
-def test_orrw_coupling_report():
-    report = orrw_coupling_report((0.3, 2.0, 1.0), UniformField(19), 1500, stream="rep")
-    assert report["betas"] == [2.0, 1.0, 0.3]
-    assert report["horizon"] == 1500
-    assert report["max_level"] == 32
-    assert [(p["beta"], p["zeta"]) for p in report["pairs"]] == [
-        (2.0, 1.0),
-        (2.0, 0.3),
-        (1.0, 0.3),
-    ]
-    assert report["violations"] == 0
-    assert all(p["ordered"] and p["witness"] is None for p in report["pairs"])
-    assert set(report["final_positions"]) == {"2.0", "1.0", "0.3"}
