@@ -90,6 +90,10 @@ class CampaignConfig:
             bad = [c for c in self.checks if c not in STATEMENT_IDS]
             if bad:
                 raise ValueError(f"unknown checks: {bad}")
+        if self.family in ("shared-uniform", "swap-chain") and (self.env is None) != (self.env2 is None):
+            raise ValueError(
+                f"family {self.family} needs both env and env2, or neither for random ones"
+            )
         self.eta = tuple(float(e) for e in self.eta)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -160,7 +164,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
     h = config.horizon
     extra: dict = {}
     if fam == "shared-uniform":
-        if config.env is not None and config.env2 is not None:
+        if config.env is not None:
             lo, hi = config.env, config.env2
         else:
             lo, hi = _random_ordered_envs(field, trial)
@@ -187,7 +191,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
         pair = make_pair(*systems, h, relation_mode="preceq", provenance="block-family")
     elif fam == "swap-chain":
         partition = config.partition or _default_partition()
-        if config.env is not None and config.env2 is not None:
+        if config.env is not None:
             lo, hi = config.env, config.env2
         else:
             vals = field.values(("envsc", trial), 0, 1, partition.depth())

@@ -283,26 +283,26 @@ def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_
              eta, beta, checks, n, kmax, variant, cycles, workers,
              no_returns, no_timestamp, out, dump_trials) -> None:
     """Run a Monte Carlo campaign and write its aggregate report."""
-    config = CampaignConfig(
-        family=family,
-        trials=trials,
-        horizon=horizon,
-        seed=seed,
-        env=_load(load_env, env_path, "environment") if env_path else None,
-        env2=_load(load_env, env2_path, "environment") if env2_path else None,
-        partition=_load(load_partition, partition_path, "partition") if partition_path else None,
-        eta=_parse_eta(eta),
-        beta=beta,
-        checks=_parse_checks(checks),
-        n=n,
-        kmax=kmax,
-        variant=variant,
-        cycles=cycles,
-        workers=workers,
-        collect_returns=not no_returns,
-        include_timestamp=not no_timestamp,
-    )
     try:
+        config = CampaignConfig(
+            family=family,
+            trials=trials,
+            horizon=horizon,
+            seed=seed,
+            env=_load(load_env, env_path, "environment") if env_path else None,
+            env2=_load(load_env, env2_path, "environment") if env2_path else None,
+            partition=_load(load_partition, partition_path, "partition") if partition_path else None,
+            eta=_parse_eta(eta),
+            beta=beta,
+            checks=_parse_checks(checks),
+            n=n,
+            kmax=kmax,
+            variant=variant,
+            cycles=cycles,
+            workers=workers,
+            collect_returns=not no_returns,
+            include_timestamp=not no_timestamp,
+        )
         report = run_campaign(config)
     except ValueError as err:
         raise click.UsageError(str(err))

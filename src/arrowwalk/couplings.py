@@ -34,17 +34,31 @@ from .verify import CoupledPair, make_pair
 StreamTag = Union[int, str, tuple]
 
 _U64_SCALE = 2.0**-53
+_UNPACK_8Q = struct.Struct(">8Q").unpack
+# Length prefixes in `_pack` are two bytes wide.
+_PACK_LIMIT = 0xFFFF
+# Keyed hashers kept per field; at this many the memo starts over.  Each
+# holds about 450 bytes of hash state.
+_HEAD_CAP = 1024
 
 
 def _pack(obj: StreamTag) -> bytes:
     """Canonical byte encoding of a stream token (int, str, or nested tuple)."""
     if isinstance(obj, int):
-        b = obj.to_bytes((obj.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return b"i" + len(b).to_bytes(2, "big") + b
+        n = (obj.bit_length() + 8) // 8
+        if n > _PACK_LIMIT:
+            raise ValueError(f"int stream tokens are limited to {_PACK_LIMIT} bytes, got {n}")
+        return b"i" + n.to_bytes(2, "big") + obj.to_bytes(n, "big", signed=True)
     if isinstance(obj, str):
         b = obj.encode("utf-8")
+        if len(b) > _PACK_LIMIT:
+            raise ValueError(
+                f"string stream tokens are limited to {_PACK_LIMIT} UTF-8 bytes, got {len(b)}"
+            )
         return b"s" + len(b).to_bytes(2, "big") + b
     if isinstance(obj, (tuple, list)):
+        if len(obj) > _PACK_LIMIT:
+            raise ValueError(f"stream tuples are limited to {_PACK_LIMIT} items, got {len(obj)}")
         return b"t" + len(obj).to_bytes(2, "big") + b"".join(_pack(x) for x in obj)
     raise TypeError(f"stream tokens must be ints, strings, or tuples, got {type(obj)!r}")
 
@@ -56,20 +70,50 @@ class UniformField:
     digest, so the field is replay-safe: any query order, any interleaving
     across systems, gives identical values.  Stream tags namespace
     independent uses of the same cells.
+
+    The digest of block (stream, site, index) is that of the message
+    `_pack((stream, site, index))`.  Its stream part is the same on every
+    call, so it is absorbed once into a keyed hasher that each call copies
+    (counter-based generation in the style of Salmon et al., SC'11).
     """
 
-    __slots__ = ("seed", "_key")
+    __slots__ = ("seed", "_key", "_heads")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._key = blake2b(_pack(self.seed), digest_size=32).digest()
+        # stream tag -> (the tag object cached, hasher holding its prefix)
+        self._heads: dict = {}
+
+    def _head(self, stream: StreamTag):
+        """Keyed hasher that has absorbed the stream's share of the message:
+        the 3-tuple header and `_pack(stream)`."""
+        return blake2b(b"t\x00\x03" + _pack(stream), key=self._key, digest_size=64)
 
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
-        digest = blake2b(
-            _pack((stream, site, index)), key=self._key, digest_size=64
-        ).digest()
-        return tuple((u >> 11) * _U64_SCALE for u in struct.unpack(">8Q", digest))
+        heads = self._heads
+        try:
+            tag, head = heads[stream]
+        except KeyError:
+            tag = None
+        except TypeError:  # a list tag: unhashable, never cached
+            tag, head = stream, self._head(stream)
+        if tag is not stream:
+            # A hit counts only on the very object cached, so a tag that
+            # is equal but of another type (1.0 for 1) is packed, and
+            # rejected, like any new tag.
+            head = self._head(stream)
+            if len(heads) >= _HEAD_CAP:
+                heads.clear()
+            heads[stream] = (stream, head)
+        h = head.copy()
+        h.update(_pack(site) + _pack(index))
+        a, b, c, d, e, f, g, k = _UNPACK_8Q(h.digest())
+        s = _U64_SCALE
+        # Written out: a generator over the eight words costs twice as much.
+        return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
+                (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
         if level < 1:
@@ -207,16 +251,24 @@ class SampledCookieSystem(ArrowSystem):
 
     Arrows are memoized in blocks of eight, so queries are consistent and
     re-walking the same instance replays the same walk.  Two instances on
-    the same field and stream share every uniform cell by cell.
+    the same field and stream share every uniform cell by cell; given one
+    `blocks` dict, they also hash each raw block of uniforms once.
     """
 
     kind = "sampled"
 
-    def __init__(self, env: CookieEnvironment, field: UniformField, stream: StreamTag = 0):
+    def __init__(
+        self,
+        env: CookieEnvironment,
+        field: UniformField,
+        stream: StreamTag = 0,
+        blocks: Optional[dict[tuple[int, int], tuple[float, ...]]] = None,
+    ):
         self.env = env
         self.field = field
         self.stream = stream
         self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
+        self._blocks = blocks
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -225,12 +277,17 @@ class SampledCookieSystem(ArrowSystem):
         key = (site, q)
         chunk = self._chunks.get(key)
         if chunk is None:
-            raw = self.field.block(self.stream, site, q)
-            prob = self.env.prob
-            base = q * 8
-            chunk = tuple(
-                RIGHT if raw[i] < prob(site, base + i + 1) else LEFT for i in range(8)
-            )
+            blocks = self._blocks
+            raw = None if blocks is None else blocks.get(key)
+            if raw is None:
+                raw = self.field.block(self.stream, site, q)
+                if blocks is not None:
+                    blocks[key] = raw
+            env = self.env
+            probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
+            if len(probs) < 8:
+                probs += (env.tail,) * (8 - len(probs))
+            chunk = tuple(RIGHT if u < p else LEFT for u, p in zip(raw, probs))
             self._chunks[key] = chunk
         return chunk[r]
 
@@ -251,13 +308,15 @@ def shared_pair(
 ) -> CoupledPair:
     """Walks of two systems sampled from pointwise-ordered environments
     through the *same* uniforms, so a Right in the low system forces a
-    Right in the high system at every cell."""
+    Right in the high system at every cell.  The two systems read one
+    memo of raw blocks, so each block is hashed once per pair."""
     bad = env_leq_pointwise(env_l, env_r)
     if bad is not None:
         raise ValueError(f"env_l exceeds env_r at (site lane, level) = {bad}")
+    blocks: dict[tuple[int, int], tuple[float, ...]] = {}
     return make_pair(
-        sample_system(env_l, field, stream),
-        sample_system(env_r, field, stream),
+        SampledCookieSystem(env_l, field, stream, blocks),
+        SampledCookieSystem(env_r, field, stream, blocks),
         horizon,
         relation_mode="trileq",
         provenance="shared-uniform",
@@ -583,16 +642,19 @@ class BlockSampledSystem(ArrowSystem):
         self.field = field
         self.stream = stream
         self._cells: dict[tuple[int, int], dict[int, Arrow]] = {}
+        # Built once, so the field's memo of keyed hashers hits on them.
+        self._total_tag = (stream, "total")
+        self._pick_tag = (stream, "pick")
 
     def _realize(self, site: int, block: tuple[int, ...]) -> dict[int, Arrow]:
         slot = self.partition.block_index(block)
         probs_base = [self.base_env.prob(site, l) for l in block]
         probs_here = [self.env.prob(site, l) for l in block]
-        u_total = self.field.value((self.stream, "total"), site, slot)
+        u_total = self.field.value(self._total_tag, site, slot)
         y = _pick(_cum(poisson_binomial(probs_base)), u_total)
         chain = stack_chain(len(block), y)
         pmf = conditional_stack_pmf(probs_here, y)
-        u_pick = self.field.value((self.stream, "pick"), site, slot)
+        u_pick = self.field.value(self._pick_tag, site, slot)
         stack = chain[_pick(_cum(pmf), u_pick)]
         return dict(zip(block, stack))
 
@@ -714,6 +776,15 @@ class _ChainState:
         self.stream = stream
         self._cells: dict[tuple[int, int], tuple[dict[int, Arrow], dict[int, Arrow]]] = {}
         self._paths: dict[tuple[tuple, tuple], list[tuple[int, int]]] = {}
+        # Stream tags by their parts after the stream, each built once, so
+        # the field's memo of keyed hashers hits on them.
+        self._tags: dict[tuple, tuple] = {}
+
+    def _tag(self, *parts) -> tuple:
+        tag = self._tags.get(parts)
+        if tag is None:
+            tag = self._tags[parts] = (self.stream, *parts)
+        return tag
 
     def _path(self, probs0: tuple, probs1: tuple) -> list[tuple[int, int]]:
         key = (probs0, probs1)
@@ -741,7 +812,7 @@ class _ChainState:
         for i, j in path:
             states.append(_apply_swap(states[-1], i, j))
 
-        link_stream = (self.stream, "link", slot)
+        link_stream = self._tag("link", slot)
         if not path:
             us = [self.field.value(link_stream, site, pos + 1) for pos in range(n)]
             arrows = tuple(RIGHT if us[pos] < probs0[pos] else LEFT for pos in range(n))
@@ -764,7 +835,7 @@ class _ChainState:
         for m in range(1, len(path)):
             i, j = path[m]
             p, q = states[m][i], states[m][j]
-            v = self.field.value((self.stream, "glue", slot, m), site, 1)
+            v = self.field.value(self._tag("glue", slot, m), site, 1)
             current[i], current[j] = _glue_pair(p, q, (current[i], current[j]), v)
 
         cell = (dict(zip(block, start)), dict(zip(block, current)))
@@ -772,7 +843,7 @@ class _ChainState:
         return cell
 
     def shared_cell(self, site: int, level: int) -> Arrow:
-        u = self.field.value((self.stream, "cell"), site, level)
+        u = self.field.value(self._tag("cell"), site, level)
         return RIGHT if u < self.env.prob(site, level) else LEFT
 
 

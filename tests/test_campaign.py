@@ -41,6 +41,12 @@ def test_config_validation():
         CampaignConfig("ce2", checks=("envelopes", "bogus"))
     with pytest.raises(ValueError, match="workers"):
         CampaignConfig("ce2", workers=0)
+    for family in ("shared-uniform", "swap-chain"):
+        with pytest.raises(ValueError, match="needs both env and env2"):
+            CampaignConfig(family, env=cookie_env((0.2,)))
+        with pytest.raises(ValueError, match="needs both env and env2"):
+            CampaignConfig(family, env2=cookie_env((0.2,)))
+    CampaignConfig("block-family", env=cookie_env((0.2, 0.5, 0.7)))
 
 
 def test_config_effective_trials():

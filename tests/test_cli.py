@@ -308,6 +308,27 @@ def test_campaign_rejects_unreachable_swap_chain(runner, files):
     assert "not favourable-swap reachable" in result.output
 
 
+@pytest.mark.parametrize("family", ["shared-uniform", "swap-chain"])
+@pytest.mark.parametrize("flag", ["--env", "--env2"])
+def test_campaign_rejects_a_lone_env(runner, files, family, flag):
+    result = runner.invoke(
+        main, ["campaign", "--family", family, flag, files["env_asc"],
+               "--trials", "2", "--horizon", "50", "--no-timestamp"]
+    )
+    assert result.exit_code == 2
+    assert f"family {family} needs both env and env2" in result.output
+
+
+@pytest.mark.parametrize("family", ["block-family", "independent-control"])
+def test_campaign_env_alone_is_enough(runner, files, family):
+    result = runner.invoke(
+        main, ["campaign", "--family", family, "--env", files["env_asc"],
+               "--trials", "2", "--horizon", "50", "--no-timestamp"]
+    )
+    assert result.exit_code in (0, 1), result.output
+    assert json.loads(result.output)["config"]["env"]["default"] == [0.2, 0.5, 0.7]
+
+
 # ----------------------------------------------------------------- stats
 
 

@@ -5,7 +5,9 @@ import itertools
 import json
 import math
 import random
+import struct
 from collections import Counter
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,7 @@ from arrowwalk import (
     stack_chain,
     swap_path,
 )
+from arrowwalk.couplings import _HEAD_CAP, _pack
 
 
 def prefix_lefts(stack):
@@ -122,6 +125,78 @@ def test_field_range_and_moments():
 def test_field_level_validation():
     with pytest.raises(ValueError, match="level"):
         UniformField(0).value("s", 0, 0)
+
+
+def reference_block(field, stream, site, index):
+    """The field's definition: a keyed blake2b of the whole packed message."""
+    digest = blake2b(_pack((stream, site, index)), key=field._key, digest_size=64).digest()
+    return tuple((u >> 11) * 2.0**-53 for u in struct.unpack(">8Q", digest))
+
+
+stream_tags = st.recursive(
+    st.integers(-(2**80), 2**80) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4).map(tuple) | st.lists(inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    tags=st.lists(stream_tags, min_size=1, max_size=4),
+    sites=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=3),
+    index=st.integers(0, 2**64),
+)
+@settings(max_examples=150, deadline=None)
+def test_field_block_matches_reference(seed, tags, sites, index):
+    field = UniformField(seed)
+    for _ in range(2):  # the second round reads the cached hashers
+        for tag in tags:
+            for site in sites:
+                assert field.block(tag, site, index) == reference_block(field, tag, site, index)
+
+
+def test_field_rejects_float_tag_after_equal_int_tag():
+    field = UniformField(0)
+    field.block(1, 0, 0)
+    field.block((1, "a"), 0, 0)
+    with pytest.raises(TypeError):
+        field.block(1.0, 0, 0)
+    with pytest.raises(TypeError):
+        field.block((1.0, "a"), 0, 0)
+
+
+def test_field_list_tags_keep_their_values():
+    field = UniformField(4)
+    want = (0.8474641186440233, 0.0820189257010221, 0.4957817227790382, 0.8711319833859901,
+            0.7187615179474154, 0.9726485156096428, 0.7728772228023365, 0.5047463899991286)
+    for _ in range(2):
+        assert field.block(["lst", 2], -3, 5) == want
+        assert field.value(("lst", [7]), 1, 9) == 0.3738293745516579
+    assert field.block(("lst", 2), -3, 5) == want
+
+
+def test_field_head_memo_is_bounded():
+    field = UniformField(1)
+    for i in range(3 * _HEAD_CAP + 7):
+        field.block(("stream", i), 0, 0)
+        assert len(field._heads) <= _HEAD_CAP
+    assert field.block(("stream", 5), 0, 0) == reference_block(field, ("stream", 5), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["x" * 65536, tuple(range(65536)), 2 ** (8 * 65536)],
+    ids=["str", "tuple", "int"],
+)
+def test_field_rejects_oversize_tags(tag):
+    with pytest.raises(ValueError, match="65535"):
+        UniformField(0).block(tag, 0, 0)
+
+
+def test_field_rejects_oversize_seed():
+    with pytest.raises(ValueError, match="65535"):
+        UniformField(2 ** (8 * 65536))
+    UniformField(2 ** (8 * 65535 - 1) - 1).block("s", 0, 0)
 
 
 # ---------------------------------------------------------- environments
@@ -220,6 +295,40 @@ def test_shared_pair_runs_clean():
     pair = shared_pair(cookie_env((0.2, 0.4)), cookie_env((0.3, 0.4)), UniformField(6), 400)
     results = check_pair(pair)
     assert all(r.passed for r in results.values())
+
+
+def test_sample_system_reads_lane_lists_and_tail():
+    env = CookieEnvironment(
+        sites={1: tuple(0.1 * k for k in range(1, 10)), -2: (0.9,)},
+        default=(0.3,) * 11,
+        tail=0.6,
+    )
+    field = UniformField(11)
+    sysm = sample_system(env, field, "lanes")
+    for site in (-2, 0, 1, 3):
+        for level in range(1, 30):
+            want = RIGHT if field.value("lanes", site, level) < env.prob(site, level) else LEFT
+            assert sysm.arrow_at(site, level) is want
+
+
+class CountingField(UniformField):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = Counter()
+
+    def block(self, stream, site, index):
+        self.calls[(stream, site, index)] += 1
+        return super().block(stream, site, index)
+
+
+def test_shared_pair_hashes_each_block_once():
+    lo, hi = cookie_env((0.2, 0.4)), cookie_env((0.3, 0.6))
+    field = CountingField(6)
+    pair = shared_pair(lo, hi, field, 400, stream="p")
+    assert field.calls and set(field.calls.values()) == {1}
+    alone = UniformField(6)
+    assert pair.traj_l.positions == run_walk(sample_system(lo, alone, "p"), 400).positions
+    assert pair.traj_r.positions == run_walk(sample_system(hi, alone, "p"), 400).positions
 
 
 def test_shared_pair_rejects_unordered_envs():
