@@ -50,7 +50,6 @@ from .verify import (
 )
 from .counterexamples import (
     CE2_LEFT_PATH,
-    CE2_LOOSE_LEAD_COUNTS,
     CE2_RIGHT_PATH,
     Ce1LeftSystem,
     Ce1Milestones,
@@ -71,12 +70,12 @@ from .couplings import (
     EnvOrderReport,
     EnvelopeWalkResult,
     EtaSystem,
+    FieldStream,
     SampledCookieSystem,
     UniformField,
     WalkView,
     classify_alpha,
     conditional_stack_pmf,
-    consecutive_partition,
     constant_env,
     cookie_env,
     couple_block_family,

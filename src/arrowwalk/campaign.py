@@ -27,8 +27,9 @@ from .counterexamples import build_ce1, build_ce2, ce1_milestones, lead_sets
 from .couplings import (
     BlockPartition,
     CookieEnvironment,
-    UniformField,
     DriftContractError,
+    FieldStream,
+    UniformField,
     constant_env,
     cookie_env,
     couple_block_family,
@@ -125,11 +126,17 @@ class CampaignConfig:
         }
 
 
+def _uniforms(field: UniformField, stream: tuple, count: int) -> list[float]:
+    """The uniforms of levels 1 .. count at site 0 of `stream`."""
+    view = FieldStream(field, stream)
+    return [view.value(0, level) for level in range(1, count + 1)]
+
+
 def _random_ordered_envs(field: UniformField, trial: int) -> tuple[CookieEnvironment, CookieEnvironment]:
     """A random dominated pair: the high environment has three uniform
     excitement levels, the low one shrinks each by an independent factor."""
-    hi_vals = field.values(("envhi", trial), 0, 1, 3)
-    shrink = field.values(("envlo", trial), 0, 1, 3)
+    hi_vals = _uniforms(field, ("envhi", trial), 3)
+    shrink = _uniforms(field, ("envlo", trial), 3)
     hi = cookie_env(tuple(hi_vals))
     lo = cookie_env(tuple(h * s for h, s in zip(hi_vals, shrink)))
     return lo, hi
@@ -183,7 +190,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
         if config.env is not None:
             base = config.env
         else:
-            vals = field.values(("envbf", trial), 0, 1, partition.depth())
+            vals = _uniforms(field, ("envbf", trial), partition.depth())
             base = cookie_env(tuple(vals))
         slow = sorted_env(base, partition)
         fast = _reversed_env(base, partition)
@@ -194,7 +201,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
         if config.env is not None:
             lo, hi = config.env, config.env2
         else:
-            vals = field.values(("envsc", trial), 0, 1, partition.depth())
+            vals = _uniforms(field, ("envsc", trial), partition.depth())
             base = cookie_env(tuple(vals))
             lo = sorted_env(base, partition)
             hi = _reversed_env(base, partition)
@@ -241,38 +248,48 @@ def _returns_to_zero(pair: CoupledPair, horizon: int) -> tuple[Optional[int], Op
 
 def run_trial(config: CampaignConfig, trial: int) -> dict:
     """Run one trial end to end: build the pair, check the statements,
-    collect walk statistics."""
+    collect walk statistics.
+
+    A drift contract violation becomes an error row.  Any other exception
+    is raised again naming the family, seed and trial, chained from the
+    original.  A ValueError (bad input, such as unordered environments)
+    stays a ValueError, so the CLI still reports it as a usage error.
+    """
     field = UniformField(config.seed)
     checks = config.checks or STATEMENT_IDS
     try:
         pair, extra = _build_pair(config, trial, field)
+        results = PairChecker(pair.traj_l.positions, pair.traj_r.positions, checks).run()
+        statuses = {}
+        for name, res in results.items():
+            if not res.passed:
+                statuses[name] = {"status": "fail", "witness": res.witness}
+            elif res.vacuous:
+                statuses[name] = {"status": "vacuous", "witness": None}
+            else:
+                statuses[name] = {"status": "pass", "witness": None}
+        t = pair.horizon
+        row = {
+            "trial": trial,
+            "checks": statuses,
+            "speed_l": pair.traj_l.positions[-1] / t,
+            "speed_r": pair.traj_r.positions[-1] / t,
+            "max_r": max(pair.traj_r.positions),
+        }
+        if config.collect_returns:
+            row["returns_l"], row["returns_r"] = _returns_to_zero(pair, config.horizon)
     except DriftContractError as err:
         return {
             "trial": trial,
             "error": str(err),
             "checks": {c: {"status": "fail", "witness": {"error": str(err)}} for c in checks},
         }
-    results = PairChecker(pair.traj_l.positions, pair.traj_r.positions, checks).run()
-    statuses = {}
-    for name, res in results.items():
-        if not res.passed:
-            statuses[name] = {"status": "fail", "witness": res.witness}
-        elif res.vacuous:
-            statuses[name] = {"status": "vacuous", "witness": None}
-        else:
-            statuses[name] = {"status": "pass", "witness": None}
-    t = pair.horizon
-    row = {
-        "trial": trial,
-        "checks": statuses,
-        "speed_l": pair.traj_l.positions[-1] / t,
-        "speed_r": pair.traj_r.positions[-1] / t,
-        "max_r": max(pair.traj_r.positions),
-    }
-    if config.collect_returns:
-        ret_l, ret_r = _returns_to_zero(pair, config.horizon)
-        row["returns_l"] = ret_l
-        row["returns_r"] = ret_r
+    except Exception as err:
+        kind = ValueError if isinstance(err, ValueError) else RuntimeError
+        raise kind(
+            f"{config.family} campaign, seed {config.seed}, trial {trial}: "
+            f"{type(err).__name__}: {err}"
+        ) from err
     row.update(extra)
     return row
 

@@ -41,6 +41,10 @@ from .couplings import (
 )
 from .verify import STATEMENT_IDS, check_pair, make_pair
 
+# Step budget of every --horizon and of the `counterexample ce1` simulation:
+# ten million steps take minutes and about a gigabyte of positions.
+MAX_STEPS = 10**7
+
 
 def _load(loader, path: str, what: str):
     try:
@@ -80,7 +84,7 @@ def main() -> None:
 
 @main.command(name="run")
 @click.option("--system", "system_path", required=True, type=click.Path(exists=True, dir_okay=False), help="System JSON file.")
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=0))
+@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=0, max=MAX_STEPS))
 @click.option("--out", default=None, help="Output path ('-' for stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def run_cmd(system_path: str, horizon: int, out: Optional[str], fmt: str) -> None:
@@ -99,7 +103,7 @@ def run_cmd(system_path: str, horizon: int, out: Optional[str], fmt: str) -> Non
 @click.option("--system", "system_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Walk this system and check the bookkeeping identities.")
 @click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Low environment for a shared-uniform coupled pair.")
 @click.option("--env2", "env2_path", default=None, type=click.Path(exists=True, dir_okay=False), help="High environment for a shared-uniform coupled pair.")
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--checks", default=None, help="Comma-separated statement ids (default: all).")
 @click.option("--out", default=None)
@@ -158,7 +162,13 @@ def ce1(ctx, n: int, kmax: int, out: Optional[str], fmt: str) -> None:
     """Milestone table of the marker system pair: closed forms checked
     against a fresh simulation."""
     miles = ce1_milestones(n, kmax)
-    observed = observe_ce1_milestones(n, kmax, horizon=2 * miles.first_hits[-1] + 10)
+    horizon = 2 * miles.first_hits[-1] + 10
+    if horizon > MAX_STEPS:
+        raise click.UsageError(
+            f"--N {n} --kmax {kmax} needs a {horizon}-step simulation, "
+            f"over the budget of {MAX_STEPS} steps; lower --kmax or --N"
+        )
+    observed = observe_ce1_milestones(n, kmax, horizon=horizon)
     match = (
         observed.sites == miles.sites
         and observed.first_hits == miles.first_hits
@@ -218,7 +228,7 @@ def ce2(ctx, variant: str, cycles: int, out: Optional[str]) -> None:
 @click.option("--env2", "env2_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--partition", "partition_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["shared", "block-family", "swap-chain"]), default="shared", show_default=True)
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default=None, help="Write the coupled paths as CSV (n,pos_l,pos_r).")
 @click.pass_context
@@ -261,7 +271,7 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
 @main.command()
 @click.option("--family", type=click.Choice(FAMILIES), default="shared-uniform", show_default=True)
 @click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1))
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--env2", "env2_path", default=None, type=click.Path(exists=True, dir_okay=False))
@@ -317,7 +327,7 @@ def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_
 @main.command()
 @click.option("--env", "env_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1))
-@click.option("--horizon", default=10000, show_default=True, type=click.IntRange(min=1))
+@click.option("--horizon", default=10000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--after", default=0, show_default=True, type=click.IntRange(min=0), help="Burn-in time for the late-return count.")
 @click.option("--out", default=None)

@@ -226,11 +226,6 @@ CE2_LEFT_PATH = (
     -3, -4, -3, -2, -1, -2, -3, -2, -1, 0, 1, 2, 1, 0,
 )
 
-# Published lead counts of the looser variant of this pair at its two
-# checkpoints (times 25 and 26): (times R leads, times L leads).
-CE2_LOOSE_LEAD_COUNTS = {25: (7, 8), 26: (7, 9)}
-
-
 def build_ce2(variant: str = "primed", cycles: int = 1) -> CoupledPair:
     """A coupled path pair admitting stack-ordered generators where the
     dominated path leads at most intermediate times.

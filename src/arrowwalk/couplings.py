@@ -12,6 +12,7 @@ stack order between the sampled systems.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from bisect import bisect_left
@@ -116,22 +117,46 @@ class UniformField:
                 (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
+        """One uniform, hashed afresh: the reference that `FieldStream`
+        memoizes."""
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
         return self.block(stream, site, q)[r]
 
-    def values(self, stream: StreamTag, site: int, level_lo: int, count: int) -> list[float]:
-        """Uniforms for levels level_lo .. level_lo+count-1 (block-aligned fetch)."""
-        out: list[float] = []
-        level = level_lo
-        while len(out) < count:
-            q, r = divmod(level - 1, 8)
-            blk = self.block(stream, site, q)
-            take = min(8 - r, count - len(out))
-            out.extend(blk[r : r + take])
-            level += take
-        return out
+
+class FieldStream:
+    """One stream of a field, with a memo of its raw blocks by (site, q).
+
+    Systems coupled through shared uniforms share one view, so each block
+    is hashed once per pair or family.  The memo is never on the field,
+    which serves many streams: it goes away with the systems holding it.
+    """
+
+    __slots__ = ("field", "stream", "_blocks")
+
+    def __init__(self, field: UniformField, stream: StreamTag):
+        self.field = field
+        self.stream = stream
+        self._blocks: dict[tuple[int, int], tuple[float, ...]] = {}
+
+    def block(self, site: int, q: int) -> tuple[float, ...]:
+        """Uniforms of levels 8*q+1 .. 8*q+8 at `site`."""
+        key = (site, q)
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = self.field.block(self.stream, site, q)
+        return blk
+
+    def value(self, site: int, level: int) -> float:
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        q, r = divmod(level - 1, 8)
+        key = (site, q)  # `block`, inline: the envelope walk's every step
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = self.field.block(self.stream, site, q)
+        return blk[r]
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +276,16 @@ class SampledCookieSystem(ArrowSystem):
 
     Arrows are memoized in blocks of eight, so queries are consistent and
     re-walking the same instance replays the same walk.  Two instances on
-    the same field and stream share every uniform cell by cell; given one
-    `blocks` dict, they also hash each raw block of uniforms once.
+    views of the same field and stream share every uniform cell by cell;
+    on one view, they also hash each raw block of uniforms once.
     """
 
     kind = "sampled"
 
-    def __init__(
-        self,
-        env: CookieEnvironment,
-        field: UniformField,
-        stream: StreamTag = 0,
-        blocks: Optional[dict[tuple[int, int], tuple[float, ...]]] = None,
-    ):
+    def __init__(self, env: CookieEnvironment, view: FieldStream):
         self.env = env
-        self.field = field
-        self.stream = stream
+        self.view = view
         self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
-        self._blocks = blocks
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -277,12 +294,7 @@ class SampledCookieSystem(ArrowSystem):
         key = (site, q)
         chunk = self._chunks.get(key)
         if chunk is None:
-            blocks = self._blocks
-            raw = None if blocks is None else blocks.get(key)
-            if raw is None:
-                raw = self.field.block(self.stream, site, q)
-                if blocks is not None:
-                    blocks[key] = raw
+            raw = self.view.block(site, q)
             env = self.env
             probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
             if len(probs) < 8:
@@ -296,7 +308,7 @@ def sample_system(
     env: CookieEnvironment, field: UniformField, stream: StreamTag = 0
 ) -> SampledCookieSystem:
     """Sample an arrow system from a cookie environment via the field."""
-    return SampledCookieSystem(env, field, stream)
+    return SampledCookieSystem(env, FieldStream(field, stream))
 
 
 def shared_pair(
@@ -309,14 +321,14 @@ def shared_pair(
     """Walks of two systems sampled from pointwise-ordered environments
     through the *same* uniforms, so a Right in the low system forces a
     Right in the high system at every cell.  The two systems read one
-    memo of raw blocks, so each block is hashed once per pair."""
+    view of the field, so each block is hashed once per pair."""
     bad = env_leq_pointwise(env_l, env_r)
     if bad is not None:
         raise ValueError(f"env_l exceeds env_r at (site lane, level) = {bad}")
-    blocks: dict[tuple[int, int], tuple[float, ...]] = {}
+    view = FieldStream(field, stream)
     return make_pair(
-        SampledCookieSystem(env_l, field, stream, blocks),
-        SampledCookieSystem(env_r, field, stream, blocks),
+        SampledCookieSystem(env_l, view),
+        SampledCookieSystem(env_r, view),
         horizon,
         relation_mode="trileq",
         provenance="shared-uniform",
@@ -373,17 +385,6 @@ class BlockPartition:
 
     def to_json_obj(self) -> dict:
         return {"cap": self.cap, "blocks": [list(b) for b in self.blocks]}
-
-
-def consecutive_partition(depth: int, size: int, cap: int = 3) -> BlockPartition:
-    """Blocks [1..size], [size+1..2*size], ... covering levels 1..depth."""
-    blocks = []
-    lo = 1
-    while lo <= depth:
-        hi = min(lo + size - 1, depth)
-        blocks.append(tuple(range(lo, hi + 1)))
-        lo = hi + 1
-    return BlockPartition(tuple(blocks), cap=max(cap, size))
 
 
 def parse_partition(obj: Mapping) -> BlockPartition:
@@ -545,6 +546,17 @@ def poisson_binomial(probs: Sequence[float]) -> list[float]:
     return pmf
 
 
+# (n, y) -> every stack of n arrows with y Rights, by Left-prefix counts.
+_STACK_CHAINS = {
+    (n, y): tuple(sorted(
+        (s for s in itertools.product((LEFT, RIGHT), repeat=n) if s.count(RIGHT) == y),
+        key=lambda s: tuple(itertools.accumulate(a is LEFT for a in s)),
+    ))
+    for n in range(4)
+    for y in range(n + 1)
+}
+
+
 def stack_chain(n: int, y: int) -> list[tuple[Arrow, ...]]:
     """All stacks of n arrows holding exactly y Rights, listed so that
     Left-prefix counts increase along the list.
@@ -561,23 +573,7 @@ def stack_chain(n: int, y: int) -> list[tuple[Arrow, ...]]:
             "stacks taller than 3 with a fixed Right count are not totally "
             "ordered by Left-prefix counts (RLLR vs LRRL); split the block"
         )
-    stacks = []
-    for mask in range(1 << n):
-        stack = tuple(RIGHT if mask & (1 << i) else LEFT for i in range(n))
-        if sum(1 for a in stack if a is RIGHT) == y:
-            stacks.append(stack)
-
-    def left_prefix(stack):
-        acc = 0
-        out = []
-        for a in stack:
-            if a is LEFT:
-                acc += 1
-            out.append(acc)
-        return tuple(out)
-
-    stacks.sort(key=left_prefix)
-    return stacks
+    return list(_STACK_CHAINS[(n, y)])
 
 
 def conditional_stack_pmf(probs: Sequence[float], y: int) -> list[float]:
@@ -621,9 +617,9 @@ class BlockSampledSystem(ArrowSystem):
     Per (site, block), one shared uniform draws the block's Right count
     from the partition-invariant total distribution, and a second shared
     uniform selects a stack from this member's conditional distribution
-    through its cumulative weights.  Members built on the same field and
-    stream therefore agree on the Right count everywhere and pick
-    comparable stacks whenever their conditional cumulatives dominate.
+    through its cumulative weights.  Members reading the same two views
+    (totals and picks) therefore agree on the Right count everywhere and
+    pick comparable stacks whenever their conditional cumulatives dominate.
     """
 
     kind = "sampled"
@@ -633,30 +629,27 @@ class BlockSampledSystem(ArrowSystem):
         env: CookieEnvironment,
         base_env: CookieEnvironment,
         partition: BlockPartition,
-        field: UniformField,
-        stream: StreamTag = 0,
+        totals: FieldStream,
+        picks: FieldStream,
     ):
         self.env = env
         self.base_env = base_env
         self.partition = partition
-        self.field = field
-        self.stream = stream
+        self.totals = totals
+        self.picks = picks
         self._cells: dict[tuple[int, int], dict[int, Arrow]] = {}
-        # Built once, so the field's memo of keyed hashers hits on them.
-        self._total_tag = (stream, "total")
-        self._pick_tag = (stream, "pick")
 
     def _realize(self, site: int, block: tuple[int, ...]) -> dict[int, Arrow]:
         slot = self.partition.block_index(block)
         probs_base = [self.base_env.prob(site, l) for l in block]
         probs_here = [self.env.prob(site, l) for l in block]
-        u_total = self.field.value(self._total_tag, site, slot)
+        u_total = self.totals.value(site, slot)
         y = _pick(_cum(poisson_binomial(probs_base)), u_total)
         chain = stack_chain(len(block), y)
         pmf = conditional_stack_pmf(probs_here, y)
-        u_pick = self.field.value(self._pick_tag, site, slot)
-        stack = chain[_pick(_cum(pmf), u_pick)]
-        return dict(zip(block, stack))
+        # A chain of one stack leaves nothing to pick: its uniform goes unread.
+        i = _pick(_cum(pmf), self.picks.value(site, slot)) if len(chain) > 1 else 0
+        return dict(zip(block, chain[i]))
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -678,7 +671,7 @@ def couple_block_family(
     stream: StreamTag = 0,
 ) -> list[BlockSampledSystem]:
     """One sampled system per environment, all sharing block totals and
-    stack selectors.
+    stack selectors through one view of each.
 
     Every member must be a block permutation of `base_env` (same value
     multiset in each block at each lane, equal values elsewhere), so the
@@ -693,7 +686,9 @@ def couple_block_family(
         report = env_order(base_env, env, partition)
         if not report.is_block_permutation:
             raise ValueError(f"environment is not a block permutation of the base: {report.witness}")
-    return [BlockSampledSystem(env, base_env, partition, field, stream) for env in envs]
+    totals = FieldStream(field, (stream, "total"))
+    picks = FieldStream(field, (stream, "pick"))
+    return [BlockSampledSystem(env, base_env, partition, totals, picks) for env in envs]
 
 
 # ---------------------------------------------------------------------------
@@ -776,15 +771,14 @@ class _ChainState:
         self.stream = stream
         self._cells: dict[tuple[int, int], tuple[dict[int, Arrow], dict[int, Arrow]]] = {}
         self._paths: dict[tuple[tuple, tuple], list[tuple[int, int]]] = {}
-        # Stream tags by their parts after the stream, each built once, so
-        # the field's memo of keyed hashers hits on them.
-        self._tags: dict[tuple, tuple] = {}
+        # Views of the streams (stream, *parts), by their parts.
+        self._views: dict[tuple, FieldStream] = {}
 
-    def _tag(self, *parts) -> tuple:
-        tag = self._tags.get(parts)
-        if tag is None:
-            tag = self._tags[parts] = (self.stream, *parts)
-        return tag
+    def _view(self, *parts) -> FieldStream:
+        view = self._views.get(parts)
+        if view is None:
+            view = self._views[parts] = FieldStream(self.field, (self.stream, *parts))
+        return view
 
     def _path(self, probs0: tuple, probs1: tuple) -> list[tuple[int, int]]:
         key = (probs0, probs1)
@@ -812,9 +806,9 @@ class _ChainState:
         for i, j in path:
             states.append(_apply_swap(states[-1], i, j))
 
-        link_stream = self._tag("link", slot)
+        link = self._view("link", slot)
         if not path:
-            us = [self.field.value(link_stream, site, pos + 1) for pos in range(n)]
+            us = [link.value(site, pos + 1) for pos in range(n)]
             arrows = tuple(RIGHT if us[pos] < probs0[pos] else LEFT for pos in range(n))
             cell = (dict(zip(block, arrows)), dict(zip(block, arrows)))
             self._cells[key] = cell
@@ -824,9 +818,9 @@ class _ChainState:
         start = [None] * n
         for pos in range(n):
             if pos not in (i0, j0):
-                u = self.field.value(link_stream, site, pos + 1)
+                u = link.value(site, pos + 1)
                 start[pos] = RIGHT if u < probs0[pos] else LEFT
-        u_pair = self.field.value(link_stream, site, n + 1)
+        u_pair = link.value(site, n + 1)
         start[i0], start[j0] = pair_swap_block(probs0[i0], probs0[j0], u_pair)
         first = list(start)
         first[i0], first[j0] = pair_swap_block(states[1][i0], states[1][j0], u_pair)
@@ -835,7 +829,7 @@ class _ChainState:
         for m in range(1, len(path)):
             i, j = path[m]
             p, q = states[m][i], states[m][j]
-            v = self.field.value(self._tag("glue", slot, m), site, 1)
+            v = self._view("glue", slot, m).value(site, 1)
             current[i], current[j] = _glue_pair(p, q, (current[i], current[j]), v)
 
         cell = (dict(zip(block, start)), dict(zip(block, current)))
@@ -843,7 +837,7 @@ class _ChainState:
         return cell
 
     def shared_cell(self, site: int, level: int) -> Arrow:
-        u = self.field.value(self._tag("cell"), site, level)
+        u = self._view("cell").value(site, level)
         return RIGHT if u < self.env.prob(site, level) else LEFT
 
 
@@ -855,19 +849,13 @@ class ChainEndSystem(ArrowSystem):
     def __init__(self, state: _ChainState, side: int):
         self._state = state
         self._side = side
-        self._shared: dict[tuple[int, int], Arrow] = {}
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         block = self._state.partition.block_of(level)
         if len(block) == 1 and block[0] > self._state.partition.depth():
-            key = (site, level)
-            a = self._shared.get(key)
-            if a is None:
-                a = self._state.shared_cell(site, level)
-                self._shared[key] = a
-            return a
+            return self._state.shared_cell(site, level)
         return self._state.realize(site, block)[self._side][level]
 
 
@@ -952,7 +940,7 @@ class EtaSystem(ArrowSystem):
     """Threshold system: Right at (x, k) iff U(x, k) <= eta_k, with the
     tail threshold 1/2 above the excitement window.
 
-    Raw field blocks are memoized, so `uniform` and `arrow_at` together
+    `uniform` and `arrow_at` read one view of the field, so together they
     hash each block of a site's uniforms once.
     """
 
@@ -963,27 +951,17 @@ class EtaSystem(ArrowSystem):
         for e in self.eta:
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"eta entries must be in [0, 1], got {e}")
-        self.field = field
-        self.stream = stream
-        self._blocks: dict[tuple[int, int], tuple[float, ...]] = {}
+        self.view = FieldStream(field, stream)
 
     def threshold(self, level: int) -> float:
         return self.eta[level - 1] if level <= len(self.eta) else 0.5
 
     def uniform(self, site: int, level: int) -> float:
         """U(site, level) on this system's stream."""
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        q, r = divmod(level - 1, 8)
-        key = (site, q)
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = self.field.block(self.stream, site, q)
-            self._blocks[key] = blk
-        return blk[r]
+        return self.view.value(site, level)
 
     def arrow_at(self, site: int, level: int) -> Arrow:
-        return RIGHT if self.uniform(site, level) <= self.threshold(level) else LEFT
+        return RIGHT if self.view.value(site, level) <= self.threshold(level) else LEFT
 
 
 @dataclass
@@ -1029,7 +1007,7 @@ def envelope_walk(
     eta_sys = EtaSystem(eta, field, stream)
     eta_t = eta_sys.eta
     m = len(eta_t)
-    uniform = eta_sys.uniform
+    uniform = eta_sys.view.value
     pos = 0
     positions = [0]
     visits = {0: 1}

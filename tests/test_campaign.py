@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from arrowwalk import campaign
 from arrowwalk import (
     STATEMENT_IDS,
     CampaignConfig,
@@ -192,6 +193,27 @@ def test_drift_violation_becomes_error_rows():
     assert first["check"] == "count_dominance"
     assert "error" in first["witness"]
     assert report.aggregates["speed_l"] == {"count": 0}
+
+
+def test_failing_trial_is_named(monkeypatch):
+    real = campaign._build_pair
+
+    def build(config, trial, field):
+        if trial == 2:
+            raise KeyError("lost cell")
+        return real(config, trial, field)
+
+    monkeypatch.setattr(campaign, "_build_pair", build)
+    with pytest.raises(RuntimeError, match="shared-uniform campaign, seed 5, trial 2: KeyError") as exc:
+        run_campaign(quiet("shared-uniform", trials=4, horizon=50, seed=5, workers=1))
+    assert isinstance(exc.value.__cause__, KeyError)
+
+
+def test_bad_input_in_a_trial_stays_a_value_error():
+    config = quiet("shared-uniform", trials=2, horizon=50,
+                   env=cookie_env((0.9,)), env2=cookie_env((0.2,)))
+    with pytest.raises(ValueError, match="trial 0: ValueError: env_l exceeds env_r"):
+        run_campaign(config)
 
 
 # ---------------------------------------------------------- determinism

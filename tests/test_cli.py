@@ -6,7 +6,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from arrowwalk.cli import main
+from arrowwalk import cli
+from arrowwalk.cli import MAX_STEPS, main
 
 
 @pytest.fixture
@@ -152,6 +153,17 @@ def test_ce1_json(runner):
     assert rows[0] == {"k": 1, "x_k": 3, "t_k": 3, "s_k": 6, "ratio_hi": 1.0, "ratio_lo": 0.0}
     assert [r["x_k"] for r in rows] == [3, 10, 30]
     assert [r["t_k"] for r in rows] == [3, 16, 50]
+
+
+@pytest.mark.parametrize("args", [["--kmax", "20"], ["--N", "10", "--kmax", "8"]])
+def test_ce1_rejects_a_simulation_over_the_step_budget(runner, monkeypatch, args):
+    def never(*a, **k):
+        raise AssertionError("the simulation must not start")
+
+    monkeypatch.setattr(cli, "observe_ce1_milestones", never)
+    result = runner.invoke(main, ["counterexample", "ce1", *args])
+    assert result.exit_code == 2
+    assert f"over the budget of {MAX_STEPS} steps" in result.output
 
 
 def test_ce2_primed(runner):
@@ -360,3 +372,20 @@ def test_stats_after_beyond_horizon(runner, files):
     )
     assert result.exit_code == 2
     assert "--after" in result.output
+
+
+# ------------------------------------------------------------ step budget
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--system", "{sys_right}"],
+    ["verify", "--system", "{sys_right}"],
+    ["couple", "--env", "{env_lo}", "--env2", "{env_hi}"],
+    ["campaign"],
+    ["stats", "--env", "{env_lo}"],
+])
+def test_horizon_over_the_step_budget_is_refused(runner, files, command):
+    args = [a.format(**files) for a in command]
+    result = runner.invoke(main, [*args, "--horizon", str(MAX_STEPS + 1)])
+    assert result.exit_code == 2
+    assert "--horizon" in result.output

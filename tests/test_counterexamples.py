@@ -8,7 +8,6 @@ import pytest
 
 from arrowwalk import (
     CE2_LEFT_PATH,
-    CE2_LOOSE_LEAD_COUNTS,
     CE2_RIGHT_PATH,
     Ce1LeftSystem,
     Ce1RightSystem,
@@ -149,9 +148,11 @@ def test_trailing_pair_primed():
 
 
 def test_trailing_pair_loose_lead_counts():
-    assert CE2_LOOSE_LEAD_COUNTS == {25: (7, 8), 26: (7, 9)}
+    # Published lead counts of the looser variant of this pair at its two
+    # checkpoints (times 25 and 26): (times R leads, times L leads).
+    loose_lead_counts = {25: (7, 8), 26: (7, 9)}
     pair = build_ce2("primed")
-    for t, expected in CE2_LOOSE_LEAD_COUNTS.items():
+    for t, expected in loose_lead_counts.items():
         assert lead_sets(pair, t) == expected
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import struct
+from bisect import bisect_left
 from collections import Counter
 from hashlib import blake2b
 
@@ -21,13 +22,13 @@ from arrowwalk import (
     CookieEnvironment,
     DriftContractError,
     EtaSystem,
+    FieldStream,
     UniformField,
     WalkView,
     check_pair,
     check_relation,
     classify_alpha,
     conditional_stack_pmf,
-    consecutive_partition,
     constant_env,
     cookie_env,
     couple_block_family,
@@ -38,6 +39,7 @@ from arrowwalk import (
     favourable_swaps,
     load_env,
     load_partition,
+    make_pair,
     orrw_drift_law,
     pair_swap_block,
     parse_env,
@@ -51,7 +53,19 @@ from arrowwalk import (
     stack_chain,
     swap_path,
 )
-from arrowwalk.couplings import _HEAD_CAP, _pack
+from arrowwalk.couplings import _HEAD_CAP, _apply_swap, _glue_pair, _pack
+
+
+class CountingField(UniformField):
+    """A field that counts how often each (stream, site, index) is hashed."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = Counter()
+
+    def block(self, stream, site, index):
+        self.calls[(stream, site, index)] += 1
+        return super().block(stream, site, index)
 
 
 def prefix_lefts(stack):
@@ -99,12 +113,6 @@ def test_field_block_matches_value():
                 assert u == field.value("s", site, q * 8 + i + 1)
 
 
-def test_field_values_matches_value():
-    field = UniformField(3)
-    got = field.values("s", 4, 6, 10)
-    assert got == [field.value("s", 4, k) for k in range(6, 16)]
-
-
 def test_field_streams_are_independent():
     field = UniformField(3)
     assert field.value("a", 0, 1) != field.value("b", 0, 1)
@@ -125,6 +133,27 @@ def test_field_range_and_moments():
 def test_field_level_validation():
     with pytest.raises(ValueError, match="level"):
         UniformField(0).value("s", 0, 0)
+    with pytest.raises(ValueError, match="level"):
+        FieldStream(UniformField(0), "s").value(0, 0)
+
+
+def test_field_stream_matches_field():
+    field = UniformField(3)
+    view = FieldStream(field, ("s", 1))
+    for site in (-2, 0, 5):
+        for level in range(1, 30):
+            assert view.value(site, level) == field.value(("s", 1), site, level)
+        assert view.block(site, 2) == field.block(("s", 1), site, 2)
+
+
+def test_field_stream_hashes_each_block_once():
+    field = CountingField(3)
+    view = FieldStream(field, "s")
+    for _ in range(3):
+        for level in range(1, 20):
+            view.value(4, level)
+        view.block(4, 5)
+    assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
 
 
 def reference_block(field, stream, site, index):
@@ -311,16 +340,6 @@ def test_sample_system_reads_lane_lists_and_tail():
             assert sysm.arrow_at(site, level) is want
 
 
-class CountingField(UniformField):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = Counter()
-
-    def block(self, stream, site, index):
-        self.calls[(stream, site, index)] += 1
-        return super().block(stream, site, index)
-
-
 def test_shared_pair_hashes_each_block_once():
     lo, hi = cookie_env((0.2, 0.4)), cookie_env((0.3, 0.6))
     field = CountingField(6)
@@ -329,6 +348,24 @@ def test_shared_pair_hashes_each_block_once():
     alone = UniformField(6)
     assert pair.traj_l.positions == run_walk(sample_system(lo, alone, "p"), 400).positions
     assert pair.traj_r.positions == run_walk(sample_system(hi, alone, "p"), 400).positions
+
+
+def block_family_pair(field, env_lo, env_hi, partition, horizon, stream):
+    systems = couple_block_family(sorted_env(env_lo, partition), partition, [env_lo, env_hi], field, stream)
+    return make_pair(*systems, horizon, relation_mode="preceq", provenance="block-family")
+
+
+def swap_chain_pair(field, env_lo, env_hi, partition, horizon, stream):
+    return couple_swap_chain(env_lo, env_hi, partition, field, horizon, stream=stream)
+
+
+@pytest.mark.parametrize("build", [block_family_pair, swap_chain_pair], ids=["block-family", "swap-chain"])
+def test_partition_couplings_hash_each_block_once(build):
+    part = BlockPartition(((1, 2, 3),))
+    lo, hi = cookie_env((0.2, 0.5, 0.7)), cookie_env((0.7, 0.5, 0.2))
+    field = CountingField(6)
+    build(field, lo, hi, part, 600, "p")
+    assert field.calls and set(field.calls.values()) == {1}
 
 
 def test_shared_pair_rejects_unordered_envs():
@@ -357,11 +394,6 @@ def test_partition_validation():
         BlockPartition(((1, 2), (2, 3)))
     with pytest.raises(ValueError, match="cap"):
         BlockPartition(((1, 2, 3, 4),), cap=3)
-
-
-def test_consecutive_partition():
-    assert consecutive_partition(7, 3).blocks == ((1, 2, 3), (4, 5, 6), (7,))
-    assert consecutive_partition(4, 2).blocks == ((1, 2), (3, 4))
 
 
 def test_partition_json_roundtrip(tmp_path):
@@ -498,6 +530,18 @@ def test_stack_chain_is_a_monotone_total_order():
             }
             for earlier, later in itertools.combinations(chain, 2):
                 assert all(a <= b for a, b in zip(prefix_lefts(earlier), prefix_lefts(later)))
+
+
+def test_stack_chain_returns_a_fresh_list():
+    chain = stack_chain(3, 1)
+    chain.clear()
+    stack_chain(2, 1).append((LEFT, LEFT))
+    assert stack_chain(3, 1) == [
+        (RIGHT, LEFT, LEFT),
+        (LEFT, RIGHT, LEFT),
+        (LEFT, LEFT, RIGHT),
+    ]
+    assert stack_chain(2, 1) == [(RIGHT, LEFT), (LEFT, RIGHT)]
 
 
 def test_stack_chain_height_limit():
@@ -739,6 +783,126 @@ def test_swap_chain_rejects_unreachable_target():
         )
 
 
+# ------------------------------------- reference realizations, per cell
+#
+# These realize block-coupled cells as the field-value reference would: one
+# `UniformField.value` call per uniform, no memo of raw blocks and stack
+# chains enumerated afresh.  The systems under test must agree cell by cell.
+
+
+def reference_chain(n, y):
+    stacks = [s for s in itertools.product((LEFT, RIGHT), repeat=n) if s.count(RIGHT) == y]
+    return sorted(stacks, key=lambda s: tuple(prefix_lefts(s)))
+
+
+def reference_pick(probs, u):
+    cums = list(itertools.accumulate(probs))
+    return min(bisect_left(cums, u), len(cums) - 1)
+
+
+def reference_block_family_cell(env, base_env, partition, field, stream, site, level):
+    block = partition.block_of(level)
+    slot = partition.block_index(block)
+    u_total = field.value((stream, "total"), site, slot)
+    y = reference_pick(poisson_binomial([base_env.prob(site, l) for l in block]), u_total)
+    chain = reference_chain(len(block), y)
+    weights = []
+    for stack in chain:
+        w = 1.0
+        for l, a in zip(block, stack):
+            p = env.prob(site, l)
+            w *= p if a is RIGHT else 1.0 - p
+        weights.append(w)
+    u_pick = field.value((stream, "pick"), site, slot)
+    stack = chain[reference_pick([w / sum(weights) for w in weights], u_pick)]
+    return dict(zip(block, stack))[level]
+
+
+def reference_swap_chain_cell(env, env2, partition, field, stream, site, level, side):
+    block = partition.block_of(level)
+    if len(block) == 1 and block[0] > partition.depth():
+        u = field.value((stream, "cell"), site, level)
+        return RIGHT if u < env.prob(site, level) else LEFT
+    n = len(block)
+    slot = partition.block_index(block)
+    probs0 = tuple(env.prob(site, l) for l in block)
+    probs1 = tuple(env2.prob(site, l) for l in block)
+    path = swap_path(probs0, probs1)
+    states = [probs0]
+    for i, j in path:
+        states.append(_apply_swap(states[-1], i, j))
+    link = (stream, "link", slot)
+    if not path:
+        arrows = [RIGHT if field.value(link, site, pos + 1) < probs0[pos] else LEFT for pos in range(n)]
+        return dict(zip(block, arrows))[level]
+    i0, j0 = path[0]
+    start = [None] * n
+    for pos in range(n):
+        if pos not in (i0, j0):
+            u = field.value(link, site, pos + 1)
+            start[pos] = RIGHT if u < probs0[pos] else LEFT
+    u_pair = field.value(link, site, n + 1)
+    start[i0], start[j0] = pair_swap_block(probs0[i0], probs0[j0], u_pair)
+    current = list(start)
+    current[i0], current[j0] = pair_swap_block(states[1][i0], states[1][j0], u_pair)
+    for m in range(1, len(path)):
+        i, j = path[m]
+        v = field.value((stream, "glue", slot, m), site, 1)
+        current[i], current[j] = _glue_pair(states[m][i], states[m][j], (current[i], current[j]), v)
+    return dict(zip(block, (start, current)[side]))[level]
+
+
+DIFFERENTIAL_PARTITIONS = [
+    BlockPartition(((1, 2, 3),)),
+    BlockPartition(((1, 2), (3,))),
+    BlockPartition(((1,), (2, 3), (5, 6, 7))),
+    BlockPartition(((2, 4),)),
+]
+
+
+def rotate_blocks(probs, partition):
+    """Each block's values moved up one level, the top one to the bottom:
+    from ascending values, two swap links on a block of three."""
+    out = list(probs)
+    for block in partition.blocks:
+        vals = [out[l - 1] for l in block]
+        for l, v in zip(block, vals[-1:] + vals[:-1]):
+            out[l - 1] = v
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("partition", DIFFERENTIAL_PARTITIONS, ids=lambda p: str(p.blocks))
+def test_partition_couplings_match_reference_cells(seed, partition):
+    draw = random.Random(seed)
+    depth = partition.depth()
+    base = CookieEnvironment(
+        {3: tuple(draw.random() for _ in range(depth))},
+        tuple(draw.random() for _ in range(depth)),
+        0.5,
+    )
+    low = sorted_env(base, partition)
+    high = CookieEnvironment(
+        {s: rotate_blocks(lst, partition) for s, lst in low.sites.items()},
+        rotate_blocks(low.default, partition),
+        low.tail,
+    )
+    envs = (low, base, high)
+    field = UniformField(seed)
+    reference = UniformField(seed)
+    members = couple_block_family(low, partition, envs, field, ("bf", seed))
+    pair = couple_swap_chain(low, high, partition, field, 0, stream=("sc", seed))
+    chain_ends = (pair.traj_l.system, pair.traj_r.system)
+    for site in range(-12, 13):
+        for level in range(1, 3 * depth + 12):
+            for member, env in zip(members, envs):
+                want = reference_block_family_cell(env, low, partition, reference, ("bf", seed), site, level)
+                assert member.arrow_at(site, level) is want, (site, level)
+            for side, system in enumerate(chain_ends):
+                want = reference_swap_chain_cell(low, high, partition, reference, ("sc", seed), site, level, side)
+                assert system.arrow_at(site, level) is want, (site, level, side)
+
+
 # ------------------------------------------------------- drift envelopes
 
 
@@ -761,18 +925,12 @@ def test_envelope_walk_matches_eta_walk():
 
 
 def test_envelope_walk_hashes_each_block_once():
-    calls = Counter()
-
-    class CountingField(UniformField):
-        def block(self, stream, site, index):
-            calls[(site, index)] += 1
-            return super().block(stream, site, index)
-
-    result = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), CountingField(8), 800, stream="env")
-    assert calls and max(calls.values()) == 1
+    field = CountingField(8)
+    result = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), field, 800, stream="env")
+    assert field.calls and max(field.calls.values()) == 1
     eta_sys = result.traj_r.system
     reference = UniformField(8)
-    for site, index in calls:
+    for _, site, index in field.calls:
         for level in range(8 * index + 1, 8 * index + 9):
             u = reference.value("env", site, level)
             assert eta_sys.uniform(site, level) == u
