@@ -44,6 +44,11 @@ from .verify import STATEMENT_IDS, check_pair, make_pair
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
 # ten million steps take minutes and about a gigabyte of positions.
 MAX_STEPS = 10**7
+# Largest --kmax: the exact ce1 milestone table costs about kmax^3 big-integer
+# steps (2-core Xeon: 0.02 s at 64, 0.8 s at 200, 170 s at 1000).
+MAX_KMAX = 64
+# Largest --cycles: ce2 builds 28 positions per cycle on each path.
+MAX_CYCLES = MAX_STEPS // 28
 
 
 def _load(loader, path: str, what: str):
@@ -154,7 +159,7 @@ def counterexample() -> None:
 
 @counterexample.command()
 @click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3), help="Marker spacing parameter.")
-@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1))
+@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX))
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.pass_context
@@ -197,7 +202,7 @@ def ce1(ctx, n: int, kmax: int, out: Optional[str], fmt: str) -> None:
 
 @counterexample.command()
 @click.option("--variant", type=click.Choice(["primed", "periodic"]), default="primed", show_default=True)
-@click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1, max=MAX_CYCLES))
 @click.option("--out", default=None)
 @click.pass_context
 def ce2(ctx, variant: str, cycles: int, out: Optional[str]) -> None:
@@ -280,9 +285,9 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
 @click.option("--beta", default=1.0, show_default=True, type=float)
 @click.option("--checks", default=None, help="Comma-separated statement ids (default: all).")
 @click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3))
-@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1))
+@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX))
 @click.option("--variant", type=click.Choice(["primed", "periodic"]), default="primed", show_default=True)
-@click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1, max=MAX_CYCLES))
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--no-returns", is_flag=True, help="Skip the transformed-walk return counts.")
 @click.option("--no-timestamp", is_flag=True, help="Omit wall-clock info for byte-stable reports.")

@@ -366,15 +366,16 @@ class BlockPartition:
             if seen & set(b):
                 raise ValueError(f"blocks are not disjoint at {sorted(seen & set(b))}")
             seen.update(b)
+        # Not fields, so equality and hashing ignore them.  level -> (block, position)
+        object.__setattr__(self, "_places", {l: (b, i) for b in blocks for i, l in enumerate(b)})
+        object.__setattr__(self, "_depth", max((b[-1] for b in blocks), default=0))
 
     def depth(self) -> int:
-        return max((b[-1] for b in self.blocks), default=0)
+        return self._depth
 
     def block_of(self, level: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if level in b:
-                return b
-        return (level,)
+        place = self._places.get(level)
+        return (level,) if place is None else place[0]
 
     def block_index(self, block: tuple[int, ...]) -> int:
         """Stable 1-based randomness slot for a block (singletons included)."""
@@ -620,6 +621,11 @@ class BlockSampledSystem(ArrowSystem):
     through its cumulative weights.  Members reading the same two views
     (totals and picks) therefore agree on the Right count everywhere and
     pick comparable stacks whenever their conditional cumulatives dominate.
+
+    Besides its two uniforms, a draw needs only what its block and lane fix
+    (the lane is the site if `env` or `base_env` lists it, else the default
+    lane): that is planned once per (lane, block), from laws built once per
+    block probabilities.
     """
 
     kind = "sampled"
@@ -637,30 +643,47 @@ class BlockSampledSystem(ArrowSystem):
         self.partition = partition
         self.totals = totals
         self.picks = picks
-        self._cells: dict[tuple[int, int], dict[int, Arrow]] = {}
+        self._places = partition._places
+        self._listed = set(env.sites) | set(base_env.sites)
+        # (site, first level of the block) -> realized stack
+        self._cells: dict[tuple[int, int], tuple[Arrow, ...]] = {}
+        # (lane, block) -> (slot, total cumulative, block probabilities, rows by y)
+        self._plans: dict[tuple, tuple] = {}
+        # (base probabilities, probabilities) -> the same entry less the slot
+        self._laws: dict[tuple, tuple] = {}
 
-    def _realize(self, site: int, block: tuple[int, ...]) -> dict[int, Arrow]:
-        slot = self.partition.block_index(block)
-        probs_base = [self.base_env.prob(site, l) for l in block]
-        probs_here = [self.env.prob(site, l) for l in block]
-        u_total = self.totals.value(site, slot)
-        y = _pick(_cum(poisson_binomial(probs_base)), u_total)
-        chain = stack_chain(len(block), y)
-        pmf = conditional_stack_pmf(probs_here, y)
+    def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
+        probs_base = tuple(self.base_env.prob(site, l) for l in block)
+        probs = tuple(self.env.prob(site, l) for l in block)
+        law = self._laws.get((probs_base, probs))
+        if law is None:
+            law = self._laws[(probs_base, probs)] = (_cum(poisson_binomial(probs_base)), probs, {})
+        return (self.partition.block_index(block),) + law
+
+    def _realize(self, site: int, block: tuple[int, ...]) -> tuple[Arrow, ...]:
+        key = (site if site in self._listed else None, block)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(site, block)
+        slot, total_cum, probs, rows = plan
+        y = _pick(total_cum, self.totals.value(site, slot))
+        row = rows.get(y)
+        if row is None:
+            # Built when first drawn, so a zero-mass y raises only then.
+            row = rows[y] = (stack_chain(len(block), y), _cum(conditional_stack_pmf(probs, y)))
+        chain, cum = row
         # A chain of one stack leaves nothing to pick: its uniform goes unread.
-        i = _pick(_cum(pmf), self.picks.value(site, slot)) if len(chain) > 1 else 0
-        return dict(zip(block, chain[i]))
+        return chain[_pick(cum, self.picks.value(site, slot))] if len(chain) > 1 else chain[0]
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        block = self.partition.block_of(level)
+        block, pos = self._places.get(level) or ((level,), 0)
         key = (site, block[0])
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._realize(site, block)
-            self._cells[key] = cell
-        return cell[level]
+        stack = self._cells.get(key)
+        if stack is None:
+            stack = self._cells[key] = self._realize(site, block)
+        return stack[pos]
 
 
 def couple_block_family(
@@ -754,7 +777,9 @@ def _glue_pair(p: float, q: float, observed: tuple, v: float) -> tuple:
 
 
 class _ChainState:
-    """Shared lazily realized arrows for both ends of a swap chain."""
+    """Shared lazily realized arrows for both ends of a swap chain.  Each
+    block is planned once per (lane, block), the lane being the site if
+    `env` or `env2` lists it, else the default lane."""
 
     def __init__(
         self,
@@ -769,10 +794,15 @@ class _ChainState:
         self.partition = partition
         self.field = field
         self.stream = stream
-        self._cells: dict[tuple[int, int], tuple[dict[int, Arrow], dict[int, Arrow]]] = {}
+        self._listed = set(env.sites) | set(env2.sites)
+        # (site, first level of the block) -> (env stack, env2 stack)
+        self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], tuple[Arrow, ...]]] = {}
         self._paths: dict[tuple[tuple, tuple], list[tuple[int, int]]] = {}
+        # (lane, block) -> (probs0, swap path, states along it, link view, glue views)
+        self._plans: dict[tuple, tuple] = {}
         # Views of the streams (stream, *parts), by their parts.
         self._views: dict[tuple, FieldStream] = {}
+        self._cell_view = self._view("cell")
 
     def _view(self, *parts) -> FieldStream:
         view = self._views.get(parts)
@@ -792,26 +822,30 @@ class _ChainState:
             self._paths[key] = path
         return path
 
-    def realize(self, site: int, block: tuple[int, ...]) -> tuple[dict[int, Arrow], dict[int, Arrow]]:
+    def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
+        slot = self.partition.block_index(block)
+        probs0 = tuple(self.env.prob(site, l) for l in block)
+        path = self._path(probs0, tuple(self.env2.prob(site, l) for l in block))
+        states = [probs0]
+        for i, j in path:
+            states.append(_apply_swap(states[-1], i, j))
+        glues = [self._view("glue", slot, m) for m in range(1, len(path))]
+        return probs0, path, states, self._view("link", slot), glues
+
+    def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], tuple[Arrow, ...]]:
         key = (site, block[0])
         cell = self._cells.get(key)
         if cell is not None:
             return cell
+        plan_key = (site if site in self._listed else None, block)
+        plan = self._plans.get(plan_key)
+        if plan is None:
+            plan = self._plans[plan_key] = self._plan(site, block)
+        probs0, path, states, link, glues = plan
         n = len(block)
-        slot = self.partition.block_index(block)
-        probs0 = tuple(self.env.prob(site, l) for l in block)
-        probs1 = tuple(self.env2.prob(site, l) for l in block)
-        path = self._path(probs0, probs1)
-        states = [probs0]
-        for i, j in path:
-            states.append(_apply_swap(states[-1], i, j))
-
-        link = self._view("link", slot)
         if not path:
-            us = [link.value(site, pos + 1) for pos in range(n)]
-            arrows = tuple(RIGHT if us[pos] < probs0[pos] else LEFT for pos in range(n))
-            cell = (dict(zip(block, arrows)), dict(zip(block, arrows)))
-            self._cells[key] = cell
+            arrows = tuple(RIGHT if link.value(site, pos + 1) < probs0[pos] else LEFT for pos in range(n))
+            cell = self._cells[key] = (arrows, arrows)
             return cell
 
         i0, j0 = path[0]
@@ -822,22 +856,20 @@ class _ChainState:
                 start[pos] = RIGHT if u < probs0[pos] else LEFT
         u_pair = link.value(site, n + 1)
         start[i0], start[j0] = pair_swap_block(probs0[i0], probs0[j0], u_pair)
-        first = list(start)
-        first[i0], first[j0] = pair_swap_block(states[1][i0], states[1][j0], u_pair)
+        current = list(start)
+        current[i0], current[j0] = pair_swap_block(states[1][i0], states[1][j0], u_pair)
 
-        current = first
         for m in range(1, len(path)):
             i, j = path[m]
             p, q = states[m][i], states[m][j]
-            v = self._view("glue", slot, m).value(site, 1)
+            v = glues[m - 1].value(site, 1)
             current[i], current[j] = _glue_pair(p, q, (current[i], current[j]), v)
 
-        cell = (dict(zip(block, start)), dict(zip(block, current)))
-        self._cells[key] = cell
+        cell = self._cells[key] = (tuple(start), tuple(current))
         return cell
 
     def shared_cell(self, site: int, level: int) -> Arrow:
-        u = self._view("cell").value(site, level)
+        u = self._cell_view.value(site, level)
         return RIGHT if u < self.env.prob(site, level) else LEFT
 
 
@@ -849,14 +881,19 @@ class ChainEndSystem(ArrowSystem):
     def __init__(self, state: _ChainState, side: int):
         self._state = state
         self._side = side
+        self._places = state.partition._places
+        self._depth = state.partition.depth()
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        block = self._state.partition.block_of(level)
-        if len(block) == 1 and block[0] > self._state.partition.depth():
-            return self._state.shared_cell(site, level)
-        return self._state.realize(site, block)[self._side][level]
+        place = self._places.get(level)
+        if place is None:
+            if level > self._depth:
+                return self._state.shared_cell(site, level)
+            place = ((level,), 0)
+        block, pos = place
+        return self._state.realize(site, block)[self._side][pos]
 
 
 def couple_swap_chain(

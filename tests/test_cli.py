@@ -6,8 +6,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from arrowwalk import cli
-from arrowwalk.cli import MAX_STEPS, main
+from arrowwalk import campaign, cli
+from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_STEPS, main
 
 
 @pytest.fixture
@@ -389,3 +389,21 @@ def test_horizon_over_the_step_budget_is_refused(runner, files, command):
     result = runner.invoke(main, [*args, "--horizon", str(MAX_STEPS + 1)])
     assert result.exit_code == 2
     assert "--horizon" in result.output
+
+
+@pytest.mark.parametrize("command, option, bound", [
+    (["counterexample", "ce1"], "--kmax", MAX_KMAX),
+    (["campaign", "--family", "ce1"], "--kmax", MAX_KMAX),
+    (["counterexample", "ce2", "--variant", "periodic"], "--cycles", MAX_CYCLES),
+    (["campaign", "--family", "ce2", "--variant", "periodic"], "--cycles", MAX_CYCLES),
+])
+def test_kmax_and_cycles_over_their_bounds_are_refused(runner, monkeypatch, command, option, bound):
+    def never(*a, **k):
+        raise AssertionError("the work must not start")
+
+    for module in (cli, campaign):
+        monkeypatch.setattr(module, "ce1_milestones", never)
+        monkeypatch.setattr(module, "build_ce2", never)
+    result = runner.invoke(main, [*command, option, str(bound + 1)])
+    assert result.exit_code == 2
+    assert option in result.output and f"1<=x<={bound}" in result.output

@@ -53,6 +53,7 @@ from arrowwalk import (
     stack_chain,
     swap_path,
 )
+from arrowwalk import couplings
 from arrowwalk.couplings import _HEAD_CAP, _apply_swap, _glue_pair, _pack
 
 
@@ -871,6 +872,24 @@ def rotate_blocks(probs, partition):
     return tuple(out)
 
 
+def assert_cells_match_reference(base, members, low, high, partition, seed):
+    """Every cell of a block family (`members` around `base`) and of a swap
+    chain from `low` to `high` against the per-cell reference."""
+    field = UniformField(seed)
+    reference = UniformField(seed)
+    family = couple_block_family(base, partition, members, field, ("bf", seed))
+    pair = couple_swap_chain(low, high, partition, field, 0, stream=("sc", seed))
+    chain_ends = (pair.traj_l.system, pair.traj_r.system)
+    for site in range(-12, 13):
+        for level in range(1, 3 * partition.depth() + 12):
+            for member, env in zip(family, members):
+                want = reference_block_family_cell(env, base, partition, reference, ("bf", seed), site, level)
+                assert member.arrow_at(site, level) is want, (site, level)
+            for side, system in enumerate(chain_ends):
+                want = reference_swap_chain_cell(low, high, partition, reference, ("sc", seed), site, level, side)
+                assert system.arrow_at(site, level) is want, (site, level, side)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("partition", DIFFERENTIAL_PARTITIONS, ids=lambda p: str(p.blocks))
 def test_partition_couplings_match_reference_cells(seed, partition):
@@ -887,20 +906,59 @@ def test_partition_couplings_match_reference_cells(seed, partition):
         rotate_blocks(low.default, partition),
         low.tail,
     )
-    envs = (low, base, high)
-    field = UniformField(seed)
-    reference = UniformField(seed)
-    members = couple_block_family(low, partition, envs, field, ("bf", seed))
-    pair = couple_swap_chain(low, high, partition, field, 0, stream=("sc", seed))
-    chain_ends = (pair.traj_l.system, pair.traj_r.system)
-    for site in range(-12, 13):
-        for level in range(1, 3 * depth + 12):
-            for member, env in zip(members, envs):
-                want = reference_block_family_cell(env, low, partition, reference, ("bf", seed), site, level)
-                assert member.arrow_at(site, level) is want, (site, level)
-            for side, system in enumerate(chain_ends):
-                want = reference_swap_chain_cell(low, high, partition, reference, ("sc", seed), site, level, side)
-                assert system.arrow_at(site, level) is want, (site, level, side)
+    assert_cells_match_reference(low, (low, base, high), low, high, partition, seed)
+
+
+@pytest.mark.parametrize("listed_by", ["low", "high"])
+@pytest.mark.parametrize("partition", DIFFERENTIAL_PARTITIONS, ids=lambda p: str(p.blocks))
+def test_partition_couplings_match_reference_cells_on_a_lane_one_env_lists(listed_by, partition):
+    # Site 3 has its own lane although only one environment lists it: with
+    # "low", the family's base and the chain's start list it (with the
+    # swap-minimal permutation of the default) and the other member and
+    # chain end read the default there; with "high", the reverse.
+    draw = random.Random(11)
+    values = tuple(draw.random() for _ in range(partition.depth()))
+    ascending = sorted_env(cookie_env(values), partition).default
+    if listed_by == "low":
+        low, high = CookieEnvironment({3: ascending}, values), cookie_env(values)
+    else:
+        low, high = cookie_env(ascending), CookieEnvironment({3: rotate_blocks(ascending, partition)}, ascending)
+    assert_cells_match_reference(low, (low, high), low, high, partition, 11)
+
+
+@pytest.mark.parametrize("partition", DIFFERENTIAL_PARTITIONS, ids=lambda p: str(p.blocks))
+def test_partition_couplings_match_reference_cells_with_zero_mass_counts(partition):
+    # Under probabilities 0 and 1 some Right counts have no mass; their
+    # rows must never be built, since conditioning on them raises.
+    base = cookie_env((0.0, 0.5, 1.0))
+    low = sorted_env(base, partition)
+    high = CookieEnvironment({}, rotate_blocks(low.default, partition), low.tail)
+    assert_cells_match_reference(low, (low, base, high), low, high, partition, 5)
+
+
+@pytest.mark.parametrize("build", [block_family_pair, swap_chain_pair], ids=["block-family", "swap-chain"])
+def test_partition_couplings_build_their_tables_once(build, monkeypatch):
+    # On a homogeneous environment every site reads the default lane, so
+    # the reference builders run a fixed number of times, however long
+    # the walk.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("poisson_binomial", "conditional_stack_pmf", "swap_path", "_apply_swap"):
+        monkeypatch.setattr(couplings, name, counted(name, getattr(couplings, name)))
+    part = BlockPartition(((1, 2, 3),))
+    lo, hi = cookie_env((0.2, 0.5, 0.7)), cookie_env((0.7, 0.5, 0.2))
+    counts = []
+    for horizon in (500, 2000):
+        calls.clear()
+        build(UniformField(4), lo, hi, part, horizon, "p")
+        counts.append(dict(calls))
+    assert counts[0] and counts[0] == counts[1]
 
 
 # ------------------------------------------------------- drift envelopes
