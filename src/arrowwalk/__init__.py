@@ -8,104 +8,57 @@ the path statements those orders imply for coupled walks, reproduces the
 two extreme examples that delimit them, couples randomized systems sampled
 from cookie environments, and batches everything into deterministic Monte
 Carlo campaigns.
+
+The package exports what the README and the command line use; everything
+else is imported from its submodule.
 """
 
 from .core import (
-    Arrow,
-    ArrowSystem,
-    ExplicitSystem,
-    IdentityReport,
-    IDENTITY_IDS,
-    LEFT,
-    LocalTimeTable,
-    PreceqDecision,
-    RelationResult,
-    RELATION_MODES,
-    RIGHT,
-    RuleSystem,
-    Trajectory,
-    check_identities,
-    check_relation,
-    constant_system,
-    consumed_stacks,
     load_system,
-    mirror_system,
-    occupation,
-    parse_system,
     paths_admit_preceq,
     run_walk,
     scan_identities,
-    stack_counts,
-    validate_path,
     write_trajectory_csv,
-    zero_right_transform,
 )
-from .verify import (
-    CoupledPair,
-    PairChecker,
-    STATEMENT_IDS,
-    VerifyResult,
-    check_pair,
-    make_pair,
-)
+from .verify import STATEMENT_IDS, check_pair, make_pair
 from .counterexamples import (
-    CE2_LEFT_PATH,
-    CE2_RIGHT_PATH,
-    Ce1LeftSystem,
-    Ce1Milestones,
-    Ce1RightSystem,
     build_ce1,
     build_ce2,
     ce1_milestones,
     lead_sets,
-    marker_site,
     observe_ce1_milestones,
 )
 from .couplings import (
     BlockPartition,
-    BlockSampledSystem,
-    ChainEndSystem,
     CookieEnvironment,
-    DriftContractError,
-    EnvOrderReport,
-    EnvelopeWalkResult,
-    EtaSystem,
-    FieldStream,
-    SampledCookieSystem,
     UniformField,
-    WalkView,
-    classify_alpha,
-    conditional_stack_pmf,
-    constant_env,
     cookie_env,
     couple_block_family,
     couple_swap_chain,
-    env_leq_pointwise,
-    env_order,
     envelope_walk,
-    favourable_swaps,
     load_env,
     load_partition,
     orrw_drift_law,
-    pair_swap_block,
-    parse_env,
-    parse_partition,
-    poisson_binomial,
     sample_system,
     shared_pair,
     sorted_env,
-    stack_chain,
-    swap_path,
 )
 from .campaign import (
     CampaignConfig,
-    CampaignReport,
     FAMILIES,
     run_campaign,
-    run_trial,
     speed_and_recurrence_stats,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BlockPartition", "CampaignConfig", "CookieEnvironment", "FAMILIES",
+    "STATEMENT_IDS", "UniformField", "build_ce1", "build_ce2",
+    "ce1_milestones", "check_pair", "cookie_env", "couple_block_family",
+    "couple_swap_chain", "envelope_walk", "lead_sets", "load_env",
+    "load_partition", "load_system", "make_pair", "observe_ce1_milestones",
+    "orrw_drift_law", "paths_admit_preceq", "run_campaign", "run_walk",
+    "sample_system", "scan_identities", "shared_pair", "sorted_env",
+    "speed_and_recurrence_stats", "write_trajectory_csv",
+]

@@ -41,7 +41,7 @@ from .couplings import (
     shared_pair,
     sorted_env,
 )
-from .verify import STATEMENT_IDS, CoupledPair, PairChecker, make_pair
+from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair
 
 FAMILIES = (
     "shared-uniform",
@@ -147,14 +147,15 @@ def _default_partition() -> BlockPartition:
 
 
 def _reversed_env(env: CookieEnvironment, partition: BlockPartition) -> CookieEnvironment:
-    """Each block's values sorted descending: the swap-maximal member."""
+    """Each block's values sorted descending: the swap-maximal member.
+    `sorted_env` pads every lane to cover the partition."""
     asc = sorted_env(env, partition)
 
     def rev_lane(probs: tuple[float, ...]) -> tuple[float, ...]:
         lst = list(probs)
         for block in partition.blocks:
-            vals = sorted((lst[l - 1] for l in block if l <= len(lst)), reverse=True)
-            for l, v in zip([l for l in block if l <= len(lst)], vals):
+            vals = sorted((lst[l - 1] for l in block), reverse=True)
+            for l, v in zip(block, vals):
                 lst[l - 1] = v
         return tuple(lst)
 
@@ -259,7 +260,7 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
     checks = config.checks or STATEMENT_IDS
     try:
         pair, extra = _build_pair(config, trial, field)
-        results = PairChecker(pair.traj_l.positions, pair.traj_r.positions, checks).run()
+        results = check_pair(pair, checks)
         statuses = {}
         for name, res in results.items():
             if not res.passed:

@@ -47,6 +47,11 @@ MAX_STEPS = 10**7
 # Largest --kmax: the exact ce1 milestone table costs about kmax^3 big-integer
 # steps (2-core Xeon: 0.02 s at 64, 0.8 s at 200, 170 s at 1000).
 MAX_KMAX = 64
+# Largest --N: the milestone table's cost grows with the digits of N, and a
+# report prints each milestone in decimal (at most 4300 digits in Python).
+# At kmax 64 and N = 10**6 the largest milestone has 385 digits and the
+# table takes about 0.03 s (2-core Xeon).
+MAX_N = 10**6
 # Largest --cycles: ce2 builds 28 positions per cycle on each path.
 MAX_CYCLES = MAX_STEPS // 28
 
@@ -158,7 +163,7 @@ def counterexample() -> None:
 
 
 @counterexample.command()
-@click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3), help="Marker spacing parameter.")
+@click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3, max=MAX_N), help="Marker spacing parameter.")
 @click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX))
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -284,7 +289,7 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
 @click.option("--eta", default="0.9,0.9", show_default=True, help="Comma-separated envelope thresholds.")
 @click.option("--beta", default=1.0, show_default=True, type=float)
 @click.option("--checks", default=None, help="Comma-separated statement ids (default: all).")
-@click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3))
+@click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3, max=MAX_N))
 @click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX))
 @click.option("--variant", type=click.Choice(["primed", "periodic"]), default="primed", show_default=True)
 @click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1, max=MAX_CYCLES))

@@ -63,14 +63,8 @@ class ArrowSystem:
     internal memoization.
     """
 
-    kind: str = "rule-based"
-
     def arrow_at(self, site: int, level: int) -> Arrow:
         raise NotImplementedError
-
-    def stack_prefix(self, site: int, depth: int) -> str:
-        """The first `depth` arrows at `site`, bottom to top, as 'L'/'R' chars."""
-        return "".join(self.arrow_at(site, k).char for k in range(1, depth + 1))
 
 
 class ExplicitSystem(ArrowSystem):
@@ -81,8 +75,6 @@ class ExplicitSystem(ArrowSystem):
     per-site fill if one is given, else to `default_fill`.  Sites absent
     from `stacks` use the fill for every level.
     """
-
-    kind = "explicit"
 
     def __init__(
         self,
@@ -109,8 +101,6 @@ class ExplicitSystem(ArrowSystem):
 class RuleSystem(ArrowSystem):
     """Arrow system computed by a pure rule (site, level) -> Arrow."""
 
-    kind = "rule-based"
-
     def __init__(self, rule: Callable[[int, int], Arrow], name: str = "rule"):
         self._rule = rule
         self.name = name
@@ -130,8 +120,6 @@ class _MirrorSystem(ArrowSystem):
     """Reflection through 0: arrow at (site, level) is the flip of the base
     system's arrow at (-site, level)."""
 
-    kind = "rule-based"
-
     def __init__(self, base: ArrowSystem):
         self.base = base
 
@@ -145,8 +133,6 @@ class _ZeroRightSystem(ArrowSystem):
     The walk of the transformed system never goes below 0, so its returns
     to 0 count how often the original stack at 0 would have been re-read.
     """
-
-    kind = "rule-based"
 
     def __init__(self, base: ArrowSystem):
         self.base = base

@@ -34,8 +34,6 @@ class Ce1LeftSystem(ArrowSystem):
     grinds forward one site per five steps: position at time 5k is k.
     """
 
-    kind = "rule-based"
-
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
@@ -61,8 +59,6 @@ class Ce1RightSystem(ArrowSystem):
     here, yet for n >= 3 this walk is eventually behind at the slow walk's
     pace and ahead only in bursts.
     """
-
-    kind = "rule-based"
 
     def __init__(self, n: int):
         if n < 2:

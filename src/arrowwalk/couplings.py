@@ -199,9 +199,6 @@ class CookieEnvironment:
         lengths.append(len(self.default))
         return max(lengths)
 
-    def materialized(self, site: int, depth: int) -> tuple[float, ...]:
-        return tuple(self.prob(site, k) for k in range(1, depth + 1))
-
     def to_json_obj(self) -> dict:
         return {
             "sites": {str(s): list(lst) for s, lst in sorted(self.sites.items())},
@@ -244,10 +241,8 @@ def _lanes(*envs: CookieEnvironment) -> list[Optional[int]]:
 
 
 def _lane_probs(env: CookieEnvironment, lane: Optional[int], depth: int) -> tuple[float, ...]:
-    if lane is None:
-        lst = env.default
-        return tuple(lst[k] if k < len(lst) else env.tail for k in range(depth))
-    return env.materialized(lane, depth)
+    lst = env.sites.get(lane, env.default)  # lane None: no site key is None
+    return tuple(lst[k] if k < len(lst) else env.tail for k in range(depth))
 
 
 def env_leq_pointwise(
@@ -279,8 +274,6 @@ class SampledCookieSystem(ArrowSystem):
     views of the same field and stream share every uniform cell by cell;
     on one view, they also hash each raw block of uniforms once.
     """
-
-    kind = "sampled"
 
     def __init__(self, env: CookieEnvironment, view: FieldStream):
         self.env = env
@@ -453,7 +446,6 @@ def swap_path(src: Sequence[float], dst: Sequence[float]) -> Optional[list[tuple
 class EnvOrderReport:
     """How two environments compare under a block partition."""
 
-    pointwise_leq: bool
     is_block_permutation: bool
     swap_reachable: bool
     witness: Optional[dict] = None
@@ -466,7 +458,6 @@ def env_order(
 ) -> EnvOrderReport:
     """Compare env_a against env_b lane by lane.
 
-    pointwise_leq:        env_a <= env_b at every cell.
     is_block_permutation: within each block the two value multisets agree,
                           and outside all blocks the values agree exactly
                           (tails included).
@@ -475,7 +466,6 @@ def env_order(
                           systems can be coupled in stack order).
     """
     depth = max(env_a.depth(), env_b.depth(), partition.depth()) + 1
-    pointwise = env_leq_pointwise(env_a, env_b) is None
     is_perm = True
     reachable = True
     witness = None
@@ -502,7 +492,7 @@ def env_order(
             elif reachable and swap_path(va, vb) is None:
                 reachable = False
                 witness = witness or {"lane": lane, "block": block, "reason": "not reachable by favourable swaps"}
-    return EnvOrderReport(pointwise, is_perm, reachable, witness)
+    return EnvOrderReport(is_perm, reachable, witness)
 
 
 def sorted_env(env: CookieEnvironment, partition: BlockPartition) -> CookieEnvironment:
@@ -627,8 +617,6 @@ class BlockSampledSystem(ArrowSystem):
     lane): that is planned once per (lane, block), from laws built once per
     block probabilities.
     """
-
-    kind = "sampled"
 
     def __init__(
         self,
@@ -797,7 +785,6 @@ class _ChainState:
         self._listed = set(env.sites) | set(env2.sites)
         # (site, first level of the block) -> (env stack, env2 stack)
         self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], tuple[Arrow, ...]]] = {}
-        self._paths: dict[tuple[tuple, tuple], list[tuple[int, int]]] = {}
         # (lane, block) -> (probs0, swap path, states along it, link view, glue views)
         self._plans: dict[tuple, tuple] = {}
         # Views of the streams (stream, *parts), by their parts.
@@ -810,22 +797,15 @@ class _ChainState:
             view = self._views[parts] = FieldStream(self.field, (self.stream, *parts))
         return view
 
-    def _path(self, probs0: tuple, probs1: tuple) -> list[tuple[int, int]]:
-        key = (probs0, probs1)
-        path = self._paths.get(key)
-        if path is None:
-            path = swap_path(probs0, probs1)
-            if path is None:
-                raise ValueError(
-                    f"environments are not favourable-swap comparable on block values {probs0} -> {probs1}"
-                )
-            self._paths[key] = path
-        return path
-
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         slot = self.partition.block_index(block)
         probs0 = tuple(self.env.prob(site, l) for l in block)
-        path = self._path(probs0, tuple(self.env2.prob(site, l) for l in block))
+        probs1 = tuple(self.env2.prob(site, l) for l in block)
+        path = swap_path(probs0, probs1)
+        if path is None:
+            raise ValueError(
+                f"environments are not favourable-swap comparable on block values {probs0} -> {probs1}"
+            )
         states = [probs0]
         for i, j in path:
             states.append(_apply_swap(states[-1], i, j))
@@ -876,8 +856,6 @@ class _ChainState:
 class ChainEndSystem(ArrowSystem):
     """One end of a chained pair-swap coupling."""
 
-    kind = "sampled"
-
     def __init__(self, state: _ChainState, side: int):
         self._state = state
         self._side = side
@@ -921,17 +899,13 @@ def couple_swap_chain(
     if not report.swap_reachable:
         raise ValueError(f"env2 is not favourable-swap reachable from env: {report.witness}")
     state = _ChainState(env, env2, partition, field, stream)
-    pair = make_pair(
+    return make_pair(
         ChainEndSystem(state, 0),
         ChainEndSystem(state, 1),
         horizon,
         relation_mode="preceq",
         provenance="swap-chain",
     )
-    pair.meta["links"] = {
-        str(k): len(v) for k, v in state._paths.items()
-    }
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -962,26 +936,14 @@ class WalkView:
         self.positions = positions
         self.visit_counts = visit_counts
 
-    @property
-    def position(self) -> int:
-        return self.positions[-1]
-
-    def visited(self, site: int) -> bool:
-        return site in self.visit_counts
-
-    def count(self, site: int) -> int:
-        return self.visit_counts.get(site, 0)
-
 
 class EtaSystem(ArrowSystem):
     """Threshold system: Right at (x, k) iff U(x, k) <= eta_k, with the
     tail threshold 1/2 above the excitement window.
 
-    `uniform` and `arrow_at` read one view of the field, so together they
-    hash each block of a site's uniforms once.
+    `envelope_walk` and `arrow_at` read one view of the field, `view`, so
+    together they hash each block of a site's uniforms once.
     """
-
-    kind = "sampled"
 
     def __init__(self, eta: Sequence[float], field: UniformField, stream: StreamTag = 0):
         self.eta = tuple(float(e) for e in eta)
@@ -992,10 +954,6 @@ class EtaSystem(ArrowSystem):
 
     def threshold(self, level: int) -> float:
         return self.eta[level - 1] if level <= len(self.eta) else 0.5
-
-    def uniform(self, site: int, level: int) -> float:
-        """U(site, level) on this system's stream."""
-        return self.view.value(site, level)
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         return RIGHT if self.view.value(site, level) <= self.threshold(level) else LEFT

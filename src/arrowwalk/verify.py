@@ -14,7 +14,7 @@ apart.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import RELATION_MODES, ArrowSystem, Trajectory, run_walk, validate_path
@@ -60,7 +60,6 @@ class CoupledPair:
     traj_r: Trajectory
     relation_mode: str = "preceq"
     provenance: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.traj_l.horizon != self.traj_r.horizon:
@@ -164,7 +163,6 @@ class PairChecker:
 
         max_l = max_r = min_l = min_r = 0
         hyp_plus = False  # some site ever had nr > nl
-        hyp_interval = False
         hyp_hit = False
         hyp_rec = False
         hyp_kth = False
@@ -269,7 +267,6 @@ class PairChecker:
                 if "neighbour_interval" in active and b < a and plus:
                     i = bisect_left(plus, b)
                     if i < len(plus) and plus[i] < a:
-                        hyp_interval = True
                         y0 = plus[i]
                         j = bisect_right(minus, a) - 1
                         if j >= 0 and minus[j] > y0:
@@ -318,7 +315,7 @@ class PairChecker:
             "max_visits": False,
             "hitting_order": not hyp_hit,
             "count_dominance": not hyp_plus,
-            "neighbour_interval": not (hyp_plus or hyp_interval),
+            "neighbour_interval": not hyp_plus,
             "kth_visit_counts": not hyp_kth,
             "record_lead": not hyp_rec,
         }

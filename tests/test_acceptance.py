@@ -16,35 +16,34 @@ import pytest
 from scipy.stats import chisquare
 
 from arrowwalk import (
-    LEFT,
-    RIGHT,
     BlockPartition,
     CampaignConfig,
-    DriftContractError,
-    ExplicitSystem,
-    PairChecker,
     STATEMENT_IDS,
     UniformField,
     build_ce1,
     build_ce2,
     ce1_milestones,
-    conditional_stack_pmf,
     cookie_env,
     couple_block_family,
     envelope_walk,
     lead_sets,
     observe_ce1_milestones,
-    occupation,
     orrw_drift_law,
     paths_admit_preceq,
-    poisson_binomial,
     run_campaign,
     run_walk,
     sample_system,
     scan_identities,
     speed_and_recurrence_stats,
+)
+from arrowwalk.core import LEFT, RIGHT, ExplicitSystem, occupation
+from arrowwalk.couplings import (
+    DriftContractError,
+    conditional_stack_pmf,
+    poisson_binomial,
     stack_chain,
 )
+from arrowwalk.verify import PairChecker
 
 LIMIT_HI = 3.0 / 5.0
 LIMIT_LO = 1.0 / 7.0

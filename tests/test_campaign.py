@@ -11,14 +11,13 @@ from arrowwalk import campaign
 from arrowwalk import (
     STATEMENT_IDS,
     CampaignConfig,
-    CampaignReport,
     ce1_milestones,
-    constant_env,
     cookie_env,
     run_campaign,
-    run_trial,
     speed_and_recurrence_stats,
 )
+from arrowwalk.campaign import run_trial
+from arrowwalk.couplings import constant_env
 
 CHECK_ORDER = sorted(STATEMENT_IDS)
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from arrowwalk import campaign, cli
-from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_STEPS, main
+from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, main
 
 
 @pytest.fixture
@@ -407,3 +407,27 @@ def test_kmax_and_cycles_over_their_bounds_are_refused(runner, monkeypatch, comm
     result = runner.invoke(main, [*command, option, str(bound + 1)])
     assert result.exit_code == 2
     assert option in result.output and f"1<=x<={bound}" in result.output
+
+
+@pytest.mark.parametrize("command", [["counterexample", "ce1"], ["campaign", "--family", "ce1"]])
+@pytest.mark.parametrize("n", [str(MAX_N + 1), "1" + "0" * 600])
+def test_n_over_its_bound_is_refused(runner, monkeypatch, command, n):
+    def never(*a, **k):
+        raise AssertionError("the milestone table must not be built")
+
+    for module in (cli, campaign):
+        monkeypatch.setattr(module, "ce1_milestones", never)
+    result = runner.invoke(main, [*command, "--N", n])
+    assert result.exit_code == 2
+    assert "--N" in result.output and f"3<=x<={MAX_N}" in result.output
+
+
+def test_campaign_at_the_n_and_kmax_bounds_reports(runner):
+    result = runner.invoke(main, [
+        "campaign", "--family", "ce1", "--N", str(MAX_N), "--kmax", str(MAX_KMAX),
+        "--trials", "1", "--horizon", "10", "--no-timestamp",
+    ])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["config"]["n"] == MAX_N
+    assert len(report["extra"]["milestones"]["sites"]) == MAX_KMAX

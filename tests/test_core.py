@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowwalk import (
+    paths_admit_preceq,
+    run_walk,
+    scan_identities,
+    write_trajectory_csv,
+)
+from arrowwalk.core import (
     LEFT,
     RIGHT,
     Arrow,
@@ -22,12 +28,8 @@ from arrowwalk import (
     mirror_system,
     occupation,
     parse_system,
-    paths_admit_preceq,
-    run_walk,
-    scan_identities,
     stack_counts,
     validate_path,
-    write_trajectory_csv,
     zero_right_transform,
 )
 from arrowwalk.counterexamples import Ce1LeftSystem

@@ -7,22 +7,20 @@ from fractions import Fraction
 import pytest
 
 from arrowwalk import (
+    build_ce1,
+    build_ce2,
+    ce1_milestones,
+    lead_sets,
+    observe_ce1_milestones,
+    paths_admit_preceq,
+)
+from arrowwalk.core import LEFT, RIGHT, check_relation, occupation
+from arrowwalk.counterexamples import (
     CE2_LEFT_PATH,
     CE2_RIGHT_PATH,
     Ce1LeftSystem,
     Ce1RightSystem,
-    LEFT,
-    RIGHT,
-    build_ce1,
-    build_ce2,
-    ce1_milestones,
-    check_relation,
-    lead_sets,
     marker_site,
-    observe_ce1_milestones,
-    occupation,
-    paths_admit_preceq,
-    run_walk,
 )
 
 # closed forms for n=3: x_k, first-hit t_k = x_k + 2 x_{k-1}, last-exit

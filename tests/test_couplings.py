@@ -16,40 +16,40 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from arrowwalk import (
-    LEFT,
-    RIGHT,
     BlockPartition,
     CookieEnvironment,
-    DriftContractError,
-    EtaSystem,
-    FieldStream,
     UniformField,
-    WalkView,
     check_pair,
-    check_relation,
-    classify_alpha,
-    conditional_stack_pmf,
-    constant_env,
     cookie_env,
     couple_block_family,
     couple_swap_chain,
-    env_leq_pointwise,
-    env_order,
     envelope_walk,
-    favourable_swaps,
     load_env,
     load_partition,
     make_pair,
     orrw_drift_law,
-    pair_swap_block,
-    parse_env,
-    parse_partition,
-    poisson_binomial,
     run_walk,
     sample_system,
     scan_identities,
     shared_pair,
     sorted_env,
+)
+from arrowwalk.core import LEFT, RIGHT, check_relation
+from arrowwalk.couplings import (
+    DriftContractError,
+    EtaSystem,
+    FieldStream,
+    WalkView,
+    classify_alpha,
+    conditional_stack_pmf,
+    constant_env,
+    env_leq_pointwise,
+    env_order,
+    favourable_swaps,
+    pair_swap_block,
+    parse_env,
+    parse_partition,
+    poisson_binomial,
     stack_chain,
     swap_path,
 )
@@ -296,7 +296,7 @@ def test_sample_system_matches_thresholds():
     env = cookie_env((0.2, 0.7))
     field = UniformField(7)
     sysm = sample_system(env, field, "recount")
-    assert sysm.stack_prefix(0, 5) == "LRLLL"
+    assert "".join(sysm.arrow_at(0, k).char for k in range(1, 6)) == "LRLLL"
     probe = UniformField(7)
     for site in range(-10, 11):
         for level in range(1, 7):
@@ -455,7 +455,7 @@ def test_env_order_reports():
     desc = cookie_env((0.7, 0.2, 0.5))
     fwd = env_order(asc, desc, part)
     assert fwd.is_block_permutation and fwd.swap_reachable
-    assert not fwd.pointwise_leq
+    assert env_leq_pointwise(asc, desc) is not None
     assert fwd.witness is None
     rev = env_order(desc, asc, part)
     assert rev.is_block_permutation and not rev.swap_reachable
@@ -714,14 +714,14 @@ def test_swap_chain_same_env_is_identity():
     env = cookie_env((0.2, 0.7))
     pair = couple_swap_chain(env, env, BlockPartition(((1, 2),)), UniformField(5), 50, stream="same")
     assert pair.traj_l.positions == pair.traj_r.positions
-    assert pair.meta == {"links": {"((0.2, 0.7), (0.2, 0.7))": 0}}
+    assert len(swap_path((0.2, 0.7), (0.2, 0.7))) == 0
 
 
 def test_swap_chain_single_link_reduces_to_pair_swap():
     field = UniformField(4)
     part = BlockPartition(((1, 2),))
     pair = couple_swap_chain(cookie_env((0.2, 0.7)), cookie_env((0.7, 0.2)), part, field, 30, stream="unit")
-    assert pair.meta == {"links": {"((0.2, 0.7), (0.7, 0.2))": 1}}
+    assert len(swap_path((0.2, 0.7), (0.7, 0.2))) == 1
     sys_l, sys_r = pair.traj_l.system, pair.traj_r.system
     probe = UniformField(4)
     for site in range(-40, 41):
@@ -736,7 +736,7 @@ def test_swap_chain_two_links():
     asc = cookie_env((0.2, 0.5, 0.7))
     dst = cookie_env((0.7, 0.2, 0.5))
     pair = couple_swap_chain(asc, dst, part, field, 60, stream="chain3")
-    assert pair.meta == {"links": {"((0.2, 0.5, 0.7), (0.7, 0.2, 0.5))": 2}}
+    assert len(swap_path((0.2, 0.5, 0.7), (0.7, 0.2, 0.5))) == 2
     sys_l, sys_r = pair.traj_l.system, pair.traj_r.system
     for site in range(-300, 301):
         sl = stack_at(sys_l, site, 3)
@@ -991,7 +991,7 @@ def test_envelope_walk_hashes_each_block_once():
     for _, site, index in field.calls:
         for level in range(8 * index + 1, 8 * index + 9):
             u = reference.value("env", site, level)
-            assert eta_sys.uniform(site, level) == u
+            assert eta_sys.view.value(site, level) == u
             assert (eta_sys.arrow_at(site, level) is RIGHT) == (u <= eta_sys.threshold(level))
 
 

@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 
 from arrowwalk import (
     STATEMENT_IDS,
-    CoupledPair,
-    PairChecker,
-    Trajectory,
     UniformField,
     build_ce1,
     build_ce2,
     check_pair,
-    constant_system,
     cookie_env,
     make_pair,
-    run_walk,
     shared_pair,
 )
+from arrowwalk.core import Trajectory, constant_system
+from arrowwalk.verify import CoupledPair, PairChecker
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
 ALWAYS_LIVE = {"envelopes", "max_visits"}
