@@ -249,7 +249,9 @@ def _returns_to_zero(pair: CoupledPair, horizon: int) -> tuple[Optional[int], Op
 
 def run_trial(config: CampaignConfig, trial: int) -> dict:
     """Run one trial end to end: build the pair, check the statements,
-    collect walk statistics.
+    collect walk statistics.  A family's extras (envelope alpha, ce1
+    milestones, ce2 lead sets) sit under "extra", present only when there
+    are some; the campaign report copies the first row's.
 
     A drift contract violation becomes an error row.  Any other exception
     is raised again naming the family, seed and trial, chained from the
@@ -291,7 +293,8 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
             f"{config.family} campaign, seed {config.seed}, trial {trial}: "
             f"{type(err).__name__}: {err}"
         ) from err
-    row.update(extra)
+    if extra:
+        row["extra"] = extra
     return row
 
 
@@ -411,14 +414,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     }
 
     extra: dict = {"errors": sum(1 for row in rows if "error" in row)}
-    if config.family == "envelope" and rows and "alpha" in rows[0]:
-        extra["alpha"] = rows[0]["alpha"]
-        extra["alpha_labels"] = rows[0]["alpha_labels"]
-    if config.family == "ce1" and rows and "milestones" in rows[0]:
-        extra["milestones"] = rows[0]["milestones"]
-    if config.family == "ce2" and rows:
-        extra["lead_ahead"] = rows[0]["lead_ahead"]
-        extra["lead_behind"] = rows[0]["lead_behind"]
+    if rows:
+        extra.update(rows[0].get("extra", {}))
 
     wall_clock = None
     if config.include_timestamp:

@@ -14,6 +14,7 @@ apart.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -100,9 +101,12 @@ class PairChecker:
     """Single-pass incremental evaluator of all pair statements.
 
     Walks both paths once, maintaining per-site visit counts, their
-    difference profile, running extremes, first-hit times, and per-visit
+    difference profile, running extremes, hit sites, and per-visit
     neighbour counts, so that every enabled statement is checked at every
-    time step at amortized O(1) cost per step.
+    time step at amortized O(1) cost per step.  `active` holds the
+    statements not yet failed: only those are checked, the state only
+    failed statements read is no longer kept, and the pass ends once
+    `active` is empty.
     """
 
     def __init__(
@@ -147,19 +151,10 @@ class PairChecker:
             failures[check] = witness
             active.discard(check)
 
-        chk_env = "envelopes" in active
-        chk_hit = "hitting_order" in active
-        chk_dom = "count_dominance" in active
-        chk_max = "max_visits" in active
-        chk_nbr = "neighbour_interval" in active
-        chk_kth = "kth_visit_counts" in active
-        chk_rec = "record_lead" in active
-        need_pm = chk_dom or chk_nbr
-
-        first_l: dict[int, int] = {}
-        first_r: dict[int, int] = {}
-        kth_l: dict[int, list[int]] = {}
-        kth_r: dict[int, list[int]] = {}
+        seen_l: set[int] = set()  # sites each path has hit
+        seen_r: set[int] = set()
+        kth_l: dict[int, list[int]] = defaultdict(list)  # left-neighbour count per visit
+        kth_r: dict[int, list[int]] = defaultdict(list)
 
         max_l = max_r = min_l = min_r = 0
         hyp_plus = False  # some site ever had nr > nl
@@ -171,7 +166,7 @@ class PairChecker:
             a = pos_l[t]
             b = pos_r[t]
 
-            if t and chk_rec and "record_lead" in active:
+            if t and "record_lead" in active:
                 if b > max_r:
                     hyp_rec = True
                     if b < a:
@@ -184,16 +179,15 @@ class PairChecker:
             # count updates for time t
             ia = a + off
             nl[ia] += 1
-            if need_pm:
+            ib = b + off
+            nr[ib] += 1
+            if "count_dominance" in active or "neighbour_interval" in active:
                 d = diff[ia]
                 diff[ia] = d - 1
                 if d == 1:
                     plus.pop(bisect_left(plus, a))
                 elif d == 0:
                     insort(minus, a)
-            ib = b + off
-            nr[ib] += 1
-            if need_pm:
                 d = diff[ib]
                 diff[ib] = d + 1
                 if d == -1:
@@ -212,30 +206,29 @@ class PairChecker:
                 elif b < min_r:
                     min_r = b
 
-            if chk_env and "envelopes" in active:
+            if "envelopes" in active:
                 if max_r < max_l:
                     fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
                 elif min_r < min_l:
                     fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
 
-            if chk_hit:
-                new_l = a not in first_l
+            if "hitting_order" in active:
+                new_l = a not in seen_l
                 if new_l:
-                    first_l[a] = t
-                new_r = b not in first_r
+                    seen_l.add(a)
+                new_r = b not in seen_r
                 if new_r:
-                    first_r[b] = t
-                if "hitting_order" in active:
-                    if new_l and a > 0:
-                        hyp_hit = True
-                        if a not in first_r:
-                            fail("hitting_order", {"t": t, "x": a, "detail": "L reached a positive site before R"})
-                    if new_r and b < 0 and "hitting_order" in active:
-                        hyp_hit = True
-                        if b not in first_l:
-                            fail("hitting_order", {"t": t, "x": b, "detail": "R reached a negative site before L"})
+                    seen_r.add(b)
+                if new_l and a > 0:
+                    hyp_hit = True
+                    if a not in seen_r:
+                        fail("hitting_order", {"t": t, "x": a, "detail": "L reached a positive site before R"})
+                if new_r and b < 0 and "hitting_order" in active:
+                    hyp_hit = True
+                    if b not in seen_l:
+                        fail("hitting_order", {"t": t, "x": b, "detail": "R reached a negative site before L"})
 
-            if chk_dom and "count_dominance" in active and plus and minus:
+            if "count_dominance" in active and plus and minus:
                 x = plus[0]
                 y = minus[-1]
                 if x < y:
@@ -244,7 +237,7 @@ class PairChecker:
                         {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {y}"},
                     )
 
-            if chk_max and "max_visits" in active:
+            if "max_visits" in active:
                 i = max_r + off
                 if nr[i] < nl[i]:
                     fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
@@ -253,7 +246,7 @@ class PairChecker:
                     if nl[i] < nr[i]:
                         fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
 
-            if chk_nbr and "neighbour_interval" in active:
+            if "neighbour_interval" in active:
                 for s in (a, b):
                     i = s + off
                     if diff[i] < 0:
@@ -275,29 +268,21 @@ class PairChecker:
                                 {"t": t, "x": minus[j], "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]"},
                             )
 
-            if chk_kth:
+            if "kth_visit_counts" in active:
                 k = nl[ia]
                 c = nl[ia - 1]
-                seq = kth_l.get(a)
-                if seq is None:
-                    kth_l[a] = [c]
-                else:
-                    seq.append(c)
+                kth_l[a].append(c)
                 other = kth_r.get(a)
                 if other is not None and len(other) >= k:
                     hyp_kth = True
-                    if "kth_visit_counts" in active and other[k - 1] > c:
+                    if other[k - 1] > c:
                         fail(
                             "kth_visit_counts",
                             {"t": t, "x": a, "k": k, "detail": f"R saw left neighbour {other[k - 1]} times vs L {c}"},
                         )
                 k = nr[ib]
                 c = nr[ib - 1]
-                seq = kth_r.get(b)
-                if seq is None:
-                    kth_r[b] = [c]
-                else:
-                    seq.append(c)
+                kth_r[b].append(c)
                 other = kth_l.get(b)
                 if other is not None and len(other) >= k:
                     hyp_kth = True
@@ -307,7 +292,7 @@ class PairChecker:
                             {"t": t, "x": b, "k": k, "detail": f"R saw left neighbour {c} times vs L {other[k - 1]}"},
                         )
 
-            if not active and len(failures) == len(self.checks):
+            if not active:
                 break
 
         vacuous = {

@@ -185,6 +185,7 @@ def test_drift_violation_becomes_error_rows():
     report = run_campaign(quiet("envelope", trials=4, horizon=100, eta=(0.1,)))
     assert not report.passed
     assert report.extra["errors"] == 4
+    assert "alpha" not in report.extra
     for name in STATEMENT_IDS:
         assert report.check_summary[name]["fail"] == 4
     first = report.first_failure()

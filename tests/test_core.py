@@ -74,10 +74,10 @@ def test_arrow_roundtrip():
 
 
 def test_explicit_system_stacks_and_fill():
-    sys_ = ExplicitSystem({0: "RRL", 1: "LL"}, default_fill=RIGHT, fill={1: LEFT})
+    sys_ = ExplicitSystem({0: "RRL", 1: "LL"}, default_fill=RIGHT)
     assert [sys_.arrow_at(0, k) for k in (1, 2, 3, 4)] == [RIGHT, RIGHT, LEFT, RIGHT]
     assert sys_.arrow_at(1, 2) is LEFT
-    assert sys_.arrow_at(1, 9) is LEFT  # per-site fill wins over the default
+    assert sys_.arrow_at(1, 9) is RIGHT  # above the stack, default fill
     assert sys_.arrow_at(5, 1) is RIGHT  # untouched site, default fill
     with pytest.raises(ValueError):
         sys_.arrow_at(0, 0)
@@ -258,6 +258,35 @@ def test_scan_first_failure_time_matches_oracle(path, data):
     else:
         assert not scan.passed
         assert scan.t == full_first
+        name, _ = scan.first_failure()
+        assert not check_identities(traj, full_first).ok[name]
+
+
+@settings(deadline=None)
+@given(explicit_systems(), explicit_systems(), st.integers(0, 40))
+def test_scan_first_foreign_arrow_matches_oracle(walked, attached, horizon):
+    # the walk of one system checked against another: the scan must stop at
+    # the oracle's first failing time, naming an identity the oracle flags
+    traj = run_walk(walked, horizon)
+    traj = Trajectory(traj.positions, traj.visit_counts, system=attached)
+    scan = scan_identities(traj)
+    full_first = next(
+        (t for t in range(horizon + 1) if not check_identities(traj, t).passed),
+        None,
+    )
+    if full_first is None:
+        assert scan.passed
+        assert scan.t == horizon
+    else:
+        assert not scan.passed
+        assert scan.t == full_first
+        name, (site, level, char) = scan.first_failure()
+        assert name == ("used_right" if char == "R" else "used_left")
+        assert not check_identities(traj, full_first).ok[name]
+        # the witness cell is where the two systems part on this walk
+        assert site == traj.positions[scan.t - 1]
+        assert walked.arrow_at(site, level).char == char
+        assert attached.arrow_at(site, level).char != char
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,16 @@ def test_checker_matches_reference_on_random_pairs(pair):
     assert_matches_reference(*pair)
 
 
+@settings(deadline=None, max_examples=300)
+@given(path_pairs())
+def test_single_check_matches_full_run(pair):
+    # a statement run alone keeps only its own state, yet must give its
+    # result in the full run, witness and vacuity included
+    full = PairChecker(*pair).run()
+    for name in STATEMENT_IDS:
+        assert PairChecker(*pair, (name,)).run()[name] == full[name]
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     st.integers(0, 2**32 - 1),
