@@ -12,6 +12,7 @@ sorts its keys.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import statistics
@@ -208,12 +209,10 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
             hi = _reversed_env(base, partition)
         pair = couple_swap_chain(lo, hi, partition, field, h, stream=("sc", trial))
     elif fam == "envelope":
-        result = envelope_walk(
-            orrw_drift_law(config.beta), config.eta, field, h, stream=("ew", trial)
-        )
-        pair = result.pair()
-        extra["alpha"] = result.alpha
-        extra["alpha_labels"] = classify_alpha(result.alpha)
+        pair = envelope_walk(orrw_drift_law(config.beta), config.eta, field, h, stream=("ew", trial))
+        alpha = sum(2.0 * e - 1.0 for e in config.eta)  # the total excitement mass
+        extra["alpha"] = alpha
+        extra["alpha_labels"] = classify_alpha(alpha)
     elif fam == "ce1":
         pair = make_pair(*build_ce1(config.n), h, relation_mode="trileq", provenance=f"ce1-{config.n}")
         miles = ce1_milestones(config.n, config.kmax)
@@ -298,11 +297,6 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
     return row
 
 
-def _trial_batch(args: tuple[CampaignConfig, list[int]]) -> list[dict]:
-    config, indices = args
-    return [run_trial(config, i) for i in indices]
-
-
 def _summary(values: Sequence[float]) -> dict:
     vals = [v for v in values if v is not None]
     if not vals:
@@ -373,24 +367,22 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every trial of a campaign and aggregate the results.
 
     Trials are independent given their index, so they may be farmed out to
-    worker processes, at most one per CPU and per trial; the merge is in
-    trial order either way, making the report identical for any worker
-    count.
+    worker processes, at most one per CPU and per trial, in about four
+    batches per worker; the pool yields rows in trial order either way,
+    making the report identical for any worker count.
     """
     started = time.perf_counter()
     trials_n = config.effective_trials()
-    indices = list(range(trials_n))
     workers = min(config.workers, os.cpu_count() or 1, trials_n)
     if workers > 1:
-        batches = [(config, indices[k :: workers * 4]) for k in range(workers * 4)]
-        batches = [b for b in batches if b[1]]
-        rows: list[dict] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_trial_batch, batches):
-                rows.extend(batch)
-        rows.sort(key=lambda r: r["trial"])
+            rows = list(pool.map(
+                functools.partial(run_trial, config),
+                range(trials_n),
+                chunksize=-(-trials_n // (workers * 4)),
+            ))
     else:
-        rows = [run_trial(config, i) for i in indices]
+        rows = [run_trial(config, i) for i in range(trials_n)]
 
     checks = config.checks or STATEMENT_IDS
     check_summary: dict[str, dict] = {}

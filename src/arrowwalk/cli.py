@@ -54,6 +54,11 @@ MAX_KMAX = 64
 MAX_N = 10**6
 # Largest --cycles: ce2 builds 28 positions per cycle on each path.
 MAX_CYCLES = MAX_STEPS // 28
+# Largest --trials of `campaign` and `stats`: a campaign keeps one row of
+# 3.0 to 3.4 KB per trial (tracemalloc, 200-trial runs at horizon 50 of the
+# shared-uniform, envelope and independent-control families), so 10**5
+# trials hold up to about 0.35 GB of rows.
+MAX_TRIALS = 10**5
 
 
 def _load(loader, path: str, what: str):
@@ -188,18 +193,7 @@ def ce1(ctx, n: int, kmax: int, out: Optional[str], fmt: str) -> None:
         with click.open_file(out or "-", "w") as fh:
             miles.write_csv(fh)
     else:
-        rows = [
-            {
-                "k": k + 1,
-                "x_k": miles.sites[k],
-                "t_k": miles.first_hits[k],
-                "s_k": miles.last_exits[k],
-                "ratio_hi": miles.ratio_hi[k],
-                "ratio_lo": miles.ratio_lo[k],
-            }
-            for k in range(len(miles.sites))
-        ]
-        _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", out)
+        _emit(json.dumps(miles.rows(), sort_keys=True, indent=2) + "\n", out)
     if not match:
         click.echo("simulation disagrees with the closed forms", err=True)
         ctx.exit(1)
@@ -280,7 +274,7 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
 
 @main.command()
 @click.option("--family", type=click.Choice(FAMILIES), default="shared-uniform", show_default=True)
-@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1, max=MAX_TRIALS))
 @click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False))
@@ -336,7 +330,7 @@ def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_
 
 @main.command()
 @click.option("--env", "env_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1, max=MAX_TRIALS))
 @click.option("--horizon", default=10000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--after", default=0, show_default=True, type=click.IntRange(min=0), help="Burn-in time for the late-return count.")

@@ -570,6 +570,23 @@ def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> PreceqDe
 # file formats
 
 
+def check_keys(obj: Mapping, allowed: Sequence[str], what: str) -> None:
+    """Raise ValueError unless `obj` is a JSON object whose keys are all in
+    `allowed`: a misspelt key would otherwise be dropped without a word."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; allowed: {list(allowed)}")
+
+
+_SYSTEM_KEYS = {
+    "explicit": ("kind", "stacks", "default_fill"),
+    "ce1-L": ("kind",),
+    "ce1-R": ("kind", "N"),
+}
+
+
 def parse_system(obj: Mapping) -> ArrowSystem:
     """Build an arrow system from its JSON object form.
 
@@ -579,8 +596,12 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     Built-ins:
         {"kind": "ce1-L"}
         {"kind": "ce1-R", "N": 3}
+    Any other key raises ValueError.
     """
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, Mapping) else None
+    if kind not in _SYSTEM_KEYS:
+        raise ValueError(f"unknown system kind {kind!r}")
+    check_keys(obj, _SYSTEM_KEYS[kind], f"{kind} system")
     if kind == "explicit":
         stacks = obj.get("stacks", {})
         return ExplicitSystem(
@@ -591,11 +612,9 @@ def parse_system(obj: Mapping) -> ArrowSystem:
         from .counterexamples import Ce1LeftSystem
 
         return Ce1LeftSystem()
-    if kind == "ce1-R":
-        from .counterexamples import Ce1RightSystem
+    from .counterexamples import Ce1RightSystem
 
-        return Ce1RightSystem(int(obj.get("N", 3)))
-    raise ValueError(f"unknown system kind {kind!r}")
+    return Ce1RightSystem(int(obj.get("N", 3)))
 
 
 def load_system(path: str) -> ArrowSystem:

@@ -124,12 +124,18 @@ class Ce1Milestones:
     sites: list[int]
     first_hits: list[int]
     last_exits: list[int]
-    ratio_hi: list[float]
-    ratio_lo: list[float]
 
     @property
     def kmax(self) -> int:
         return len(self.sites)
+
+    @property
+    def ratio_hi(self) -> list[float]:
+        return [x / t for x, t in zip(self.sites, self.first_hits)]
+
+    @property
+    def ratio_lo(self) -> list[float]:
+        return [p / s for p, s in zip([0] + self.sites[:-1], self.last_exits)]
 
     @property
     def limit_hi(self) -> float:
@@ -139,20 +145,21 @@ class Ce1Milestones:
     def limit_lo(self) -> float:
         return 1 / (2 * self.n + 1)
 
+    def rows(self) -> list[dict]:
+        """The table, one row per k, keyed by column name."""
+        columns = zip(self.sites, self.first_hits, self.last_exits, self.ratio_hi, self.ratio_lo)
+        return [
+            {"k": k, "x_k": x, "t_k": t, "s_k": s, "ratio_hi": hi, "ratio_lo": lo}
+            for k, (x, t, s, hi, lo) in enumerate(columns, start=1)
+        ]
+
     def write_csv(self, fh: TextIO) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "x_k", "t_k", "s_k", "ratio_hi", "ratio_lo"])
-        for i in range(self.kmax):
-            writer.writerow(
-                [
-                    i + 1,
-                    self.sites[i],
-                    self.first_hits[i],
-                    self.last_exits[i],
-                    repr(self.ratio_hi[i]),
-                    repr(self.ratio_lo[i]),
-                ]
-            )
+        """The rows as CSV; floats are written by their repr."""
+        writer = csv.DictWriter(
+            fh, ["k", "x_k", "t_k", "s_k", "ratio_hi", "ratio_lo"], lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(self.rows())
 
 
 def ce1_milestones(n: int = 3, kmax: int = 8) -> Ce1Milestones:
@@ -171,9 +178,7 @@ def ce1_milestones(n: int = 3, kmax: int = 8) -> Ce1Milestones:
     prev = [0] + sites[:-1]
     first_hits = [x + 2 * p for x, p in zip(sites, prev)]
     last_exits = [2 * x + p for x, p in zip(sites, prev)]
-    ratio_hi = [x / t for x, t in zip(sites, first_hits)]
-    ratio_lo = [p / s for p, s in zip(prev, last_exits)]
-    return Ce1Milestones(n, sites, first_hits, last_exits, ratio_hi, ratio_lo)
+    return Ce1Milestones(n, sites, first_hits, last_exits)
 
 
 def observe_ce1_milestones(n: int, kmax: int, horizon: int) -> Ce1Milestones:
@@ -203,9 +208,7 @@ def observe_ce1_milestones(n: int, kmax: int, horizon: int) -> Ce1Milestones:
         last_seen[p] = t
     first_hits = [first_hit[x] for x in sites]
     last_exits = [last_seen[p] for p in prev]
-    ratio_hi = [x / t for x, t in zip(sites, first_hits)]
-    ratio_lo = [p / s for p, s in zip(prev, last_exits)]
-    return Ce1Milestones(n, sites, first_hits, last_exits, ratio_hi, ratio_lo)
+    return Ce1Milestones(n, sites, first_hits, last_exits)
 
 
 # ---------------------------------------------------------------------------

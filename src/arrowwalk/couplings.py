@@ -28,6 +28,7 @@ from .core import (
     ArrowSystem,
     ExplicitSystem,
     Trajectory,
+    check_keys,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -218,7 +219,9 @@ def constant_env(p: float) -> CookieEnvironment:
 
 
 def parse_env(obj: Mapping) -> CookieEnvironment:
-    """JSON form: {"sites": {"<x>": [p, ...]}, "default": [p, ...], "tail": 0.5}"""
+    """JSON form: {"sites": {"<x>": [p, ...]}, "default": [p, ...], "tail": 0.5};
+    any other key raises ValueError."""
+    check_keys(obj, ("sites", "default", "tail"), "environment")
     return CookieEnvironment(
         {int(s): tuple(lst) for s, lst in obj.get("sites", {}).items()},
         tuple(obj.get("default", ())),
@@ -382,7 +385,9 @@ class BlockPartition:
 
 
 def parse_partition(obj: Mapping) -> BlockPartition:
-    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}"""
+    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}; any other key raises
+    ValueError."""
+    check_keys(obj, ("cap", "blocks"), "partition")
     return BlockPartition(
         tuple(tuple(b) for b in obj.get("blocks", ())), obj.get("cap", 3)
     )
@@ -927,16 +932,6 @@ class DriftContractError(RuntimeError):
         self.bound = bound
 
 
-class WalkView:
-    """Read-only view of the adaptive walk handed to drift laws."""
-
-    __slots__ = ("positions", "visit_counts")
-
-    def __init__(self, positions: list[int], visit_counts: dict[int, int]):
-        self.positions = positions
-        self.visit_counts = visit_counts
-
-
 class EtaSystem(ArrowSystem):
     """Threshold system: Right at (x, k) iff U(x, k) <= eta_k, with the
     tail threshold 1/2 above the excitement window.
@@ -959,59 +954,43 @@ class EtaSystem(ArrowSystem):
         return RIGHT if self.view.value(site, level) <= self.threshold(level) else LEFT
 
 
-@dataclass
-class EnvelopeWalkResult:
-    """Adaptive walk, its threshold envelope walk, and the drift mass."""
-
-    traj_l: Trajectory
-    traj_r: Trajectory
-    alpha: float
-    eta: tuple[float, ...]
-
-    def pair(self) -> CoupledPair:
-        return CoupledPair(
-            self.traj_l, self.traj_r, relation_mode="trileq", provenance="envelope"
-        )
-
-
 def envelope_walk(
-    drift_law: Callable[[WalkView, int], float],
+    drift_law: Callable[[Trajectory, int], float],
     eta: Sequence[float],
     field: UniformField,
     horizon: int,
     stream: StreamTag = 0,
-) -> EnvelopeWalkResult:
+) -> CoupledPair:
     """Run an adaptive walk under a declared excitement envelope, coupled
     cell by cell to the envelope's own threshold walk.
 
-    At each step the drift law may use the walk's entire history but must
-    return a Right probability no greater than eta_k on the k-th visit to
-    a site (k within the envelope) and no greater than 1/2 above it;
-    violations raise DriftContractError with the offending (time, visit,
-    value).  Both walks turn the same uniform U(x, k) into a step with the
-    same `<=` rule, so every Right the adaptive walk consumes is matched
-    by a Right in the envelope system at the same cell; that containment
-    is asserted on every step.
+    At each step the drift law gets the adaptive `Trajectory` so far (its
+    last position is the current site) and the visit number k, and must
+    return a Right probability no greater than the envelope's threshold
+    `EtaSystem.threshold(k)`; violations raise DriftContractError with the
+    offending (time, visit, value).  Both walks turn the same uniform
+    U(x, k) into a step with the same `<=` rule, so every Right the
+    adaptive walk consumes is matched by a Right in the envelope system at
+    the same cell; that containment is asserted on every step.
 
-    Returns the two trajectories and alpha, the total excitement mass
-    sum(2*eta_k - 1).  The adaptive trajectory carries an explicit system
-    holding its consumed arrows with Left fill.
+    Returns the pair (adaptive walk, envelope walk) in the "trileq"
+    relation.  The adaptive trajectory carries an explicit system holding
+    its consumed arrows with Left fill.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     eta_sys = EtaSystem(eta, field, stream)
-    eta_t = eta_sys.eta
-    m = len(eta_t)
+    threshold = eta_sys.threshold
     uniform = eta_sys.view.value
-    pos = 0
-    positions = [0]
-    visits = {0: 1}
+    traj_l = Trajectory([0], {0: 1})
+    positions = traj_l.positions
+    visits = traj_l.visit_counts
     consumed: dict[int, list[Arrow]] = {}
-    view = WalkView(positions, visits)
+    pos = 0
     for n in range(1, horizon + 1):
         k = visits[pos]
-        p = float(drift_law(view, k))
-        bound = eta_t[k - 1] if k <= m else 0.5
+        p = float(drift_law(traj_l, k))
+        bound = threshold(k)
         if p > bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
         if uniform(pos, k) <= p:
@@ -1026,11 +1005,10 @@ def envelope_walk(
         pos += arrow
         positions.append(pos)
         visits[pos] = visits.get(pos, 0) + 1
-    prefix_sys = ExplicitSystem(consumed, default_fill=LEFT)
-    traj_l = Trajectory(positions, visits, prefix_sys)
-    traj_r = run_walk(eta_sys, horizon)
-    alpha = sum(2.0 * e - 1.0 for e in eta_t)
-    return EnvelopeWalkResult(traj_l, traj_r, alpha, eta_t)
+    traj_l.system = ExplicitSystem(consumed, default_fill=LEFT)
+    return CoupledPair(
+        traj_l, run_walk(eta_sys, horizon), relation_mode="trileq", provenance="envelope"
+    )
 
 
 def classify_alpha(alpha: float) -> list[str]:
@@ -1048,15 +1026,15 @@ def classify_alpha(alpha: float) -> list[str]:
     return labels
 
 
-def orrw_drift_law(beta: float) -> Callable[[WalkView, int], float]:
+def orrw_drift_law(beta: float) -> Callable[[Trajectory, int], float]:
     """Once-reinforced drift: full symmetry once the right neighbour has
     been visited, otherwise a right bias dampened by beta >= 0."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     p_fresh = 1.0 / (2.0 + beta)
 
-    def law(view: WalkView, k: int) -> float:
-        return 0.5 if (view.positions[-1] + 1) in view.visit_counts else p_fresh
+    def law(traj: Trajectory, k: int) -> float:
+        return 0.5 if (traj.positions[-1] + 1) in traj.visit_counts else p_fresh
 
     return law
 

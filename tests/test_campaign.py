@@ -247,7 +247,7 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, **kwargs):
         return map(fn, items)
 
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from arrowwalk import campaign, cli
-from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, main
+from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, MAX_TRIALS, main
 
 
 @pytest.fixture
@@ -73,6 +73,21 @@ def test_run_unparseable_file(runner, files):
     result = runner.invoke(main, ["run", "--system", files["bad"]])
     assert result.exit_code == 2
     assert "cannot load system" in result.output
+
+
+@pytest.mark.parametrize("command, obj, what", [
+    (["run", "--system", "{path}"], {"kind": "explicit", "stacks": {}, "fill": "L"}, "explicit system"),
+    (["run", "--system", "{path}"], {"kind": "ce1-R", "n": 7}, "ce1-R system"),
+    (["stats", "--env", "{path}"], {"default": [0.2], "tial": 0.4}, "environment"),
+    (["couple", "--env", "{env_asc}", "--env2", "{env_desc}", "--mode", "swap-chain",
+      "--partition", "{path}"], {"blocks": [[1, 2, 3]], "cpa": 2}, "partition"),
+])
+def test_unknown_keys_in_input_files_are_refused(runner, files, tmp_path, command, obj, what):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, [a.format(path=path, **files) for a in command])
+    assert result.exit_code == 2
+    assert f"unknown {what} keys" in result.output
 
 
 # ---------------------------------------------------------------- verify
@@ -407,6 +422,19 @@ def test_kmax_and_cycles_over_their_bounds_are_refused(runner, monkeypatch, comm
     result = runner.invoke(main, [*command, option, str(bound + 1)])
     assert result.exit_code == 2
     assert option in result.output and f"1<=x<={bound}" in result.output
+
+
+@pytest.mark.parametrize("command", [["campaign"], ["stats", "--env", "{env_lo}"]])
+def test_trials_over_their_bound_are_refused(runner, files, monkeypatch, command):
+    def never(*a, **k):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(cli, "run_campaign", never)
+    monkeypatch.setattr(cli, "speed_and_recurrence_stats", never)
+    args = [a.format(**files) for a in command]
+    result = runner.invoke(main, [*args, "--trials", str(MAX_TRIALS + 1)])
+    assert result.exit_code == 2
+    assert "--trials" in result.output and f"1<=x<={MAX_TRIALS}" in result.output
 
 
 @pytest.mark.parametrize("command", [["counterexample", "ce1"], ["campaign", "--family", "ce1"]])

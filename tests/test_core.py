@@ -490,11 +490,20 @@ def test_paths_admit_preceq_matches_enumeration(path_l, path_r):
 
 def test_parse_system_explicit_roundtrip():
     sys_ = parse_system(
-        {"kind": "explicit", "stacks": {"0": "RRL", "-1": "L"}, "fill": "R"}
+        {"kind": "explicit", "stacks": {"0": "RRL", "-1": "L"}, "default_fill": "R"}
     )
     assert sys_.arrow_at(0, 3) is LEFT
     assert sys_.arrow_at(-1, 1) is LEFT
     assert sys_.arrow_at(3, 1) is RIGHT
+
+
+def test_parse_system_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown explicit system keys \['fill'\]"):
+        parse_system({"kind": "explicit", "stacks": {}, "fill": "L"})
+    with pytest.raises(ValueError, match=r"unknown ce1-R system keys \['n'\]"):
+        parse_system({"kind": "ce1-R", "n": 7})
+    with pytest.raises(ValueError, match=r"unknown ce1-L system keys \['N'\]"):
+        parse_system({"kind": "ce1-L", "N": 3})
 
 
 def test_parse_system_named_kinds():

@@ -34,12 +34,11 @@ from arrowwalk import (
     shared_pair,
     sorted_env,
 )
-from arrowwalk.core import LEFT, RIGHT, check_relation
+from arrowwalk.core import LEFT, RIGHT, Trajectory, check_relation
 from arrowwalk.couplings import (
     DriftContractError,
     EtaSystem,
     FieldStream,
-    WalkView,
     classify_alpha,
     conditional_stack_pmf,
     constant_env,
@@ -268,6 +267,13 @@ def test_env_validation():
         constant_env(-0.1)
 
 
+def test_parse_env_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown environment keys \['tial'\]"):
+        parse_env({"default": [0.2], "tial": 0.4})
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_env([0.2])
+
+
 def test_env_leq_pointwise_witnesses():
     assert env_leq_pointwise(cookie_env((0.2, 0.5)), cookie_env((0.2, 0.4))) == (None, 2)
     lo = CookieEnvironment(sites={1: (0.3,)}, default=(0.2,), tail=0.5)
@@ -405,6 +411,11 @@ def test_partition_json_roundtrip(tmp_path):
     path = tmp_path / "part.json"
     path.write_text(json.dumps(obj))
     assert load_partition(str(path)) == part
+
+
+def test_parse_partition_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown partition keys \['cpa'\]"):
+        parse_partition({"blocks": [[1, 2]], "cpa": 2})
 
 
 # ------------------------------------------------------- swap machinery
@@ -967,26 +978,24 @@ def test_partition_couplings_build_their_tables_once(build, monkeypatch):
 def test_envelope_walk_tight_drift_is_identity():
     eta = (0.9, 0.7)
 
-    def law(view, k):
+    def law(traj, k):
         return eta[k - 1] if k <= len(eta) else 0.5
 
-    result = envelope_walk(law, eta, UniformField(8), 500, stream="tight")
-    assert result.traj_l.positions == result.traj_r.positions
+    pair = envelope_walk(law, eta, UniformField(8), 500, stream="tight")
+    assert pair.traj_l.positions == pair.traj_r.positions
 
 
 def test_envelope_walk_matches_eta_walk():
-    result = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), UniformField(8), 800, stream="env")
+    pair = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), UniformField(8), 800, stream="env")
     want = run_walk(EtaSystem((0.9, 0.9), UniformField(8), "env"), 800)
-    assert result.traj_r.positions == want.positions
-    assert result.alpha == pytest.approx(1.6)
-    assert result.eta == (0.9, 0.9)
+    assert pair.traj_r.positions == want.positions
 
 
 def test_envelope_walk_hashes_each_block_once():
     field = CountingField(8)
-    result = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), field, 800, stream="env")
+    pair = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), field, 800, stream="env")
     assert field.calls and max(field.calls.values()) == 1
-    eta_sys = result.traj_r.system
+    eta_sys = pair.traj_r.system
     reference = UniformField(8)
     for _, site, index in field.calls:
         for level in range(8 * index + 1, 8 * index + 9):
@@ -996,10 +1005,9 @@ def test_envelope_walk_hashes_each_block_once():
 
 
 def test_envelope_walk_adaptive_lane_bookkeeping():
-    result = envelope_walk(orrw_drift_law(0.5), (0.8, 0.8), UniformField(12), 600, stream="bk")
-    report = scan_identities(result.traj_l)
+    pair = envelope_walk(orrw_drift_law(0.5), (0.8, 0.8), UniformField(12), 600, stream="bk")
+    report = scan_identities(pair.traj_l)
     assert report.passed
-    pair = result.pair()
     assert pair.relation_mode == "trileq"
     assert pair.provenance == "envelope"
 
@@ -1016,14 +1024,32 @@ def test_envelope_walk_contract_violation():
     assert err.bound == 0.9
 
 
+def test_envelope_walk_drift_law_sees_the_growing_trajectory():
+    calls = []
+
+    def law(traj, k):
+        pos = traj.positions[-1]
+        calls.append((traj, pos, k, traj.visit_counts[pos], len(traj.positions)))
+        return 0.5
+
+    pair = envelope_walk(law, (0.9, 0.6), UniformField(5), 300, stream="seen")
+    assert len(calls) == 300
+    for n, (traj, pos, k, count, length) in enumerate(calls):
+        assert traj is pair.traj_l
+        assert length == n + 1
+        assert pos == pair.traj_l.positions[n]
+        assert count == k
+        assert k == pair.traj_l.positions[: n + 1].count(pos)
+
+
 def test_envelope_walk_containment_over_trials():
     for trial in range(40):
-        result = envelope_walk(
+        pair = envelope_walk(
             orrw_drift_law(1.0), (0.9, 0.9), UniformField(31), 500, stream=("ct", trial)
         )
-        eta_sys = result.traj_r.system
-        adaptive = result.traj_l.system
-        for site, count in result.traj_l.visit_counts.items():
+        eta_sys = pair.traj_r.system
+        adaptive = pair.traj_l.system
+        for site, count in pair.traj_l.visit_counts.items():
             for level in range(1, count):
                 if adaptive.arrow_at(site, level) is RIGHT:
                     assert eta_sys.arrow_at(site, level) is RIGHT
@@ -1051,9 +1077,9 @@ def test_classify_alpha_boundaries():
 
 def test_orrw_drift_law_values():
     law = orrw_drift_law(1.0)
-    fresh = WalkView([0], {0: 1})
+    fresh = Trajectory([0], {0: 1})
     assert law(fresh, 1) == pytest.approx(1.0 / 3.0)
-    seen = WalkView([0, 1, 0], {0: 2, 1: 1})
+    seen = Trajectory([0, 1, 0], {0: 2, 1: 1})
     assert law(seen, 2) == 0.5
     with pytest.raises(ValueError, match="beta"):
         orrw_drift_law(-0.5)
