@@ -96,6 +96,8 @@ class CampaignConfig:
             raise ValueError(
                 f"family {self.family} needs both env and env2, or neither for random ones"
             )
+        if self.family == "ce2" and self.variant == "primed" and self.cycles != 1:
+            raise ValueError(f"cycles must be 1 for the primed variant, got {self.cycles}")
         self.eta = tuple(float(e) for e in self.eta)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")

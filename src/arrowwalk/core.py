@@ -13,7 +13,7 @@ import csv
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 
 class Arrow(enum.IntEnum):
@@ -37,9 +37,6 @@ class Arrow(enum.IntEnum):
     @property
     def char(self) -> str:
         return "R" if self is Arrow.RIGHT else "L"
-
-    def flipped(self) -> "Arrow":
-        return Arrow.LEFT if self is Arrow.RIGHT else Arrow.RIGHT
 
 
 LEFT = Arrow.LEFT
@@ -95,34 +92,6 @@ class ExplicitSystem(ArrowSystem):
         return self.default_fill
 
 
-class RuleSystem(ArrowSystem):
-    """Arrow system computed by a pure rule (site, level) -> Arrow."""
-
-    def __init__(self, rule: Callable[[int, int], Arrow]):
-        self._rule = rule
-
-    def arrow_at(self, site: int, level: int) -> Arrow:
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        return self._rule(site, level)
-
-
-def constant_system(arrow: Union[Arrow, str]) -> RuleSystem:
-    a = _coerce_arrow(arrow)
-    return RuleSystem(lambda site, level: a)
-
-
-class _MirrorSystem(ArrowSystem):
-    """Reflection through 0: arrow at (site, level) is the flip of the base
-    system's arrow at (-site, level)."""
-
-    def __init__(self, base: ArrowSystem):
-        self.base = base
-
-    def arrow_at(self, site: int, level: int) -> Arrow:
-        return self.base.arrow_at(-site, level).flipped()
-
-
 class _ZeroRightSystem(ArrowSystem):
     """The base system with every arrow at site 0 replaced by Right.
 
@@ -139,17 +108,6 @@ class _ZeroRightSystem(ArrowSystem):
                 raise ValueError(f"level must be >= 1, got {level}")
             return RIGHT
         return self.base.arrow_at(site, level)
-
-
-def mirror_system(system: ArrowSystem) -> ArrowSystem:
-    """The reflection of `system` through the origin.
-
-    Applying it twice gives back a system equal to the original cell by
-    cell (the double wrapper is unwrapped for convenience).
-    """
-    if isinstance(system, _MirrorSystem):
-        return system.base
-    return _MirrorSystem(system)
 
 
 def zero_right_transform(system: ArrowSystem) -> ArrowSystem:
@@ -407,8 +365,8 @@ def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityRepor
     return IdentityReport(t, ok, witnesses)
 
 
-def scan_identities(traj: Trajectory, t_max: Optional[int] = None) -> IdentityReport:
-    """Check the full identity suite at *every* time up to t_max in one pass.
+def scan_identities(traj: Trajectory) -> IdentityReport:
+    """Check the full identity suite at *every* time in one pass.
 
     Equivalent to calling `check_identities` for each t but runs in time
     linear in the horizon.  Only `steps`, `used_right` and `used_left` can
@@ -420,12 +378,8 @@ def scan_identities(traj: Trajectory, t_max: Optional[int] = None) -> IdentityRe
     checks the step and, when the trajectory carries a system, that the
     step took the arrow the system holds at (site, k), where k counts the
     arrows consumed at the site so far, this one included.  Returns the
-    report of the first failing time, or a passing report at t_max.
+    report of the first failing time, or a passing report at the horizon.
     """
-    if t_max is None:
-        t_max = traj.horizon
-    if not 0 <= t_max <= traj.horizon:
-        raise ValueError(f"t_max must be in [0, {traj.horizon}], got {t_max}")
     ok = {name: True for name in IDENTITY_IDS}
     pos = traj.positions
     if pos[0] != 0:
@@ -434,7 +388,7 @@ def scan_identities(traj: Trajectory, t_max: Optional[int] = None) -> IdentityRe
 
     system = traj.system
     departures: dict[int, int] = {}
-    for t in range(1, t_max + 1):
+    for t in range(1, len(pos)):
         prev = pos[t - 1]
         step = pos[t] - prev
         if step not in (-1, 1):
@@ -447,7 +401,7 @@ def scan_identities(traj: Trajectory, t_max: Optional[int] = None) -> IdentityRe
                 name = "used_right" if arrow is RIGHT else "used_left"
                 ok[name] = False
                 return IdentityReport(t, ok, {name: (prev, level, arrow.char)})
-    return IdentityReport(t_max, ok, {})
+    return IdentityReport(traj.horizon, ok, {})
 
 
 @dataclass

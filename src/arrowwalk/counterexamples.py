@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from itertools import islice
+from typing import Iterator, Optional, TextIO
 
 from .core import (
     LEFT,
@@ -63,17 +64,15 @@ class Ce1RightSystem(ArrowSystem):
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        self.n = n
-        self._markers = [marker_site(n, 1)]
-        self._marker_set = {self._markers[0]}
+        self._sites = marker_sites(n)
+        self._last = next(self._sites)
+        self._markers = {self._last}
 
     def _is_marker(self, site: int) -> bool:
-        while self._markers[-1] < site:
-            k = len(self._markers) + 1
-            m = marker_site(self.n, k)
-            self._markers.append(m)
-            self._marker_set.add(m)
-        return site in self._marker_set
+        while self._last < site:
+            self._last = next(self._sites)
+            self._markers.add(self._last)
+        return site in self._markers
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -85,18 +84,19 @@ class Ce1RightSystem(ArrowSystem):
         return LEFT if level == 2 else RIGHT
 
 
-def marker_site(n: int, k: int) -> int:
-    """Position of the k-th marker: sum of n^m minus nested alternating sums.
+def marker_sites(n: int) -> Iterator[int]:
+    """The marker sites x_1 < x_2 < ... of the ce1 fast walk, without end.
 
-    x_k = sum_{m=1..k} n^m - sum_{m=1..k-1} sum_{r=0..m} (-1)^(m-r) n^r,
-    computed exactly with integer arithmetic.
+    x_k = 1 + a_1 + ... + a_k, where a_0 = 1 and a_m = n^m - a_(m-1), so
+    each marker costs one multiplication and two additions of exact
+    integers.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    total = sum(n**m for m in range(1, k + 1))
-    for m in range(1, k):
-        total -= sum((-1) ** (m - r) * n**r for r in range(m + 1))
-    return total
+    power = gap = site = 1
+    while True:
+        power *= n
+        gap = power - gap
+        site += gap
+        yield site
 
 
 def build_ce1(n: int = 3) -> tuple[ArrowSystem, ArrowSystem]:
@@ -117,7 +117,9 @@ class Ce1Milestones:
       ratio_hi[k-1]    x_k / t_k          (position per unit time at peaks)
       ratio_lo[k-1]    x_{k-1} / s_k      (position per unit time at troughs)
 
-    The ratios converge to n/(n+2) and 1/(2n+1) respectively.
+    The ratios converge to n/(n+2) and 1/(2n+1) respectively.  `pass_time`
+    is the time the walk first passes x_kmax, when every milestone above
+    is in the past.
     """
 
     n: int
@@ -128,6 +130,11 @@ class Ce1Milestones:
     @property
     def kmax(self) -> int:
         return len(self.sites)
+
+    @property
+    def pass_time(self) -> int:
+        """s_kmax, then x_kmax - x_(kmax-1) steps back out, then one more."""
+        return 3 * self.sites[-1] + 1
 
     @property
     def ratio_hi(self) -> list[float]:
@@ -174,7 +181,7 @@ def ce1_milestones(n: int = 3, kmax: int = 8) -> Ce1Milestones:
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    sites = [marker_site(n, k) for k in range(1, kmax + 1)]
+    sites = list(islice(marker_sites(n), kmax))
     prev = [0] + sites[:-1]
     first_hits = [x + 2 * p for x, p in zip(sites, prev)]
     last_exits = [2 * x + p for x, p in zip(sites, prev)]
@@ -186,28 +193,26 @@ def observe_ce1_milestones(n: int, kmax: int, horizon: int) -> Ce1Milestones:
 
     Simulates the walk for `horizon` steps and records the observed
     first-hit time of each marker and the observed final visit time of the
-    previous marker.  Raises if the horizon is too short to observe them
-    all with slack (the final visit to x_{k-1} is certainly in the past
-    once the walk has passed x_{k+1}, which it reaches before wrapping up
-    three visits to everything below).
+    previous marker.  Raises unless the walk has passed x_kmax, which it
+    first does at `Ce1Milestones.pass_time`: from then on it never comes
+    back below x_kmax, so every final visit is in the past.
     """
-    sys_r = Ce1RightSystem(n)
-    traj = run_walk(sys_r, horizon)
-    sites = [marker_site(n, k) for k in range(1, kmax + 1)]
-    prev = [0] + sites[:-1]
+    traj = run_walk(Ce1RightSystem(n), horizon)
+    sites = list(islice(marker_sites(n), kmax))
     if max(traj.positions) <= sites[-1]:
         raise ValueError(
             f"horizon {horizon} too short: walk only reached "
             f"{max(traj.positions)}, needs to pass {sites[-1]}"
         )
+    watched = {0, *sites}
     first_hit = {}
     last_seen = {}
     for t, p in enumerate(traj.positions):
-        if p not in first_hit:
-            first_hit[p] = t
-        last_seen[p] = t
+        if p in watched:
+            first_hit.setdefault(p, t)
+            last_seen[p] = t
     first_hits = [first_hit[x] for x in sites]
-    last_exits = [last_seen[p] for p in prev]
+    last_exits = [last_seen[p] for p in [0] + sites[:-1]]
     return Ce1Milestones(n, sites, first_hits, last_exits)
 
 
@@ -237,10 +242,11 @@ def build_ce2(variant: str = "primed", cycles: int = 1) -> CoupledPair:
     variant "periodic": the same pair repeated `cycles` times.  Both paths
     return to 0 at the end of each cycle, so the repetition is again a
     valid path pair, and the dominated path's cumulative lead-count excess
-    grows by 3 per 28-step cycle.
+    grows by 3 per 28-step cycle.  The primed variant takes only cycles=1.
     """
     if variant == "primed":
-        cycles = 1
+        if cycles != 1:
+            raise ValueError(f"cycles must be 1 for the primed variant, got {cycles}")
     elif variant == "periodic":
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")

@@ -28,6 +28,7 @@ from .core import (
     ArrowSystem,
     ExplicitSystem,
     Trajectory,
+    _consumed_arrow_seqs,
     check_keys,
     run_walk,
 )
@@ -985,7 +986,6 @@ def envelope_walk(
     traj_l = Trajectory([0], {0: 1})
     positions = traj_l.positions
     visits = traj_l.visit_counts
-    consumed: dict[int, list[Arrow]] = {}
     pos = 0
     for n in range(1, horizon + 1):
         k = visits[pos]
@@ -994,18 +994,16 @@ def envelope_walk(
         if p > bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
         if uniform(pos, k) <= p:
-            arrow = RIGHT
             if eta_sys.arrow_at(pos, k) is not RIGHT:
                 raise RuntimeError(
                     f"envelope containment broken at site {pos} level {k}"
                 )
+            pos += 1
         else:
-            arrow = LEFT
-        consumed.setdefault(pos, []).append(arrow)
-        pos += arrow
+            pos -= 1
         positions.append(pos)
         visits[pos] = visits.get(pos, 0) + 1
-    traj_l.system = ExplicitSystem(consumed, default_fill=LEFT)
+    traj_l.system = ExplicitSystem(_consumed_arrow_seqs(positions, horizon), default_fill=LEFT)
     return CoupledPair(
         traj_l, run_walk(eta_sys, horizon), relation_mode="trileq", provenance="envelope"
     )

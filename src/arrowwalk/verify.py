@@ -101,12 +101,11 @@ class PairChecker:
     """Single-pass incremental evaluator of all pair statements.
 
     Walks both paths once, maintaining per-site visit counts, their
-    difference profile, running extremes, hit sites, and per-visit
-    neighbour counts, so that every enabled statement is checked at every
-    time step at amortized O(1) cost per step.  `active` holds the
-    statements not yet failed: only those are checked, the state only
-    failed statements read is no longer kept, and the pass ends once
-    `active` is empty.
+    difference profile, running extremes and per-visit neighbour counts,
+    so that every enabled statement is checked at every time step at
+    amortized O(1) cost per step.  `active` holds the statements not yet
+    failed: only those are checked, the state only failed statements read
+    is no longer kept, and the pass ends once `active` is empty.
     """
 
     def __init__(
@@ -151,8 +150,6 @@ class PairChecker:
             failures[check] = witness
             active.discard(check)
 
-        seen_l: set[int] = set()  # sites each path has hit
-        seen_r: set[int] = set()
         kth_l: dict[int, list[int]] = defaultdict(list)  # left-neighbour count per visit
         kth_r: dict[int, list[int]] = defaultdict(list)
 
@@ -196,6 +193,18 @@ class PairChecker:
                     insort(plus, b)
                     hyp_plus = True
 
+            if "hitting_order" in active:
+                # A unit-step path from 0 has hit exactly the sites between
+                # its running extremes, which here are those of time t - 1.
+                if a > max_l:
+                    hyp_hit = True
+                    if a > max_r and a > b:
+                        fail("hitting_order", {"t": t, "x": a, "detail": "L reached a positive site before R"})
+                if b < min_r and "hitting_order" in active:
+                    hyp_hit = True
+                    if b < min_l and b < a:
+                        fail("hitting_order", {"t": t, "x": b, "detail": "R reached a negative site before L"})
+
             if t:
                 if a > max_l:
                     max_l = a
@@ -211,22 +220,6 @@ class PairChecker:
                     fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
                 elif min_r < min_l:
                     fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
-
-            if "hitting_order" in active:
-                new_l = a not in seen_l
-                if new_l:
-                    seen_l.add(a)
-                new_r = b not in seen_r
-                if new_r:
-                    seen_r.add(b)
-                if new_l and a > 0:
-                    hyp_hit = True
-                    if a not in seen_r:
-                        fail("hitting_order", {"t": t, "x": a, "detail": "L reached a positive site before R"})
-                if new_r and b < 0 and "hitting_order" in active:
-                    hyp_hit = True
-                    if b not in seen_l:
-                        fail("hitting_order", {"t": t, "x": b, "detail": "R reached a negative site before L"})
 
             if "count_dominance" in active and plus and minus:
                 x = plus[0]

@@ -41,6 +41,9 @@ def test_config_validation():
         CampaignConfig("ce2", checks=("envelopes", "bogus"))
     with pytest.raises(ValueError, match="workers"):
         CampaignConfig("ce2", workers=0)
+    with pytest.raises(ValueError, match="cycles must be 1"):
+        CampaignConfig("ce2", variant="primed", cycles=3)
+    CampaignConfig("ce2", variant="periodic", cycles=3)
     for family in ("shared-uniform", "swap-chain"):
         with pytest.raises(ValueError, match="needs both env and env2"):
             CampaignConfig(family, env=cookie_env((0.2,)))

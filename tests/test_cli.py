@@ -1,6 +1,7 @@
 """Command line surface: each subcommand's happy path, output formats,
 and the exit-code contract (0 pass, 1 check failure, 2 usage error)."""
 
+import io
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from arrowwalk import campaign, cli
 from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, MAX_TRIALS, main
+from arrowwalk.counterexamples import ce1_milestones
 
 
 @pytest.fixture
@@ -170,7 +172,22 @@ def test_ce1_json(runner):
     assert [r["t_k"] for r in rows] == [3, 16, 50]
 
 
-@pytest.mark.parametrize("args", [["--kmax", "20"], ["--N", "10", "--kmax", "8"]])
+@pytest.mark.parametrize("n, kmax", [(5, 3), (6, 3), (7, 3), (7, 6)])
+def test_ce1_cross_check_passes_for_wide_spacings(runner, n, kmax):
+    result = runner.invoke(main, ["counterexample", "ce1", "--N", str(n), "--kmax", str(kmax)])
+    assert result.exit_code == 0, result.output
+    miles = ce1_milestones(n, kmax)
+    buf = io.StringIO()
+    miles.write_csv(buf)
+    assert result.output == buf.getvalue()
+
+
+# The horizon each over-budget ce1 run asks for: the first time its walk
+# passes x_kmax.
+OVER_BUDGET = {("--kmax", "20"): 11_767_897_354, ("--N", "10", "--kmax", "8"): 303_030_304}
+
+
+@pytest.mark.parametrize("args", [list(args) for args in OVER_BUDGET])
 def test_ce1_rejects_a_simulation_over_the_step_budget(runner, monkeypatch, args):
     def never(*a, **k):
         raise AssertionError("the simulation must not start")
@@ -178,6 +195,7 @@ def test_ce1_rejects_a_simulation_over_the_step_budget(runner, monkeypatch, args
     monkeypatch.setattr(cli, "observe_ce1_milestones", never)
     result = runner.invoke(main, ["counterexample", "ce1", *args])
     assert result.exit_code == 2
+    assert f"needs a {OVER_BUDGET[tuple(args)]}-step simulation" in result.output
     assert f"over the budget of {MAX_STEPS} steps" in result.output
 
 
@@ -191,6 +209,13 @@ def test_ce2_primed(runner):
     assert payload["paths_admit_order"] is True
     assert payload["final_l"] == 0 and payload["final_r"] == 0
     assert all(c["passed"] for c in payload["checks"].values())
+
+
+@pytest.mark.parametrize("command", [["counterexample", "ce2"], ["campaign", "--family", "ce2"]])
+def test_ce2_primed_refuses_a_cycle_count(runner, command):
+    result = runner.invoke(main, [*command, "--variant", "primed", "--cycles", "3"])
+    assert result.exit_code == 2
+    assert "cycles must be 1 for the primed variant" in result.output
 
 
 def test_ce2_periodic(runner):

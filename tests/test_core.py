@@ -18,14 +18,12 @@ from arrowwalk.core import (
     LEFT,
     RIGHT,
     Arrow,
+    ArrowSystem,
     ExplicitSystem,
-    RuleSystem,
     Trajectory,
     check_identities,
     check_relation,
-    constant_system,
     consumed_stacks,
-    mirror_system,
     occupation,
     parse_system,
     stack_counts,
@@ -61,6 +59,17 @@ def left_prefix(column):
     return list(itertools.accumulate(1 if a is LEFT else 0 for a in column))
 
 
+class MirrorSystem(ArrowSystem):
+    """Reflection through 0: the arrow at (site, level) is the flip of the
+    base system's arrow at (-site, level)."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def arrow_at(self, site, level):
+        return Arrow(-self.base.arrow_at(-site, level))
+
+
 # ---------------------------------------------------------------------------
 # arrows and systems
 
@@ -68,7 +77,7 @@ def test_arrow_roundtrip():
     assert Arrow.from_char("L") is LEFT
     assert Arrow.from_char("R") is RIGHT
     assert LEFT.char == "L" and RIGHT.char == "R"
-    assert LEFT.flipped() is RIGHT and RIGHT.flipped() is LEFT
+    assert Arrow(-LEFT) is RIGHT and Arrow(-RIGHT) is LEFT
     with pytest.raises(ValueError):
         Arrow.from_char("x")
 
@@ -84,8 +93,13 @@ def test_explicit_system_stacks_and_fill():
 
 
 def test_constant_and_rule_systems():
-    assert run_walk(constant_system(RIGHT), 5).positions == [0, 1, 2, 3, 4, 5]
-    alternating = RuleSystem(lambda x, k: LEFT if k % 2 == 0 else RIGHT)
+    assert run_walk(ExplicitSystem({}, RIGHT), 5).positions == [0, 1, 2, 3, 4, 5]
+
+    class Alternating(ArrowSystem):
+        def arrow_at(self, site, level):
+            return LEFT if level % 2 == 0 else RIGHT
+
+    alternating = Alternating()
     assert alternating.arrow_at(7, 1) is RIGHT
     assert alternating.arrow_at(7, 2) is LEFT
 
@@ -94,7 +108,7 @@ def test_constant_and_rule_systems():
 # stack counts
 
 def test_stack_counts_all_right():
-    assert stack_counts(constant_system(RIGHT), 5, 4) == (0, 4)
+    assert stack_counts(ExplicitSystem({}, RIGHT), 5, 4) == (0, 4)
 
 
 def test_stack_counts_marker_system_site_one():
@@ -103,7 +117,7 @@ def test_stack_counts_marker_system_site_one():
 
 
 def test_stack_counts_depth_zero():
-    assert stack_counts(constant_system(LEFT), 0, 0) == (0, 0)
+    assert stack_counts(ExplicitSystem({}, LEFT), 0, 0) == (0, 0)
 
 
 @given(explicit_systems(), st.integers(-4, 4))
@@ -132,7 +146,7 @@ def test_run_walk_marker_left_speed_one_fifth():
 
 def test_run_walk_rejects_negative_horizon():
     with pytest.raises(ValueError):
-        run_walk(constant_system(RIGHT), -1)
+        run_walk(ExplicitSystem({}, RIGHT), -1)
 
 
 def test_trajectory_from_positions_validates():
@@ -213,7 +227,7 @@ def test_identities_flag_corrupted_paths():
 def test_identities_expose_system_mismatch():
     # a straight-right walk never consumes Left arrows, so pinning the marker
     # system to it breaks the used-arrow identities
-    traj = run_walk(constant_system(RIGHT), 10)
+    traj = run_walk(ExplicitSystem({}, RIGHT), 10)
     forged = Trajectory(traj.positions, traj.visit_counts, system=Ce1LeftSystem())
     report = check_identities(forged)
     assert not report.ok["used_right"] or not report.ok["used_left"]
@@ -298,7 +312,7 @@ def test_relation_reflexive(sys_, mode):
 
 
 def test_relation_witness_is_first_violation():
-    sys_r = constant_system(RIGHT)
+    sys_r = ExplicitSystem({}, RIGHT)
     sys_l = ExplicitSystem({0: (LEFT,)}, default_fill=RIGHT)
     # sys_l has the extra Left, so it sits on the small side: the reversed
     # comparison violates at the first cell
@@ -309,7 +323,7 @@ def test_relation_witness_is_first_violation():
 
 
 def test_relation_validates_inputs():
-    sys_ = constant_system(RIGHT)
+    sys_ = ExplicitSystem({}, RIGHT)
     with pytest.raises(ValueError):
         check_relation(sys_, sys_, range(3), 0)
     with pytest.raises(ValueError):
@@ -340,7 +354,7 @@ def test_mirror_reverses_preceq(sys_a, sys_b):
     window = range(-4, 5)
     if check_relation(sys_a, sys_b, window, 6, "preceq").holds:
         assert check_relation(
-            mirror_system(sys_b), mirror_system(sys_a), window, 6, "preceq"
+            MirrorSystem(sys_b), MirrorSystem(sys_a), window, 6, "preceq"
         ).holds
 
 
@@ -348,7 +362,7 @@ def test_mirror_reverses_preceq(sys_a, sys_b):
 # transforms
 
 def test_mirror_walk_is_negated():
-    assert run_walk(mirror_system(constant_system(RIGHT)), 4).positions == [
+    assert run_walk(MirrorSystem(ExplicitSystem({}, RIGHT)), 4).positions == [
         0, -1, -2, -3, -4,
     ]
 
@@ -356,25 +370,25 @@ def test_mirror_walk_is_negated():
 @given(explicit_systems(), st.integers(0, 60))
 def test_mirror_negates_any_walk(sys_, horizon):
     straight = run_walk(sys_, horizon).positions
-    flipped = run_walk(mirror_system(sys_), horizon).positions
+    flipped = run_walk(MirrorSystem(sys_), horizon).positions
     assert flipped == [-p for p in straight]
 
 
 @given(explicit_systems())
 def test_mirror_is_an_involution(sys_):
-    back = mirror_system(mirror_system(sys_))
+    back = MirrorSystem(MirrorSystem(sys_))
     for site in range(-4, 5):
         for level in range(1, 7):
             assert back.arrow_at(site, level) is sys_.arrow_at(site, level)
 
 
 def test_zero_right_all_left_oscillates():
-    transformed = zero_right_transform(constant_system(LEFT))
+    transformed = zero_right_transform(ExplicitSystem({}, LEFT))
     assert run_walk(transformed, 6).positions == [0, 1, 0, 1, 0, 1, 0]
 
 
 def test_zero_right_idempotent():
-    once = zero_right_transform(constant_system(LEFT))
+    once = zero_right_transform(ExplicitSystem({}, LEFT))
     assert zero_right_transform(once) is once
 
 

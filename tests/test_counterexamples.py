@@ -3,6 +3,7 @@ systems and exact lead counts for the trailing pair."""
 
 import io
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -20,7 +21,7 @@ from arrowwalk.counterexamples import (
     CE2_RIGHT_PATH,
     Ce1LeftSystem,
     Ce1RightSystem,
-    marker_site,
+    marker_sites,
 )
 
 # closed forms for n=3: x_k, first-hit t_k = x_k + 2 x_{k-1}, last-exit
@@ -33,12 +34,26 @@ S3 = [6, 23, 70, 212, 637, 1913, 5740, 17222]
 # ---------------------------------------------------------------------------
 # marker pair
 
+def reference_marker_site(n, k):
+    """x_k as a double sum: sum_{m=1..k} n^m minus
+    sum_{m=1..k-1} sum_{r=0..m} (-1)^(m-r) n^r."""
+    total = sum(n**m for m in range(1, k + 1))
+    for m in range(1, k):
+        total -= sum((-1) ** (m - r) * n**r for r in range(m + 1))
+    return total
+
+
 def test_marker_site_table():
-    assert [marker_site(3, k) for k in range(1, 9)] == X3
-    assert marker_site(3, 1) == 3 and marker_site(3, 2) == 10
-    assert marker_site(4, 1) == 4
-    with pytest.raises(ValueError):
-        marker_site(3, 0)
+    assert list(islice(marker_sites(3), 8)) == X3
+    assert next(marker_sites(4)) == 4
+    assert next(marker_sites(2)) == 2
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 10**6])
+def test_marker_sites_match_the_double_sum(n):
+    assert list(islice(marker_sites(n), 30)) == [
+        reference_marker_site(n, k) for k in range(1, 31)
+    ]
 
 
 def test_left_system_stack_shape():
@@ -96,7 +111,7 @@ def test_milestone_ratio_limits():
 
 def test_milestones_match_simulation():
     miles = ce1_milestones(3, 6)
-    observed = observe_ce1_milestones(3, 6, horizon=2 * miles.first_hits[-1] + 10)
+    observed = observe_ce1_milestones(3, 6, horizon=miles.pass_time)
     assert observed.sites == miles.sites
     assert observed.first_hits == miles.first_hits
     assert observed.last_exits == miles.last_exits
@@ -105,6 +120,16 @@ def test_milestones_match_simulation():
 def test_observe_requires_walk_past_last_marker():
     with pytest.raises(ValueError):
         observe_ce1_milestones(3, 6, horizon=ce1_milestones(3, 6).first_hits[-1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("kmax", [1, 3, 5])
+def test_pass_time_is_the_shortest_horizon_the_simulation_accepts(n, kmax):
+    miles = ce1_milestones(n, kmax)
+    assert miles.pass_time == 3 * miles.sites[-1] + 1
+    with pytest.raises(ValueError):
+        observe_ce1_milestones(n, kmax, horizon=miles.pass_time - 1)
+    assert observe_ce1_milestones(n, kmax, horizon=miles.pass_time) == miles
 
 
 def test_milestone_validation():
@@ -169,8 +194,9 @@ def test_trailing_pair_validation():
         build_ce2("weird")
     with pytest.raises(ValueError):
         build_ce2("periodic", 0)
-    # the primed variant is the fixed pair; a cycle count is ignored
-    assert build_ce2("primed", cycles=5).horizon == 28
+    # the primed variant is the fixed pair: a cycle count other than 1 is refused
+    with pytest.raises(ValueError, match="cycles must be 1"):
+        build_ce2("primed", cycles=5)
 
 
 def test_lead_sets_identical_paths():

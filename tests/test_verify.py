@@ -18,7 +18,7 @@ from arrowwalk import (
     make_pair,
     shared_pair,
 )
-from arrowwalk.core import Trajectory, constant_system
+from arrowwalk.core import ExplicitSystem, Trajectory
 from arrowwalk.verify import CoupledPair, PairChecker
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
@@ -222,6 +222,42 @@ def test_checker_matches_reference_on_random_pairs(pair):
     assert_matches_reference(*pair)
 
 
+def all_paths(length):
+    """Every unit-step path from 0 with `length` steps."""
+    for steps in itertools.product((1, -1), repeat=length):
+        yield [0, *itertools.accumulate(steps)]
+
+
+def all_path_pairs(max_len):
+    """Every pair of equal-length paths with at most `max_len` steps."""
+    for length in range(max_len + 1):
+        paths_n = list(all_paths(length))
+        yield from itertools.product(paths_n, repeat=2)
+
+
+def test_checker_matches_reference_on_every_pair_to_length_six():
+    count = 0
+    for pos_l, pos_r in all_path_pairs(6):
+        assert_matches_reference(pos_l, pos_r)
+        count += 1
+    assert count == 5461
+
+
+def test_hitting_order_and_envelopes_fail_together_to_length_eight():
+    # On unit-step paths from 0 the sites hit are those between the running
+    # extremes, so "L hits a positive site first" is "L's running max pulls
+    # ahead of R's", and likewise at the minimum: the two checks coincide.
+    count = 0
+    for pos_l, pos_r in all_path_pairs(8):
+        res = PairChecker(pos_l, pos_r, ("envelopes", "hitting_order")).run()
+        env, hit = res["envelopes"], res["hitting_order"]
+        assert env.passed == hit.passed, (pos_l, pos_r)
+        if not env.passed:
+            assert env.witness["t"] == hit.witness["t"], (pos_l, pos_r)
+        count += 1
+    assert count == 87381
+
+
 @settings(deadline=None, max_examples=300)
 @given(path_pairs())
 def test_single_check_matches_full_run(pair):
@@ -306,14 +342,14 @@ def test_check_subset_returns_only_requested():
 
 
 def test_make_pair_runs_both_walks():
-    pair = make_pair(constant_system("L"), constant_system("R"), 6)
+    pair = make_pair(ExplicitSystem({}, "L"), ExplicitSystem({}, "R"), 6)
     assert pair.traj_l.positions[-1] == -6
     assert pair.traj_r.positions[-1] == 6
     assert pair.horizon == 6
 
 
 def test_verify_result_to_dict():
-    pair = make_pair(constant_system("R"), constant_system("R"), 4)
+    pair = make_pair(ExplicitSystem({}, "R"), ExplicitSystem({}, "R"), 4)
     d = check_pair(pair, ("envelopes",))["envelopes"].to_dict()
     assert d == {
         "statement": "envelopes",
