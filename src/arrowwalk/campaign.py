@@ -19,7 +19,7 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import IO, Optional, Sequence
 
@@ -44,15 +44,19 @@ from .couplings import (
 )
 from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair
 
-FAMILIES = (
-    "shared-uniform",
-    "block-family",
-    "swap-chain",
-    "envelope",
-    "ce1",
-    "ce2",
-    "independent-control",
-)
+# Each family and the options it reads.  Every other option must stay at its
+# default, or the report would echo a setting the run never used.
+_READS = {
+    "shared-uniform": ("env", "env2"),
+    "block-family": ("env", "partition"),
+    "swap-chain": ("env", "env2", "partition"),
+    "envelope": ("eta", "beta"),
+    "ce1": ("n", "kmax"),
+    "ce2": ("variant", "cycles"),
+    "independent-control": ("env",),
+}
+FAMILIES = tuple(_READS)
+_OPTIONS = frozenset().union(*_READS.values())
 
 SCHEMA = "arrowwalk-campaign-v1"
 
@@ -60,7 +64,8 @@ SCHEMA = "arrowwalk-campaign-v1"
 @dataclass
 class CampaignConfig:
     """Everything a campaign needs; unset environment fields fall back to
-    per-trial randomized defaults where the family allows it."""
+    per-trial randomized defaults where the family allows it.  A family
+    refuses a non-default value of an option it does not read."""
 
     family: str
     trials: int = 100
@@ -99,6 +104,13 @@ class CampaignConfig:
         if self.family == "ce2" and self.variant == "primed" and self.cycles != 1:
             raise ValueError(f"cycles must be 1 for the primed variant, got {self.cycles}")
         self.eta = tuple(float(e) for e in self.eta)
+        unread = [
+            f.name for f in fields(self)
+            if f.name in _OPTIONS and f.name not in _READS[self.family]
+            and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ValueError(f"family {self.family} does not read {', '.join(unread)}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

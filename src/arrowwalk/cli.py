@@ -204,7 +204,7 @@ def ce2(ctx, variant: str, cycles: int, out: Optional[str]) -> None:
         raise click.UsageError(str(err))
     results = check_pair(pair)
     ahead, behind = lead_sets(pair)
-    admitted = paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).admits
+    admitted = paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).holds
     payload = {
         "variant": variant,
         "cycles": cycles,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 
@@ -462,17 +462,6 @@ def check_relation(
     return RelationResult(True, mode)
 
 
-@dataclass
-class PreceqDecision:
-    """Answer of `paths_admit_preceq`, with per-site first violations."""
-
-    admits: bool
-    violations: dict[int, int] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.admits
-
-
 def consumed_stacks(positions: Sequence[int]) -> dict[int, list[Arrow]]:
     """The per-site arrow prefixes a path forces on any system generating it.
 
@@ -484,7 +473,7 @@ def consumed_stacks(positions: Sequence[int]) -> dict[int, list[Arrow]]:
     return _consumed_arrow_seqs(positions, len(positions) - 1)
 
 
-def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> PreceqDecision:
+def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> RelationResult:
     """Decide whether two paths can be generated by stack-ordered systems.
 
     The question: do there exist arrow systems, one generating `path_l` and
@@ -494,30 +483,22 @@ def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> PreceqDe
     Each path pins exactly the arrows it consumed; all higher levels are
     free.  Filling the left system's free levels with Left and the right
     system's with Right is the most favourable completion, and the
-    prefix-count comparison decomposes site by site, so checking that
-    completion on the touched window decides the question exactly.
-
-    Returns per-site first violating depths for failures.
+    prefix-count comparison decomposes site by site, so `check_relation` on
+    that completion over the touched sites and forced depths decides the
+    question exactly: above the forced depths the left side only gains
+    Lefts and the right side none.  The witness is the first violating
+    (site, level), sites in increasing order.
     """
     forced_l = consumed_stacks(path_l)
     forced_r = consumed_stacks(path_r)
-    violations: dict[int, int] = {}
-    for site in sorted(set(forced_l) | set(forced_r)):
-        fl = forced_l.get(site, [])
-        fr = forced_r.get(site, [])
-        depth = max(len(fl), len(fr))
-        lefts_l = 0
-        lefts_r = 0
-        for r in range(1, depth + 1):
-            # free levels: Left for the L system, Right for the R system
-            if r > len(fl) or fl[r - 1] is LEFT:
-                lefts_l += 1
-            if r <= len(fr) and fr[r - 1] is LEFT:
-                lefts_r += 1
-            if lefts_l < lefts_r and site not in violations:
-                violations[site] = r
-        # beyond `depth` the L side only gains Lefts and the R side none
-    return PreceqDecision(not violations, violations)
+    depth = max(map(len, [*forced_l.values(), *forced_r.values()]), default=1)
+    return check_relation(
+        ExplicitSystem(forced_l, LEFT),
+        ExplicitSystem(forced_r, RIGHT),
+        sorted(forced_l.keys() | forced_r.keys()),
+        depth,
+        "preceq",
+    )
 
 
 # ---------------------------------------------------------------------------

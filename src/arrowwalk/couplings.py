@@ -594,15 +594,6 @@ def conditional_stack_pmf(probs: Sequence[float], y: int) -> list[float]:
 # block-family coupling: shared block totals, shared selector
 
 
-def _cum(probs: Sequence[float]) -> list[float]:
-    out = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        out.append(acc)
-    return out
-
-
 def _pick(cums: Sequence[float], u: float) -> int:
     i = bisect_left(cums, u)
     return min(i, len(cums) - 1)
@@ -651,7 +642,8 @@ class BlockSampledSystem(ArrowSystem):
         probs = tuple(self.env.prob(site, l) for l in block)
         law = self._laws.get((probs_base, probs))
         if law is None:
-            law = self._laws[(probs_base, probs)] = (_cum(poisson_binomial(probs_base)), probs, {})
+            cum = list(itertools.accumulate(poisson_binomial(probs_base)))
+            law = self._laws[(probs_base, probs)] = (cum, probs, {})
         return (self.partition.block_index(block),) + law
 
     def _realize(self, site: int, block: tuple[int, ...]) -> tuple[Arrow, ...]:
@@ -664,7 +656,8 @@ class BlockSampledSystem(ArrowSystem):
         row = rows.get(y)
         if row is None:
             # Built when first drawn, so a zero-mass y raises only then.
-            row = rows[y] = (stack_chain(len(block), y), _cum(conditional_stack_pmf(probs, y)))
+            cum = list(itertools.accumulate(conditional_stack_pmf(probs, y)))
+            row = rows[y] = (stack_chain(len(block), y), cum)
         chain, cum = row
         # A chain of one stack leaves nothing to pick: its uniform goes unread.
         return chain[_pick(cum, self.picks.value(site, slot))] if len(chain) > 1 else chain[0]
@@ -793,15 +786,7 @@ class _ChainState:
         self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], tuple[Arrow, ...]]] = {}
         # (lane, block) -> (probs0, swap path, states along it, link view, glue views)
         self._plans: dict[tuple, tuple] = {}
-        # Views of the streams (stream, *parts), by their parts.
-        self._views: dict[tuple, FieldStream] = {}
-        self._cell_view = self._view("cell")
-
-    def _view(self, *parts) -> FieldStream:
-        view = self._views.get(parts)
-        if view is None:
-            view = self._views[parts] = FieldStream(self.field, (self.stream, *parts))
-        return view
+        self._cell_view = FieldStream(field, (stream, "cell"))
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         slot = self.partition.block_index(block)
@@ -815,8 +800,10 @@ class _ChainState:
         states = [probs0]
         for i, j in path:
             states.append(_apply_swap(states[-1], i, j))
-        glues = [self._view("glue", slot, m) for m in range(1, len(path))]
-        return probs0, path, states, self._view("link", slot), glues
+        # A site has one lane, so no two plans read the same site of a view.
+        link = FieldStream(self.field, (self.stream, "link", slot))
+        glues = [FieldStream(self.field, (self.stream, "glue", slot, m)) for m in range(1, len(path))]
+        return probs0, path, states, link, glues
 
     def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], tuple[Arrow, ...]]:
         key = (site, block[0])

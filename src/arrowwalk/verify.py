@@ -155,7 +155,6 @@ class PairChecker:
 
         max_l = max_r = min_l = min_r = 0
         hyp_plus = False  # some site ever had nr > nl
-        hyp_hit = False
         hyp_rec = False
         hyp_kth = False
 
@@ -193,18 +192,6 @@ class PairChecker:
                     insort(plus, b)
                     hyp_plus = True
 
-            if "hitting_order" in active:
-                # A unit-step path from 0 has hit exactly the sites between
-                # its running extremes, which here are those of time t - 1.
-                if a > max_l:
-                    hyp_hit = True
-                    if a > max_r and a > b:
-                        fail("hitting_order", {"t": t, "x": a, "detail": "L reached a positive site before R"})
-                if b < min_r and "hitting_order" in active:
-                    hyp_hit = True
-                    if b < min_l and b < a:
-                        fail("hitting_order", {"t": t, "x": b, "detail": "R reached a negative site before L"})
-
             if t:
                 if a > max_l:
                     max_l = a
@@ -215,11 +202,16 @@ class PairChecker:
                 elif b < min_r:
                     min_r = b
 
-            if "envelopes" in active:
+            # A unit-step path from 0 has hit exactly the sites between its
+            # running extremes, so R trails L's envelope exactly when L has
+            # reached a positive site (or R a negative one) first.
+            if "envelopes" in active or "hitting_order" in active:
                 if max_r < max_l:
                     fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
+                    fail("hitting_order", {"t": t, "x": max_l, "detail": "L reached a positive site before R"})
                 elif min_r < min_l:
                     fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
+                    fail("hitting_order", {"t": t, "x": min_r, "detail": "R reached a negative site before L"})
 
             if "count_dominance" in active and plus and minus:
                 x = plus[0]
@@ -291,7 +283,7 @@ class PairChecker:
         vacuous = {
             "envelopes": False,
             "max_visits": False,
-            "hitting_order": not hyp_hit,
+            "hitting_order": max_l <= 0 and min_r >= 0,
             "count_dominance": not hyp_plus,
             "neighbour_interval": not hyp_plus,
             "kth_visit_counts": not hyp_kth,

@@ -107,7 +107,7 @@ def test_criterion_03_ce2_exact(capsys):
     counts_ok = (
         occupation(pair.traj_l).node_counts == occupation(pair.traj_r).node_counts
     )
-    admits_ok = paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).admits
+    admits_ok = paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).holds
     slope_ok = True
     for cycles in range(1, 11):
         a, b = lead_sets(build_ce2("periodic", cycles=cycles))

@@ -9,6 +9,7 @@ import pytest
 
 from arrowwalk import campaign
 from arrowwalk import (
+    FAMILIES,
     STATEMENT_IDS,
     CampaignConfig,
     ce1_milestones,
@@ -17,7 +18,7 @@ from arrowwalk import (
     speed_and_recurrence_stats,
 )
 from arrowwalk.campaign import run_trial
-from arrowwalk.couplings import constant_env
+from arrowwalk.couplings import BlockPartition, constant_env
 
 CHECK_ORDER = sorted(STATEMENT_IDS)
 
@@ -50,6 +51,40 @@ def test_config_validation():
         with pytest.raises(ValueError, match="needs both env and env2"):
             CampaignConfig(family, env2=cookie_env((0.2,)))
     CampaignConfig("block-family", env=cookie_env((0.2, 0.5, 0.7)))
+
+
+FAMILY_READS = {
+    "shared-uniform": {"env", "env2"},
+    "block-family": {"env", "partition"},
+    "swap-chain": {"env", "env2", "partition"},
+    "envelope": {"eta", "beta"},
+    "ce1": {"n", "kmax"},
+    "ce2": {"variant", "cycles"},
+    "independent-control": {"env"},
+}
+OFF_DEFAULT = {
+    "env": cookie_env((0.2,)),
+    "env2": cookie_env((0.3,)),
+    "partition": BlockPartition(((1, 2),)),
+    "eta": (0.8, 0.8),
+    "beta": 2.0,
+    "n": 4,
+    "kmax": 3,
+    "variant": "periodic",
+    "cycles": 2,
+}
+DEFAULTS = {"env": None, "env2": None, "partition": None, "eta": (0.9, 0.9),
+            "beta": 1.0, "n": 3, "kmax": 8, "variant": "primed", "cycles": 1}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_READS))
+def test_config_refuses_options_the_family_does_not_read(family):
+    assert set(FAMILY_READS) == set(FAMILIES)
+    for option in sorted(set(OFF_DEFAULT) - FAMILY_READS[family]):
+        with pytest.raises(ValueError, match=f"family {family} does not read {option}$"):
+            CampaignConfig(family, **{option: OFF_DEFAULT[option]})
+    # Defaults passed explicitly, as the CLI passes them, are accepted.
+    CampaignConfig(family, **DEFAULTS)
 
 
 def test_config_effective_trials():

@@ -381,6 +381,26 @@ def test_campaign_env_alone_is_enough(runner, files, family):
     assert json.loads(result.output)["config"]["env"]["default"] == [0.2, 0.5, 0.7]
 
 
+@pytest.mark.parametrize("family, args, unread", [
+    ("shared-uniform", ["--cycles", "5", "--kmax", "3", "--variant", "periodic"], "kmax, variant, cycles"),
+    ("block-family", ["--env2", "{env_hi}"], "env2"),
+    ("independent-control", ["--env2", "{env_hi}"], "env2"),
+    ("swap-chain", ["--N", "4"], "n"),
+    ("envelope", ["--partition", "{part}"], "partition"),
+    ("ce1", ["--eta", "0.8,0.8", "--beta", "2"], "eta, beta"),
+    ("ce2", ["--env", "{env_lo}"], "env"),
+])
+def test_campaign_refuses_options_the_family_does_not_read(runner, files, monkeypatch, family, args, unread):
+    def never(*a, **k):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(cli, "run_campaign", never)
+    result = runner.invoke(main, ["campaign", "--family", family, "--trials", "1", "--horizon", "10",
+                                  *(a.format(**files) for a in args)])
+    assert result.exit_code == 2
+    assert f"family {family} does not read {unread}" in result.output
+
+
 # ----------------------------------------------------------------- stats
 
 

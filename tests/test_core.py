@@ -421,14 +421,14 @@ def test_consumed_stacks_orders_departures():
 
 def test_paths_admit_preceq_equal_paths():
     path = [0, 1, 2, 1, 0, -1]
-    assert paths_admit_preceq(path, path).admits
+    assert paths_admit_preceq(path, path).holds
 
 
 def test_paths_admit_preceq_simple_violation():
     decision = paths_admit_preceq([0, 1], [0, -1])
-    assert not decision.admits
-    assert decision.violations == {0: 1}
-    assert not decision  # truthiness mirrors .admits
+    assert not decision.holds
+    assert decision.witness == (0, 1)
+    assert not decision  # truthiness mirrors .holds
 
 
 def _site_admits_by_enumeration(forced_l, forced_r, memo):
@@ -482,7 +482,7 @@ def test_paths_admit_preceq_exhaustive_to_length_eight():
                 _site_admits_by_enumeration(fl.get(s, ()), fr.get(s, ()), memo)
                 for s in set(fl) | set(fr)
             )
-            assert paths_admit_preceq(path_l, path_r).admits == expected, (
+            assert paths_admit_preceq(path_l, path_r).holds == expected, (
                 path_l, path_r,
             )
 
@@ -496,7 +496,7 @@ def test_paths_admit_preceq_matches_enumeration(path_l, path_r):
         _site_admits_by_enumeration(fl.get(s, ()), fr.get(s, ()), memo)
         for s in set(fl) | set(fr)
     )
-    assert paths_admit_preceq(path_l, path_r).admits == expected
+    assert paths_admit_preceq(path_l, path_r).holds == expected
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_trailing_pair_primed():
     assert pair.provenance == "ce2-primed"
     assert lead_sets(pair) == (7, 10)
     assert lead_sets(pair, t=7) == (7, 0)
-    assert paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).admits
+    assert paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).holds
     left = occupation(pair.traj_l).node_counts
     right = occupation(pair.traj_r).node_counts
     assert left == right
@@ -186,7 +186,7 @@ def test_trailing_pair_periodic_slope(cycles):
     ahead, behind = lead_sets(pair)
     assert behind - ahead == 3 * cycles
     assert Fraction(behind - ahead, pair.horizon) == Fraction(3, 28)
-    assert paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).admits
+    assert paths_admit_preceq(pair.traj_l.positions, pair.traj_r.positions).holds
 
 
 def test_trailing_pair_validation():

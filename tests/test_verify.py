@@ -18,7 +18,14 @@ from arrowwalk import (
     make_pair,
     shared_pair,
 )
-from arrowwalk.core import ExplicitSystem, Trajectory
+from arrowwalk.core import (
+    LEFT,
+    RIGHT,
+    ExplicitSystem,
+    Trajectory,
+    check_relation,
+    consumed_stacks,
+)
 from arrowwalk.verify import CoupledPair, PairChecker
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
@@ -54,6 +61,29 @@ def _diff(pos_l, pos_r, t):
     return {x: cr.get(x, 0) - cl.get(x, 0) for x in set(cl) | set(cr)}
 
 
+def reference_hitting_order(pos_l, pos_r):
+    """(passed, failing_t, hypothesis_fired, failing site) of hitting_order,
+    from the first hitting time of every site."""
+    first_l, first_r = {}, {}
+    hyp = False
+    for t, (a, b) in enumerate(zip(pos_l, pos_r)):
+        new_l = a not in first_l
+        if new_l:
+            first_l[a] = t
+        new_r = b not in first_r
+        if new_r:
+            first_r[b] = t
+        if new_l and a > 0:
+            hyp = True
+            if a not in first_r:
+                return False, t, hyp, a
+        if new_r and b < 0:
+            hyp = True
+            if b not in first_l:
+                return False, t, hyp, b
+    return True, None, hyp, None
+
+
 def reference_results(pos_l, pos_r):
     """Map check id -> (passed, failing_t, hypothesis_fired)."""
     horizon = len(pos_l) - 1
@@ -69,27 +99,7 @@ def reference_results(pos_l, pos_r):
             break
     out["envelopes"] = (fail_t is None, fail_t, True)
 
-    fail_t = None
-    hyp = False
-    first_l, first_r = {}, {}
-    for t in range(horizon + 1):
-        a, b = pos_l[t], pos_r[t]
-        new_l = a not in first_l
-        if new_l:
-            first_l[a] = t
-        new_r = b not in first_r
-        if new_r:
-            first_r[b] = t
-        if fail_t is None:
-            if new_l and a > 0:
-                hyp = True
-                if a not in first_r:
-                    fail_t = t
-            if fail_t is None and new_r and b < 0:
-                hyp = True
-                if b not in first_l:
-                    fail_t = t
-    out["hitting_order"] = (fail_t is None, fail_t, hyp)
+    out["hitting_order"] = reference_hitting_order(pos_l, pos_r)[:3]
 
     fail_t = None
     hyp = False
@@ -246,16 +256,55 @@ def test_checker_matches_reference_on_every_pair_to_length_six():
 def test_hitting_order_and_envelopes_fail_together_to_length_eight():
     # On unit-step paths from 0 the sites hit are those between the running
     # extremes, so "L hits a positive site first" is "L's running max pulls
-    # ahead of R's", and likewise at the minimum: the two checks coincide.
+    # ahead of R's", and likewise at the minimum: the checker reads
+    # hitting_order off the envelope comparison, and the first hitting
+    # times of every site must agree with it.
     count = 0
     for pos_l, pos_r in all_path_pairs(8):
         res = PairChecker(pos_l, pos_r, ("envelopes", "hitting_order")).run()
         env, hit = res["envelopes"], res["hitting_order"]
-        assert env.passed == hit.passed, (pos_l, pos_r)
-        if not env.passed:
-            assert env.witness["t"] == hit.witness["t"], (pos_l, pos_r)
+        passed, fail_t, hyp, x = reference_hitting_order(pos_l, pos_r)
+        assert env.passed == hit.passed == passed, (pos_l, pos_r)
+        if passed:
+            assert hit.vacuous == (not hyp), (pos_l, pos_r)
+        else:
+            assert env.witness["t"] == hit.witness["t"] == fail_t, (pos_l, pos_r)
+            assert hit.witness["x"] == x, (pos_l, pos_r)
         count += 1
     assert count == 87381
+
+
+def test_every_order_admitted_pair_passes_every_check_to_length_eight():
+    # A pair is admitted when some systems in the order generate its two
+    # paths: the relation holds on the paths' favourable completions, the
+    # decision of `paths_admit_preceq` (pinned against enumeration in
+    # test_core), here with each path's completions built once.  A blind
+    # spot is a pair no preceq-ordered systems generate that still passes
+    # all seven checks.
+    blind_spots = []
+    for length in range(1, 9):
+        paths_n = list(all_paths(length))
+        completions = []
+        for path in paths_n:
+            forced = consumed_stacks(path)
+            completions.append((ExplicitSystem(forced, LEFT), ExplicitSystem(forced, RIGHT), set(forced)))
+        blind = preceq_count = trileq_count = 0
+        for (pos_l, (sys_l, _, sites_l)), (pos_r, (_, sys_r, sites_r)) in itertools.product(
+            zip(paths_n, completions), repeat=2
+        ):
+            preceq, trileq = (
+                check_relation(sys_l, sys_r, sites_l | sites_r, length, mode).holds
+                for mode in ("preceq", "trileq")
+            )
+            assert preceq or not trileq, (pos_l, pos_r)
+            passes = all(r.passed for r in PairChecker(pos_l, pos_r).run().values())
+            assert passes or not preceq, (pos_l, pos_r)
+            preceq_count += preceq
+            trileq_count += trileq
+            blind += passes and not preceq
+        blind_spots.append(blind)
+    assert (preceq_count, trileq_count) == (24563, 23200)
+    assert blind_spots == [0, 0, 0, 1, 4, 28, 112, 573]
 
 
 @settings(deadline=None, max_examples=300)
