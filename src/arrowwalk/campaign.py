@@ -13,6 +13,7 @@ sorts its keys.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import statistics
@@ -21,7 +22,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import IO, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 from .core import run_walk, zero_right_transform
 from .counterexamples import build_ce1, build_ce2, ce1_milestones, lead_sets
@@ -29,7 +30,6 @@ from .couplings import (
     BlockPartition,
     CookieEnvironment,
     DriftContractError,
-    FieldStream,
     UniformField,
     constant_env,
     cookie_env,
@@ -110,7 +110,7 @@ class CampaignConfig:
             and getattr(self, f.name) != f.default
         ]
         if unread:
-            raise ValueError(f"family {self.family} does not read {', '.join(unread)}")
+            raise UnreadOptionError(self.family, unread)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -119,32 +119,42 @@ class CampaignConfig:
         return 1 if self.family in ("ce1", "ce2") else self.trials
 
     def to_json_obj(self) -> dict:
-        """Configuration as stable JSON.  Execution details (workers,
-        timestamp switch) are excluded: they must not affect the report."""
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "trials_effective": self.effective_trials(),
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "env": self.env.to_json_obj() if self.env else None,
-            "env2": self.env2.to_json_obj() if self.env2 else None,
-            "partition": self.partition.to_json_obj() if self.partition else None,
-            "eta": list(self.eta),
-            "beta": self.beta,
-            "checks": list(self.checks) if self.checks else list(STATEMENT_IDS),
-            "n": self.n,
-            "kmax": self.kmax,
-            "variant": self.variant,
-            "cycles": self.cycles,
-            "collect_returns": self.collect_returns,
+        """Configuration as stable JSON: every field, plus the effective
+        trial count.  Execution details (workers, timestamp switch) are
+        excluded: they must not affect the report."""
+        obj = {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name not in ("workers", "include_timestamp")
         }
+        for name in ("env", "env2", "partition"):
+            if obj[name] is not None:
+                obj[name] = obj[name].to_json_obj()
+        obj["eta"] = list(self.eta)
+        obj["checks"] = list(self.checks or STATEMENT_IDS)
+        obj["trials_effective"] = self.effective_trials()
+        return obj
+
+
+class UnreadOptionError(ValueError):
+    """A family was given a non-default value of options it does not read,
+    named in `options` by their config fields."""
+
+    def __init__(self, family: str, options: Sequence[str]):
+        super().__init__(f"family {family} does not read {', '.join(options)}")
+        self.options = tuple(options)
+
+
+def _site0_uniforms(field: UniformField, stream: object) -> Iterator[float]:
+    """The uniforms of levels 1, 2, ... at site 0 of `stream`, in order.
+    Each block is hashed when its first uniform is read, and only then."""
+    return itertools.chain.from_iterable(
+        map(functools.partial(field.block, stream, 0), itertools.count())
+    )
 
 
 def _uniforms(field: UniformField, stream: tuple, count: int) -> list[float]:
     """The uniforms of levels 1 .. count at site 0 of `stream`."""
-    view = FieldStream(field, stream)
-    return [view.value(0, level) for level in range(1, count + 1)]
+    return list(itertools.islice(_site0_uniforms(field, stream), count))
 
 
 def _random_ordered_envs(field: UniformField, trial: int) -> tuple[CookieEnvironment, CookieEnvironment]:
@@ -459,9 +469,7 @@ def _cookie_walk_stats(
     dflt = env.default
     nd = len(dflt)
     tail = env.tail
-    buf: tuple[float, ...] = ()
-    buf_i = 8
-    block_i = 0
+    uniforms = _site0_uniforms(field, stream)
     returns = 0
     returns_after = 0
     max_pos = 0
@@ -469,12 +477,7 @@ def _cookie_walk_stats(
         if transformed and pos <= 0:
             pos += 1
         else:
-            if buf_i == 8:
-                buf = field.block(stream, 0, block_i)
-                block_i += 1
-                buf_i = 0
-            u = buf[buf_i]
-            buf_i += 1
+            u = next(uniforms)
             k = visits[pos]
             if homogeneous:
                 p = dflt[k - 1] if k <= nd else tail

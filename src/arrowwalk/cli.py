@@ -14,6 +14,7 @@ import click
 from .campaign import (
     FAMILIES,
     CampaignConfig,
+    UnreadOptionError,
     run_campaign,
     speed_and_recurrence_stats,
 )
@@ -312,6 +313,12 @@ def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_
             include_timestamp=not no_timestamp,
         )
         report = run_campaign(config)
+    except UnreadOptionError as err:
+        # Each option as typed: its parameter is the field, or the field's file.
+        flags = {p.name.removesuffix("_path"): p.opts[0] for p in ctx.command.params}
+        raise click.UsageError(
+            f"family {family} does not read {', '.join(flags[o] for o in err.options)}"
+        )
     except ValueError as err:
         raise click.UsageError(str(err))
     _emit(report.to_json(), out)

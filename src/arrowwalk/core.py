@@ -263,16 +263,6 @@ class IdentityReport:
         return None
 
 
-def _consumed_arrow_seqs(positions: Sequence[int], t: int) -> dict[int, list[Arrow]]:
-    """Arrows consumed at each site by the path up to time t, in visit order."""
-    seqs: dict[int, list[Arrow]] = {}
-    for n in range(t):
-        seqs.setdefault(positions[n], []).append(
-            RIGHT if positions[n + 1] > positions[n] else LEFT
-        )
-    return seqs
-
-
 def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityReport:
     """Check the conservation identities tying a path to its occupation table.
 
@@ -291,8 +281,8 @@ def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityRepor
                      = n(x+1, x) + [x >= 0][E_t >= x+1]
 
     used_right and used_left compare against the generating system when the
-    trajectory carries one; otherwise they compare against the arrow
-    sequence forced by the path itself, which degrades them to an internal
+    trajectory carries one; otherwise against the system the path itself
+    forces, whose fill is never read, which degrades them to an internal
     consistency check of the counting.
     """
     if t is None:
@@ -322,12 +312,9 @@ def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityRepor
     if sum(nodes.values()) != t + 1:
         fail("total", (sum(nodes.values()), t + 1))
 
-    if traj.system is not None:
-        arrows_at = None
-        system = traj.system
-    else:
-        arrows_at = _consumed_arrow_seqs(pos, t)
-        system = None
+    system = traj.system
+    if system is None:
+        system = ExplicitSystem(consumed_stacks(pos[: t + 1]), LEFT)
 
     lo = min(nodes) - 1
     hi = max(nodes) + 1
@@ -346,12 +333,7 @@ def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityRepor
 
         consumed = n_x - here
         if consumed:
-            if system is not None:
-                lefts, rights = stack_counts(system, x, consumed)
-            else:
-                seq = arrows_at.get(x, [])[:consumed]
-                lefts = sum(1 for a in seq if a is LEFT)
-                rights = len(seq) - lefts
+            lefts, rights = stack_counts(system, x, consumed)
             if out_right != rights:
                 fail("used_right", (x, out_right, rights))
             if out_left != lefts:
@@ -467,10 +449,14 @@ def consumed_stacks(positions: Sequence[int]) -> dict[int, list[Arrow]]:
 
     Every step of the path consumes one arrow; the prefix at a site is the
     sequence of step directions taken from that site, in visit order.  The
-    final position consumes nothing.
+    final position consumes nothing.  The path is not validated: a step
+    that is not a unit step counts by its sign, Right when the position
+    rises and Left otherwise.
     """
-    validate_path(list(positions))
-    return _consumed_arrow_seqs(positions, len(positions) - 1)
+    stacks: dict[int, list[Arrow]] = {}
+    for here, after in zip(positions, positions[1:]):
+        stacks.setdefault(here, []).append(RIGHT if after > here else LEFT)
+    return stacks
 
 
 def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> RelationResult:
@@ -487,8 +473,11 @@ def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> Relation
     that completion over the touched sites and forced depths decides the
     question exactly: above the forced depths the left side only gains
     Lefts and the right side none.  The witness is the first violating
-    (site, level), sites in increasing order.
+    (site, level), sites in increasing order.  Raises ValueError unless
+    both paths are unit-step paths from 0.
     """
+    validate_path(path_l)
+    validate_path(path_r)
     forced_l = consumed_stacks(path_l)
     forced_r = consumed_stacks(path_r)
     depth = max(map(len, [*forced_l.values(), *forced_r.values()]), default=1)

@@ -28,8 +28,8 @@ from .core import (
     ArrowSystem,
     ExplicitSystem,
     Trajectory,
-    _consumed_arrow_seqs,
     check_keys,
+    consumed_stacks,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -816,17 +816,18 @@ class _ChainState:
             plan = self._plans[plan_key] = self._plan(site, block)
         probs0, path, states, link, glues = plan
         n = len(block)
-        if not path:
-            arrows = tuple(RIGHT if link.value(site, pos + 1) < probs0[pos] else LEFT for pos in range(n))
-            cell = self._cells[key] = (arrows, arrows)
-            return cell
-
-        i0, j0 = path[0]
+        # Levels outside the first swap are drawn independently.
+        paired = path[0] if path else ()
         start = [None] * n
         for pos in range(n):
-            if pos not in (i0, j0):
-                u = link.value(site, pos + 1)
-                start[pos] = RIGHT if u < probs0[pos] else LEFT
+            if pos not in paired:
+                start[pos] = RIGHT if link.value(site, pos + 1) < probs0[pos] else LEFT
+        if not path:
+            start = tuple(start)
+            cell = self._cells[key] = (start, start)
+            return cell
+
+        i0, j0 = paired
         u_pair = link.value(site, n + 1)
         start[i0], start[j0] = pair_swap_block(probs0[i0], probs0[j0], u_pair)
         current = list(start)
@@ -990,7 +991,7 @@ def envelope_walk(
             pos -= 1
         positions.append(pos)
         visits[pos] = visits.get(pos, 0) + 1
-    traj_l.system = ExplicitSystem(_consumed_arrow_seqs(positions, horizon), default_fill=LEFT)
+    traj_l.system = ExplicitSystem(consumed_stacks(positions), LEFT)
     return CoupledPair(
         traj_l, run_walk(eta_sys, horizon), relation_mode="trileq", provenance="envelope"
     )

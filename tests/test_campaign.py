@@ -1,6 +1,7 @@
 """Campaign orchestration: trial construction per family, aggregation,
 report stability, and the directional walk statistics."""
 
+import dataclasses
 import io
 import json
 import os
@@ -99,6 +100,13 @@ def test_config_json_excludes_execution_details():
     assert "include_timestamp" not in obj
     assert obj["checks"] == list(STATEMENT_IDS)
     assert obj["trials_effective"] == 100
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_config_json_echoes_every_field_but_execution_details(family):
+    names = {f.name for f in dataclasses.fields(CampaignConfig)}
+    expected = names - {"workers", "include_timestamp"} | {"trials_effective"}
+    assert set(CampaignConfig(family).to_json_obj()) == expected
 
 
 def test_config_coerces_eta():

@@ -398,7 +398,9 @@ def test_campaign_refuses_options_the_family_does_not_read(runner, files, monkey
     result = runner.invoke(main, ["campaign", "--family", family, "--trials", "1", "--horizon", "10",
                                   *(a.format(**files) for a in args)])
     assert result.exit_code == 2
-    assert f"family {family} does not read {unread}" in result.output
+    # The CLI names each option by its flag, `--N` for the config field `n`.
+    flags = ", ".join("--N" if o == "n" else f"--{o}" for o in unread.split(", "))
+    assert f"family {family} does not read {flags}\n" in result.output
 
 
 # ----------------------------------------------------------------- stats

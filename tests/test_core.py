@@ -224,6 +224,25 @@ def test_identities_flag_corrupted_paths():
     assert not check_identities(jump).passed
 
 
+@pytest.mark.parametrize("path, witnesses", [
+    ([0, 1, 1], {"steps": (2, 0), "arrivals": (1, 2, 1, 0), "departures": (1, 2, 0, 0),
+                 "used_left": (1, 0, 1)}),
+    ([0, 1, 3], {"steps": (2, 2), "arrivals": (3, 1, 0, 0), "departures": (1, 1, 0, 0),
+                 "used_right": (1, 0, 1), "reciprocity": (1, 0, 1)}),
+    ([0, 2, 1, 0], {"steps": (1, 2), "arrivals": (2, 1, 0, 0), "departures": (0, 2, 0, 0),
+                    "used_right": (0, 0, 1), "reciprocity": (0, 0, 1)}),
+    ([0, -1, 1, 2, 0], {"steps": (2, 2), "arrivals": (0, 2, 0, 0), "departures": (-1, 1, 0, 0),
+                        "used_right": (-1, 0, 1), "used_left": (2, 0, 1),
+                        "reciprocity": (-1, 0, 1)}),
+])
+def test_identities_of_pathless_broken_paths(path, witnesses):
+    """Without a system, the used-arrow counts come from the system the
+    path forces; a non-unit step counts by its sign."""
+    report = check_identities(Trajectory(path, {}))
+    assert report.ok == {name: name not in witnesses for name in report.ok}
+    assert report.witnesses == witnesses
+
+
 def test_identities_expose_system_mismatch():
     # a straight-right walk never consumes Left arrows, so pinning the marker
     # system to it breaks the used-arrow identities
@@ -417,6 +436,18 @@ def test_consumed_stacks_orders_departures():
         0: [RIGHT, RIGHT],
         1: [LEFT, RIGHT],
     }
+
+
+def test_consumed_stacks_counts_a_jump_by_its_sign():
+    assert consumed_stacks([0, 1, 3, 2]) == {0: [RIGHT], 1: [RIGHT], 3: [LEFT]}
+
+
+@pytest.mark.parametrize("path_l, path_r", [([0, 2], [0, 1]), ([0, 1], [1, 2])])
+def test_paths_admit_preceq_validates_both_paths(path_l, path_r):
+    with pytest.raises(ValueError, match="path"):
+        paths_admit_preceq(path_l, path_r)
+    with pytest.raises(ValueError, match="path"):
+        paths_admit_preceq(path_r, path_l)
 
 
 def test_paths_admit_preceq_equal_paths():

@@ -53,6 +53,7 @@ from arrowwalk.couplings import (
     swap_path,
 )
 from arrowwalk import couplings
+from arrowwalk.campaign import _site0_uniforms
 from arrowwalk.couplings import _HEAD_CAP, _apply_swap, _glue_pair, _pack
 
 
@@ -154,6 +155,20 @@ def test_field_stream_hashes_each_block_once():
             view.value(4, level)
         view.block(4, 5)
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
+
+
+def test_site0_uniforms_read_the_field_in_order():
+    field = UniformField(3)
+    first = list(itertools.islice(_site0_uniforms(field, ("s", 1)), 20))
+    assert first == [field.value(("s", 1), 0, level) for level in range(1, 21)]
+
+
+def test_site0_uniforms_hash_a_block_when_first_read():
+    field = CountingField(3)
+    uniforms = _site0_uniforms(field, "s")
+    for _ in range(9):
+        next(uniforms)
+    assert field.calls == {("s", 0, 0): 1, ("s", 0, 1): 1}
 
 
 def reference_block(field, stream, site, index):
