@@ -10,6 +10,7 @@ import json
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from .campaign import (
     FAMILIES,
@@ -126,7 +127,8 @@ def verify(ctx, system_path, env_path, env2_path, horizon, seed, checks, out) ->
 
     With --system, runs the walk and scans every bookkeeping identity at
     every time.  With --env and --env2, samples both systems through shared
-    uniforms and runs the statement checks on the coupled walks.
+    uniforms of --seed and runs the statement checks (--checks) on the
+    coupled walks; --system refuses those two options.
     """
     pair_mode = env_path is not None or env2_path is not None
     if pair_mode == (system_path is not None):
@@ -146,6 +148,10 @@ def verify(ctx, system_path, env_path, env2_path, horizon, seed, checks, out) ->
         if not all(r.passed for r in results.values()):
             ctx.exit(1)
     else:
+        given = [f"--{name}" for name in ("seed", "checks")
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"--system does not read {', '.join(given)}")
         system = _load(load_system, system_path, "system")
         traj = run_walk(system, horizon)
         report = scan_identities(traj)
@@ -238,6 +244,8 @@ def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -
     field = UniformField(seed)
     try:
         if mode == "shared":
+            if partition_path is not None:
+                raise click.UsageError("--mode shared does not read --partition")
             pair = shared_pair(env_l, env_r, field, horizon)
         else:
             if partition_path is None:

@@ -591,7 +591,43 @@ def conditional_stack_pmf(probs: Sequence[float], y: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# block-family coupling: shared block totals, shared selector
+# block states, and the block-family coupling: shared totals and selector
+
+
+class _BlockState:
+    """Every side of a partition coupling, one stack per side realized at
+    once per (site, block) by the subclass's `_draw`, from the `_plan` it
+    builds once per (lane, block).  The lane is the site if some
+    environment of the coupling lists it, else the default lane."""
+
+    def __init__(self, envs: Sequence[CookieEnvironment], partition: BlockPartition):
+        self.envs = tuple(envs)
+        self.partition = partition
+        self._listed = set().union(*(env.sites for env in envs))
+        # (site, first level of the block) -> one stack per side
+        self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], ...]] = {}
+        # (lane, block) -> what a draw needs besides the site
+        self._plans: dict[tuple, tuple] = {}
+
+    def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], ...]:
+        key = (site, block[0])
+        cell = self._cells.get(key)
+        if cell is None:
+            plan_key = (site if site in self._listed else None, block)
+            plan = self._plans.get(plan_key)
+            if plan is None:
+                plan = self._plans[plan_key] = self._plan(site, block)
+            cell = self._cells[key] = self._draw(site, plan)
+        return cell
+
+
+class _StateSide(ArrowSystem):
+    """One side of a block state.  Each subclass keeps its own `arrow_at`."""
+
+    def __init__(self, state: _BlockState, side: int):
+        self._state = state
+        self._side = side
+        self._places = state.partition._places
 
 
 def _pick(cums: Sequence[float], u: float) -> int:
@@ -599,78 +635,62 @@ def _pick(cums: Sequence[float], u: float) -> int:
     return min(i, len(cums) - 1)
 
 
-class BlockSampledSystem(ArrowSystem):
-    """Member of a block-coupled family.
+class _FamilyState(_BlockState):
+    """Every member of a block-coupled family, after the base in `envs`.
 
-    Per (site, block), one shared uniform draws the block's Right count
-    from the partition-invariant total distribution, and a second shared
-    uniform selects a stack from this member's conditional distribution
-    through its cumulative weights.  Members reading the same two views
-    (totals and picks) therefore agree on the Right count everywhere and
-    pick comparable stacks whenever their conditional cumulatives dominate.
-
-    Besides its two uniforms, a draw needs only what its block and lane fix
-    (the lane is the site if `env` or `base_env` lists it, else the default
-    lane): that is planned once per (lane, block), from laws built once per
-    block probabilities.
+    Per (site, block), one uniform draws the block's Right count from the
+    base's total distribution, every member's too, and a second selects each
+    member's stack through its conditional cumulative weights: members agree
+    on the count and pick comparable stacks where their cumulatives dominate.
     """
 
     def __init__(
         self,
-        env: CookieEnvironment,
-        base_env: CookieEnvironment,
+        envs: Sequence[CookieEnvironment],
         partition: BlockPartition,
-        totals: FieldStream,
-        picks: FieldStream,
+        field: UniformField,
+        stream: StreamTag,
     ):
-        self.env = env
-        self.base_env = base_env
-        self.partition = partition
-        self.totals = totals
-        self.picks = picks
-        self._places = partition._places
-        self._listed = set(env.sites) | set(base_env.sites)
-        # (site, first level of the block) -> realized stack
-        self._cells: dict[tuple[int, int], tuple[Arrow, ...]] = {}
-        # (lane, block) -> (slot, total cumulative, block probabilities, rows by y)
-        self._plans: dict[tuple, tuple] = {}
-        # (base probabilities, probabilities) -> the same entry less the slot
+        super().__init__(envs, partition)
+        self._totals = FieldStream(field, (stream, "total"))
+        self._picks = FieldStream(field, (stream, "pick"))
+        # the block probabilities of every environment -> the plan less its slot
         self._laws: dict[tuple, tuple] = {}
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
-        probs_base = tuple(self.base_env.prob(site, l) for l in block)
-        probs = tuple(self.env.prob(site, l) for l in block)
-        law = self._laws.get((probs_base, probs))
+        probs = tuple(tuple(env.prob(site, l) for l in block) for env in self.envs)
+        law = self._laws.get(probs)
         if law is None:
-            cum = list(itertools.accumulate(poisson_binomial(probs_base)))
-            law = self._laws[(probs_base, probs)] = (cum, probs, {})
+            cum = list(itertools.accumulate(poisson_binomial(probs[0])))
+            law = self._laws[probs] = (cum, probs[1:], {})
         return (self.partition.block_index(block),) + law
 
-    def _realize(self, site: int, block: tuple[int, ...]) -> tuple[Arrow, ...]:
-        key = (site if site in self._listed else None, block)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(site, block)
+    def _draw(self, site: int, plan: tuple) -> tuple[tuple[Arrow, ...], ...]:
         slot, total_cum, probs, rows = plan
-        y = _pick(total_cum, self.totals.value(site, slot))
+        y = _pick(total_cum, self._totals.value(site, slot))
         row = rows.get(y)
         if row is None:
-            # Built when first drawn, so a zero-mass y raises only then.
-            cum = list(itertools.accumulate(conditional_stack_pmf(probs, y)))
-            row = rows[y] = (stack_chain(len(block), y), cum)
-        chain, cum = row
-        # A chain of one stack leaves nothing to pick: its uniform goes unread.
-        return chain[_pick(cum, self.picks.value(site, slot))] if len(chain) > 1 else chain[0]
+            # Built when first drawn, so a zero-mass y raises only then.  It
+            # has zero mass for every member at once: they permute the base.
+            chain = stack_chain(len(total_cum) - 1, y)
+            cums = [list(itertools.accumulate(conditional_stack_pmf(p, y))) for p in probs]
+            row = rows[y] = (chain, cums)
+        chain, cums = row
+        if len(chain) == 1:
+            # A chain of one stack leaves nothing to pick: its uniform goes unread.
+            return (chain[0],) * len(cums)
+        u = self._picks.value(site, slot)
+        return tuple(chain[_pick(cum, u)] for cum in cums)
+
+
+class BlockSampledSystem(_StateSide):
+    """Member of a block-coupled family: one side of the family's state."""
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         block, pos = self._places.get(level) or ((level,), 0)
-        key = (site, block[0])
-        stack = self._cells.get(key)
-        if stack is None:
-            stack = self._cells[key] = self._realize(site, block)
-        return stack[pos]
+        return self._state.realize(site, block)[self._side][pos]
 
 
 def couple_block_family(
@@ -696,9 +716,8 @@ def couple_block_family(
         report = env_order(base_env, env, partition)
         if not report.is_block_permutation:
             raise ValueError(f"environment is not a block permutation of the base: {report.witness}")
-    totals = FieldStream(field, (stream, "total"))
-    picks = FieldStream(field, (stream, "pick"))
-    return [BlockSampledSystem(env, base_env, partition, totals, picks) for env in envs]
+    state = _FamilyState((base_env, *envs), partition, field, stream)
+    return [BlockSampledSystem(state, side) for side in range(len(envs))]
 
 
 # ---------------------------------------------------------------------------
@@ -763,35 +782,25 @@ def _glue_pair(p: float, q: float, observed: tuple, v: float) -> tuple:
     return segs[-1][2]
 
 
-class _ChainState:
-    """Shared lazily realized arrows for both ends of a swap chain.  Each
-    block is planned once per (lane, block), the lane being the site if
-    `env` or `env2` lists it, else the default lane."""
+class _ChainState(_BlockState):
+    """Both ends of a swap chain, one side per environment of `envs`.
+    Cells above the partition are drawn shared, one level at a time."""
 
     def __init__(
         self,
-        env: CookieEnvironment,
-        env2: CookieEnvironment,
+        envs: Sequence[CookieEnvironment],
         partition: BlockPartition,
         field: UniformField,
         stream: StreamTag,
     ):
-        self.env = env
-        self.env2 = env2
-        self.partition = partition
+        super().__init__(envs, partition)
         self.field = field
         self.stream = stream
-        self._listed = set(env.sites) | set(env2.sites)
-        # (site, first level of the block) -> (env stack, env2 stack)
-        self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], tuple[Arrow, ...]]] = {}
-        # (lane, block) -> (probs0, swap path, states along it, link view, glue views)
-        self._plans: dict[tuple, tuple] = {}
         self._cell_view = FieldStream(field, (stream, "cell"))
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         slot = self.partition.block_index(block)
-        probs0 = tuple(self.env.prob(site, l) for l in block)
-        probs1 = tuple(self.env2.prob(site, l) for l in block)
+        probs0, probs1 = (tuple(env.prob(site, l) for l in block) for env in self.envs)
         path = swap_path(probs0, probs1)
         if path is None:
             raise ValueError(
@@ -805,17 +814,9 @@ class _ChainState:
         glues = [FieldStream(self.field, (self.stream, "glue", slot, m)) for m in range(1, len(path))]
         return probs0, path, states, link, glues
 
-    def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], tuple[Arrow, ...]]:
-        key = (site, block[0])
-        cell = self._cells.get(key)
-        if cell is not None:
-            return cell
-        plan_key = (site if site in self._listed else None, block)
-        plan = self._plans.get(plan_key)
-        if plan is None:
-            plan = self._plans[plan_key] = self._plan(site, block)
+    def _draw(self, site: int, plan: tuple) -> tuple[tuple[Arrow, ...], tuple[Arrow, ...]]:
         probs0, path, states, link, glues = plan
-        n = len(block)
+        n = len(probs0)
         # Levels outside the first swap are drawn independently.
         paired = path[0] if path else ()
         start = [None] * n
@@ -824,8 +825,7 @@ class _ChainState:
                 start[pos] = RIGHT if link.value(site, pos + 1) < probs0[pos] else LEFT
         if not path:
             start = tuple(start)
-            cell = self._cells[key] = (start, start)
-            return cell
+            return (start, start)
 
         i0, j0 = paired
         u_pair = link.value(site, n + 1)
@@ -839,21 +839,18 @@ class _ChainState:
             v = glues[m - 1].value(site, 1)
             current[i], current[j] = _glue_pair(p, q, (current[i], current[j]), v)
 
-        cell = self._cells[key] = (tuple(start), tuple(current))
-        return cell
+        return (tuple(start), tuple(current))
 
     def shared_cell(self, site: int, level: int) -> Arrow:
         u = self._cell_view.value(site, level)
-        return RIGHT if u < self.env.prob(site, level) else LEFT
+        return RIGHT if u < self.envs[0].prob(site, level) else LEFT
 
 
-class ChainEndSystem(ArrowSystem):
-    """One end of a chained pair-swap coupling."""
+class ChainEndSystem(_StateSide):
+    """One end of a chained pair-swap coupling: a side of the chain's state."""
 
     def __init__(self, state: _ChainState, side: int):
-        self._state = state
-        self._side = side
-        self._places = state.partition._places
+        super().__init__(state, side)
         self._depth = state.partition.depth()
 
     def arrow_at(self, site: int, level: int) -> Arrow:
@@ -892,7 +889,7 @@ def couple_swap_chain(
     report = env_order(env, env2, partition)
     if not report.swap_reachable:
         raise ValueError(f"env2 is not favourable-swap reachable from env: {report.witness}")
-    state = _ChainState(env, env2, partition, field, stream)
+    state = _ChainState((env, env2), partition, field, stream)
     return make_pair(
         ChainEndSystem(state, 0),
         ChainEndSystem(state, 1),
@@ -907,12 +904,13 @@ def couple_swap_chain(
 
 
 class DriftContractError(RuntimeError):
-    """An adaptive drift law exceeded its declared envelope."""
+    """An adaptive drift law returned a value outside [0, its declared
+    envelope]: above the bound, below 0, or NaN."""
 
     def __init__(self, time: int, site: int, level: int, value: float, bound: float):
         super().__init__(
             f"drift law returned {value} at time {time} (site {site}, "
-            f"visit {level}), exceeding the bound {bound}"
+            f"visit {level}), outside the range [0, {bound}]"
         )
         self.time = time
         self.site = site
@@ -955,12 +953,13 @@ def envelope_walk(
 
     At each step the drift law gets the adaptive `Trajectory` so far (its
     last position is the current site) and the visit number k, and must
-    return a Right probability no greater than the envelope's threshold
-    `EtaSystem.threshold(k)`; violations raise DriftContractError with the
-    offending (time, visit, value).  Both walks turn the same uniform
-    U(x, k) into a step with the same `<=` rule, so every Right the
-    adaptive walk consumes is matched by a Right in the envelope system at
-    the same cell; that containment is asserted on every step.
+    return a Right probability in [0, eta_k], eta_k being the envelope's
+    threshold `EtaSystem.threshold(k)`; any other value (NaN included)
+    raises DriftContractError with the offending (time, visit, value).
+    Both walks turn the same uniform U(x, k) into a step with the same
+    `<=` rule, so every Right the adaptive walk consumes is matched by a
+    Right in the envelope system at the same cell; that containment is
+    asserted on every step.
 
     Returns the pair (adaptive walk, envelope walk) in the "trileq"
     relation.  The adaptive trajectory carries an explicit system holding
@@ -979,7 +978,7 @@ def envelope_walk(
         k = visits[pos]
         p = float(drift_law(traj_l, k))
         bound = threshold(k)
-        if p > bound:
+        if not 0.0 <= p <= bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
         if uniform(pos, k) <= p:
             if eta_sys.arrow_at(pos, k) is not RIGHT:
@@ -1014,9 +1013,9 @@ def classify_alpha(alpha: float) -> list[str]:
 
 def orrw_drift_law(beta: float) -> Callable[[Trajectory, int], float]:
     """Once-reinforced drift: full symmetry once the right neighbour has
-    been visited, otherwise a right bias dampened by beta >= 0."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    been visited, otherwise a right bias dampened by a finite beta >= 0."""
+    if not 0.0 <= beta < float("inf"):
+        raise ValueError(f"beta must be a finite number >= 0, got {beta}")
     p_fresh = 1.0 / (2.0 + beta)
 
     def law(traj: Trajectory, k: int) -> float:

@@ -137,6 +137,17 @@ def test_verify_mode_flags(runner, files):
     assert half.exit_code == 2
 
 
+@pytest.mark.parametrize("args, flags", [
+    (["--checks", "bogus"], "--checks"),
+    (["--seed", "0"], "--seed"),
+    (["--seed", "5", "--checks", "envelopes"], "--seed, --checks"),
+])
+def test_verify_system_mode_refuses_the_pair_mode_options(runner, files, args, flags):
+    result = runner.invoke(main, ["verify", "--system", files["sys_ce1l"], "--horizon", "20", *args])
+    assert result.exit_code == 2
+    assert f"--system does not read {flags}\n" in result.output
+
+
 def test_verify_rejects_unordered_pair(runner, files):
     result = runner.invoke(main, ["verify", "--env", files["env_hi"], "--env2", files["env_lo"]])
     assert result.exit_code == 2
@@ -277,6 +288,16 @@ def test_couple_needs_partition(runner, files):
     assert "--partition" in result.output
 
 
+def test_couple_shared_refuses_a_partition(runner, files):
+    result = runner.invoke(
+        main,
+        ["couple", "--env", files["env_lo"], "--env2", files["env_hi"],
+         "--partition", files["part"], "--horizon", "50"],
+    )
+    assert result.exit_code == 2
+    assert "--mode shared does not read --partition" in result.output
+
+
 def test_couple_rejects_unreachable_chain(runner, files):
     result = runner.invoke(
         main,
@@ -401,6 +422,14 @@ def test_campaign_refuses_options_the_family_does_not_read(runner, files, monkey
     # The CLI names each option by its flag, `--N` for the config field `n`.
     flags = ", ".join("--N" if o == "n" else f"--{o}" for o in unread.split(", "))
     assert f"family {family} does not read {flags}\n" in result.output
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_campaign_envelope_refuses_a_beta_out_of_range(runner, beta):
+    result = runner.invoke(main, ["campaign", "--family", "envelope", "--beta", beta,
+                                  "--trials", "1", "--horizon", "20", "--no-timestamp"])
+    assert result.exit_code == 2
+    assert "beta must be a finite number >= 0" in result.output
 
 
 # ----------------------------------------------------------------- stats

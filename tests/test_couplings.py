@@ -723,6 +723,27 @@ def test_block_family_singleton_partition():
         assert stack_at(members[0], site, 4) == stack_at(members[1], site, 4)
 
 
+def test_block_family_draws_each_cell_once_for_all_members(monkeypatch):
+    reads = Counter()
+    value = FieldStream.value
+
+    def counted(self, site, level):
+        reads[(self.stream, site, level)] += 1
+        return value(self, site, level)
+
+    monkeypatch.setattr(FieldStream, "value", counted)
+    part = BlockPartition(((1, 2, 3),))
+    base = cookie_env((0.2, 0.5, 0.7))
+    members = couple_block_family(base, part, [base, cookie_env((0.7, 0.5, 0.2))], UniformField(9), "once")
+    for site in range(-20, 21):
+        for level in range(1, 7):
+            for member in members:
+                member.arrow_at(site, level)
+    # Both streams are read, and the picks only where a chain has a choice.
+    assert {stream for stream, _, _ in reads} == {("once", "total"), ("once", "pick")}
+    assert set(reads.values()) == {1}
+
+
 def test_block_family_rejects_non_permutation():
     with pytest.raises(ValueError, match="block permutation"):
         couple_block_family(
@@ -1028,15 +1049,15 @@ def test_envelope_walk_adaptive_lane_bookkeeping():
 
 
 def test_envelope_walk_contract_violation():
-    def law(view, k):
-        return 0.95
-
-    with pytest.raises(DriftContractError) as exc:
-        envelope_walk(law, (0.9,), UniformField(0), 10)
-    err = exc.value
-    assert (err.time, err.site, err.level) == (0, 0, 1)
-    assert err.value == 0.95
-    assert err.bound == 0.9
+    # Above the bound, below 0, and NaN (every comparison with it is false)
+    # are all outside [0, eta_k].
+    for value in (0.95, -3.0, float("nan")):
+        with pytest.raises(DriftContractError, match=r"outside the range \[0, 0.9\]") as exc:
+            envelope_walk(lambda traj, k: value, (0.9,), UniformField(0), 50)
+        err = exc.value
+        assert (err.time, err.site, err.level) == (0, 0, 1)
+        assert err.value == pytest.approx(value, nan_ok=True)
+        assert err.bound == 0.9
 
 
 def test_envelope_walk_drift_law_sees_the_growing_trajectory():
@@ -1096,6 +1117,7 @@ def test_orrw_drift_law_values():
     assert law(fresh, 1) == pytest.approx(1.0 / 3.0)
     seen = Trajectory([0, 1, 0], {0: 2, 1: 1})
     assert law(seen, 2) == 0.5
-    with pytest.raises(ValueError, match="beta"):
-        orrw_drift_law(-0.5)
+    for beta in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be a finite number >= 0"):
+            orrw_drift_law(beta)
 

@@ -21,25 +21,47 @@ def load_spans():
     return module
 
 
+# Exact counts of one traced campaign per family at the config below, as
+# (field.block_calls, systems.arrow_queries, walk.steps, checker.pair_steps);
+# field.value_calls is 0 for every family.  A change to these counts is a
+# change to what the library computes, so a refactor must keep them.
+EXACT = {
+    "shared-uniform": (64, 224, 240, 60),
+    "block-family": (33, 234, 240, 60),
+    "swap-chain": (82, 232, 240, 60),
+    "envelope": (44, 147, 240, 60),
+    "independent-control": (38, 228, 240, 60),
+    "ce1": (0, 0, 240, 60),
+    "ce2": (0, 0, 0, 28),
+}
+
+
 def test_tracer_hooks_every_family():
-    configs = [CampaignConfig(family, trials=1, horizon=60, seed=3,
-                              include_timestamp=False,
-                              **({"kmax": 3} if family == "ce1" else {}))
-               for family in FAMILIES]
-    want = [campaign.run_campaign(config).to_json() for config in configs]
+    spans = load_spans()
+    assert set(EXACT) == set(FAMILIES)
     block, value = UniformField.block, UniformField.value
-    tracer = load_spans().Tracer()
-    try:
-        tracer.install()
-        # Looked up on the module, as the bench does, so the wrapper runs.
-        got = [campaign.run_campaign(config).to_json() for config in configs]
-    finally:
-        tracer.uninstall()
-    assert UniformField.block is block and UniformField.value is value
-    assert got == want
-    metrics = tracer.metrics(traced_wall_s=1.0, overhead_frac=0.0)
-    assert metrics["campaign.trial_samples"][0] == len(FAMILIES)
-    assert metrics["field.block_calls"][0] > 0
-    assert metrics["field.value_calls"][0] == 0
-    assert metrics["systems.arrow_queries"][0] > 0
-    assert metrics["checker.pair_steps"][0] > 0
+    for family in FAMILIES:
+        config = CampaignConfig(family, trials=1, horizon=60, seed=3,
+                                include_timestamp=False,
+                                **({"kmax": 3} if family == "ce1" else {}))
+        want = campaign.run_campaign(config).to_json()
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            # Looked up on the module, as the bench does, so the wrapper runs.
+            got = campaign.run_campaign(config).to_json()
+        finally:
+            tracer.uninstall()
+        assert UniformField.block is block and UniformField.value is value
+        assert got == want, family
+        metrics = tracer.metrics(traced_wall_s=1.0, overhead_frac=0.0)
+        assert metrics["campaign.trial_samples"][0] == 1, family
+        counts = {name: metrics[name][0] for name in spans.EXACT_COUNTS}
+        blocks, queries, steps, pair_steps = EXACT[family]
+        assert counts == {
+            "field.block_calls": blocks,
+            "field.value_calls": 0,
+            "walk.steps": steps,
+            "checker.pair_steps": pair_steps,
+            "systems.arrow_queries": queries,
+        }, family
