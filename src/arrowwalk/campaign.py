@@ -22,7 +22,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 from .core import run_walk, zero_right_transform
 from .counterexamples import build_ce1, build_ce2, ce1_milestones, lead_sets
@@ -144,17 +144,9 @@ class UnreadOptionError(ValueError):
         self.options = tuple(options)
 
 
-def _site0_uniforms(field: UniformField, stream: object) -> Iterator[float]:
-    """The uniforms of levels 1, 2, ... at site 0 of `stream`, in order.
-    Each block is hashed when its first uniform is read, and only then."""
-    return itertools.chain.from_iterable(
-        map(functools.partial(field.block, stream, 0), itertools.count())
-    )
-
-
 def _uniforms(field: UniformField, stream: tuple, count: int) -> list[float]:
     """The uniforms of levels 1 .. count at site 0 of `stream`."""
-    return list(itertools.islice(_site0_uniforms(field, stream), count))
+    return list(itertools.islice(field.uniforms(stream, 0), count))
 
 
 def _random_ordered_envs(field: UniformField, trial: int) -> tuple[CookieEnvironment, CookieEnvironment]:
@@ -463,13 +455,17 @@ def _cookie_walk_stats(
     just skips the per-site bookkeeping and runs much faster.
     """
     pos = 0
-    visits = {0: 1}
+    # Visit counts by position.  The raw walk stays in [-horizon, horizon]
+    # and a negative position indexes from the end of the list; the
+    # transformed walk never goes below 0.
+    visits = [0] * (horizon + 1 if transformed else 2 * horizon + 1)
+    visits[0] = 1
     prob = env.prob
     homogeneous = not env.sites
     dflt = env.default
     nd = len(dflt)
     tail = env.tail
-    uniforms = _site0_uniforms(field, stream)
+    uniforms = field.uniforms(stream, 0)
     returns = 0
     returns_after = 0
     max_pos = 0
@@ -487,7 +483,7 @@ def _cookie_walk_stats(
                 pos += 1
             else:
                 pos -= 1
-        visits[pos] = visits.get(pos, 0) + 1
+        visits[pos] += 1
         if pos > max_pos:
             max_pos = pos
         if pos == 0:

@@ -12,6 +12,7 @@ stack order between the sampled systems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import struct
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from hashlib import blake2b
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     LEFT,
@@ -43,6 +44,10 @@ _PACK_LIMIT = 0xFFFF
 # Keyed hashers kept per field; at this many the memo starts over.  Each
 # holds about 450 bytes of hash state.
 _HEAD_CAP = 1024
+# Ints whose `_pack` bytes are kept in a table: sites within +-4096 and the
+# block indexes of a walk of up to 100,000 steps at one site.
+_INT_LO = -4096
+_INT_HI = 12_500
 
 
 def _pack(obj: StreamTag) -> bytes:
@@ -66,6 +71,22 @@ def _pack(obj: StreamTag) -> bytes:
     raise TypeError(f"stream tokens must be ints, strings, or tuples, got {type(obj)!r}")
 
 
+@functools.cache
+def _packed_ints() -> tuple[bytes, ...]:
+    """`_pack(x)` for x in [_INT_LO, _INT_HI], at position x - _INT_LO.
+    Built on first use, not at import: about 0.7 MB, in about 10 ms."""
+    return tuple(map(_pack, range(_INT_LO, _INT_HI + 1)))
+
+
+def _decode(digest: bytes) -> tuple[float, ...]:
+    """The eight 53-bit uniforms of a 64-byte digest."""
+    a, b, c, d, e, f, g, k = _UNPACK_8Q(digest)
+    s = _U64_SCALE
+    # Written out: a generator over the eight words costs twice as much.
+    return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
+            (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
+
+
 class UniformField:
     """Pure map (stream, site, level) -> uniform in [0, 1), keyed by a seed.
 
@@ -77,16 +98,18 @@ class UniformField:
     The digest of block (stream, site, index) is that of the message
     `_pack((stream, site, index))`.  Its stream part is the same on every
     call, so it is absorbed once into a keyed hasher that each call copies
-    (counter-based generation in the style of Salmon et al., SC'11).
+    (counter-based generation in the style of Salmon et al., SC'11).  Small
+    sites and indexes take their packed bytes from a shared table.
     """
 
-    __slots__ = ("seed", "_key", "_heads")
+    __slots__ = ("seed", "_key", "_heads", "_packed")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._key = blake2b(_pack(self.seed), digest_size=32).digest()
         # stream tag -> (the tag object cached, hasher holding its prefix)
         self._heads: dict = {}
+        self._packed = _packed_ints()
 
     def _head(self, stream: StreamTag):
         """Keyed hasher that has absorbed the stream's share of the message:
@@ -110,13 +133,35 @@ class UniformField:
             if len(heads) >= _HEAD_CAP:
                 heads.clear()
             heads[stream] = (stream, head)
+        packed = self._packed
+        try:
+            msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
+                packed[index - _INT_LO] if _INT_LO <= index <= _INT_HI else _pack(index))
+        except TypeError:  # not an int: `_pack` packs it or rejects it
+            msg = _pack(site) + _pack(index)
         h = head.copy()
-        h.update(_pack(site) + _pack(index))
-        a, b, c, d, e, f, g, k = _UNPACK_8Q(h.digest())
-        s = _U64_SCALE
-        # Written out: a generator over the eight words costs twice as much.
-        return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
-                (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
+        h.update(msg)
+        return _decode(h.digest())
+
+    def uniforms(self, stream: StreamTag, site: int) -> Iterator[float]:
+        """The uniforms of levels 1, 2, ... at `site` of `stream`, in order:
+        `block(stream, site, 0)`, then block 1, and so on.  One hasher
+        absorbs the stream and the site once; each block copies it, adds
+        its index, and is hashed when its first uniform is read."""
+        head = self._head(stream)
+        head.update(_pack(site))
+        copy = head.copy
+
+        def block_of(packed_index: bytes) -> tuple[float, ...]:
+            h = copy()
+            h.update(packed_index)
+            return _decode(h.digest())
+
+        indexes = itertools.chain(
+            itertools.islice(self._packed, -_INT_LO, None),
+            map(_pack, itertools.count(_INT_HI + 1)),
+        )
+        return itertools.chain.from_iterable(map(block_of, indexes))
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
         """One uniform, hashed afresh: the reference that `FieldStream`

@@ -368,6 +368,16 @@ def test_stats_sure_cookies_exact():
     assert stats["returns_histogram"] == {0: 3}
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 51])
+def test_stats_sure_left_cookies_reach_the_far_end(horizon):
+    # The raw walk ends at -horizon, the farthest left visit count it
+    # keeps; the transformed walk bounces between 0 and 1.
+    stats = speed_and_recurrence_stats(constant_env(0.0), trials=2, horizon=horizon)
+    assert stats["speed"]["min"] == stats["speed"]["max"] == -1.0
+    assert stats["max_ratio"]["max"] == 0.0
+    assert stats["returns"]["min"] == stats["returns"]["max"] == horizon // 2
+
+
 def test_stats_symmetric_env_centred():
     stats = speed_and_recurrence_stats(constant_env(0.5), trials=50, horizon=2000, seed=3)
     # raw endpoint speed of a symmetric walk: 3 standard errors around zero

@@ -11,7 +11,7 @@ from collections import Counter
 from hashlib import blake2b
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -53,8 +53,7 @@ from arrowwalk.couplings import (
     swap_path,
 )
 from arrowwalk import couplings
-from arrowwalk.campaign import _site0_uniforms
-from arrowwalk.couplings import _HEAD_CAP, _apply_swap, _glue_pair, _pack
+from arrowwalk.couplings import _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _pack
 
 
 class CountingField(UniformField):
@@ -157,18 +156,23 @@ def test_field_stream_hashes_each_block_once():
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
 
 
-def test_site0_uniforms_read_the_field_in_order():
+def test_field_uniforms_read_the_field_in_order():
     field = UniformField(3)
-    first = list(itertools.islice(_site0_uniforms(field, ("s", 1)), 20))
+    first = list(itertools.islice(field.uniforms(("s", 1), 0), 20))
     assert first == [field.value(("s", 1), 0, level) for level in range(1, 21)]
 
 
-def test_site0_uniforms_hash_a_block_when_first_read():
-    field = CountingField(3)
-    uniforms = _site0_uniforms(field, "s")
-    for _ in range(9):
+def test_field_uniforms_hash_a_block_when_first_read(monkeypatch):
+    decoded = []
+    decode = couplings._decode
+    monkeypatch.setattr(couplings, "_decode", lambda digest: decoded.append(digest) or decode(digest))
+    uniforms = UniformField(3).uniforms("s", 0)
+    assert decoded == []
+    for _ in range(8):
         next(uniforms)
-    assert field.calls == {("s", 0, 0): 1, ("s", 0, 1): 1}
+    assert len(decoded) == 1
+    next(uniforms)
+    assert len(decoded) == 2
 
 
 def reference_block(field, stream, site, index):
@@ -184,12 +188,20 @@ stream_tags = st.recursive(
 )
 
 
+# The ends of the packed-int table and the ints just outside it.
+TABLE_EDGES = [_INT_LO - 1, _INT_LO, _INT_HI, _INT_HI + 1, 2**40, -(2**40), 0]
+
+
 @given(
     seed=st.integers(-(2**70), 2**70),
     tags=st.lists(stream_tags, min_size=1, max_size=4),
     sites=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=3),
     index=st.integers(0, 2**64),
 )
+@example(seed=0, tags=["s"], sites=TABLE_EDGES, index=_INT_HI)
+@example(seed=1, tags=[("t", 2)], sites=TABLE_EDGES, index=_INT_HI + 1)
+@example(seed=2, tags=["s"], sites=TABLE_EDGES, index=_INT_LO)
+@example(seed=3, tags=["s"], sites=TABLE_EDGES, index=_INT_LO - 1)
 @settings(max_examples=150, deadline=None)
 def test_field_block_matches_reference(seed, tags, sites, index):
     field = UniformField(seed)
@@ -197,6 +209,39 @@ def test_field_block_matches_reference(seed, tags, sites, index):
         for tag in tags:
             for site in sites:
                 assert field.block(tag, site, index) == reference_block(field, tag, site, index)
+
+
+@pytest.mark.parametrize("site", TABLE_EDGES)
+def test_field_uniforms_match_reference(site):
+    field = UniformField(6)
+    first = list(itertools.islice(field.uniforms(("u", site), site), 24))
+    want = [u for q in range(3) for u in reference_block(field, ("u", site), site, q)]
+    assert first == want
+
+
+def test_field_uniforms_read_past_the_table():
+    field = UniformField(7)
+    count = 8 * (_INT_HI + 4)  # about 100k uniforms, through block _INT_HI + 3
+    got = list(itertools.islice(field.uniforms("long", 0), count))
+    assert got == [u for q in range(_INT_HI + 4) for u in field.block("long", 0, q)]
+    for q in (_INT_HI - 1, _INT_HI, _INT_HI + 1, _INT_HI + 3):
+        assert tuple(got[8 * q:8 * q + 8]) == reference_block(field, "long", 0, q)
+
+
+@pytest.mark.parametrize("site", [1.0, -2.5, float(_INT_HI + 1)])
+def test_field_rejects_float_sites(site):
+    field = UniformField(0)
+    with pytest.raises(TypeError):
+        field.block("s", site, 0)
+    with pytest.raises(TypeError):
+        field.uniforms("s", site)
+
+
+def test_field_string_sites_pack_as_the_reference():
+    # `_pack` encodes strings, so a string site is a token like any other.
+    field = UniformField(0)
+    assert field.block("s", "a", 0) == reference_block(field, "s", "a", 0)
+    assert tuple(itertools.islice(field.uniforms("s", "a"), 8)) == reference_block(field, "s", "a", 0)
 
 
 def test_field_rejects_float_tag_after_equal_int_tag():

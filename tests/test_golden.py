@@ -1,6 +1,6 @@
 """Golden digests of byte-stable reports.
 
-Every campaign family at a small size, and one stats payload, pinned by the
+Every campaign family at a small size, and two stats payloads, pinned by the
 SHA-256 of its serialized form.  A change to any realization, aggregation or
 serialization shows up here as a digest mismatch, so a refactor or speedup
 that passes this file has left every report unchanged.
@@ -11,7 +11,14 @@ import json
 
 import pytest
 
-from arrowwalk import FAMILIES, CampaignConfig, cookie_env, run_campaign, speed_and_recurrence_stats
+from arrowwalk import (
+    FAMILIES,
+    CampaignConfig,
+    CookieEnvironment,
+    cookie_env,
+    run_campaign,
+    speed_and_recurrence_stats,
+)
 
 CAMPAIGN_DIGESTS = {
     "shared-uniform": "b01f506c7e480b497552d528831698805d7d9816514e1bbe3a11261f2798e72f",
@@ -24,6 +31,10 @@ CAMPAIGN_DIGESTS = {
 }
 
 STATS_DIGEST = "a99080e940628e43e9a588d4d90ed46b56543930d8fc99b154bdb576bb4af210"
+
+# Listed sites on both sides of the origin, a default and a tail: the stats
+# walk reads `env.prob` per step here, not the homogeneous shortcut.
+LISTED_STATS_DIGEST = "59806fcee25f98d8f12a9750a6ddc82da987d8e1fc3e15ee4d197361292f97ed"
 
 
 def sha256(text: str) -> str:
@@ -43,3 +54,9 @@ def test_campaign_report_digest(family):
 def test_stats_payload_digest():
     payload = speed_and_recurrence_stats(cookie_env((0.9, 0.9)), trials=3, horizon=2000, seed=7, after=100)
     assert sha256(json.dumps(payload, sort_keys=True, indent=2) + "\n") == STATS_DIGEST
+
+
+def test_listed_site_stats_payload_digest():
+    env = CookieEnvironment({-3: (0.2, 0.9), 5: (0.1,)}, (0.55,), 0.5)
+    payload = speed_and_recurrence_stats(env, trials=2, horizon=3000, seed=7, after=100)
+    assert sha256(json.dumps(payload, sort_keys=True, indent=2) + "\n") == LISTED_STATS_DIGEST
