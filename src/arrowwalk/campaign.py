@@ -31,6 +31,7 @@ from .couplings import (
     CookieEnvironment,
     DriftContractError,
     UniformField,
+    _limit,
     constant_env,
     cookie_env,
     couple_block_family,
@@ -438,21 +439,34 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 # directional statistics for transformed walks
 
 
+def _word_limits(env: CookieEnvironment) -> tuple[dict, tuple[int, ...], int]:
+    """`env` with each probability p replaced by its word limit `_limit(p)`:
+    (listed sites, default, tail)."""
+    return (
+        {site: tuple(map(_limit, lst)) for site, lst in env.sites.items()},
+        tuple(map(_limit, env.default)),
+        _limit(env.tail),
+    )
+
+
 def _cookie_walk_stats(
-    env: CookieEnvironment,
+    limits: tuple[dict, tuple[int, ...], int],
     field: UniformField,
     stream: object,
     horizon: int,
     after: int,
     transformed: bool,
 ) -> dict:
-    """One walk of a system sampled from `env`, driven by sequential uniforms.
-    With `transformed` set, steps from the origin and below are forced Right,
-    as under the zero-right transform.
+    """One walk of a system sampled from the environment whose word limits
+    are `limits` (see `_word_limits`), driven by sequential words.  With
+    `transformed` set, steps from the origin and below are forced Right, as
+    under the zero-right transform.
 
     Each cell is consumed at most once, so feeding fresh uniforms in step
     order draws from the same law as sampling the system cell by cell; it
-    just skips the per-site bookkeeping and runs much faster.
+    just skips the per-site bookkeeping and runs much faster.  A step goes
+    Right when its word is below the cell's limit, which is exactly when
+    its uniform is below the cell's probability.
     """
     pos = 0
     # Visit counts by position.  The raw walk stays in [-horizon, horizon]
@@ -460,12 +474,10 @@ def _cookie_walk_stats(
     # transformed walk never goes below 0.
     visits = [0] * (horizon + 1 if transformed else 2 * horizon + 1)
     visits[0] = 1
-    prob = env.prob
-    homogeneous = not env.sites
-    dflt = env.default
+    sites, dflt, tail = limits
+    homogeneous = not sites
     nd = len(dflt)
-    tail = env.tail
-    uniforms = field.uniforms(stream, 0)
+    words = field.words(stream, 0)
     returns = 0
     returns_after = 0
     max_pos = 0
@@ -473,13 +485,14 @@ def _cookie_walk_stats(
         if transformed and pos <= 0:
             pos += 1
         else:
-            u = next(uniforms)
+            a = next(words)
             k = visits[pos]
             if homogeneous:
-                p = dflt[k - 1] if k <= nd else tail
-            else:
-                p = prob(pos, k)
-            if u < p:
+                limit = dflt[k - 1] if k <= nd else tail
+            else:  # as `env.prob`: the site's list or the default, then the tail
+                lst = sites.get(pos, dflt)
+                limit = lst[k - 1] if k <= len(lst) else tail
+            if a < limit:
                 pos += 1
             else:
                 pos -= 1
@@ -516,12 +529,13 @@ def speed_and_recurrence_stats(
     if not 0 <= after <= horizon:
         raise ValueError(f"after must be in [0, {horizon}], got {after}")
     field = UniformField(seed)
+    limits = _word_limits(env)
     raw = [
-        _cookie_walk_stats(env, field, ("stats", i, "raw"), horizon, after, False)
+        _cookie_walk_stats(limits, field, ("stats", i, "raw"), horizon, after, False)
         for i in range(trials)
     ]
     plus = [
-        _cookie_walk_stats(env, field, ("stats", i, "plus"), horizon, after, True)
+        _cookie_walk_stats(limits, field, ("stats", i, "plus"), horizon, after, True)
         for i in range(trials)
     ]
     histogram = Counter(r["returns"] for r in plus)

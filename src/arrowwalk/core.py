@@ -13,6 +13,7 @@ import csv
 import enum
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 
@@ -469,25 +470,26 @@ def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> Relation
     Each path pins exactly the arrows it consumed; all higher levels are
     free.  Filling the left system's free levels with Left and the right
     system's with Right is the most favourable completion, and the
-    prefix-count comparison decomposes site by site, so `check_relation` on
-    that completion over the touched sites and forced depths decides the
-    question exactly: above the forced depths the left side only gains
-    Lefts and the right side none.  The witness is the first violating
-    (site, level), sites in increasing order.  Raises ValueError unless
-    both paths are unit-step paths from 0.
+    prefix-count comparison decomposes site by site, so comparing that
+    completion's prefix counts decides the question exactly.  At a site
+    only up to the larger of its two forced depths: above it the left side
+    only gains Lefts and the right side none.  So a site forced on one
+    side only never fails.  The witness is the first violating (site,
+    level), sites in increasing order, as `check_relation` on the two
+    completions would give.  Raises ValueError unless both paths are
+    unit-step paths from 0.
     """
     validate_path(path_l)
     validate_path(path_r)
     forced_l = consumed_stacks(path_l)
     forced_r = consumed_stacks(path_r)
-    depth = max(map(len, [*forced_l.values(), *forced_r.values()]), default=1)
-    return check_relation(
-        ExplicitSystem(forced_l, LEFT),
-        ExplicitSystem(forced_r, RIGHT),
-        sorted(forced_l.keys() | forced_r.keys()),
-        depth,
-        "preceq",
-    )
+    for site in sorted(forced_l.keys() & forced_r.keys()):
+        lead = 0  # Lefts of the left completion minus those of the right one
+        for level, (a_l, a_r) in enumerate(zip_longest(forced_l[site], forced_r[site]), 1):
+            lead += (a_l is not RIGHT) - (a_r is LEFT)  # a free level is None
+            if lead < 0:
+                return RelationResult(False, "preceq", (site, level))
+    return RelationResult(True, "preceq")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import struct
 from bisect import bisect_left
 from collections import deque
@@ -71,11 +72,31 @@ def _pack(obj: StreamTag) -> bytes:
     raise TypeError(f"stream tokens must be ints, strings, or tuples, got {type(obj)!r}")
 
 
+def _check_site(site: object) -> None:
+    """Sites are ints; `_pack` would encode a string or tuple as well."""
+    if not isinstance(site, int):
+        raise TypeError(f"sites must be ints, got {type(site)!r}")
+
+
 @functools.cache
 def _packed_ints() -> tuple[bytes, ...]:
     """`_pack(x)` for x in [_INT_LO, _INT_HI], at position x - _INT_LO.
     Built on first use, not at import: about 0.7 MB, in about 10 ms."""
     return tuple(map(_pack, range(_INT_LO, _INT_HI + 1)))
+
+
+def _limit(p: float) -> int:
+    """The word limit of probability p: for a 64-bit word a of a digest,
+    `a < _limit(p)` exactly when its uniform (a >> 11) * 2**-53 is < p.
+
+    The uniform is u = m * 2**-53 with m = a >> 11, so u < p exactly when
+    m < p * 2**53.  For p in [0, 1] that scaling is exact (a power of two,
+    no overflow), and an integer m is below a real x exactly when it is
+    below ceil(x).  Last, m < c exactly when a < c << 11, the low 11 bits
+    of a being what `>> 11` drops.  The float comparison stays the
+    reference; p = 1 gives 2**64, above every word.
+    """
+    return math.ceil(p * 2.0**53) << 11
 
 
 def _decode(digest: bytes) -> tuple[float, ...]:
@@ -137,31 +158,44 @@ class UniformField:
         try:
             msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
                 packed[index - _INT_LO] if _INT_LO <= index <= _INT_HI else _pack(index))
-        except TypeError:  # not an int: `_pack` packs it or rejects it
+        except TypeError:  # a non-int site is refused; `_pack` packs or refuses an index
+            _check_site(site)
             msg = _pack(site) + _pack(index)
         h = head.copy()
         h.update(msg)
         return _decode(h.digest())
 
-    def uniforms(self, stream: StreamTag, site: int) -> Iterator[float]:
-        """The uniforms of levels 1, 2, ... at `site` of `stream`, in order:
-        `block(stream, site, 0)`, then block 1, and so on.  One hasher
-        absorbs the stream and the site once; each block copies it, adds
-        its index, and is hashed when its first uniform is read."""
+    def _digests(self, stream: StreamTag, site: int) -> Iterator[bytes]:
+        """The digests of blocks 0, 1, ... at `site` of `stream`, in order.
+        One hasher absorbs the stream and the site once; each block copies
+        it, adds its index, and is hashed when the block is read."""
+        _check_site(site)
         head = self._head(stream)
         head.update(_pack(site))
         copy = head.copy
 
-        def block_of(packed_index: bytes) -> tuple[float, ...]:
+        def digest_of(packed_index: bytes) -> bytes:
             h = copy()
             h.update(packed_index)
-            return _decode(h.digest())
+            return h.digest()
 
         indexes = itertools.chain(
             itertools.islice(self._packed, -_INT_LO, None),
             map(_pack, itertools.count(_INT_HI + 1)),
         )
-        return itertools.chain.from_iterable(map(block_of, indexes))
+        return map(digest_of, indexes)
+
+    def uniforms(self, stream: StreamTag, site: int) -> Iterator[float]:
+        """The uniforms of levels 1, 2, ... at `site` of `stream`, in order:
+        `block(stream, site, 0)`, then block 1, and so on, each block
+        hashed when its first uniform is read."""
+        return itertools.chain.from_iterable(map(_decode, self._digests(stream, site)))
+
+    def words(self, stream: StreamTag, site: int) -> Iterator[int]:
+        """The 64-bit words behind `uniforms(stream, site)`, in the same
+        order and as lazily: the uniform of word a is (a >> 11) * 2**-53,
+        and `a < _limit(p)` decides `u < p` without it."""
+        return itertools.chain.from_iterable(map(_UNPACK_8Q, self._digests(stream, site)))
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
         """One uniform, hashed afresh: the reference that `FieldStream`

@@ -19,7 +19,8 @@ from arrowwalk import (
     speed_and_recurrence_stats,
 )
 from arrowwalk.campaign import run_trial
-from arrowwalk.couplings import BlockPartition, constant_env
+from arrowwalk.core import LEFT, RIGHT, ArrowSystem, run_walk, zero_right_transform
+from arrowwalk.couplings import BlockPartition, CookieEnvironment, UniformField, constant_env
 
 CHECK_ORDER = sorted(STATEMENT_IDS)
 
@@ -417,3 +418,60 @@ def test_stats_validation():
         speed_and_recurrence_stats(env, trials=1, horizon=10, after=11)
     with pytest.raises(ValueError, match="after"):
         speed_and_recurrence_stats(env, trials=1, horizon=10, after=-1)
+
+
+class SequentialCookieSystem(ArrowSystem):
+    """The stats walks' law, cell by cell: each cell takes the next uniform
+    of `field.uniforms(stream, 0)` the first time it is queried, and holds
+    Right when that uniform is below the environment's probability."""
+
+    def __init__(self, env, field, stream):
+        self.env = env
+        self.uniforms = field.uniforms(stream, 0)
+        self.cells = {}
+
+    def arrow_at(self, site, level):
+        arrow = self.cells.get((site, level))
+        if arrow is None:
+            u = next(self.uniforms)
+            arrow = self.cells[(site, level)] = RIGHT if u < self.env.prob(site, level) else LEFT
+        return arrow
+
+
+def reference_walk_stats(env, field, stream, horizon, after, transformed):
+    system = SequentialCookieSystem(env, field, stream)
+    if transformed:
+        system = zero_right_transform(system)
+    positions = run_walk(system, horizon).positions
+    return {
+        "speed": positions[-1] / horizon,
+        "max_pos": max(positions),
+        "returns": sum(1 for x in positions[1:] if x == 0),
+        "returns_after": sum(1 for x in positions[after + 1:] if x == 0),
+    }
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        cookie_env((0.6, 0.6)),
+        cookie_env((0.9, 0.3, 0.75), tail=0.4),
+        CookieEnvironment({-3: (0.2, 0.9), 5: (0.1,)}, (0.55,), 0.5),
+        CookieEnvironment({2: (0.8, 0.8)}, (), 0.45),  # listed sites over an empty default
+        cookie_env((), tail=0.52),
+        cookie_env((0.0, 0.0), tail=0.0),
+        cookie_env((1.0, 1.0), tail=1.0),
+    ],
+    ids=["two-cookies", "three-cookies", "listed", "listed-empty-default", "empty-default",
+         "all-left", "all-right"],
+)
+def test_stats_walks_match_the_sequential_reference(env):
+    # The fast path compares words with integer limits; the reference
+    # compares uniforms with probabilities through `run_walk`.
+    field = UniformField(11)
+    limits = campaign._word_limits(env)
+    for i in range(20):
+        for kind, transformed in (("raw", False), ("plus", True)):
+            stream = ("stats", i, kind)
+            got = campaign._cookie_walk_stats(limits, field, stream, 3000, 100, transformed)
+            assert got == reference_walk_stats(env, field, stream, 3000, 100, transformed), (i, kind)

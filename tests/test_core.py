@@ -518,6 +518,31 @@ def test_paths_admit_preceq_exhaustive_to_length_eight():
             )
 
 
+def preceq_on_favourable_completions(path_l, path_r):
+    """The reference decision: `check_relation` on the completions that
+    fill the left path's free levels with Left and the right path's with
+    Right, over every touched site up to the deepest forced stack."""
+    forced_l = consumed_stacks(path_l)
+    forced_r = consumed_stacks(path_r)
+    depth = max(map(len, [*forced_l.values(), *forced_r.values()]), default=1)
+    return check_relation(
+        ExplicitSystem(forced_l, LEFT),
+        ExplicitSystem(forced_r, RIGHT),
+        sorted(forced_l.keys() | forced_r.keys()),
+        depth,
+        "preceq",
+    )
+
+
+def test_paths_admit_preceq_matches_the_favourable_completions_to_length_seven():
+    all_paths = _all_paths(7)
+    for path_l in all_paths:
+        for path_r in all_paths:
+            assert paths_admit_preceq(path_l, path_r) == preceq_on_favourable_completions(
+                path_l, path_r
+            ), (path_l, path_r)
+
+
 @given(paths(max_len=20), paths(max_len=20))
 def test_paths_admit_preceq_matches_enumeration(path_l, path_r):
     memo = {}

@@ -235,13 +235,59 @@ def test_field_rejects_float_sites(site):
         field.block("s", site, 0)
     with pytest.raises(TypeError):
         field.uniforms("s", site)
+    with pytest.raises(TypeError):
+        field.words("s", site)
 
 
-def test_field_string_sites_pack_as_the_reference():
-    # `_pack` encodes strings, so a string site is a token like any other.
+@pytest.mark.parametrize(
+    "site", ["a", "", (1, 2), ("s", 0), [3]], ids=["str", "empty-str", "tuple", "tag", "list"]
+)
+def test_field_rejects_non_int_sites(site):
+    # `_pack` would encode these as stream tokens; a site must be an int.
     field = UniformField(0)
-    assert field.block("s", "a", 0) == reference_block(field, "s", "a", 0)
-    assert tuple(itertools.islice(field.uniforms("s", "a"), 8)) == reference_block(field, "s", "a", 0)
+    for index in (0, _INT_HI + 1):
+        with pytest.raises(TypeError, match="sites must be ints"):
+            field.block("s", site, index)
+    with pytest.raises(TypeError, match="sites must be ints"):
+        field.uniforms("s", site)
+    with pytest.raises(TypeError, match="sites must be ints"):
+        field.words("s", site)
+
+
+def test_field_words_decode_to_the_uniforms():
+    field = UniformField(8)
+    count = 8 * (_INT_HI + 3)  # through block _INT_HI + 2, past the table
+    words = list(itertools.islice(field.words(("w", 1), -2), count))
+    uniforms = list(itertools.islice(field.uniforms(("w", 1), -2), count))
+    assert [(a >> 11) * 2.0**-53 for a in words] == uniforms
+
+
+def test_field_words_hash_a_block_when_first_read(monkeypatch):
+    unpacked = []
+    unpack = couplings._UNPACK_8Q
+    monkeypatch.setattr(couplings, "_UNPACK_8Q", lambda digest: unpacked.append(digest) or unpack(digest))
+    words = UniformField(3).words("s", 0)
+    assert unpacked == []
+    for _ in range(8):
+        next(words)
+    assert len(unpacked) == 1
+    next(words)
+    assert len(unpacked) == 2
+
+
+# Exact multiples of 2**-53, a subnormal, and the values the campaigns use.
+LIMIT_PROBS = [0.0, 2.0**-53, 1e-300, 5e-324, 0.5, 0.6, 0.9, 1.0 - 2.0**-53, 1.0,
+               3 * 2.0**-53, 12345 * 2.0**-53, (2**52 + 1) * 2.0**-53, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("p", LIMIT_PROBS)
+def test_limit_decides_as_the_float_comparison(p):
+    ceiling = math.ceil(p * 2.0**53)
+    for m in range(ceiling - 2, ceiling + 3):
+        if not 0 <= m < 2**53:
+            continue
+        for a in ((m << 11), (m << 11) + 2047):
+            assert (a < couplings._limit(p)) == ((a >> 11) * 2.0**-53 < p), (p, a)
 
 
 def test_field_rejects_float_tag_after_equal_int_tag():
