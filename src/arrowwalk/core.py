@@ -14,7 +14,7 @@ import enum
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 
 class Arrow(enum.IntEnum):
@@ -59,7 +59,15 @@ class ArrowSystem:
     Implementations must be pure: repeated queries of the same cell return
     the same arrow, and queries have no observable side effects beyond
     internal memoization.
+
+    A system may also define `chunk(site, q)`, returning the arrows of
+    levels 8q+1 .. 8q+8 at `site` as a sequence equal to `arrow_at` on
+    those levels; `run_walk` then reads a site's stack a chunk at a time.
+    A system whose arrows depend on the order its cells are first queried
+    must leave it None: a chunk reads eight cells at once.
     """
+
+    chunk: Optional[Callable[[int, int], Sequence[Arrow]]] = None
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         raise NotImplementedError
@@ -83,6 +91,7 @@ class ExplicitSystem(ArrowSystem):
             for site, prefix in stacks.items()
         }
         self.default_fill = _coerce_arrow(default_fill)
+        self._fill_chunk = (self.default_fill,) * 8
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -91,6 +100,18 @@ class ExplicitSystem(ArrowSystem):
         if prefix is not None and level <= len(prefix):
             return prefix[level - 1]
         return self.default_fill
+
+    def chunk(self, site: int, q: int) -> tuple[Arrow, ...]:
+        if q < 0:
+            raise ValueError(f"chunk index must be >= 0, got {q}")
+        prefix = self.stacks.get(site)
+        if prefix is None or len(prefix) <= 8 * q:
+            return self._fill_chunk
+        part = prefix[8 * q : 8 * q + 8]
+        return part + self._fill_chunk[len(part):]
+
+
+_ALL_RIGHT = (RIGHT,) * 8
 
 
 class _ZeroRightSystem(ArrowSystem):
@@ -102,6 +123,8 @@ class _ZeroRightSystem(ArrowSystem):
 
     def __init__(self, base: ArrowSystem):
         self.base = base
+        if base.chunk is None:
+            self.chunk = None  # nothing to delegate to: walked arrow by arrow
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if site == 0:
@@ -109,6 +132,13 @@ class _ZeroRightSystem(ArrowSystem):
                 raise ValueError(f"level must be >= 1, got {level}")
             return RIGHT
         return self.base.arrow_at(site, level)
+
+    def chunk(self, site: int, q: int) -> Sequence[Arrow]:
+        if site == 0:
+            if q < 0:
+                raise ValueError(f"chunk index must be >= 0, got {q}")
+            return _ALL_RIGHT
+        return self.base.chunk(site, q)
 
 
 def zero_right_transform(system: ArrowSystem) -> ArrowSystem:
@@ -146,6 +176,9 @@ class Trajectory:
     positions: list[int]
     visit_counts: dict[int, int]
     system: Optional[ArrowSystem] = None
+    # Not a field: set on the paths `run_walk` and `envelope_walk` build,
+    # unit-step paths from 0 by construction, which the checker trusts.
+    _walked = False
 
     @property
     def horizon(self) -> int:
@@ -182,19 +215,38 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     """Run the arrow walk for `horizon` steps from 0.
 
     On each step the walk, sitting at `pos` for the k-th time, consumes the
-    level-k arrow at `pos` and moves one unit in its direction.
+    level-k arrow at `pos` and moves one unit in its direction.  A system
+    with chunks is read a chunk at a time: the walk keeps the arrows read
+    so far at each site and reads the site's next chunk when the walk runs
+    past them.  Any other system is queried arrow by arrow.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    arrow_at = system.arrow_at
+    chunk = system.chunk
     pos = 0
     positions = [0] * (horizon + 1)
     visits = {0: 1}
-    for n in range(1, horizon + 1):
-        pos += arrow_at(pos, visits[pos])
-        positions[n] = pos
-        visits[pos] = visits.get(pos, 0) + 1
-    return Trajectory(positions, visits, system)
+    if chunk is None:
+        arrow_at = system.arrow_at
+        for n in range(1, horizon + 1):
+            pos += arrow_at(pos, visits[pos])
+            positions[n] = pos
+            visits[pos] = visits.get(pos, 0) + 1
+    else:
+        stacks: dict[int, list[Arrow]] = {}  # site -> its arrows read so far
+        for n in range(1, horizon + 1):
+            k = visits[pos]
+            stack = stacks.get(pos)
+            if stack is None:
+                stack = stacks[pos] = list(chunk(pos, 0))
+            elif k > len(stack):  # one level past the chunks read: the next one
+                stack += chunk(pos, len(stack) >> 3)
+            pos += stack[k - 1]
+            positions[n] = pos
+            visits[pos] = visits.get(pos, 0) + 1
+    traj = Trajectory(positions, visits, system)
+    traj._walked = True
+    return traj
 
 
 @dataclass

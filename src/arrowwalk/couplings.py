@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import struct
 from bisect import bisect_left
 from collections import deque
@@ -37,6 +38,13 @@ from .core import (
 from .verify import CoupledPair, make_pair
 
 StreamTag = Union[int, str, tuple]
+
+# Every chunk of eight arrows, by the bytes of its eight comparisons
+# u < p: 1 for Right, 0 for Left.  Sampled chunks are these tuples.
+_CHUNKS = {
+    bytes(bits): tuple(RIGHT if b else LEFT for b in bits)
+    for bits in itertools.product((0, 1), repeat=8)
+}
 
 _U64_SCALE = 2.0**-53
 _UNPACK_8Q = struct.Struct(">8Q").unpack
@@ -76,6 +84,15 @@ def _check_site(site: object) -> None:
     """Sites are ints; `_pack` would encode a string or tuple as well."""
     if not isinstance(site, int):
         raise TypeError(f"sites must be ints, got {type(site)!r}")
+
+
+def _pack_index(index: int) -> bytes:
+    """`_pack` of a block index outside the packed-int table."""
+    if not isinstance(index, int):
+        raise TypeError(f"block indexes must be ints, got {type(index)!r}")
+    if index < 0:
+        raise ValueError(f"block indexes must be >= 0, got {index}")
+    return _pack(index)
 
 
 @functools.cache
@@ -157,10 +174,10 @@ class UniformField:
         packed = self._packed
         try:
             msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
-                packed[index - _INT_LO] if _INT_LO <= index <= _INT_HI else _pack(index))
-        except TypeError:  # a non-int site is refused; `_pack` packs or refuses an index
+                packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
+        except TypeError:  # a site or an index that is not an int
             _check_site(site)
-            msg = _pack(site) + _pack(index)
+            raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
         h = head.copy()
         h.update(msg)
         return _decode(h.digest())
@@ -362,22 +379,29 @@ class SampledCookieSystem(ArrowSystem):
         self.env = env
         self.view = view
         self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
+        # (lane, q) -> the probabilities of levels 8q+1 .. 8q+8; lane None
+        # stands for every site the environment does not list
+        self._probs: dict[tuple[Optional[int], int], tuple[float, ...]] = {}
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
+        return self.chunk(site, q)[r]
+
+    def chunk(self, site: int, q: int) -> tuple[Arrow, ...]:
         key = (site, q)
-        chunk = self._chunks.get(key)
-        if chunk is None:
+        arrows = self._chunks.get(key)
+        if arrows is None:
             raw = self.view.block(site, q)
             env = self.env
-            probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
-            if len(probs) < 8:
-                probs += (env.tail,) * (8 - len(probs))
-            chunk = tuple(RIGHT if u < p else LEFT for u, p in zip(raw, probs))
-            self._chunks[key] = chunk
-        return chunk[r]
+            lane = (site if site in env.sites else None, q)
+            probs = self._probs.get(lane)
+            if probs is None:
+                probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
+                probs = self._probs[lane] = probs + (env.tail,) * (8 - len(probs))
+            arrows = self._chunks[key] = _CHUNKS[bytes(map(operator.lt, raw, probs))]
+        return arrows
 
 
 def sample_system(
@@ -1070,6 +1094,7 @@ def envelope_walk(
         positions.append(pos)
         visits[pos] = visits.get(pos, 0) + 1
     traj_l.system = ExplicitSystem(consumed_stacks(positions), LEFT)
+    traj_l._walked = True
     return CoupledPair(
         traj_l, run_walk(eta_sys, horizon), relation_mode="trileq", provenance="envelope"
     )

@@ -14,7 +14,6 @@ apart.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -103,9 +102,9 @@ class PairChecker:
     Walks both paths once, maintaining per-site visit counts, their
     difference profile, running extremes and per-visit neighbour counts,
     so that every enabled statement is checked at every time step at
-    amortized O(1) cost per step.  `active` holds the statements not yet
-    failed: only those are checked, the state only failed statements read
-    is no longer kept, and the pass ends once `active` is empty.
+    amortized O(1) cost per step.  Only the statements not yet failed are
+    checked, the state only failed statements read is no longer kept, and
+    the pass ends once every statement has failed.
     """
 
     def __init__(
@@ -113,6 +112,8 @@ class PairChecker:
         positions_l: Sequence[int],
         positions_r: Sequence[int],
         checks: Optional[Iterable[str]] = None,
+        *,
+        _walked: bool = False,
     ):
         if checks is None:
             checks = STATEMENT_IDS
@@ -122,8 +123,9 @@ class PairChecker:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         if len(positions_l) != len(positions_r):
             raise ValueError("paths must have equal length")
-        validate_path(positions_l)
-        validate_path(positions_r)
+        if not _walked:  # a walk's own paths are unit-step paths from 0
+            validate_path(positions_l)
+            validate_path(positions_r)
         self.positions_l = positions_l
         self.positions_r = positions_r
         self.checks = tuple(c for c in STATEMENT_IDS if c in checks)
@@ -133,6 +135,8 @@ class PairChecker:
         pos_r = self.positions_r
         horizon = len(pos_l) - 1
 
+        # One site of margin on each side, so i - 1 and i + 1 index the
+        # arrays for every visited site's index i.
         lo = min(min(pos_l), min(pos_r)) - 1
         hi = max(max(pos_l), max(pos_r)) + 1
         off = -lo
@@ -143,15 +147,28 @@ class PairChecker:
         plus: list[int] = []  # sites with diff > 0, sorted
         minus: list[int] = []  # sites with diff < 0, sorted
 
-        active = set(self.checks)
+        # One flag per statement not yet failed; envelopes and hitting_order
+        # fail together, so they share one.  `live` counts the flags set.
+        checks = self.checks
+        on_env = "envelopes" in checks or "hitting_order" in checks
+        on_count = "count_dominance" in checks
+        on_max = "max_visits" in checks
+        on_nbr = "neighbour_interval" in checks
+        on_kth = "kth_visit_counts" in checks
+        on_rec = "record_lead" in checks
+        live = on_env + on_count + on_max + on_nbr + on_kth + on_rec
         failures: dict[str, dict] = {}
 
-        def fail(check: str, witness: dict) -> None:
+        def fail(check: str, witness: dict) -> bool:
+            """Record the witness; the new value of the check's flag."""
+            nonlocal live
             failures[check] = witness
-            active.discard(check)
+            live -= 1
+            return False
 
-        kth_l: dict[int, list[int]] = defaultdict(list)  # left-neighbour count per visit
-        kth_r: dict[int, list[int]] = defaultdict(list)
+        # per site index: the left neighbour's count at each visit
+        kth_l: list[list[int]] = [[] for _ in range(width)] if on_kth else []
+        kth_r: list[list[int]] = [[] for _ in range(width)] if on_kth else []
 
         max_l = max_r = min_l = min_r = 0
         hyp_plus = False  # some site ever had nr > nl
@@ -162,22 +179,22 @@ class PairChecker:
             a = pos_l[t]
             b = pos_r[t]
 
-            if t and "record_lead" in active:
+            if t and on_rec:
                 if b > max_r:
                     hyp_rec = True
                     if b < a:
-                        fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
-                if a < min_l and "record_lead" in active:
+                        on_rec = fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
+                if a < min_l and on_rec:
                     hyp_rec = True
                     if a > b:
-                        fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
+                        on_rec = fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
 
             # count updates for time t
             ia = a + off
             nl[ia] += 1
             ib = b + off
             nr[ib] += 1
-            if "count_dominance" in active or "neighbour_interval" in active:
+            if on_count or on_nbr:
                 d = diff[ia]
                 diff[ia] = d - 1
                 if d == 1:
@@ -205,79 +222,83 @@ class PairChecker:
             # A unit-step path from 0 has hit exactly the sites between its
             # running extremes, so R trails L's envelope exactly when L has
             # reached a positive site (or R a negative one) first.
-            if "envelopes" in active or "hitting_order" in active:
+            if on_env:
                 if max_r < max_l:
-                    fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
-                    fail("hitting_order", {"t": t, "x": max_l, "detail": "L reached a positive site before R"})
+                    failures["hitting_order"] = {"t": t, "x": max_l, "detail": "L reached a positive site before R"}
+                    on_env = fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
                 elif min_r < min_l:
-                    fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
-                    fail("hitting_order", {"t": t, "x": min_r, "detail": "R reached a negative site before L"})
+                    failures["hitting_order"] = {"t": t, "x": min_r, "detail": "R reached a negative site before L"}
+                    on_env = fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
 
-            if "count_dominance" in active and plus and minus:
+            if on_count and plus and minus:
                 x = plus[0]
                 y = minus[-1]
                 if x < y:
-                    fail(
-                        "count_dominance",
-                        {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {y}"},
-                    )
+                    on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {y}"})
 
-            if "max_visits" in active:
+            if on_max:
                 i = max_r + off
                 if nr[i] < nl[i]:
-                    fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
+                    on_max = fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
                 else:
                     i = min_l + off
                     if nl[i] < nr[i]:
-                        fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
+                        on_max = fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
 
-            if "neighbour_interval" in active:
-                for s in (a, b):
-                    i = s + off
-                    if diff[i] < 0:
-                        if i > 0 and diff[i - 1] > 0:
-                            fail("neighbour_interval", {"t": t, "x": s, "detail": "R leads at left neighbour but trails here"})
-                            break
-                    elif diff[i] > 0:
-                        if i + 1 < width and diff[i + 1] < 0:
-                            fail("neighbour_interval", {"t": t, "x": s + 1, "detail": "R leads at left neighbour but trails here"})
-                            break
-                if "neighbour_interval" in active and b < a and plus:
+            if on_nbr:
+                # at L's site, then at R's: R trails right of where it leads
+                x = None
+                d = diff[ia]
+                if d < 0:
+                    if diff[ia - 1] > 0:
+                        x = a
+                elif d > 0 and diff[ia + 1] < 0:
+                    x = a + 1
+                if x is None:
+                    d = diff[ib]
+                    if d < 0:
+                        if diff[ib - 1] > 0:
+                            x = b
+                    elif d > 0 and diff[ib + 1] < 0:
+                        x = b + 1
+                if x is not None:
+                    on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
+                elif b < a and plus:
                     i = bisect_left(plus, b)
                     if i < len(plus) and plus[i] < a:
                         y0 = plus[i]
                         j = bisect_right(minus, a) - 1
                         if j >= 0 and minus[j] > y0:
-                            fail(
-                                "neighbour_interval",
-                                {"t": t, "x": minus[j], "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]"},
-                            )
+                            on_nbr = fail("neighbour_interval", {
+                                "t": t, "x": minus[j],
+                                "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
+                            })
 
-            if "kth_visit_counts" in active:
+            if on_kth:
                 k = nl[ia]
                 c = nl[ia - 1]
-                kth_l[a].append(c)
-                other = kth_r.get(a)
-                if other is not None and len(other) >= k:
+                kth_l[ia].append(c)
+                other = kth_r[ia]
+                if len(other) >= k:
                     hyp_kth = True
                     if other[k - 1] > c:
-                        fail(
-                            "kth_visit_counts",
-                            {"t": t, "x": a, "k": k, "detail": f"R saw left neighbour {other[k - 1]} times vs L {c}"},
-                        )
+                        on_kth = fail("kth_visit_counts", {
+                            "t": t, "x": a, "k": k,
+                            "detail": f"R saw left neighbour {other[k - 1]} times vs L {c}",
+                        })
                 k = nr[ib]
                 c = nr[ib - 1]
-                kth_r[b].append(c)
-                other = kth_l.get(b)
-                if other is not None and len(other) >= k:
+                kth_r[ib].append(c)
+                other = kth_l[ib]
+                if len(other) >= k:
                     hyp_kth = True
-                    if "kth_visit_counts" in active and c > other[k - 1]:
-                        fail(
-                            "kth_visit_counts",
-                            {"t": t, "x": b, "k": k, "detail": f"R saw left neighbour {c} times vs L {other[k - 1]}"},
-                        )
+                    if on_kth and c > other[k - 1]:
+                        on_kth = fail("kth_visit_counts", {
+                            "t": t, "x": b, "k": k,
+                            "detail": f"R saw left neighbour {c} times vs L {other[k - 1]}",
+                        })
 
-            if not active:
+            if not live:
                 break
 
         vacuous = {
@@ -304,6 +325,10 @@ class PairChecker:
 def check_pair(
     pair: CoupledPair, checks: Optional[Iterable[str]] = None
 ) -> dict[str, VerifyResult]:
-    """Run the selected statement checks (default: all) over a coupled pair."""
-    return PairChecker(pair.traj_l.positions, pair.traj_r.positions, checks).run()
+    """Run the selected statement checks (default: all) over a coupled pair.
+    Paths that `run_walk` or `envelope_walk` built are not validated again."""
+    traj_l, traj_r = pair.traj_l, pair.traj_r
+    return PairChecker(
+        traj_l.positions, traj_r.positions, checks, _walked=traj_l._walked and traj_r._walked
+    ).run()
 

@@ -200,8 +200,8 @@ TABLE_EDGES = [_INT_LO - 1, _INT_LO, _INT_HI, _INT_HI + 1, 2**40, -(2**40), 0]
 )
 @example(seed=0, tags=["s"], sites=TABLE_EDGES, index=_INT_HI)
 @example(seed=1, tags=[("t", 2)], sites=TABLE_EDGES, index=_INT_HI + 1)
-@example(seed=2, tags=["s"], sites=TABLE_EDGES, index=_INT_LO)
-@example(seed=3, tags=["s"], sites=TABLE_EDGES, index=_INT_LO - 1)
+@example(seed=2, tags=["s"], sites=TABLE_EDGES, index=0)
+@example(seed=3, tags=["s"], sites=TABLE_EDGES, index=2**64)
 @settings(max_examples=150, deadline=None)
 def test_field_block_matches_reference(seed, tags, sites, index):
     field = UniformField(seed)
@@ -252,6 +252,25 @@ def test_field_rejects_non_int_sites(site):
         field.uniforms("s", site)
     with pytest.raises(TypeError, match="sites must be ints"):
         field.words("s", site)
+
+
+@pytest.mark.parametrize("index", [-1, -5, _INT_LO, _INT_LO - 1, -(2**70)])
+def test_field_rejects_negative_block_indexes(index):
+    field = UniformField(0)
+    with pytest.raises(ValueError, match="block indexes must be >= 0"):
+        field.block("s", 0, index)
+    with pytest.raises(ValueError, match="block indexes must be >= 0"):
+        FieldStream(field, "s").block(3, index)
+
+
+@pytest.mark.parametrize("index", ["a", "", 1.0, -1.0, 2.5, float(_INT_HI + 1), None, (1,), [0]])
+def test_field_rejects_non_int_block_indexes(index):
+    field = UniformField(0)
+    for site in (0, _INT_HI + 1):
+        with pytest.raises(TypeError, match="block indexes must be ints"):
+            field.block("s", site, index)
+    with pytest.raises(TypeError, match="sites must be ints"):
+        field.block("s", "a", index)
 
 
 def test_field_words_decode_to_the_uniforms():
