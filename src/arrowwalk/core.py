@@ -87,7 +87,7 @@ class ExplicitSystem(ArrowSystem):
         default_fill: Union[Arrow, str] = RIGHT,
     ):
         self.stacks = {
-            int(site): tuple(_coerce_arrow(a) for a in prefix)
+            int(site): tuple(map(_coerce_arrow, prefix))
             for site, prefix in stacks.items()
         }
         self.default_fill = _coerce_arrow(default_fill)

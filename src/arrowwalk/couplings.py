@@ -40,7 +40,8 @@ from .verify import CoupledPair, make_pair
 StreamTag = Union[int, str, tuple]
 
 # Every chunk of eight arrows, by the bytes of its eight comparisons
-# u < p: 1 for Right, 0 for Left.  Sampled chunks are these tuples.
+# a < _limit(p) of a word with its cell's limit, which decide u < p: 1 for
+# Right, 0 for Left.  Sampled chunks are these tuples.
 _CHUNKS = {
     bytes(bits): tuple(RIGHT if b else LEFT for b in bits)
     for bits in itertools.product((0, 1), repeat=8)
@@ -116,6 +117,18 @@ def _limit(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
+def _limit_le(t: float) -> int:
+    """The word limit of threshold t: `a < _limit_le(t)` exactly when the
+    uniform of word a is <= t.
+
+    As for `_limit`, u <= t exactly when m = a >> 11 is <= t * 2**53, that
+    is when m <= floor(t * 2**53), so when m < floor(t * 2**53) + 1.  The
+    float comparison stays the reference; t = 1 gives (2**53 + 1) << 11,
+    above every word.
+    """
+    return (math.floor(t * 2.0**53) + 1) << 11
+
+
 def _decode(digest: bytes) -> tuple[float, ...]:
     """The eight 53-bit uniforms of a 64-byte digest."""
     a, b, c, d, e, f, g, k = _UNPACK_8Q(digest)
@@ -156,6 +169,15 @@ class UniformField:
 
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
+        return _decode(self._digest(stream, site, index))
+
+    def block_words(self, stream: StreamTag, site: int, index: int) -> tuple[int, ...]:
+        """The eight 64-bit words behind `block(stream, site, index)`: the
+        uniform of word a is (a >> 11) * 2**-53."""
+        return _UNPACK_8Q(self._digest(stream, site, index))
+
+    def _digest(self, stream: StreamTag, site: int, index: int) -> bytes:
+        """The digest of block (stream, site, index)."""
         heads = self._heads
         try:
             tag, head = heads[stream]
@@ -180,7 +202,7 @@ class UniformField:
             raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
         h = head.copy()
         h.update(msg)
-        return _decode(h.digest())
+        return h.digest()
 
     def _digests(self, stream: StreamTag, site: int) -> Iterator[bytes]:
         """The digests of blocks 0, 1, ... at `site` of `stream`, in order.
@@ -224,11 +246,14 @@ class UniformField:
 
 
 class FieldStream:
-    """One stream of a field, with a memo of its raw blocks by (site, q).
+    """One stream of a field, with a memo of its raw blocks by (site, q):
+    the eight 64-bit words of each, from `UniformField.block_words`.
 
     Systems coupled through shared uniforms share one view, so each block
     is hashed once per pair or family.  The memo is never on the field,
     which serves many streams: it goes away with the systems holding it.
+    Readers decide on the words (`_limit`, `_limit_le`); `value` and
+    `block` turn them into the field's uniforms.
     """
 
     __slots__ = ("field", "stream", "_blocks")
@@ -236,25 +261,30 @@ class FieldStream:
     def __init__(self, field: UniformField, stream: StreamTag):
         self.field = field
         self.stream = stream
-        self._blocks: dict[tuple[int, int], tuple[float, ...]] = {}
+        self._blocks: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def block(self, site: int, q: int) -> tuple[float, ...]:
-        """Uniforms of levels 8*q+1 .. 8*q+8 at `site`."""
+    def words(self, site: int, q: int) -> tuple[int, ...]:
+        """The words of levels 8*q+1 .. 8*q+8 at `site`."""
         key = (site, q)
         blk = self._blocks.get(key)
         if blk is None:
-            blk = self._blocks[key] = self.field.block(self.stream, site, q)
+            blk = self._blocks[key] = self.field.block_words(self.stream, site, q)
         return blk
+
+    def block(self, site: int, q: int) -> tuple[float, ...]:
+        """Uniforms of levels 8*q+1 .. 8*q+8 at `site`."""
+        s = _U64_SCALE
+        return tuple((a >> 11) * s for a in self.words(site, q))
 
     def value(self, site: int, level: int) -> float:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
-        key = (site, q)  # `block`, inline: the envelope walk's every step
+        key = (site, q)  # `words`, inline; only the word read is converted
         blk = self._blocks.get(key)
         if blk is None:
-            blk = self._blocks[key] = self.field.block(self.stream, site, q)
-        return blk[r]
+            blk = self._blocks[key] = self.field.block_words(self.stream, site, q)
+        return (blk[r] >> 11) * _U64_SCALE
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +409,9 @@ class SampledCookieSystem(ArrowSystem):
         self.env = env
         self.view = view
         self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
-        # (lane, q) -> the probabilities of levels 8q+1 .. 8q+8; lane None
-        # stands for every site the environment does not list
-        self._probs: dict[tuple[Optional[int], int], tuple[float, ...]] = {}
+        # (lane, q) -> the word limits (`_limit`) of levels 8q+1 .. 8q+8;
+        # lane None stands for every site the environment does not list
+        self._limits: dict[tuple[Optional[int], int], tuple[int, ...]] = {}
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -393,14 +423,15 @@ class SampledCookieSystem(ArrowSystem):
         key = (site, q)
         arrows = self._chunks.get(key)
         if arrows is None:
-            raw = self.view.block(site, q)
+            words = self.view.words(site, q)
             env = self.env
             lane = (site if site in env.sites else None, q)
-            probs = self._probs.get(lane)
-            if probs is None:
+            limits = self._limits.get(lane)
+            if limits is None:
                 probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
-                probs = self._probs[lane] = probs + (env.tail,) * (8 - len(probs))
-            arrows = self._chunks[key] = _CHUNKS[bytes(map(operator.lt, raw, probs))]
+                limits = self._limits[lane] = tuple(
+                    map(_limit, probs + (env.tail,) * (8 - len(probs))))
+            arrows = self._chunks[key] = _CHUNKS[bytes(map(operator.lt, words, limits))]
         return arrows
 
 
@@ -1022,12 +1053,18 @@ class DriftContractError(RuntimeError):
         self.bound = bound
 
 
+# The envelope's threshold above its excitement window.
+_ETA_TAIL = 0.5
+_ETA_TAIL_LIMIT = _limit_le(_ETA_TAIL)
+
+
 class EtaSystem(ArrowSystem):
     """Threshold system: Right at (x, k) iff U(x, k) <= eta_k, with the
     tail threshold 1/2 above the excitement window.
 
     `envelope_walk` and `arrow_at` read one view of the field, `view`, so
-    together they hash each block of a site's uniforms once.
+    together they hash each block of a site's uniforms once.  `arrow_at`
+    compares the view's words with the thresholds' `_limit_le` limits.
     """
 
     def __init__(self, eta: Sequence[float], field: UniformField, stream: StreamTag = 0):
@@ -1036,12 +1073,22 @@ class EtaSystem(ArrowSystem):
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"eta entries must be in [0, 1], got {e}")
         self.view = FieldStream(field, stream)
+        self._memo = self.view._blocks  # read directly, its words by (site, q)
+        self._limits = tuple(map(_limit_le, self.eta))
+        self._depth = len(self.eta)
 
     def threshold(self, level: int) -> float:
-        return self.eta[level - 1] if level <= len(self.eta) else 0.5
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        return self.eta[level - 1] if level <= len(self.eta) else _ETA_TAIL
 
     def arrow_at(self, site: int, level: int) -> Arrow:
-        return RIGHT if self.view.value(site, level) <= self.threshold(level) else LEFT
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        i = level - 1  # at place i & 7 of block i >> 3
+        words = self._memo.get((site, i >> 3)) or self.view.words(site, i >> 3)
+        limit = self._limits[i] if level <= self._depth else _ETA_TAIL_LIMIT
+        return RIGHT if words[i & 7] < limit else LEFT
 
 
 def envelope_walk(
@@ -1062,7 +1109,11 @@ def envelope_walk(
     Both walks turn the same uniform U(x, k) into a step with the same
     `<=` rule, so every Right the adaptive walk consumes is matched by a
     Right in the envelope system at the same cell; that containment is
-    asserted on every step.
+    asserted on every step, against the envelope system's own `arrow_at`.
+    The adaptive walk keeps the words it has read at each site and reads
+    the site's next block of the envelope's view when it runs past them;
+    a word a steps Right when (a >> 11) <= p * 2**53, which is u <= p
+    exactly (the scaling is exact, and so is comparing an int with a float).
 
     Returns the pair (adaptive walk, envelope walk) in the "trileq"
     relation.  The adaptive trajectory carries an explicit system holding
@@ -1071,20 +1122,29 @@ def envelope_walk(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     eta_sys = EtaSystem(eta, field, stream)
-    threshold = eta_sys.threshold
-    uniform = eta_sys.view.value
+    eta = eta_sys.eta
+    depth = len(eta)
+    words_of = eta_sys.view.words
+    envelope_arrow = eta_sys.arrow_at
+    scale = 2.0**53
     traj_l = Trajectory([0], {0: 1})
     positions = traj_l.positions
     visits = traj_l.visit_counts
+    read: dict[int, list[int]] = {}  # site -> its words read so far
     pos = 0
     for n in range(1, horizon + 1):
         k = visits[pos]
         p = float(drift_law(traj_l, k))
-        bound = threshold(k)
+        bound = eta[k - 1] if k <= depth else _ETA_TAIL
         if not 0.0 <= p <= bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
-        if uniform(pos, k) <= p:
-            if eta_sys.arrow_at(pos, k) is not RIGHT:
+        words = read.get(pos)
+        if words is None:
+            words = read[pos] = list(words_of(pos, 0))
+        elif k > len(words):  # one level past the blocks read: the next one
+            words += words_of(pos, len(words) >> 3)
+        if (words[k - 1] >> 11) <= p * scale:
+            if envelope_arrow(pos, k) is not RIGHT:
                 raise RuntimeError(
                     f"envelope containment broken at site {pos} level {k}"
                 )

@@ -17,6 +17,7 @@ from scipy.stats import chisquare
 
 from arrowwalk import (
     BlockPartition,
+    CampaignConfig,
     CookieEnvironment,
     UniformField,
     check_pair,
@@ -52,20 +53,21 @@ from arrowwalk.couplings import (
     stack_chain,
     swap_path,
 )
-from arrowwalk import couplings
+from arrowwalk import campaign, couplings
 from arrowwalk.couplings import _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _pack
 
 
 class CountingField(UniformField):
-    """A field that counts how often each (stream, site, index) is hashed."""
+    """A field that counts how often each (stream, site, index) is hashed
+    for a `FieldStream` memo, through `block_words`."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = Counter()
 
-    def block(self, stream, site, index):
+    def block_words(self, stream, site, index):
         self.calls[(stream, site, index)] += 1
-        return super().block(stream, site, index)
+        return super().block_words(stream, site, index)
 
 
 def prefix_lefts(stack):
@@ -140,10 +142,14 @@ def test_field_level_validation():
 def test_field_stream_matches_field():
     field = UniformField(3)
     view = FieldStream(field, ("s", 1))
-    for site in (-2, 0, 5):
+    for site in (-2, 0, 5, _INT_LO - 1, _INT_HI + 1):
         for level in range(1, 30):
             assert view.value(site, level) == field.value(("s", 1), site, level)
-        assert view.block(site, 2) == field.block(("s", 1), site, 2)
+        for index in (0, 2, _INT_HI + 1):
+            assert view.block(site, index) == field.block(("s", 1), site, index)
+            words = view.words(site, index)
+            assert words == field.block_words(("s", 1), site, index)
+            assert tuple((a >> 11) * 2.0**-53 for a in words) == view.block(site, index)
 
 
 def test_field_stream_hashes_each_block_once():
@@ -307,6 +313,42 @@ def test_limit_decides_as_the_float_comparison(p):
             continue
         for a in ((m << 11), (m << 11) + 2047):
             assert (a < couplings._limit(p)) == ((a >> 11) * 2.0**-53 < p), (p, a)
+
+
+# Thresholds at both ends, exact multiples of 2**-53, and the envelope's.
+LIMIT_LE_THRESHOLDS = [0.0, 0.5, 0.7, 0.9, 1.0 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("t", LIMIT_LE_THRESHOLDS)
+def test_limit_le_decides_as_the_float_comparison(t):
+    floor = math.floor(t * 2.0**53)
+    checked = 0
+    for m in range(floor - 2, floor + 3):
+        if not 0 <= m < 2**53:
+            continue
+        for a in ((m << 11), (m << 11) + 2047):
+            assert (a < couplings._limit_le(t)) == ((a >> 11) * 2.0**-53 <= t), (t, a)
+            checked += 1
+    assert checked >= 4
+
+
+def test_eta_arrows_decide_as_the_float_rule():
+    field = UniformField(4)
+    eta_sys = EtaSystem((0.9, 0.7, 0.0, 1.0), field, "rule")
+    for site in (-3, 0, 2, _INT_HI + 1):
+        for level in range(1, 30):
+            u = field.value("rule", site, level)
+            assert (eta_sys.arrow_at(site, level) is RIGHT) == (u <= eta_sys.threshold(level))
+
+
+def test_eta_threshold_refuses_levels_below_one():
+    eta_sys = EtaSystem((0.9, 0.7), UniformField(0))
+    assert [eta_sys.threshold(k) for k in (1, 2, 3)] == [0.9, 0.7, 0.5]
+    for level in (0, -1, -5):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            eta_sys.threshold(level)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            eta_sys.arrow_at(0, level)
 
 
 def test_field_rejects_float_tag_after_equal_int_tag():
@@ -498,6 +540,29 @@ def test_partition_couplings_hash_each_block_once(build):
     field = CountingField(6)
     build(field, lo, hi, part, 600, "p")
     assert field.calls and set(field.calls.values()) == {1}
+
+
+# Blocks one trial hashes for its memos (trials=1, horizon=60, seed=3,
+# returns on), each once.  The counts of the bench tracer's
+# `field.block_calls` before the memos held words, when they hashed
+# through `UniformField.block`.
+TRIAL_BLOCKS = {
+    "shared-uniform": 62,
+    "block-family": 32,
+    "swap-chain": 81,
+    "envelope": 44,
+    "independent-control": 38,
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIAL_BLOCKS))
+def test_campaign_trial_hashes_pinned_blocks(monkeypatch, family):
+    field = CountingField(3)
+    monkeypatch.setattr(campaign, "UniformField", lambda seed: field)
+    config = CampaignConfig(family, trials=1, horizon=60, seed=3, include_timestamp=False)
+    campaign.run_trial(config, 0)
+    assert sum(field.calls.values()) == TRIAL_BLOCKS[family]
+    assert set(field.calls.values()) == {1}
 
 
 def test_shared_pair_rejects_unordered_envs():
@@ -1186,6 +1251,22 @@ def test_envelope_walk_drift_law_sees_the_growing_trajectory():
         assert pos == pair.traj_l.positions[n]
         assert count == k
         assert k == pair.traj_l.positions[: n + 1].count(pos)
+
+
+def test_envelope_walk_containment_reads_the_eta_arrow(monkeypatch):
+    # The first Right the adaptive walk takes, at its (site, visit) cell.
+    walked = envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), UniformField(2), 200, stream="c")
+    positions = walked.traj_l.positions
+    n = next(n for n in range(200) if positions[n + 1] > positions[n])
+    cell = (positions[n], positions[: n + 1].count(positions[n]))
+    arrow_at = EtaSystem.arrow_at
+
+    def left_at_cell(self, site, level):
+        return LEFT if (site, level) == cell else arrow_at(self, site, level)
+
+    monkeypatch.setattr(EtaSystem, "arrow_at", left_at_cell)
+    with pytest.raises(RuntimeError, match=rf"containment broken at site {cell[0]} level {cell[1]}$"):
+        envelope_walk(orrw_drift_law(1.0), (0.9, 0.9), UniformField(2), 200, stream="c")
 
 
 def test_envelope_walk_containment_over_trials():

@@ -25,16 +25,18 @@ def load_spans():
 # (field.block_calls, systems.arrow_queries, walk.steps, checker.pair_steps);
 # field.value_calls is 0 for every family.  A change to these counts is a
 # change to what the library computes, so a refactor must keep them.  The
-# random environments of a trial are drawn through `UniformField.uniforms`,
-# which the tracer does not wrap, so their blocks are not in these counts.
-# Nor does it wrap `chunk`: `run_walk` reads sampled systems a chunk at a
-# time, so the sampled families query no `arrow_at` at all.
+# tracer wraps neither `UniformField.block_words`, through which the
+# `FieldStream` memos hash, nor `UniformField.uniforms`, which draws a
+# trial's random environments, so field.block_calls is 0: the memos' counts
+# are pinned in `tests/test_couplings.py` instead.  Nor does it wrap
+# `chunk`: `run_walk` reads sampled systems a chunk at a time, so the
+# sampled families query no `arrow_at` at all.
 EXACT = {
-    "shared-uniform": (62, 0, 240, 60),
-    "block-family": (32, 234, 240, 60),
-    "swap-chain": (81, 232, 240, 60),
-    "envelope": (44, 147, 240, 60),
-    "independent-control": (38, 0, 240, 60),
+    "shared-uniform": (0, 0, 240, 60),
+    "block-family": (0, 234, 240, 60),
+    "swap-chain": (0, 232, 240, 60),
+    "envelope": (0, 147, 240, 60),
+    "independent-control": (0, 0, 240, 60),
     "ce1": (0, 0, 240, 60),
     "ce2": (0, 0, 0, 28),
 }
