@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import IO, Optional, Sequence
 
-from .core import run_walk, zero_right_transform
+from .core import zero_right_walk
 from .counterexamples import build_ce1, build_ce2, ce1_milestones, lead_sets
 from .couplings import (
     BlockPartition,
@@ -250,16 +250,15 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
     return pair, extra
 
 
-def _returns_to_zero(pair: CoupledPair, horizon: int) -> tuple[Optional[int], Optional[int]]:
-    """Returns to the origin of the zero-right transformed walks, when the
-    pair carries its generating systems."""
+def _returns_to_zero(pair: CoupledPair) -> tuple[Optional[int], Optional[int]]:
+    """Returns to the origin of the zero-right transformed walks over the
+    pair's horizon, when the pair carries its generating systems."""
     out = []
     for traj in (pair.traj_l, pair.traj_r):
         if traj.system is None:
             out.append(None)
             continue
-        walked = run_walk(zero_right_transform(traj.system), horizon)
-        out.append(sum(1 for p in walked.positions[1:] if p == 0))
+        out.append(zero_right_walk(traj).positions[1:].count(0))
     return out[0], out[1]
 
 
@@ -296,7 +295,7 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
             "max_r": max(pair.traj_r.positions),
         }
         if config.collect_returns:
-            row["returns_l"], row["returns_r"] = _returns_to_zero(pair, config.horizon)
+            row["returns_l"], row["returns_r"] = _returns_to_zero(pair)
     except DriftContractError as err:
         return {
             "trial": trial,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO, Union
@@ -176,8 +177,9 @@ class Trajectory:
     positions: list[int]
     visit_counts: dict[int, int]
     system: Optional[ArrowSystem] = None
-    # Not a field: set on the paths `run_walk` and `envelope_walk` build,
-    # unit-step paths from 0 by construction, which the checker trusts.
+    # Not a field: set on the paths `run_walk` and `envelope_walk` build.
+    # They are unit-step paths from 0 by construction, which the checker
+    # trusts, and `system` generates them, which `zero_right_walk` trusts.
     _walked = False
 
     @property
@@ -217,29 +219,40 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     On each step the walk, sitting at `pos` for the k-th time, consumes the
     level-k arrow at `pos` and moves one unit in its direction.  A system
     with chunks is read a chunk at a time: the walk keeps the arrows read
-    so far at each site and reads the site's next chunk when the walk runs
-    past them.  Any other system is queried arrow by arrow.
+    so far at each site and reads the site's chunks up to level k when the
+    walk runs past them.  Any other system is queried arrow by arrow.
     """
+    return _walk(system, horizon, [0], {0: 1})
+
+
+def _walk(
+    system: ArrowSystem, horizon: int, positions: list[int], visits: dict[int, int]
+) -> Trajectory:
+    """Continue the walk of `system` whose first steps are `positions`, with
+    per-site visit counts `visits`, to `horizon` steps, extending both in
+    place.  `system` must generate those first steps.  A resumed walk can
+    read a site's stack first above its first chunk, so the chunk loop
+    reads chunks until it holds level k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     chunk = system.chunk
-    pos = 0
-    positions = [0] * (horizon + 1)
-    visits = {0: 1}
+    start = len(positions)
+    pos = positions[-1]
+    positions += [0] * (horizon + 1 - start)
     if chunk is None:
         arrow_at = system.arrow_at
-        for n in range(1, horizon + 1):
+        for n in range(start, horizon + 1):
             pos += arrow_at(pos, visits[pos])
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1
     else:
         stacks: dict[int, list[Arrow]] = {}  # site -> its arrows read so far
-        for n in range(1, horizon + 1):
+        for n in range(start, horizon + 1):
             k = visits[pos]
             stack = stacks.get(pos)
             if stack is None:
                 stack = stacks[pos] = list(chunk(pos, 0))
-            elif k > len(stack):  # one level past the chunks read: the next one
+            while k > len(stack):  # past the chunks read: the next one
                 stack += chunk(pos, len(stack) >> 3)
             pos += stack[k - 1]
             positions[n] = pos
@@ -247,6 +260,43 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     traj = Trajectory(positions, visits, system)
     traj._walked = True
     return traj
+
+
+def zero_right_walk(traj: Trajectory) -> Trajectory:
+    """The walk of `zero_right_transform(traj.system)` to `traj.horizon`:
+    equal to `run_walk` on the transformed system, positions and visit
+    counts, but the steps `traj` already took are not walked again.
+
+    The walk reads arrows at sites x >= 1 only on its right excursions from
+    0, and reads them in the same order whatever happens at 0 and to its
+    left.  The transformed walk steps Right at every visit to 0, so it is
+    the pair walk's right excursions placed end to end, the last one cut
+    where the pair walk ends, followed by the steps the pair walk never
+    took.  Only those are walked.  The reuse needs `system` to generate
+    `traj`, which `_walked` marks; any other trajectory is walked in full.
+    """
+    prefix = _right_excursions(traj.positions) if traj._walked else [0]
+    # A plain dict: the walk loop's lookups are slower on a dict subclass.
+    return _walk(zero_right_transform(traj.system), traj.horizon, prefix, dict(Counter(prefix)))
+
+
+def _right_excursions(positions: list[int]) -> list[int]:
+    """0 followed by the path's right excursions from 0, end to end: the
+    steps n with positions[n - 1] + positions[n] > 0, in order.  One list
+    search and one slice per return to 0."""
+    prefix = [0]
+    last = len(positions) - 1
+    i = 0  # a time at 0
+    try:
+        while i < last:
+            j = positions.index(0, i + 1)
+            if positions[i + 1] > 0:
+                prefix += positions[i + 1 : j + 1]
+            i = j
+    except ValueError:  # no return after time i: the path ends in this excursion
+        if positions[i + 1] > 0:
+            prefix += positions[i + 1 :]
+    return prefix
 
 
 @dataclass

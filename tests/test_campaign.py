@@ -20,7 +20,13 @@ from arrowwalk import (
 )
 from arrowwalk.campaign import run_trial
 from arrowwalk.core import LEFT, RIGHT, ArrowSystem, run_walk, zero_right_transform
-from arrowwalk.couplings import BlockPartition, CookieEnvironment, UniformField, constant_env
+from arrowwalk.couplings import (
+    BlockPartition,
+    CookieEnvironment,
+    UniformField,
+    constant_env,
+    shared_pair,
+)
 
 CHECK_ORDER = sorted(STATEMENT_IDS)
 
@@ -215,6 +221,31 @@ def test_collect_returns_off():
     report = run_campaign(quiet("shared-uniform", trials=3, horizon=150, collect_returns=False))
     assert "returns_l" not in report.trials[0]
     assert report.aggregates["returns_l"] == {"count": 0}
+
+
+# The zero-right transform forces Right at 0 on both sides, so it keeps an
+# ordered pair ordered, and both transformed walks have running minimum 0:
+# the max_visits statement then reads returns_l >= returns_r.
+@pytest.mark.parametrize("family", ["shared-uniform", "block-family", "swap-chain", "envelope"])
+def test_ordered_pairs_return_to_zero_in_order(family):
+    rows = run_campaign(quiet(family, trials=60, horizon=1000, seed=5)).trials
+    assert len(rows) == 60
+    for row in rows:
+        assert row["returns_l"] >= row["returns_r"], row["trial"]
+
+
+def test_shared_pairs_of_the_directional_criterion_return_in_order():
+    # Criterion 9's two environments, coupled through one field.
+    field = UniformField(0)
+    for i in range(20):
+        pair = shared_pair(cookie_env((0.6, 0.6)), cookie_env((0.9, 0.9)), field, 10_000, ("ret", i))
+        returns_l, returns_r = campaign._returns_to_zero(pair)
+        assert returns_l >= returns_r, i
+
+
+def test_independent_control_breaks_the_returns_order():
+    rows = run_campaign(quiet("independent-control", trials=60, horizon=1000, seed=5)).trials
+    assert any(row["returns_l"] < row["returns_r"] for row in rows)
 
 
 def test_run_trial_row_shape():

@@ -6,6 +6,9 @@ the per-arrow loop, kept here as the slow reference: both must give equal
 positions and visit counts for every system that has chunks.  A sampled
 system's `arrow_at` reads its chunks, so its reference walk queries
 `CellSystem`, the sampling rule applied to one field value at a time.
+
+`zero_right_walk` reuses a walked path's right excursions and walks only
+the rest; its reference is the full walk of the transformed system.
 """
 
 import random
@@ -22,6 +25,7 @@ from arrowwalk.core import (
     ExplicitSystem,
     Trajectory,
     zero_right_transform,
+    zero_right_walk,
 )
 from arrowwalk.couplings import (
     CookieEnvironment,
@@ -219,3 +223,74 @@ def test_check_pair_validates_only_paths_it_did_not_walk(monkeypatch):
     jump = CoupledPair(Trajectory([0, 2], {0: 1, 2: 1}), Trajectory([0, 1], {0: 1, 1: 1}))
     with pytest.raises(ValueError, match="path step"):
         check_pair(jump)
+
+
+def assert_reuse_matches_the_full_walk(traj, make_full):
+    """`zero_right_walk(traj)` against `make_full()`, the full walk of the
+    transformed system; returns the side of 0 where `traj` ends."""
+    got = zero_right_walk(traj)
+    want = make_full()
+    assert got.positions == want.positions
+    assert got.visit_counts == want.visit_counts
+    assert got.horizon == traj.horizon and got._walked
+    end = traj.positions[-1]
+    return (end > 0) - (end < 0)
+
+
+RETURN_FAMILIES = ("shared-uniform", "independent-control", "block-family", "swap-chain",
+                   "envelope", "ce1")
+
+
+@pytest.mark.parametrize("family", RETURN_FAMILIES)
+def test_zero_right_walk_matches_the_full_rewalk(family):
+    ends = set()
+    for seed in (0, 5):
+        for horizon in (1, 2, 9, 60, 700):
+            config = CampaignConfig(family, trials=3, horizon=horizon, seed=seed,
+                                    **({"kmax": 3} if family == "ce1" else {}))
+            field = UniformField(seed)
+            for trial in range(config.effective_trials()):
+                pair, _ = _build_pair(config, trial, field)
+                for traj in (pair.traj_l, pair.traj_r):
+                    assert traj._walked
+                    ends.add(assert_reuse_matches_the_full_walk(
+                        traj, lambda: run_walk(zero_right_transform(traj.system), horizon)))
+    # ce1's walks drift right at once, and nothing else ends inside a right excursion.
+    assert ends == ({0, 1} if family == "ce1" else {-1, 0, 1})
+
+
+def test_zero_right_walk_reads_a_site_first_past_its_first_chunk():
+    # Each visit to 0 alternates a right excursion 0, 1, 0 with a left one
+    # 0, -1, 0, so after 4m steps site 1 holds m consumed arrows and the
+    # resumed walk reads it first at level m + 1.
+    system = ExplicitSystem({0: "RL" * 20, 1: "L" * 20, -1: "R" * 20}, RIGHT)
+    ends = set()
+    for horizon in (0, 4, 33, 35, 37, 40, 68, 100):
+        traj = run_walk(system, horizon)
+        ends.add(assert_reuse_matches_the_full_walk(
+            traj, lambda: run_walk(zero_right_transform(system), horizon)))
+    assert ends == {-1, 0, 1}
+
+
+def test_zero_right_walk_reuses_in_the_order_cells_were_drawn():
+    # An order-dependent system: the reused walk must draw the cells it
+    # reads past the pair walk in the order the full re-walk draws them.
+    for seed in range(8):
+        for horizon in (1, 30, 400):
+            system = SequentialSystem(seed)
+            traj = run_walk(system, horizon)
+            fresh = SequentialSystem(seed)
+            run_walk(fresh, horizon)
+            assert_reuse_matches_the_full_walk(
+                traj, lambda: run_walk(zero_right_transform(fresh), horizon))
+            assert system.cells == fresh.cells, (seed, horizon)
+
+
+def test_zero_right_walk_walks_imported_paths_in_full():
+    # The system does not generate this path, so nothing of it is reused.
+    system = explicit(LEFT, 4)
+    for path in ([0, 1, 2, 1, 0, -1, 0, 1, 2, 3], [0, 1, 0, 1, 0], [0, -1, -2, -1]):
+        traj = Trajectory.from_positions(path, system)
+        assert not traj._walked
+        assert_reuse_matches_the_full_walk(
+            traj, lambda: run_walk(zero_right_transform(system), len(path) - 1))

@@ -3,13 +3,14 @@ exist, and wrapping must leave reports unchanged.
 
 `bench/spans.py` replaces class attributes and module functions by name,
 so renaming or removing one of them breaks `--trace 1` runs; this test
-makes such a change fail here too.
+makes such a change fail here too.  The steps the zero-right return walks
+take, which the tracer does not see, are pinned without it.
 """
 
 import importlib.util
 from pathlib import Path
 
-from arrowwalk import FAMILIES, CampaignConfig, UniformField, campaign
+from arrowwalk import FAMILIES, CampaignConfig, UniformField, campaign, core
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -30,16 +31,35 @@ def load_spans():
 # trial's random environments, so field.block_calls is 0: the memos' counts
 # are pinned in `tests/test_couplings.py` instead.  Nor does it wrap
 # `chunk`: `run_walk` reads sampled systems a chunk at a time, so the
-# sampled families query no `arrow_at` at all.
+# sampled families query no `arrow_at` at all.  Nor does it wrap
+# `zero_right_walk`, so walk.steps counts only the pair walks; the steps
+# the return walks take are pinned in RETURN_STEPS.
 EXACT = {
-    "shared-uniform": (0, 0, 240, 60),
-    "block-family": (0, 234, 240, 60),
-    "swap-chain": (0, 232, 240, 60),
-    "envelope": (0, 147, 240, 60),
-    "independent-control": (0, 0, 240, 60),
-    "ce1": (0, 0, 240, 60),
+    "shared-uniform": (0, 0, 120, 60),
+    "block-family": (0, 128, 120, 60),
+    "swap-chain": (0, 173, 120, 60),
+    "envelope": (0, 88, 120, 60),
+    "independent-control": (0, 0, 120, 60),
+    "ce1": (0, 0, 120, 60),
     "ce2": (0, 0, 0, 28),
 }
+
+# The steps each side's return walk walks past the pair walk's right
+# excursions, (left, right), at the config below; ce2 carries no systems.
+RETURN_STEPS = {
+    "shared-uniform": (60, 58),
+    "block-family": (4, 4),
+    "swap-chain": (60, 0),
+    "envelope": (54, 0),
+    "independent-control": (50, 36),
+    "ce1": (0, 0),
+    "ce2": (),
+}
+
+
+def config_of(family):
+    return CampaignConfig(family, trials=1, horizon=60, seed=3, include_timestamp=False,
+                          **({"kmax": 3} if family == "ce1" else {}))
 
 
 def test_tracer_hooks_every_family():
@@ -47,9 +67,7 @@ def test_tracer_hooks_every_family():
     assert set(EXACT) == set(FAMILIES)
     block, value = UniformField.block, UniformField.value
     for family in FAMILIES:
-        config = CampaignConfig(family, trials=1, horizon=60, seed=3,
-                                include_timestamp=False,
-                                **({"kmax": 3} if family == "ce1" else {}))
+        config = config_of(family)
         want = campaign.run_campaign(config).to_json()
         tracer = spans.Tracer()
         try:
@@ -71,3 +89,17 @@ def test_tracer_hooks_every_family():
             "checker.pair_steps": pair_steps,
             "systems.arrow_queries": queries,
         }, family
+
+
+def test_return_walks_walk_only_the_steps_the_pair_never_took(monkeypatch):
+    walk = core._walk
+    for family in FAMILIES:
+        config = config_of(family)
+        pair, _ = campaign._build_pair(config, 0, UniformField(config.seed))
+        walked = []
+        monkeypatch.setattr(core, "_walk", lambda system, horizon, positions, visits: (
+            walked.append(horizon + 1 - len(positions))
+            or walk(system, horizon, positions, visits)))
+        campaign._returns_to_zero(pair)
+        monkeypatch.setattr(core, "_walk", walk)
+        assert tuple(walked) == RETURN_STEPS[family], family
