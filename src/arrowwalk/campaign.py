@@ -258,7 +258,7 @@ def _returns_to_zero(pair: CoupledPair) -> tuple[Optional[int], Optional[int]]:
         if traj.system is None:
             out.append(None)
             continue
-        out.append(zero_right_walk(traj).positions[1:].count(0))
+        out.append(zero_right_walk(traj).visit_counts[0] - 1)
     return out[0], out[1]
 
 

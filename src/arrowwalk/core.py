@@ -69,6 +69,10 @@ class ArrowSystem:
     """
 
     chunk: Optional[Callable[[int, int], Sequence[Arrow]]] = None
+    # The first positions of the system's walk, when already known: `run_walk`
+    # copies them and walks on from the last.  Only the transformed systems
+    # `zero_right_walk` builds know more than the start.
+    _prefix: Sequence[int] = (0,)
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         raise NotImplementedError
@@ -122,8 +126,9 @@ class _ZeroRightSystem(ArrowSystem):
     to 0 count how often the original stack at 0 would have been re-read.
     """
 
-    def __init__(self, base: ArrowSystem):
+    def __init__(self, base: ArrowSystem, prefix: Sequence[int] = (0,)):
         self.base = base
+        self._prefix = prefix
         if base.chunk is None:
             self.chunk = None  # nothing to delegate to: walked arrow by arrow
 
@@ -220,21 +225,17 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     level-k arrow at `pos` and moves one unit in its direction.  A system
     with chunks is read a chunk at a time: the walk keeps the arrows read
     so far at each site and reads the site's chunks up to level k when the
-    walk runs past them.  Any other system is queried arrow by arrow.
+    walk runs past them.  Any other system is queried arrow by arrow.  A
+    system that knows the first positions of its walk (see
+    `zero_right_walk`) has them copied, and only the steps after them are
+    walked: such a walk resumes mid-path and can first read a site's stack
+    above its first chunk.
     """
-    return _walk(system, horizon, [0], {0: 1})
-
-
-def _walk(
-    system: ArrowSystem, horizon: int, positions: list[int], visits: dict[int, int]
-) -> Trajectory:
-    """Continue the walk of `system` whose first steps are `positions`, with
-    per-site visit counts `visits`, to `horizon` steps, extending both in
-    place.  `system` must generate those first steps.  A resumed walk can
-    read a site's stack first above its first chunk, so the chunk loop
-    reads chunks until it holds level k."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    positions = list(system._prefix[: horizon + 1])
+    # A plain dict: the walk loop's lookups are slower on a dict subclass.
+    visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))
     chunk = system.chunk
     start = len(positions)
     pos = positions[-1]
@@ -272,12 +273,15 @@ def zero_right_walk(traj: Trajectory) -> Trajectory:
     left.  The transformed walk steps Right at every visit to 0, so it is
     the pair walk's right excursions placed end to end, the last one cut
     where the pair walk ends, followed by the steps the pair walk never
-    took.  Only those are walked.  The reuse needs `system` to generate
+    took.  The transformed system built here knows that prefix, and
+    `run_walk` walks only the rest.  The reuse needs `system` to generate
     `traj`, which `_walked` marks; any other trajectory is walked in full.
     """
-    prefix = _right_excursions(traj.positions) if traj._walked else [0]
-    # A plain dict: the walk loop's lookups are slower on a dict subclass.
-    return _walk(zero_right_transform(traj.system), traj.horizon, prefix, dict(Counter(prefix)))
+    base = traj.system
+    if isinstance(base, _ZeroRightSystem):  # a new one: the prefix is this walk's
+        base = base.base
+    prefix = _right_excursions(traj.positions) if traj._walked else (0,)
+    return run_walk(_ZeroRightSystem(base, prefix), traj.horizon)
 
 
 def _right_excursions(positions: list[int]) -> list[int]:

@@ -294,3 +294,16 @@ def test_zero_right_walk_walks_imported_paths_in_full():
         assert not traj._walked
         assert_reuse_matches_the_full_walk(
             traj, lambda: run_walk(zero_right_transform(system), len(path) - 1))
+
+
+def test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged():
+    # The path of a transformed system is all right excursions, so all of it
+    # is reused, on a new system: the one the path carries keeps its start.
+    system = zero_right_transform(explicit(LEFT, 4))
+    traj = run_walk(system, 300)
+    got = zero_right_walk(traj)
+    assert got.system is not system and system._prefix == (0,)
+    assert (got.positions, got.visit_counts) == (traj.positions, traj.visit_counts)
+    # A shorter walk of the new system copies only the steps it needs.
+    short = run_walk(got.system, 50)
+    assert (short.positions, short.visit_counts) == reference_walk(system, 50)

@@ -3,8 +3,9 @@ exist, and wrapping must leave reports unchanged.
 
 `bench/spans.py` replaces class attributes and module functions by name,
 so renaming or removing one of them breaks `--trace 1` runs; this test
-makes such a change fail here too.  The steps the zero-right return walks
-take, which the tracer does not see, are pinned without it.
+makes such a change fail here too.  The return walks run through
+`run_walk` with the full horizon, so the tracer counts their nominal steps;
+the steps they actually walk are pinned without it.
 """
 
 import importlib.util
@@ -31,16 +32,17 @@ def load_spans():
 # trial's random environments, so field.block_calls is 0: the memos' counts
 # are pinned in `tests/test_couplings.py` instead.  Nor does it wrap
 # `chunk`: `run_walk` reads sampled systems a chunk at a time, so the
-# sampled families query no `arrow_at` at all.  Nor does it wrap
-# `zero_right_walk`, so walk.steps counts only the pair walks; the steps
-# the return walks take are pinned in RETURN_STEPS.
+# sampled families query no `arrow_at` at all.  walk.steps counts the
+# horizon of every `run_walk`, the zero-right return walks included, though
+# those walk only the steps past the pair walk's right excursions (pinned in
+# RETURN_STEPS); the arrows they reuse are not queried again.
 EXACT = {
-    "shared-uniform": (0, 0, 120, 60),
-    "block-family": (0, 128, 120, 60),
-    "swap-chain": (0, 173, 120, 60),
-    "envelope": (0, 88, 120, 60),
-    "independent-control": (0, 0, 120, 60),
-    "ce1": (0, 0, 120, 60),
+    "shared-uniform": (0, 0, 240, 60),
+    "block-family": (0, 128, 240, 60),
+    "swap-chain": (0, 173, 240, 60),
+    "envelope": (0, 88, 240, 60),
+    "independent-control": (0, 0, 240, 60),
+    "ce1": (0, 0, 240, 60),
     "ce2": (0, 0, 0, 28),
 }
 
@@ -92,14 +94,13 @@ def test_tracer_hooks_every_family():
 
 
 def test_return_walks_walk_only_the_steps_the_pair_never_took(monkeypatch):
-    walk = core._walk
+    run_walk = core.run_walk
     for family in FAMILIES:
         config = config_of(family)
         pair, _ = campaign._build_pair(config, 0, UniformField(config.seed))
         walked = []
-        monkeypatch.setattr(core, "_walk", lambda system, horizon, positions, visits: (
-            walked.append(horizon + 1 - len(positions))
-            or walk(system, horizon, positions, visits)))
+        monkeypatch.setattr(core, "run_walk", lambda system, horizon: (
+            walked.append(horizon + 1 - len(system._prefix)) or run_walk(system, horizon)))
         campaign._returns_to_zero(pair)
-        monkeypatch.setattr(core, "_walk", walk)
+        monkeypatch.setattr(core, "run_walk", run_walk)
         assert tuple(walked) == RETURN_STEPS[family], family
