@@ -20,7 +20,7 @@ from .core import (
     scan_identities,
     write_trajectory_csv,
 )
-from .verify import STATEMENT_IDS, check_pair, make_pair
+from .verify import STATEMENT_IDS, check_pair
 from .counterexamples import (
     build_ce1,
     build_ce2,
@@ -29,8 +29,6 @@ from .counterexamples import (
     observe_ce1_milestones,
 )
 from .couplings import (
-    BlockPartition,
-    CookieEnvironment,
     UniformField,
     cookie_env,
     couple_block_family,
@@ -41,7 +39,6 @@ from .couplings import (
     orrw_drift_law,
     sample_system,
     shared_pair,
-    sorted_env,
 )
 from .campaign import (
     CampaignConfig,
@@ -53,12 +50,11 @@ from .campaign import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition", "CampaignConfig", "CookieEnvironment", "FAMILIES",
-    "STATEMENT_IDS", "UniformField", "build_ce1", "build_ce2",
-    "ce1_milestones", "check_pair", "cookie_env", "couple_block_family",
-    "couple_swap_chain", "envelope_walk", "lead_sets", "load_env",
-    "load_partition", "load_system", "make_pair", "observe_ce1_milestones",
+    "CampaignConfig", "FAMILIES", "STATEMENT_IDS", "UniformField",
+    "build_ce1", "build_ce2", "ce1_milestones", "check_pair", "cookie_env",
+    "couple_block_family", "couple_swap_chain", "envelope_walk", "lead_sets",
+    "load_env", "load_partition", "load_system", "observe_ce1_milestones",
     "orrw_drift_law", "paths_admit_preceq", "run_campaign", "run_walk",
-    "sample_system", "scan_identities", "shared_pair", "sorted_env",
+    "sample_system", "scan_identities", "shared_pair",
     "speed_and_recurrence_stats", "write_trajectory_csv",
 ]

@@ -97,7 +97,7 @@ class CampaignConfig:
             self.checks = tuple(self.checks)
             bad = [c for c in self.checks if c not in STATEMENT_IDS]
             if bad:
-                raise ValueError(f"unknown checks: {bad}")
+                raise ValueError(f"unknown checks {bad}; valid: {', '.join(STATEMENT_IDS)}")
         if self.family in ("shared-uniform", "swap-chain") and (self.env is None) != (self.env2 is None):
             raise ValueError(
                 f"family {self.family} needs both env and env2, or neither for random ones"
@@ -262,11 +262,13 @@ def _returns_to_zero(pair: CoupledPair) -> tuple[Optional[int], Optional[int]]:
     return out[0], out[1]
 
 
-def run_trial(config: CampaignConfig, trial: int) -> dict:
+def replay_trial(config: CampaignConfig, trial: int) -> tuple[dict, Optional[CoupledPair]]:
     """Run one trial end to end: build the pair, check the statements,
-    collect walk statistics.  A family's extras (envelope alpha, ce1
-    milestones, ce2 lead sets) sit under "extra", present only when there
-    are some; the campaign report copies the first row's.
+    collect walk statistics.  Returns the trial's report row and its
+    coupled pair, None when the row is an error row.  A family's extras
+    (envelope alpha, ce1 milestones, ce2 lead sets) sit under "extra",
+    present only when there are some; the campaign report copies the first
+    row's.
 
     A drift contract violation becomes an error row.  Any other exception
     is raised again naming the family, seed and trial, chained from the
@@ -301,7 +303,7 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
             "trial": trial,
             "error": str(err),
             "checks": {c: {"status": "fail", "witness": {"error": str(err)}} for c in checks},
-        }
+        }, None
     except Exception as err:
         kind = ValueError if isinstance(err, ValueError) else RuntimeError
         raise kind(
@@ -310,7 +312,12 @@ def run_trial(config: CampaignConfig, trial: int) -> dict:
         ) from err
     if extra:
         row["extra"] = extra
-    return row
+    return row, pair
+
+
+def run_trial(config: CampaignConfig, trial: int) -> dict:
+    """The report row of one trial, as `replay_trial` computes it."""
+    return replay_trial(config, trial)[0]
 
 
 def _summary(values: Sequence[float]) -> dict:

@@ -10,12 +10,12 @@ import json
 from typing import Optional
 
 import click
-from click.core import ParameterSource
 
 from .campaign import (
     FAMILIES,
     CampaignConfig,
     UnreadOptionError,
+    replay_trial,
     run_campaign,
     speed_and_recurrence_stats,
 )
@@ -32,16 +32,8 @@ from .counterexamples import (
     lead_sets,
     observe_ce1_milestones,
 )
-from .couplings import (
-    UniformField,
-    couple_swap_chain,
-    couple_block_family,
-    load_env,
-    load_partition,
-    shared_pair,
-    sorted_env,
-)
-from .verify import STATEMENT_IDS, check_pair, make_pair
+from .couplings import load_env, load_partition
+from .verify import check_pair
 
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
 # ten million steps take minutes and about a gigabyte of positions.
@@ -53,10 +45,11 @@ MAX_KMAX = 64
 MAX_N = 10**6
 # Largest --cycles: ce2 builds 28 positions per cycle on each path.
 MAX_CYCLES = MAX_STEPS // 28
-# Largest --trials of `campaign` and `stats`: a campaign keeps one row of
-# 3.0 to 3.4 KB per trial (tracemalloc, 200-trial runs at horizon 50 of the
-# shared-uniform, envelope and independent-control families), so 10**5
-# trials hold up to about 0.35 GB of rows.
+# Largest --trials of `campaign` and `stats`; `couple --trial` stays below
+# it.  A campaign keeps one row of 3.0 to 3.4 KB per trial (tracemalloc,
+# 200-trial runs at horizon 50 of the shared-uniform, envelope and
+# independent-control families), so 10**5 trials hold up to about 0.35 GB
+# of rows.
 MAX_TRIALS = 10**5
 
 
@@ -70,11 +63,7 @@ def _load(loader, path: str, what: str):
 def _parse_checks(text: Optional[str]) -> Optional[tuple[str, ...]]:
     if not text:
         return None
-    names = tuple(c.strip() for c in text.split(",") if c.strip())
-    bad = [c for c in names if c not in STATEMENT_IDS]
-    if bad:
-        raise click.UsageError(f"unknown checks {bad}; valid: {', '.join(STATEMENT_IDS)}")
-    return names
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _parse_eta(text: str) -> tuple[float, ...]:
@@ -114,56 +103,23 @@ def run_cmd(system_path: str, horizon: int, out: Optional[str], fmt: str) -> Non
 
 
 @main.command()
-@click.option("--system", "system_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Walk this system and check the bookkeeping identities.")
-@click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Low environment for a shared-uniform coupled pair.")
-@click.option("--env2", "env2_path", default=None, type=click.Path(exists=True, dir_okay=False), help="High environment for a shared-uniform coupled pair.")
+@click.option("--system", "system_path", required=True, type=click.Path(exists=True, dir_okay=False), help="System JSON file.")
 @click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--checks", default=None, help="Comma-separated statement ids (default: all).")
 @click.option("--out", default=None)
 @click.pass_context
-def verify(ctx, system_path, env_path, env2_path, horizon, seed, checks, out) -> None:
-    """Check identities on one walk, or coupling statements on a pair.
-
-    With --system, runs the walk and scans every bookkeeping identity at
-    every time.  With --env and --env2, samples both systems through shared
-    uniforms of --seed and runs the statement checks (--checks) on the
-    coupled walks; --system refuses those two options.
-    """
-    pair_mode = env_path is not None or env2_path is not None
-    if pair_mode == (system_path is not None):
-        raise click.UsageError("give either --system, or both --env and --env2")
-    if pair_mode:
-        if env_path is None or env2_path is None:
-            raise click.UsageError("pair mode needs both --env and --env2")
-        env_l = _load(load_env, env_path, "environment")
-        env_r = _load(load_env, env2_path, "environment")
-        try:
-            pair = shared_pair(env_l, env_r, UniformField(seed), horizon)
-        except ValueError as err:
-            raise click.UsageError(str(err))
-        results = check_pair(pair, _parse_checks(checks))
-        payload = [results[name].to_dict() for name in results]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
-        if not all(r.passed for r in results.values()):
-            ctx.exit(1)
-    else:
-        given = [f"--{name}" for name in ("seed", "checks")
-                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-        if given:
-            raise click.UsageError(f"--system does not read {', '.join(given)}")
-        system = _load(load_system, system_path, "system")
-        traj = run_walk(system, horizon)
-        report = scan_identities(traj)
-        payload = {
-            "t": report.t,
-            "passed": report.passed,
-            "ok": report.ok,
-            "witnesses": {k: list(v) for k, v in report.witnesses.items()},
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
-        if not report.passed:
-            ctx.exit(1)
+def verify(ctx, system_path, horizon, out) -> None:
+    """Walk a system and check the bookkeeping identities at every time."""
+    system = _load(load_system, system_path, "system")
+    report = scan_identities(run_walk(system, horizon))
+    payload = {
+        "t": report.t,
+        "passed": report.passed,
+        "ok": report.ok,
+        "witnesses": {k: list(v) for k, v in report.witnesses.items()},
+    }
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    if not report.passed:
+        ctx.exit(1)
 
 
 @main.group()
@@ -228,105 +184,103 @@ def ce2(ctx, variant: str, cycles: int, out: Optional[str]) -> None:
         ctx.exit(1)
 
 
-@main.command()
-@click.option("--env", "env_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--env2", "env2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--partition", "partition_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["shared", "block-family", "swap-chain"]), default="shared", show_default=True)
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--out", default=None, help="Write the coupled paths as CSV (n,pos_l,pos_r).")
-@click.pass_context
-def couple(ctx, env_path, env2_path, partition_path, mode, horizon, seed, out) -> None:
-    """Build one coupled pair of walks and run the statement checks."""
-    env_l = _load(load_env, env_path, "environment")
-    env_r = _load(load_env, env2_path, "environment")
-    field = UniformField(seed)
-    try:
-        if mode == "shared":
-            if partition_path is not None:
-                raise click.UsageError("--mode shared does not read --partition")
-            pair = shared_pair(env_l, env_r, field, horizon)
-        else:
-            if partition_path is None:
-                raise click.UsageError(f"--mode {mode} needs --partition")
-            partition = _load(load_partition, partition_path, "partition")
-            if mode == "swap-chain":
-                pair = couple_swap_chain(env_l, env_r, partition, field, horizon)
-            else:
-                base = sorted_env(env_l, partition)
-                systems = couple_block_family(base, partition, [env_l, env_r], field)
-                pair = make_pair(*systems, horizon, relation_mode="preceq", provenance="block-family")
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    results = check_pair(pair)
-    if out:
-        with click.open_file(out, "w") as fh:
-            fh.write("n,pos_l,pos_r\n")
-            for i, (a, b) in enumerate(zip(pair.traj_l.positions, pair.traj_r.positions)):
-                fh.write(f"{i},{a},{b}\n")
-    payload = {
-        "provenance": pair.provenance,
-        "relation": pair.relation_mode,
-        "checks": {name: res.to_dict() for name, res in results.items()},
-    }
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    if not all(r.passed for r in results.values()):
-        ctx.exit(1)
+# The options that fix one campaign trial, shared by `campaign` and `couple`.
+_TRIAL_OPTIONS = (
+    click.option("--family", type=click.Choice(FAMILIES), default="shared-uniform", show_default=True),
+    click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS)),
+    click.option("--seed", default=0, show_default=True, type=int),
+    click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False)),
+    click.option("--env2", "env2_path", default=None, type=click.Path(exists=True, dir_okay=False)),
+    click.option("--partition", "partition_path", default=None, type=click.Path(exists=True, dir_okay=False)),
+    click.option("--eta", default="0.9,0.9", show_default=True, help="Comma-separated envelope thresholds."),
+    click.option("--beta", default=1.0, show_default=True, type=float),
+    click.option("--checks", default=None, help="Comma-separated statement ids (default: all)."),
+    click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3, max=MAX_N)),
+    click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX)),
+    click.option("--variant", type=click.Choice(["primed", "periodic"]), default="primed", show_default=True),
+    click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1, max=MAX_CYCLES)),
+    click.option("--no-returns", is_flag=True, help="Skip the transformed-walk return counts."),
+)
 
 
-@main.command()
-@click.option("--family", type=click.Choice(FAMILIES), default="shared-uniform", show_default=True)
-@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1, max=MAX_TRIALS))
-@click.option("--horizon", default=1000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--env", "env_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--env2", "env2_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--partition", "partition_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--eta", default="0.9,0.9", show_default=True, help="Comma-separated envelope thresholds.")
-@click.option("--beta", default=1.0, show_default=True, type=float)
-@click.option("--checks", default=None, help="Comma-separated statement ids (default: all).")
-@click.option("--N", "n", default=3, show_default=True, type=click.IntRange(min=3, max=MAX_N))
-@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1, max=MAX_KMAX))
-@click.option("--variant", type=click.Choice(["primed", "periodic"]), default="primed", show_default=True)
-@click.option("--cycles", default=1, show_default=True, type=click.IntRange(min=1, max=MAX_CYCLES))
-@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--no-returns", is_flag=True, help="Skip the transformed-walk return counts.")
-@click.option("--no-timestamp", is_flag=True, help="Omit wall-clock info for byte-stable reports.")
-@click.option("--out", default=None, help="Report JSON path ('-' for stdout).")
-@click.option("--dump-trials", "dump_trials", default=None, help="Also write per-trial statuses as CSV.")
-@click.pass_context
-def campaign(ctx, family, trials, horizon, seed, env_path, env2_path, partition_path,
-             eta, beta, checks, n, kmax, variant, cycles, workers,
-             no_returns, no_timestamp, out, dump_trials) -> None:
-    """Run a Monte Carlo campaign and write its aggregate report."""
+def _trial_options(command):
+    for option in reversed(_TRIAL_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _config(ctx, family, env_path, env2_path, partition_path, eta, checks, no_returns,
+            **options) -> CampaignConfig:
+    """The campaign configuration of the trial options, loading their files.
+    A refused option is named by its flag, as typed."""
     try:
-        config = CampaignConfig(
+        return CampaignConfig(
             family=family,
-            trials=trials,
-            horizon=horizon,
-            seed=seed,
             env=_load(load_env, env_path, "environment") if env_path else None,
             env2=_load(load_env, env2_path, "environment") if env2_path else None,
             partition=_load(load_partition, partition_path, "partition") if partition_path else None,
             eta=_parse_eta(eta),
-            beta=beta,
             checks=_parse_checks(checks),
-            n=n,
-            kmax=kmax,
-            variant=variant,
-            cycles=cycles,
-            workers=workers,
             collect_returns=not no_returns,
-            include_timestamp=not no_timestamp,
+            **options,
         )
-        report = run_campaign(config)
     except UnreadOptionError as err:
         # Each option as typed: its parameter is the field, or the field's file.
         flags = {p.name.removesuffix("_path"): p.opts[0] for p in ctx.command.params}
         raise click.UsageError(
             f"family {family} does not read {', '.join(flags[o] for o in err.options)}"
         )
+    except ValueError as err:
+        raise click.UsageError(str(err))
+
+
+@main.command()
+@_trial_options
+@click.option("--trial", default=0, show_default=True, type=click.IntRange(min=0, max=MAX_TRIALS - 1), help="The campaign trial to replay.")
+@click.option("--out", default=None, help="Write the coupled paths as CSV (n,pos_l,pos_r); an error row has none.")
+@click.pass_context
+def couple(ctx, trial, out, **trial_options) -> None:
+    """Replay one campaign trial: build its coupled pair, run the statement
+    checks, and print the trial's report row with the pair's provenance and
+    relation."""
+    config = _config(ctx, trials=trial + 1, **trial_options)
+    if trial >= config.effective_trials():
+        raise click.UsageError(
+            f"family {config.family} has only trial 0, got --trial {trial}"
+        )
+    try:
+        row, pair = replay_trial(config, trial)
+    except ValueError as err:
+        raise click.UsageError(str(err))
+    if out and pair is not None:
+        with click.open_file(out, "w") as fh:
+            fh.write("n,pos_l,pos_r\n")
+            for i, (a, b) in enumerate(zip(pair.traj_l.positions, pair.traj_r.positions)):
+                fh.write(f"{i},{a},{b}\n")
+    payload = {
+        "provenance": pair.provenance if pair else None,
+        "relation": pair.relation_mode if pair else None,
+        "row": row,
+    }
+    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    if any(c["status"] == "fail" for c in row["checks"].values()):
+        ctx.exit(1)
+
+
+@main.command()
+@_trial_options
+@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1, max=MAX_TRIALS))
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--no-timestamp", is_flag=True, help="Omit wall-clock info for byte-stable reports.")
+@click.option("--out", default=None, help="Report JSON path ('-' for stdout).")
+@click.option("--dump-trials", "dump_trials", default=None, help="Also write per-trial statuses as CSV.")
+@click.pass_context
+def campaign(ctx, trials, workers, no_timestamp, out, dump_trials, **trial_options) -> None:
+    """Run a Monte Carlo campaign and write its aggregate report."""
+    config = _config(ctx, trials=trials, workers=workers, include_timestamp=not no_timestamp,
+                     **trial_options)
+    try:
+        report = run_campaign(config)
     except ValueError as err:
         raise click.UsageError(str(err))
     _emit(report.to_json(), out)

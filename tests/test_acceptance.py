@@ -16,7 +16,6 @@ import pytest
 from scipy.stats import chisquare
 
 from arrowwalk import (
-    BlockPartition,
     CampaignConfig,
     STATEMENT_IDS,
     UniformField,
@@ -38,6 +37,7 @@ from arrowwalk import (
 )
 from arrowwalk.core import LEFT, RIGHT, ExplicitSystem, occupation
 from arrowwalk.couplings import (
+    BlockPartition,
     DriftContractError,
     conditional_stack_pmf,
     poisson_binomial,

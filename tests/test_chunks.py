@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from arrowwalk import CampaignConfig, UniformField, check_pair, make_pair, run_walk
+from arrowwalk import CampaignConfig, UniformField, check_pair, run_walk
 from arrowwalk import verify
 from arrowwalk.campaign import _build_pair
 from arrowwalk.core import (
@@ -34,7 +34,7 @@ from arrowwalk.couplings import (
     SampledCookieSystem,
     cookie_env,
 )
-from arrowwalk.verify import CoupledPair
+from arrowwalk.verify import CoupledPair, make_pair
 
 HORIZONS = (0, 1, 7, 8, 9, 17, 300, 3000)
 

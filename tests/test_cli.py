@@ -81,7 +81,7 @@ def test_run_unparseable_file(runner, files):
     (["run", "--system", "{path}"], {"kind": "explicit", "stacks": {}, "fill": "L"}, "explicit system"),
     (["run", "--system", "{path}"], {"kind": "ce1-R", "n": 7}, "ce1-R system"),
     (["stats", "--env", "{path}"], {"default": [0.2], "tial": 0.4}, "environment"),
-    (["couple", "--env", "{env_asc}", "--env2", "{env_desc}", "--mode", "swap-chain",
+    (["couple", "--family", "swap-chain", "--env", "{env_asc}", "--env2", "{env_desc}",
       "--partition", "{path}"], {"blocks": [[1, 2, 3]], "cpa": 2}, "partition"),
 ])
 def test_unknown_keys_in_input_files_are_refused(runner, files, tmp_path, command, obj, what):
@@ -104,62 +104,16 @@ def test_verify_system_mode(runner, files):
     assert all(payload["ok"].values())
 
 
-def test_verify_pair_mode(runner, files):
-    result = runner.invoke(
-        main,
-        ["verify", "--env", files["env_lo"], "--env2", files["env_hi"], "--horizon", "300"],
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert len(payload) == 7
-    assert all(entry["passed"] for entry in payload)
-
-
-def test_verify_checks_subset(runner, files):
-    result = runner.invoke(
-        main,
-        ["verify", "--env", files["env_lo"], "--env2", files["env_hi"],
-         "--horizon", "100", "--checks", "envelopes,record_lead"],
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert {entry["statement"] for entry in payload} == {"envelopes", "record_lead"}
-
-
-def test_verify_mode_flags(runner, files):
-    both = runner.invoke(
-        main, ["verify", "--system", files["sys_ce1l"], "--env", files["env_lo"], "--env2", files["env_hi"]]
-    )
-    assert both.exit_code == 2
-    neither = runner.invoke(main, ["verify"])
-    assert neither.exit_code == 2
-    half = runner.invoke(main, ["verify", "--env", files["env_lo"]])
-    assert half.exit_code == 2
-
-
 @pytest.mark.parametrize("args, flags", [
     (["--checks", "bogus"], "--checks"),
     (["--seed", "0"], "--seed"),
     (["--seed", "5", "--checks", "envelopes"], "--seed, --checks"),
 ])
 def test_verify_system_mode_refuses_the_pair_mode_options(runner, files, args, flags):
+    # verify has no pair mode: click refuses the first option it does not know.
     result = runner.invoke(main, ["verify", "--system", files["sys_ce1l"], "--horizon", "20", *args])
     assert result.exit_code == 2
-    assert f"--system does not read {flags}\n" in result.output
-
-
-def test_verify_rejects_unordered_pair(runner, files):
-    result = runner.invoke(main, ["verify", "--env", files["env_hi"], "--env2", files["env_lo"]])
-    assert result.exit_code == 2
-    assert "exceeds" in result.output
-
-
-def test_verify_rejects_unknown_check(runner, files):
-    result = runner.invoke(
-        main, ["verify", "--env", files["env_lo"], "--env2", files["env_hi"], "--checks", "bogus"]
-    )
-    assert result.exit_code == 2
-    assert "unknown checks" in result.output
+    assert f"No such option '{flags.split(', ')[0]}'" in result.output
 
 
 # --------------------------------------------------------- counterexample
@@ -248,44 +202,35 @@ def test_couple_shared(runner, files):
     payload = json.loads(result.output)
     assert payload["provenance"] == "shared-uniform"
     assert payload["relation"] == "trileq"
-    assert all(c["passed"] for c in payload["checks"].values())
+    assert all(c["status"] != "fail" for c in payload["row"]["checks"].values())
 
 
 def test_couple_block_family(runner, files):
+    # The members are the sorted and reversed base: (0.2, 0.5, 0.7) and (0.7, 0.5, 0.2).
     result = runner.invoke(
         main,
-        ["couple", "--env", files["env_asc"], "--env2", files["env_desc"],
-         "--partition", files["part"], "--mode", "block-family", "--horizon", "200"],
+        ["couple", "--family", "block-family", "--env", files["env_asc"],
+         "--partition", files["part"], "--horizon", "200"],
     )
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["provenance"] == "block-family"
     assert payload["relation"] == "preceq"
-    assert all(c["passed"] for c in payload["checks"].values())
+    assert all(c["status"] != "fail" for c in payload["row"]["checks"].values())
 
 
 def test_couple_swap_chain(runner, files, tmp_path):
     out = tmp_path / "pair.csv"
     result = runner.invoke(
         main,
-        ["couple", "--env", files["env_asc"], "--env2", files["env_desc"],
-         "--partition", files["part"], "--mode", "swap-chain",
-         "--horizon", "100", "--out", str(out)],
+        ["couple", "--family", "swap-chain", "--env", files["env_asc"], "--env2", files["env_desc"],
+         "--partition", files["part"], "--horizon", "100", "--out", str(out)],
     )
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,pos_l,pos_r"
     assert len(lines) == 102
     assert lines[1] == "0,0,0"
-
-
-def test_couple_needs_partition(runner, files):
-    result = runner.invoke(
-        main,
-        ["couple", "--env", files["env_asc"], "--env2", files["env_desc"], "--mode", "swap-chain"],
-    )
-    assert result.exit_code == 2
-    assert "--partition" in result.output
 
 
 def test_couple_shared_refuses_a_partition(runner, files):
@@ -295,16 +240,97 @@ def test_couple_shared_refuses_a_partition(runner, files):
          "--partition", files["part"], "--horizon", "50"],
     )
     assert result.exit_code == 2
-    assert "--mode shared does not read --partition" in result.output
+    assert "family shared-uniform does not read --partition\n" in result.output
 
 
 def test_couple_rejects_unreachable_chain(runner, files):
     result = runner.invoke(
         main,
-        ["couple", "--env", files["env_desc"], "--env2", files["env_asc"],
-         "--partition", files["part"], "--mode", "swap-chain"],
+        ["couple", "--family", "swap-chain", "--env", files["env_desc"], "--env2", files["env_asc"],
+         "--partition", files["part"]],
     )
     assert result.exit_code == 2
+    assert "not favourable-swap reachable" in result.output
+
+
+def test_couple_rejects_unordered_pair(runner, files):
+    result = runner.invoke(main, ["couple", "--env", files["env_hi"], "--env2", files["env_lo"]])
+    assert result.exit_code == 2
+    assert "env_l exceeds env_r" in result.output
+
+
+def test_couple_checks_subset(runner, files):
+    result = runner.invoke(
+        main,
+        ["couple", "--env", files["env_lo"], "--env2", files["env_hi"],
+         "--horizon", "100", "--checks", "envelopes,record_lead"],
+    )
+    assert result.exit_code == 0
+    assert set(json.loads(result.output)["row"]["checks"]) == {"envelopes", "record_lead"}
+
+
+# Trials 0 and 2 of every family, where the family has them: ce1 and ce2
+# have only trial 0.
+REPLAYS = [
+    (family, trial)
+    for family in campaign.FAMILIES
+    for trial in ((0,) if family in ("ce1", "ce2") else (0, 2))
+]
+
+
+@pytest.mark.parametrize("family, trial", REPLAYS)
+def test_couple_replays_the_campaign_trial(runner, tmp_path, family, trial):
+    options = ["--family", family, "--seed", "7", "--horizon", "60"]
+    dump = tmp_path / "trials.csv"
+    ran = runner.invoke(main, ["campaign", *options, "--trials", "3", "--no-timestamp",
+                               "--out", str(tmp_path / "report.json"), "--dump-trials", str(dump)])
+    config = campaign.CampaignConfig(family, trials=3, horizon=60, seed=7, include_timestamp=False)
+    expected = campaign.run_campaign(config).trials[trial]
+
+    result = runner.invoke(main, ["couple", *options, "--trial", str(trial)])
+    assert result.exit_code == ran.exit_code == (1 if family == "independent-control" else 0)
+    payload = json.loads(result.output)
+    assert payload["row"] == json.loads(json.dumps(expected))
+    assert payload["provenance"] and payload["relation"]
+    dumped = {
+        check: status
+        for t, check, status in (line.split(",") for line in dump.read_text().splitlines()[1:])
+        if t == str(trial)
+    }
+    assert dumped == {check: s["status"] for check, s in payload["row"]["checks"].items()}
+
+
+def test_couple_replays_an_error_row(runner):
+    options = ["--family", "envelope", "--eta", "0.1", "--horizon", "50"]
+    result = runner.invoke(main, ["couple", *options, "--trial", "1"])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    config = campaign.CampaignConfig("envelope", trials=2, horizon=50, eta=(0.1,))
+    assert payload["row"] == campaign.run_campaign(config).trials[1]
+    assert payload["provenance"] is None and "error" in payload["row"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--trial", str(MAX_TRIALS)],
+    ["--family", "ce1", "--trial", "1"],
+    ["--family", "ce2", "--trial", "2"],
+])
+def test_couple_refuses_a_trial_out_of_range(runner, monkeypatch, args):
+    def never(*a, **k):
+        raise AssertionError("no pair may be built")
+
+    monkeypatch.setattr(campaign, "_build_pair", never)
+    result = runner.invoke(main, ["couple", *args])
+    assert result.exit_code == 2
+    assert "--trial" in result.output
+
+
+@pytest.mark.parametrize("command", ["campaign", "couple"])
+def test_unknown_checks_are_refused(runner, command):
+    result = runner.invoke(main, [command, "--checks", "envelopes,bogus"])
+    assert result.exit_code == 2
+    assert "unknown checks ['bogus']" in result.output
+    assert "valid: envelopes, " in result.output
 
 
 # -------------------------------------------------------------- campaign
@@ -471,7 +497,7 @@ def test_stats_after_beyond_horizon(runner, files):
 @pytest.mark.parametrize("command", [
     ["run", "--system", "{sys_right}"],
     ["verify", "--system", "{sys_right}"],
-    ["couple", "--env", "{env_lo}", "--env2", "{env_hi}"],
+    ["couple", "--family", "shared-uniform"],
     ["campaign"],
     ["stats", "--env", "{env_lo}"],
 ])

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from arrowwalk import (
-    BlockPartition,
     CampaignConfig,
-    CookieEnvironment,
     UniformField,
     check_pair,
     cookie_env,
@@ -27,16 +25,16 @@ from arrowwalk import (
     envelope_walk,
     load_env,
     load_partition,
-    make_pair,
     orrw_drift_law,
     run_walk,
     sample_system,
     scan_identities,
     shared_pair,
-    sorted_env,
 )
 from arrowwalk.core import LEFT, RIGHT, Trajectory, check_relation
 from arrowwalk.couplings import (
+    BlockPartition,
+    CookieEnvironment,
     DriftContractError,
     EtaSystem,
     FieldStream,
@@ -50,9 +48,11 @@ from arrowwalk.couplings import (
     parse_env,
     parse_partition,
     poisson_binomial,
+    sorted_env,
     stack_chain,
     swap_path,
 )
+from arrowwalk.verify import make_pair
 from arrowwalk import campaign, couplings
 from arrowwalk.couplings import _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _pack
 

@@ -14,11 +14,11 @@ import pytest
 from arrowwalk import (
     FAMILIES,
     CampaignConfig,
-    CookieEnvironment,
     cookie_env,
     run_campaign,
     speed_and_recurrence_stats,
 )
+from arrowwalk.couplings import CookieEnvironment
 
 CAMPAIGN_DIGESTS = {
     "shared-uniform": "b01f506c7e480b497552d528831698805d7d9816514e1bbe3a11261f2798e72f",

@@ -11,13 +11,12 @@ import arrowwalk
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPORTS = [
-    "BlockPartition", "CampaignConfig", "CookieEnvironment", "FAMILIES",
-    "STATEMENT_IDS", "UniformField", "build_ce1", "build_ce2",
-    "ce1_milestones", "check_pair", "cookie_env", "couple_block_family",
-    "couple_swap_chain", "envelope_walk", "lead_sets", "load_env",
-    "load_partition", "load_system", "make_pair", "observe_ce1_milestones",
+    "CampaignConfig", "FAMILIES", "STATEMENT_IDS", "UniformField",
+    "build_ce1", "build_ce2", "ce1_milestones", "check_pair", "cookie_env",
+    "couple_block_family", "couple_swap_chain", "envelope_walk", "lead_sets",
+    "load_env", "load_partition", "load_system", "observe_ce1_milestones",
     "orrw_drift_law", "paths_admit_preceq", "run_campaign", "run_walk",
-    "sample_system", "scan_identities", "shared_pair", "sorted_env",
+    "sample_system", "scan_identities", "shared_pair",
     "speed_and_recurrence_stats", "write_trajectory_csv",
 ]
 

@@ -15,7 +15,6 @@ from arrowwalk import (
     build_ce2,
     check_pair,
     cookie_env,
-    make_pair,
     shared_pair,
 )
 from arrowwalk.core import (
@@ -26,7 +25,7 @@ from arrowwalk.core import (
     check_relation,
     consumed_stacks,
 )
-from arrowwalk.verify import CoupledPair, PairChecker
+from arrowwalk.verify import CoupledPair, PairChecker, make_pair
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
 ALWAYS_LIVE = {"envelopes", "max_visits"}
