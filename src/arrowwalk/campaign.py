@@ -46,15 +46,16 @@ from .couplings import (
 from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair
 
 # Each family and the options it reads.  Every other option must stay at its
-# default, or the report would echo a setting the run never used.
+# default, or the report would echo a setting the run never used: the ce2
+# pair is always 28 x cycles steps long, so ce2 does not read the horizon.
 _READS = {
-    "shared-uniform": ("env", "env2"),
-    "block-family": ("env", "partition"),
-    "swap-chain": ("env", "env2", "partition"),
-    "envelope": ("eta", "beta"),
-    "ce1": ("n", "kmax"),
+    "shared-uniform": ("horizon", "env", "env2"),
+    "block-family": ("horizon", "env", "partition"),
+    "swap-chain": ("horizon", "env", "env2", "partition"),
+    "envelope": ("horizon", "eta", "beta"),
+    "ce1": ("horizon", "n", "kmax"),
     "ce2": ("variant", "cycles"),
-    "independent-control": ("env",),
+    "independent-control": ("horizon", "env"),
 }
 FAMILIES = tuple(_READS)
 _OPTIONS = frozenset().union(*_READS.values())

@@ -63,7 +63,8 @@ class ArrowSystem:
 
     A system may also define `chunk(site, q)`, returning the arrows of
     levels 8q+1 .. 8q+8 at `site` as a sequence equal to `arrow_at` on
-    those levels; `run_walk` then reads a site's stack a chunk at a time.
+    those levels; `run_walk` then reads a site's stack a chunk at a time,
+    and never changes a chunk it is given, so chunks may be shared.
     A system whose arrows depend on the order its cells are first queried
     must leave it None: a chunk reads eight cells at once.
     """
@@ -225,8 +226,10 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     level-k arrow at `pos` and moves one unit in its direction.  A system
     with chunks is read a chunk at a time: the walk keeps the arrows read
     so far at each site and reads the site's chunks up to level k when the
-    walk runs past them.  Any other system is queried arrow by arrow.  A
-    system that knows the first positions of its walk (see
+    walk runs past them.  It keeps a site's first chunk as read, and copies
+    it into a list of its own only when it runs past it, so a chunk the
+    system hands out is never changed.  Any other system is queried arrow
+    by arrow.  A system that knows the first positions of its walk (see
     `zero_right_walk`) has them copied, and only the steps after them are
     walked: such a walk resumes mid-path and can first read a site's stack
     above its first chunk.
@@ -247,14 +250,19 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1
     else:
-        stacks: dict[int, list[Arrow]] = {}  # site -> its arrows read so far
+        # site -> its arrows read so far: its first chunk as read, which is
+        # never changed, then a list of its own once the walk runs past it
+        stacks: dict[int, Sequence[Arrow]] = {}
         for n in range(start, horizon + 1):
             k = visits[pos]
             stack = stacks.get(pos)
             if stack is None:
-                stack = stacks[pos] = list(chunk(pos, 0))
-            while k > len(stack):  # past the chunks read: the next one
-                stack += chunk(pos, len(stack) >> 3)
+                stack = stacks[pos] = chunk(pos, 0)
+            if k > len(stack):  # past the chunks read: the next ones
+                if len(stack) == 8:  # the first chunk as read: copied, once
+                    stack = stacks[pos] = list(stack)
+                while k > len(stack):
+                    stack += chunk(pos, len(stack) >> 3)
             pos += stack[k - 1]
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1

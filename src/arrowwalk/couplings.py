@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import struct
 from bisect import bisect_left
 from collections import deque
@@ -39,12 +38,13 @@ from .verify import CoupledPair, make_pair
 
 StreamTag = Union[int, str, tuple]
 
-# Every chunk of eight arrows, by the bytes of its eight comparisons
-# a < _limit(p) of a word with its cell's limit, which decide u < p: 1 for
-# Right, 0 for Left.  Sampled chunks are these tuples.
+# Every chunk of eight arrows, by the tuple of its eight comparisons
+# a < _limit(p) of a word with its cell's limit, which decide u < p: True
+# for Right, False for Left.  Sampled chunks are these tuples, shared by
+# every system and never changed.
 _CHUNKS = {
-    bytes(bits): tuple(RIGHT if b else LEFT for b in bits)
-    for bits in itertools.product((0, 1), repeat=8)
+    bits: tuple(RIGHT if b else LEFT for b in bits)
+    for bits in itertools.product((False, True), repeat=8)
 }
 
 _U64_SCALE = 2.0**-53
@@ -158,7 +158,7 @@ class UniformField:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._key = blake2b(_pack(self.seed), digest_size=32).digest()
-        # stream tag -> (the tag object cached, hasher holding its prefix)
+        # stream tag -> (the tag object cached, its `_hasher`)
         self._heads: dict = {}
         self._packed = _packed_ints()
 
@@ -167,42 +167,55 @@ class UniformField:
         the 3-tuple header and `_pack(stream)`."""
         return blake2b(b"t\x00\x03" + _pack(stream), key=self._key, digest_size=64)
 
+    def _hasher(self, stream: StreamTag) -> Callable[[int, int], bytes]:
+        """The digest of block (stream, site, index), as a function of site
+        and index.  It holds the stream's keyed hasher, built once here, and
+        copies it for each block.  `block`, `block_words` and every
+        `FieldStream` hash through one; only the sequential readers
+        (`_digests`) absorb a site into their hasher as well."""
+        copy = self._head(stream).copy
+        packed = self._packed
+
+        def digest(site: int, index: int) -> bytes:
+            try:
+                msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
+                    packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
+            except TypeError:  # a site or an index that is not an int
+                _check_site(site)
+                raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
+            h = copy()
+            h.update(msg)
+            return h.digest()
+
+        return digest
+
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
-        return _decode(self._digest(stream, site, index))
+        return _decode(self._cached_hasher(stream)(site, index))
 
     def block_words(self, stream: StreamTag, site: int, index: int) -> tuple[int, ...]:
         """The eight 64-bit words behind `block(stream, site, index)`: the
         uniform of word a is (a >> 11) * 2**-53."""
-        return _UNPACK_8Q(self._digest(stream, site, index))
+        return _UNPACK_8Q(self._cached_hasher(stream)(site, index))
 
-    def _digest(self, stream: StreamTag, site: int, index: int) -> bytes:
-        """The digest of block (stream, site, index)."""
+    def _cached_hasher(self, stream: StreamTag) -> Callable[[int, int], bytes]:
+        """`_hasher(stream)`, kept for the next call with the same tag."""
         heads = self._heads
         try:
-            tag, head = heads[stream]
+            tag, digest = heads[stream]
         except KeyError:
             tag = None
         except TypeError:  # a list tag: unhashable, never cached
-            tag, head = stream, self._head(stream)
+            return self._hasher(stream)
         if tag is not stream:
             # A hit counts only on the very object cached, so a tag that
             # is equal but of another type (1.0 for 1) is packed, and
             # rejected, like any new tag.
-            head = self._head(stream)
+            digest = self._hasher(stream)
             if len(heads) >= _HEAD_CAP:
                 heads.clear()
-            heads[stream] = (stream, head)
-        packed = self._packed
-        try:
-            msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
-                packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
-        except TypeError:  # a site or an index that is not an int
-            _check_site(site)
-            raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
-        h = head.copy()
-        h.update(msg)
-        return h.digest()
+            heads[stream] = (stream, digest)
+        return digest
 
     def _digests(self, stream: StreamTag, site: int) -> Iterator[bytes]:
         """The digests of blocks 0, 1, ... at `site` of `stream`, in order.
@@ -247,29 +260,34 @@ class UniformField:
 
 class FieldStream:
     """One stream of a field, with a memo of its raw blocks by (site, q):
-    the eight 64-bit words of each, from `UniformField.block_words`.
+    the eight 64-bit words of each.
 
+    The view keeps its stream's `UniformField._hasher`, built once, so a
+    block it has not read yet costs one call into the field (`_fill`).
     Systems coupled through shared uniforms share one view, so each block
     is hashed once per pair or family.  The memo is never on the field,
     which serves many streams: it goes away with the systems holding it.
     Readers decide on the words (`_limit`, `_limit_le`); `value` and
-    `block` turn them into the field's uniforms.
+    `block` turn them into the field's uniforms.  The systems that read
+    it hot look their words up in `_blocks` and call `_fill` on a miss.
     """
 
-    __slots__ = ("field", "stream", "_blocks")
+    __slots__ = ("field", "stream", "_blocks", "_digest")
 
     def __init__(self, field: UniformField, stream: StreamTag):
         self.field = field
         self.stream = stream
         self._blocks: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._digest = field._hasher(stream)
+
+    def _fill(self, site: int, q: int) -> tuple[int, ...]:
+        """Hash block (site, q), which the memo does not hold, into it."""
+        words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))
+        return words
 
     def words(self, site: int, q: int) -> tuple[int, ...]:
         """The words of levels 8*q+1 .. 8*q+8 at `site`."""
-        key = (site, q)
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = self._blocks[key] = self.field.block_words(self.stream, site, q)
-        return blk
+        return self._blocks.get((site, q)) or self._fill(site, q)
 
     def block(self, site: int, q: int) -> tuple[float, ...]:
         """Uniforms of levels 8*q+1 .. 8*q+8 at `site`."""
@@ -280,11 +298,8 @@ class FieldStream:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
-        key = (site, q)  # `words`, inline; only the word read is converted
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = self._blocks[key] = self.field.block_words(self.stream, site, q)
-        return (blk[r] >> 11) * _U64_SCALE
+        words = self._blocks.get((site, q)) or self._fill(site, q)  # `words`, inline
+        return (words[r] >> 11) * _U64_SCALE  # only the word read is converted
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +423,8 @@ class SampledCookieSystem(ArrowSystem):
     def __init__(self, env: CookieEnvironment, view: FieldStream):
         self.env = env
         self.view = view
+        self._memo = view._blocks  # read directly, its words by (site, q)
+        self._fill = view._fill
         self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
         # (lane, q) -> the word limits (`_limit`) of levels 8q+1 .. 8q+8;
         # lane None stands for every site the environment does not list
@@ -423,7 +440,7 @@ class SampledCookieSystem(ArrowSystem):
         key = (site, q)
         arrows = self._chunks.get(key)
         if arrows is None:
-            words = self.view.words(site, q)
+            a, b, c, d, e, f, g, h = self._memo.get(key) or self._fill(site, q)
             env = self.env
             lane = (site if site in env.sites else None, q)
             limits = self._limits.get(lane)
@@ -431,7 +448,10 @@ class SampledCookieSystem(ArrowSystem):
                 probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
                 limits = self._limits[lane] = tuple(
                     map(_limit, probs + (env.tail,) * (8 - len(probs))))
-            arrows = self._chunks[key] = _CHUNKS[bytes(map(operator.lt, words, limits))]
+            la, lb, lc, ld, le, lf, lg, lh = limits
+            # Written out: a third of the cost of one call mapping `<`.
+            arrows = self._chunks[key] = _CHUNKS[
+                a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]
         return arrows
 
 
@@ -1074,6 +1094,7 @@ class EtaSystem(ArrowSystem):
                 raise ValueError(f"eta entries must be in [0, 1], got {e}")
         self.view = FieldStream(field, stream)
         self._memo = self.view._blocks  # read directly, its words by (site, q)
+        self._fill = self.view._fill
         self._limits = tuple(map(_limit_le, self.eta))
         self._depth = len(self.eta)
 
@@ -1086,7 +1107,7 @@ class EtaSystem(ArrowSystem):
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         i = level - 1  # at place i & 7 of block i >> 3
-        words = self._memo.get((site, i >> 3)) or self.view.words(site, i >> 3)
+        words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
         limit = self._limits[i] if level <= self._depth else _ETA_TAIL_LIMIT
         return RIGHT if words[i & 7] < limit else LEFT
 

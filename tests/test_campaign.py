@@ -62,15 +62,16 @@ def test_config_validation():
 
 
 FAMILY_READS = {
-    "shared-uniform": {"env", "env2"},
-    "block-family": {"env", "partition"},
-    "swap-chain": {"env", "env2", "partition"},
-    "envelope": {"eta", "beta"},
-    "ce1": {"n", "kmax"},
+    "shared-uniform": {"horizon", "env", "env2"},
+    "block-family": {"horizon", "env", "partition"},
+    "swap-chain": {"horizon", "env", "env2", "partition"},
+    "envelope": {"horizon", "eta", "beta"},
+    "ce1": {"horizon", "n", "kmax"},
     "ce2": {"variant", "cycles"},
-    "independent-control": {"env"},
+    "independent-control": {"horizon", "env"},
 }
 OFF_DEFAULT = {
+    "horizon": 5,
     "env": cookie_env((0.2,)),
     "env2": cookie_env((0.3,)),
     "partition": BlockPartition(((1, 2),)),
@@ -81,7 +82,7 @@ OFF_DEFAULT = {
     "variant": "periodic",
     "cycles": 2,
 }
-DEFAULTS = {"env": None, "env2": None, "partition": None, "eta": (0.9, 0.9),
+DEFAULTS = {"horizon": 1000, "env": None, "env2": None, "partition": None, "eta": (0.9, 0.9),
             "beta": 1.0, "n": 3, "kmax": 8, "variant": "primed", "cycles": 1}
 
 

@@ -11,7 +11,9 @@ system's `arrow_at` reads its chunks, so its reference walk queries
 the rest; its reference is the full walk of the transformed system.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from arrowwalk import CampaignConfig, UniformField, check_pair, run_walk
 from arrowwalk import verify
 from arrowwalk.campaign import _build_pair
 from arrowwalk.core import (
+    _ALL_RIGHT,
     LEFT,
     RIGHT,
     ArrowSystem,
@@ -28,10 +31,12 @@ from arrowwalk.core import (
     zero_right_walk,
 )
 from arrowwalk.couplings import (
+    _CHUNKS,
     CookieEnvironment,
     EtaSystem,
     FieldStream,
     SampledCookieSystem,
+    _limit,
     cookie_env,
 )
 from arrowwalk.verify import CoupledPair, make_pair
@@ -307,3 +312,89 @@ def test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged():
     # A shorter walk of the new system copies only the steps it needs.
     short = run_walk(got.system, 50)
     assert (short.positions, short.visit_counts) == reference_walk(system, 50)
+
+
+# A listed site and a default lane with eight different probabilities in
+# their first chunk, and a tail of 0.37 from level 13 (listed) and level
+# 11 (default) on.
+BOUNDARY = CookieEnvironment(
+    {3: tuple(0.05 + 0.075 * i for i in range(12))},
+    tuple(0.93 - 0.085 * i for i in range(10)),
+    0.37,
+)
+
+
+class MemoField:
+    """The `value` of a field whose blocks are those a view's memo holds."""
+
+    def __init__(self, view):
+        self.view = view
+
+    def value(self, stream, site, level):
+        return self.view.value(site, level)
+
+
+@pytest.mark.parametrize("site, q", [(3, 0), (3, 1), (-2, 0), (-2, 1), (-2, 2)],
+                         ids=["listed-q0", "listed-q1", "default-q0", "default-q1", "tail-q2"])
+def test_sampled_chunk_decides_at_each_limit_as_the_float_rule(site, q):
+    # Every one of the eight words at its cell's limit - 1 (Right: u < p) or
+    # at its limit (Left), in all 256 patterns.  Random words never hit a
+    # limit exactly, so only words made to do so tell `<` from `<=`, and
+    # tell the eight positions apart.
+    levels = range(8 * q + 1, 8 * q + 9)
+    limits = [_limit(BOUNDARY.prob(site, level)) for level in levels]
+    for below in itertools.product((True, False), repeat=8):
+        view = FieldStream(UniformField(0), "boundary")
+        view._blocks[site, q] = tuple(lim - 1 if b else lim for lim, b in zip(limits, below))
+        system = SampledCookieSystem(BOUNDARY, view)
+        cells = CellSystem(BOUNDARY, MemoField(view), None)
+        want = tuple(cells.arrow_at(site, level) for level in levels)
+        assert want == tuple(RIGHT if b else LEFT for b in below)
+        assert system.chunk(site, q) == want, below
+
+
+class ListChunks(ArrowSystem):
+    """A system handing out each chunk as one list that it keeps, and
+    counting the chunks read."""
+
+    def __init__(self, base):
+        self.base = base
+        self.handed = {}
+        self.reads = Counter()
+
+    def arrow_at(self, site, level):
+        return self.base.arrow_at(site, level)
+
+    def chunk(self, site, q):
+        self.reads[site, q] += 1
+        got = self.handed.get((site, q))
+        if got is None:
+            got = self.handed[site, q] = list(self.base.chunk(site, q))
+        return got
+
+
+def test_walks_never_change_a_chunk_they_store():
+    chunks = {bits: list(arrows) for bits, arrows in _CHUNKS.items()}
+    all_right = list(_ALL_RIGHT)
+    bases = [sampled(LISTED, 5, "keep"), sampled(cookie_env((0.5,)), 6, "keep"),
+             explicit(LEFT, 7), explicit(RIGHT, 8)]
+    fills = [list(base._fill_chunk) for base in bases[2:]]
+    for base in bases:
+        for wrap in (lambda system: system, zero_right_transform):
+            lists = ListChunks(base)
+            for system in (wrap(base), wrap(lists)):
+                traj = run_walk(system, 3000)
+                # Past level 8 at some site, so a stored chunk was run past.
+                assert max(traj.visit_counts.values()) > 9
+                assert (traj.positions, traj.visit_counts) == reference_walk(
+                    definition(wrap(base)), 3000)
+            # The walk read each chunk once and left each list it was handed
+            # as it was; so does the return walk that resumes on them.
+            assert set(lists.reads.values()) == {1}
+            again = zero_right_walk(traj)
+            assert (again.positions, again.visit_counts) == reference_walk(
+                zero_right_transform(definition(base)), 3000)
+            assert all(got == list(base.chunk(site, q)) for (site, q), got in lists.handed.items())
+    assert {bits: list(arrows) for bits, arrows in _CHUNKS.items()} == chunks
+    assert list(_ALL_RIGHT) == all_right
+    assert [list(base._fill_chunk) for base in bases[2:]] == fills

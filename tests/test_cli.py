@@ -280,11 +280,13 @@ REPLAYS = [
 
 @pytest.mark.parametrize("family, trial", REPLAYS)
 def test_couple_replays_the_campaign_trial(runner, tmp_path, family, trial):
-    options = ["--family", family, "--seed", "7", "--horizon", "60"]
+    # ce2 does not read the horizon: its case runs at the default.
+    horizon = 1000 if family == "ce2" else 60
+    options = ["--family", family, "--seed", "7", "--horizon", str(horizon)]
     dump = tmp_path / "trials.csv"
     ran = runner.invoke(main, ["campaign", *options, "--trials", "3", "--no-timestamp",
                                "--out", str(tmp_path / "report.json"), "--dump-trials", str(dump)])
-    config = campaign.CampaignConfig(family, trials=3, horizon=60, seed=7, include_timestamp=False)
+    config = campaign.CampaignConfig(family, trials=3, horizon=horizon, seed=7, include_timestamp=False)
     expected = campaign.run_campaign(config).trials[trial]
 
     result = runner.invoke(main, ["couple", *options, "--trial", str(trial)])
@@ -442,12 +444,25 @@ def test_campaign_refuses_options_the_family_does_not_read(runner, files, monkey
         raise AssertionError("no trial may run")
 
     monkeypatch.setattr(cli, "run_campaign", never)
-    result = runner.invoke(main, ["campaign", "--family", family, "--trials", "1", "--horizon", "10",
+    # No `--horizon`: ce2 does not read one, and no trial runs.
+    result = runner.invoke(main, ["campaign", "--family", family, "--trials", "1",
                                   *(a.format(**files) for a in args)])
     assert result.exit_code == 2
     # The CLI names each option by its flag, `--N` for the config field `n`.
     flags = ", ".join("--N" if o == "n" else f"--{o}" for o in unread.split(", "))
     assert f"family {family} does not read {flags}\n" in result.output
+
+
+@pytest.mark.parametrize("command", ["campaign", "couple"])
+def test_ce2_refuses_a_horizon(runner, monkeypatch, command):
+    # The ce2 pair is 28 x cycles steps long, whatever a horizon says.
+    def never(*a, **k):
+        raise AssertionError("no pair may be built")
+
+    monkeypatch.setattr(campaign, "_build_pair", never)
+    result = runner.invoke(main, [command, "--family", "ce2", "--horizon", "5"])
+    assert result.exit_code == 2
+    assert "family ce2 does not read --horizon\n" in result.output
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])

@@ -58,16 +58,22 @@ from arrowwalk.couplings import _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_
 
 
 class CountingField(UniformField):
-    """A field that counts how often each (stream, site, index) is hashed
-    for a `FieldStream` memo, through `block_words`."""
+    """A field that counts how often each (stream, site, index) is hashed,
+    through `_hasher`, which every `FieldStream` memo and `block_words`
+    hash through."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = Counter()
 
-    def block_words(self, stream, site, index):
-        self.calls[(stream, site, index)] += 1
-        return super().block_words(stream, site, index)
+    def _hasher(self, stream):
+        digest = super()._hasher(stream)
+
+        def counted(site, index):
+            self.calls[(stream, site, index)] += 1
+            return digest(site, index)
+
+        return counted
 
 
 def prefix_lefts(stack):
@@ -277,6 +283,32 @@ def test_field_rejects_non_int_block_indexes(index):
             field.block("s", site, index)
     with pytest.raises(TypeError, match="sites must be ints"):
         field.block("s", "a", index)
+
+
+@pytest.mark.parametrize("site, q, error, message", [
+    ("a", 0, TypeError, "sites must be ints"),
+    ((1, 2), 0, TypeError, "sites must be ints"),
+    (1.0, 0, TypeError, "sites must be ints"),
+    (float(_INT_HI + 1), 0, TypeError, "sites must be ints"),
+    (0, -1, ValueError, "block indexes must be >= 0"),
+    (_INT_HI + 1, -(2**70), ValueError, "block indexes must be >= 0"),
+    (0, 1.5, TypeError, "block indexes must be ints"),
+    (0, -1.0, TypeError, "block indexes must be ints"),
+    (_INT_HI + 1, "a", TypeError, "block indexes must be ints"),
+])
+def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
+    # The hot readers' miss path raises what `block` raises, and keeps nothing.
+    view = FieldStream(UniformField(0), "s")
+    system = sample_system(cookie_env((0.5,)), UniformField(0), "s")
+    for read in (view.words, view._fill, view.block, system.chunk):
+        with pytest.raises(error, match=message):
+            read(site, q)
+    if q == 0:
+        eta = EtaSystem((0.9,), UniformField(0), "s")
+        with pytest.raises(error, match=message):
+            eta.arrow_at(site, 1)
+        assert eta.view._blocks == {}
+    assert view._blocks == {} and system.view._blocks == {} and system._chunks == {}
 
 
 def test_field_words_decode_to_the_uniforms():

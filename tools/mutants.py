@@ -1,0 +1,229 @@
+"""Mutation checks: each fast path's tests must fail on a broken copy of it.
+
+    python3 tools/mutants.py
+
+A mutant is one textual replacement in one source file, with the test node
+ids expected to fail on it.  For each mutant the script copies the checkout
+(without `.git` and caches) to a temporary directory, replaces the mutant's
+source text, which must occur exactly once, and runs only its tests there,
+with the copy's `src/` on the path.  The mutant is killed when the tests
+fail, and survives when they pass.  First, the tests of all mutants run
+once on an unmutated copy: a test that fails there would kill every
+mutant naming it and prove nothing.
+
+Exit code 0 when every mutant is killed, 1 when any survives or its run
+errs (no tests collected, a timeout), 2 on a usage error or a table entry
+that does not apply to the checkout.  A full run of the table below takes
+about 15 s on a 2-core Xeon.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+TIMEOUT_S = 600
+
+CORE = "src/arrowwalk/core.py"
+COUPLINGS = "src/arrowwalk/couplings.py"
+CHUNKS = "tests/test_chunks.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    source: str  # must occur exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # node ids expected to fail
+
+
+MUTANTS = (
+    # The sampled chunk's written-out decision.
+    Mutant(
+        "chunk-decision-le",
+        COUPLINGS,
+        "a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]",
+        "a < la, b < lb, c < lc, d < ld, e <= le, f < lf, g < lg, h < lh]",
+        (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
+    ),
+    Mutant(
+        "chunk-decision-swapped",
+        COUPLINGS,
+        "a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]",
+        "a < la, b < lb, d < ld, c < lc, e < le, f < lf, g < lg, h < lh]",
+        (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
+    ),
+    # The walk keeps a site's first chunk as read and copies it once.
+    Mutant(
+        "walk-extends-the-stored-chunk",
+        CORE,
+        "                    stack = stacks[pos] = list(stack)\n",
+        "                    pass\n",
+        (f"{CHUNKS}::test_walks_never_change_a_chunk_they_store",),
+    ),
+    # A memo miss hashes the block into the memo.
+    Mutant(
+        "miss-skips-the-memo",
+        COUPLINGS,
+        "words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))",
+        "words = _UNPACK_8Q(self._digest(site, q))",
+        ("tests/test_couplings.py::test_field_stream_hashes_each_block_once",
+         "tests/test_couplings.py::test_shared_pair_hashes_each_block_once",
+         "tests/test_couplings.py::test_campaign_trial_hashes_pinned_blocks"),
+    ),
+    # Return walks that resume after the pair walk's right excursions.  A
+    # resumed walk can first read a site above its first chunk, so the walk
+    # must read up to level k in the step that first reads the site.
+    Mutant(
+        "walk-first-read-no-extension",
+        CORE,
+        "            if k > len(stack):  # past the chunks read: the next ones\n",
+        "            elif k > len(stack):  # past the chunks read: the next ones\n",
+        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
+    ),
+    Mutant(
+        "walk-one-chunk-per-step",
+        CORE,
+        "                while k > len(stack):\n",
+        "                if k > len(stack):\n",
+        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
+    ),
+    Mutant(
+        "returns-reuse-left-excursions",
+        CORE,
+        "            if positions[i + 1] > 0:\n                prefix += positions[i + 1 : j + 1]\n",
+        "            if True:\n                prefix += positions[i + 1 : j + 1]\n",
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+    ),
+    Mutant(
+        # Still correct, it only walks more: the step pins catch it.
+        "returns-drop-the-last-excursion",
+        CORE,
+        "        if positions[i + 1] > 0:\n            prefix += positions[i + 1 :]\n",
+        "        if False:\n            prefix += positions[i + 1 :]\n",
+        ("tests/test_trace.py::test_return_walks_walk_only_the_steps_the_pair_never_took",),
+    ),
+    Mutant(
+        "returns-resume-at-an-end-left-of-0",
+        CORE,
+        "        if positions[i + 1] > 0:\n            prefix += positions[i + 1 :]\n",
+        "        if True:\n            prefix += positions[i + 1 :]\n",
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+    ),
+    Mutant(
+        "returns-reuse-a-path-not-walked",
+        CORE,
+        "prefix = _right_excursions(traj.positions) if traj._walked else (0,)",
+        "prefix = _right_excursions(traj.positions)",
+        (f"{CHUNKS}::test_zero_right_walk_walks_imported_paths_in_full",),
+    ),
+    Mutant(
+        "walk-visits-from-the-start-only",
+        CORE,
+        "visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))",
+        "visits = {0: 1}",
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+    ),
+    Mutant(
+        "returns-prefix-on-the-paths-system",
+        CORE,
+        "    return run_walk(_ZeroRightSystem(base, prefix), traj.horizon)\n",
+        "    system = traj.system if isinstance(traj.system, _ZeroRightSystem) else _ZeroRightSystem(base)\n"
+        "    system._prefix = prefix\n"
+        "    return run_walk(system, traj.horizon)\n",
+        (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",),
+    ),
+)
+
+
+def problems() -> list[str]:
+    """Why each entry would not apply to the checkout: its source text must
+    occur exactly once, and each test it names must exist."""
+    found = []
+    names = [m.name for m in MUTANTS]
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        found.append(f"{name}: the name is used twice")
+    for m in MUTANTS:
+        path = ROOT / m.path
+        if not path.is_file():
+            found.append(f"{m.name}: no file {m.path}")
+            continue
+        count = path.read_text(encoding="utf-8").count(m.source)
+        if count != 1:
+            found.append(f"{m.name}: its source text occurs {count} times in {m.path}")
+        if m.source == m.replacement:
+            found.append(f"{m.name}: the replacement changes nothing")
+        if not m.tests:
+            found.append(f"{m.name}: names no test")
+        for node in m.tests:
+            file, _, test = node.partition("::")
+            test_path = ROOT / file
+            if not test_path.is_file() or f"def {test}(" not in test_path.read_text(encoding="utf-8"):
+                found.append(f"{m.name}: no test {node}")
+    return found
+
+
+def copy_checkout(into: Path) -> Path:
+    dest = into / "checkout"
+    shutil.copytree(ROOT, dest, ignore=IGNORED)
+    return dest
+
+
+def run_tests(checkout: Path, tests) -> tuple[int, str]:
+    """pytest's exit code on `tests` in `checkout`, and its last line."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines()
+    return done.returncode, lines[-1] if lines else done.stderr.strip()[-200:]
+
+
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    bad = problems()
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 2
+
+    all_tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="arrowwalk-mutants-") as tmp:
+        code, last = run_tests(copy_checkout(Path(tmp)), all_tests)
+    if code != 0:
+        print(f"the tests fail on the unmutated checkout ({last}); no mutant can be judged",
+              file=sys.stderr)
+        return 2
+
+    not_killed = 0
+    for m in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="arrowwalk-mutants-") as tmp:
+            checkout = copy_checkout(Path(tmp))
+            path = checkout / m.path
+            path.write_text(path.read_text(encoding="utf-8").replace(m.source, m.replacement),
+                            encoding="utf-8")
+            code, last = run_tests(checkout, m.tests)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (exit {code})")
+        if code != 1:
+            not_killed += 1
+        print(f"{verdict:<9} {m.name} ({time.perf_counter() - start:.1f} s): {last}", flush=True)
+    print(f"{len(MUTANTS) - not_killed} of {len(MUTANTS)} mutants killed")
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
