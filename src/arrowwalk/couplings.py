@@ -331,6 +331,8 @@ class CookieEnvironment:
             raise ValueError(f"tail probability out of range: {self.tail}")
 
     def prob(self, site: int, level: int) -> float:
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
         lst = self.sites.get(site, self.default)
         if level <= len(lst):
             return lst[level - 1]
@@ -752,7 +754,12 @@ class _BlockState:
     """Every side of a partition coupling, one stack per side realized at
     once per (site, block) by the subclass's `_draw`, from the `_plan` it
     builds once per (lane, block).  The lane is the site if some
-    environment of the coupling lists it, else the default lane."""
+    environment of the coupling lists it, else the default lane.
+
+    The cells that the subclass decides on one word each, outside the
+    blocks, compare it with `_word_limit` of the first environment's
+    probability there: kept per (lane, level), and one constant above
+    `_depth`, where every lane reads the tail."""
 
     def __init__(self, envs: Sequence[CookieEnvironment], partition: BlockPartition):
         self.envs = tuple(envs)
@@ -762,6 +769,16 @@ class _BlockState:
         self._cells: dict[tuple[int, int], tuple[tuple[Arrow, ...], ...]] = {}
         # (lane, block) -> what a draw needs besides the site
         self._plans: dict[tuple, tuple] = {}
+        self._depth = max(env.depth() for env in self.envs)
+        self._tail_limit = self._word_limit(self.envs[0].tail)
+        # (lane, level) -> the limit of a cell decided on one word
+        self._limits: dict[tuple[Optional[int], int], Optional[int]] = {}
+
+    def _limit_at(self, site: int, level: int) -> Optional[int]:
+        """The limit of cell (site, level), at most `_depth`, kept for its lane."""
+        key = (site if site in self._listed else None, level)
+        limit = self._limits[key] = self._word_limit(self.envs[0].prob(site, level))
+        return limit
 
     def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], ...]:
         key = (site, block[0])
@@ -776,12 +793,19 @@ class _BlockState:
 
 
 class _StateSide(ArrowSystem):
-    """One side of a block state.  Each subclass keeps its own `arrow_at`."""
+    """One side of a block state.  Each subclass keeps its own `arrow_at`,
+    and reads the state's limits and the view of its word cells directly."""
 
-    def __init__(self, state: _BlockState, side: int):
+    def __init__(self, state: _BlockState, side: int, view: FieldStream):
         self._state = state
         self._side = side
         self._places = state.partition._places
+        self._listed = state._listed
+        self._depth = state._depth
+        self._tail_limit = state._tail_limit
+        self._limits = state._limits
+        self._memo = view._blocks  # read directly, its words by (site, q)
+        self._fill = view._fill
 
 
 def _pick(cums: Sequence[float], u: float) -> int:
@@ -796,7 +820,18 @@ class _FamilyState(_BlockState):
     base's total distribution, every member's too, and a second selects each
     member's stack through its conditional cumulative weights: members agree
     on the count and pick comparable stacks where their cumulatives dominate.
+
+    A level outside every block is a singleton block of its own, at slot
+    nb + 1 + level for nb blocks, where every member has the base's
+    probability p.  Its count alone is its arrow, so the members read it
+    from the total's word: Right when u > fl(1 - p), that is when the word
+    is >= `_limit_le(1.0 - p)`, `_pick`'s rule.  Where p = 1 the cell is
+    realized instead, so that a uniform of 0 raises as a zero-mass count.
     """
+
+    @staticmethod
+    def _word_limit(p: float) -> Optional[int]:
+        return None if p == 1.0 else _limit_le(1.0 - p)
 
     def __init__(
         self,
@@ -840,10 +875,27 @@ class _FamilyState(_BlockState):
 class BlockSampledSystem(_StateSide):
     """Member of a block-coupled family: one side of the family's state."""
 
+    def __init__(self, state: _FamilyState, side: int):
+        super().__init__(state, side, state._totals)
+        self._nb = len(state.partition.blocks)
+
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        block, pos = self._places.get(level) or ((level,), 0)
+        place = self._places.get(level)
+        if place is None:
+            if level > self._depth:
+                limit = self._tail_limit
+            else:
+                limit = self._limits.get((site if site in self._listed else None, level))
+                if limit is None:
+                    limit = self._state._limit_at(site, level)
+            if limit is not None:
+                i = self._nb + level  # the word of slot nb + 1 + level
+                words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
+                return RIGHT if words[i & 7] >= limit else LEFT
+            place = ((level,), 0)
+        block, pos = place
         return self._state.realize(site, block)[self._side][pos]
 
 
@@ -938,7 +990,10 @@ def _glue_pair(p: float, q: float, observed: tuple, v: float) -> tuple:
 
 class _ChainState(_BlockState):
     """Both ends of a swap chain, one side per environment of `envs`.
-    Cells above the partition are drawn shared, one level at a time."""
+    Cells above the partition are shared by both ends, which decide them on
+    the words of `_cell_view`."""
+
+    _word_limit = staticmethod(_limit)
 
     def __init__(
         self,
@@ -995,25 +1050,36 @@ class _ChainState(_BlockState):
 
         return (tuple(start), tuple(current))
 
-    def shared_cell(self, site: int, level: int) -> Arrow:
-        u = self._cell_view.value(site, level)
-        return RIGHT if u < self.envs[0].prob(site, level) else LEFT
-
 
 class ChainEndSystem(_StateSide):
-    """One end of a chained pair-swap coupling: a side of the chain's state."""
+    """One end of a chained pair-swap coupling: a side of the chain's state.
+
+    A cell above the partition is shared by both ends: Right iff its word
+    in the state's `cell` view is < `_limit(p)`, which is u < p for the
+    first environment's probability p there.  The levels of the partition
+    are realized with their block, a level outside every block as a block
+    of its own.
+    """
 
     def __init__(self, state: _ChainState, side: int):
-        super().__init__(state, side)
-        self._depth = state.partition.depth()
+        super().__init__(state, side, state._cell_view)
+        self._top = state.partition.depth()
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         place = self._places.get(level)
         if place is None:
-            if level > self._depth:
-                return self._state.shared_cell(site, level)
+            if level > self._top:
+                if level > self._depth:
+                    limit = self._tail_limit
+                else:
+                    limit = self._limits.get((site if site in self._listed else None, level))
+                    if limit is None:
+                        limit = self._state._limit_at(site, level)
+                i = level - 1  # at place i & 7 of block i >> 3
+                cell = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
+                return RIGHT if cell[i & 7] < limit else LEFT
             place = ((level,), 0)
         block, pos = place
         return self._state.realize(site, block)[self._side][pos]

@@ -54,7 +54,9 @@ from arrowwalk.couplings import (
 )
 from arrowwalk.verify import make_pair
 from arrowwalk import campaign, couplings
-from arrowwalk.couplings import _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _pack
+from arrowwalk.couplings import (
+    _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _limit, _limit_le, _pack,
+)
 
 
 class CountingField(UniformField):
@@ -440,6 +442,15 @@ def test_constant_env_prob():
 def test_cookie_env_prob_and_tail():
     env = cookie_env((0.2, 0.7), tail=0.4)
     assert [env.prob(3, k) for k in (1, 2, 3, 4)] == [0.2, 0.7, 0.4, 0.4]
+
+
+@pytest.mark.parametrize("env", [cookie_env((0.2, 0.7)), constant_env(0.3),
+                                 CookieEnvironment({0: (0.9,)}, (0.2,))])
+@pytest.mark.parametrize("level", [0, -1, -2])
+def test_env_prob_refuses_levels_below_one(env, level):
+    # A list indexed at level - 1 < 0 would read from its end.
+    with pytest.raises(ValueError, match=f"level must be >= 1, got {level}"):
+        env.prob(0, level)
 
 
 def test_env_site_override():
@@ -1188,6 +1199,85 @@ def test_partition_couplings_match_reference_cells_with_zero_mass_counts(partiti
     low = sorted_env(base, partition)
     high = CookieEnvironment({}, rotate_blocks(low.default, partition), low.tail)
     assert_cells_match_reference(low, (low, base, high), low, high, partition, 5)
+
+
+class ViewField:
+    """The `value` of a field whose streams are those the views hold."""
+
+    def __init__(self, *views):
+        self.views = {view.stream: view for view in views}
+
+    def value(self, stream, site, level):
+        return self.views[stream].value(site, level)
+
+
+# Probabilities 0 and 1 on both lanes, below and above the partition, and
+# 1 - p an exact multiple of 2**-53 (p = 0.3, 0.4, 0.5), where `_limit` and
+# `_limit_le` differ.  Levels 1, 4 and 5 lie outside the block, and the
+# tail starts at level 6.
+EDGE_PARTITION = BlockPartition(((2, 3),))
+EDGE_LOW = CookieEnvironment({3: (1.0, 0.25, 0.75, 0.0, 0.5)}, (0.0, 0.4, 0.6, 1.0, 0.3), 0.3)
+EDGE_HIGH = CookieEnvironment(
+    {s: rotate_blocks(lst, EDGE_PARTITION) for s, lst in EDGE_LOW.sites.items()},
+    rotate_blocks(EDGE_LOW.default, EDGE_PARTITION),
+    EDGE_LOW.tail,
+)
+WORD_MAX = 2**64 - 1
+
+
+@pytest.mark.parametrize("site, q", [(3, 0), (3, 1), (-2, 0), (-2, 1)],
+                         ids=["listed-q0", "listed-tail-q1", "default-q0", "default-tail-q1"])
+def test_partition_word_cells_decide_at_each_limit_as_the_float_rule(site, q):
+    # The cells decided on one word: a block-family singleton by the word
+    # of its total, at slot nb + 1 + level, and a swap-chain cell above the
+    # partition by its `cell` word.  Every word of block (site, q) of those
+    # views sits at its cell's limit - 1 or at its limit, in all 256
+    # patterns, and words no such cell reads at 0 or the largest word, so
+    # only words made to hit a limit tell `<` from `<=`, and tell the
+    # positions apart.  Where p = 1, a family total of u = 0 (a word below
+    # 2048) is a zero-mass count and raises.
+    nb = len(EDGE_PARTITION.blocks)
+    words = range(8 * q, 8 * q + 8)
+    # The level each word decides, None where no such cell reads it.
+    singles = [w - nb if w > nb and EDGE_PARTITION.block_of(w - nb) == (w - nb,) else None for w in words]
+    shared = [w + 1 if w + 1 > EDGE_PARTITION.depth() else None for w in words]
+    family_limits = [level and _limit_le(1.0 - EDGE_LOW.prob(site, level)) for level in singles]
+    chain_limits = [level and _limit(EDGE_LOW.prob(site, level)) for level in shared]
+
+    def crafted(limits, below):
+        return tuple((0 if b else WORD_MAX) if limit is None
+                     else min(max(limit - 1 if b else limit, 0), WORD_MAX)
+                     for limit, b in zip(limits, below))
+
+    for below in itertools.product((True, False), repeat=8):
+        field = UniformField(0)
+        members = couple_block_family(EDGE_LOW, EDGE_PARTITION, [EDGE_LOW, EDGE_HIGH], field, "edge")
+        pair = couple_swap_chain(EDGE_LOW, EDGE_HIGH, EDGE_PARTITION, field, 0, stream="edge")
+        ends = (pair.traj_l.system, pair.traj_r.system)
+        family, chain = members[0]._state, ends[0]._state
+        family_words = family._totals._blocks[site, q] = crafted(family_limits, below)
+        chain_words = chain._cell_view._blocks[site, q] = crafted(chain_limits, below)
+
+        totals = ViewField(family._totals, family._picks)
+        for level, limit, word in zip(singles, family_limits, family_words):
+            if level is None:
+                continue
+            for member, env in zip(members, (EDGE_LOW, EDGE_HIGH)):
+                if EDGE_LOW.prob(site, level) == 1.0 and word < 2048:
+                    with pytest.raises(ValueError, match="zero-probability"):
+                        member.arrow_at(site, level)
+                    continue
+                want = reference_block_family_cell(env, EDGE_LOW, EDGE_PARTITION, totals, "edge", site, level)
+                assert want is (RIGHT if word >= limit else LEFT)
+                assert member.arrow_at(site, level) is want, (below, level)
+        cells = ViewField(chain._cell_view)
+        for level, limit, word in zip(shared, chain_limits, chain_words):
+            if level is None:
+                continue
+            for side, end in enumerate(ends):
+                want = reference_swap_chain_cell(EDGE_LOW, EDGE_HIGH, EDGE_PARTITION, cells, "edge", site, level, side)
+                assert want is (RIGHT if word < limit else LEFT)
+                assert end.arrow_at(site, level) is want, (below, level, side)
 
 
 @pytest.mark.parametrize("build", [block_family_pair, swap_chain_pair], ids=["block-family", "swap-chain"])

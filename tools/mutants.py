@@ -14,7 +14,7 @@ mutant naming it and prove nothing.
 Exit code 0 when every mutant is killed, 1 when any survives or its run
 errs (no tests collected, a timeout), 2 on a usage error or a table entry
 that does not apply to the checkout.  A full run of the table below takes
-about 15 s on a 2-core Xeon.
+about 30 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ TIMEOUT_S = 600
 CORE = "src/arrowwalk/core.py"
 COUPLINGS = "src/arrowwalk/couplings.py"
 CHUNKS = "tests/test_chunks.py"
+COUPLING_TESTS = "tests/test_couplings.py"
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,36 @@ MUTANTS = (
         "a < la, b < lb, d < ld, c < lc, e < le, f < lf, g < lg, h < lh]",
         (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
     ),
+    # The partition couplings' cells decided on one word.
+    Mutant(
+        "family-singleton-gt",
+        COUPLINGS,
+        "return RIGHT if words[i & 7] >= limit else LEFT",
+        "return RIGHT if words[i & 7] > limit else LEFT",
+        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+    ),
+    Mutant(
+        "chain-cell-le",
+        COUPLINGS,
+        "return RIGHT if cell[i & 7] < limit else LEFT",
+        "return RIGHT if cell[i & 7] <= limit else LEFT",
+        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+    ),
+    Mutant(
+        "family-singleton-slot-off-by-one",
+        COUPLINGS,
+        "i = self._nb + level  # the word of slot nb + 1 + level",
+        "i = self._nb + level + 1",
+        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",
+         f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells"),
+    ),
+    Mutant(
+        "family-singleton-limit-lt",
+        COUPLINGS,
+        "return None if p == 1.0 else _limit_le(1.0 - p)",
+        "return None if p == 1.0 else _limit(1.0 - p)",
+        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+    ),
     # The walk keeps a site's first chunk as read and copies it once.
     Mutant(
         "walk-extends-the-stored-chunk",
@@ -77,9 +108,9 @@ MUTANTS = (
         COUPLINGS,
         "words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))",
         "words = _UNPACK_8Q(self._digest(site, q))",
-        ("tests/test_couplings.py::test_field_stream_hashes_each_block_once",
-         "tests/test_couplings.py::test_shared_pair_hashes_each_block_once",
-         "tests/test_couplings.py::test_campaign_trial_hashes_pinned_blocks"),
+        (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
+         f"{COUPLING_TESTS}::test_shared_pair_hashes_each_block_once",
+         f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks"),
     ),
     # Return walks that resume after the pair walk's right excursions.  A
     # resumed walk can first read a site above its first chunk, so the walk
