@@ -19,7 +19,6 @@ import os
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import IO, Optional, Sequence
@@ -43,7 +42,7 @@ from .couplings import (
     shared_pair,
     sorted_env,
 )
-from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair
+from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair, _refuse_string_checks
 
 # Each family and the options it reads.  Every other option must stay at its
 # default, or the report would echo a setting the run never used: the ce2
@@ -95,6 +94,7 @@ class CampaignConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.checks is not None:
+            _refuse_string_checks(self.checks)
             self.checks = tuple(self.checks)
             bad = [c for c in self.checks if c not in STATEMENT_IDS]
             if bad:
@@ -399,6 +399,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials_n = config.effective_trials()
     workers = min(config.workers, os.cpu_count() or 1, trials_n)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run
+        # and every CLI call that runs no campaign would pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
                 functools.partial(run_trial, config),

@@ -96,15 +96,39 @@ def make_pair(
     )
 
 
+class _AllFailed(Exception):
+    """Every requested statement has failed: the pass has nothing left to decide."""
+
+
+def _refuse_string_checks(checks) -> None:
+    """A bare string is not a collection of check ids, though it iterates."""
+    if isinstance(checks, str):
+        raise ValueError(
+            f"checks must be a collection of check ids, not the string {checks!r}; "
+            f"for that one check, pass ({checks!r},)"
+        )
+
+
 class PairChecker:
     """Single-pass incremental evaluator of all pair statements.
 
-    Walks both paths once, maintaining per-site visit counts, their
-    difference profile, running extremes and per-visit neighbour counts,
-    so that every enabled statement is checked at every time step at
-    amortized O(1) cost per step.  Only the statements not yet failed are
-    checked, the state only failed statements read is no longer kept, and
-    the pass ends once every statement has failed.
+    Let d(x) = n_R(x) - n_L(x) be R's visit lead at x.  The pass keeps the
+    visit counts per site, the sorted sites where d > 0 and where d < 0,
+    one list per site of the left neighbour's count at each k-th visit
+    there, recorded by whichever path makes that visit first, and, once
+    the five statements below are decided, the running extremes.
+
+    Count dominance implies five of the statements: `envelopes`,
+    `hitting_order`, `max_visits`, `neighbour_interval` and `record_lead`.
+    d sums to 0 at every time, and a failure of any of the five at time t
+    shows a site with d > 0 left of a site with d < 0 at t.  So the five
+    are decided only from the step where `count_dominance` fails, or from
+    the start when it is not requested; until then a step updates the
+    counts, tests `count_dominance` when d changes sign at L's or R's site,
+    and tests `kth_visit_counts`.  A step is O(1), plus an insertion into
+    or removal from a sorted list where d changes sign, plus, once the five
+    are decided, a bisection for `neighbour_interval`.  The pass ends once
+    every statement has failed.
     """
 
     def __init__(
@@ -117,6 +141,7 @@ class PairChecker:
     ):
         if checks is None:
             checks = STATEMENT_IDS
+        _refuse_string_checks(checks)
         checks = tuple(checks)
         unknown = set(checks) - set(STATEMENT_IDS)
         if unknown:
@@ -134,21 +159,23 @@ class PairChecker:
         pos_l = self.positions_l
         pos_r = self.positions_r
         horizon = len(pos_l) - 1
+        low_l, top_l = min(pos_l), max(pos_l)
+        low_r, top_r = min(pos_r), max(pos_r)
 
         # One site of margin on each side, so i - 1 and i + 1 index the
         # arrays for every visited site's index i.
-        lo = min(min(pos_l), min(pos_r)) - 1
-        hi = max(max(pos_l), max(pos_r)) + 1
+        lo = min(low_l, low_r) - 1
+        hi = max(top_l, top_r) + 1
         off = -lo
         width = hi - lo + 1
         nl = [0] * width
         nr = [0] * width
-        diff = [0] * width  # nr - nl per site
-        plus: list[int] = []  # sites with diff > 0, sorted
-        minus: list[int] = []  # sites with diff < 0, sorted
+        plus: list[int] = []  # sites with d > 0, sorted
+        minus: list[int] = []  # sites with d < 0, sorted
 
         # One flag per statement not yet failed; envelopes and hitting_order
-        # fail together, so they share one.  `live` counts the flags set.
+        # fail together, so they share one.  `late` is set while the five
+        # statements count dominance implies are decided.
         checks = self.checks
         on_env = "envelopes" in checks or "hitting_order" in checks
         on_count = "count_dominance" in checks
@@ -156,6 +183,8 @@ class PairChecker:
         on_nbr = "neighbour_interval" in checks
         on_kth = "kth_visit_counts" in checks
         on_rec = "record_lead" in checks
+        implied = on_env or on_max or on_nbr or on_rec
+        late = implied and not on_count
         live = on_env + on_count + on_max + on_nbr + on_kth + on_rec
         failures: dict[str, dict] = {}
 
@@ -164,151 +193,156 @@ class PairChecker:
             nonlocal live
             failures[check] = witness
             live -= 1
+            if not live:
+                raise _AllFailed
             return False
 
         # per site index: the left neighbour's count at each visit
-        kth_l: list[list[int]] = [[] for _ in range(width)] if on_kth else []
-        kth_r: list[list[int]] = [[] for _ in range(width)] if on_kth else []
+        kth: list[list[int]] = [[] for _ in range(width)] if on_kth else []
 
-        max_l = max_r = min_l = min_r = 0
-        hyp_plus = False  # some site ever had nr > nl
-        hyp_rec = False
-        hyp_kth = False
+        max_l = max_r = min_l = min_r = 0  # running extremes, kept while late
+        hyp_plus = False  # some site ever had d > 0
 
-        for t in range(horizon + 1):
-            a = pos_l[t]
-            b = pos_r[t]
+        try:
+            for t in range(horizon + 1):
+                a = pos_l[t]
+                b = pos_r[t]
+                ia = a + off
+                ib = b + off
+                ka = nl[ia] + 1
+                nl[ia] = ka
+                kb = nr[ib] + 1
+                nr[ib] = kb
 
-            if t and on_rec:
-                if b > max_r:
-                    hyp_rec = True
-                    if b < a:
-                        on_rec = fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
-                if a < min_l and on_rec:
-                    hyp_rec = True
-                    if a > b:
-                        on_rec = fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
+                # d falls at L's site and rises at R's, so only there can its
+                # sign change, and nowhere when they share a site.
+                flip = False
+                if a != b and (on_count or on_nbr):
+                    d = nr[ia] - ka
+                    if d == 0:
+                        plus.pop(bisect_left(plus, a))
+                        flip = True
+                    elif d == -1:
+                        insort(minus, a)
+                        flip = True
+                    d = kb - nl[ib]
+                    if d == 0:
+                        minus.pop(bisect_left(minus, b))
+                        flip = True
+                    elif d == 1:
+                        insort(plus, b)
+                        hyp_plus = flip = True
+                    if flip and on_count and plus and minus and plus[0] < minus[-1]:
+                        x = plus[0]
+                        on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {minus[-1]}"})
+                        if implied:
+                            # Count dominance held up to t - 1, and so did
+                            # the five: decide them from step t on.
+                            late = True
+                            max_l, min_l = max(pos_l[:t]), min(pos_l[:t])
+                            max_r, min_r = max(pos_r[:t]), min(pos_r[:t])
 
-            # count updates for time t
-            ia = a + off
-            nl[ia] += 1
-            ib = b + off
-            nr[ib] += 1
-            if on_count or on_nbr:
-                d = diff[ia]
-                diff[ia] = d - 1
-                if d == 1:
-                    plus.pop(bisect_left(plus, a))
-                elif d == 0:
-                    insort(minus, a)
-                d = diff[ib]
-                diff[ib] = d + 1
-                if d == -1:
-                    minus.pop(bisect_left(minus, b))
-                elif d == 0:
-                    insort(plus, b)
-                    hyp_plus = True
+                if late:
+                    # Records and envelopes change only where an extreme
+                    # moves.  A unit-step path from 0 has hit exactly the
+                    # sites between its running extremes, so R trails L's
+                    # envelope exactly when L has reached a positive site
+                    # (or R a negative one) first.
+                    if b > max_r:
+                        if on_rec and b < a:
+                            on_rec = fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
+                        max_r = b
+                    if a > max_l:
+                        max_l = a
+                        if on_env and max_r < a:
+                            failures["hitting_order"] = {"t": t, "x": a, "detail": "L reached a positive site before R"}
+                            on_env = fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={a}"})
+                    elif a < min_l:
+                        if on_rec and a > b:
+                            on_rec = fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
+                        min_l = a
+                    if b < min_r:
+                        min_r = b
+                        if on_env and b < min_l:
+                            failures["hitting_order"] = {"t": t, "x": b, "detail": "R reached a negative site before L"}
+                            on_env = fail("envelopes", {"t": t, "detail": f"running min R={b} < L={min_l}"})
 
-            if t:
-                if a > max_l:
-                    max_l = a
-                elif a < min_l:
-                    min_l = a
-                if b > max_r:
-                    max_r = b
-                elif b < min_r:
-                    min_r = b
+                    if on_max:
+                        i = max_r + off
+                        if nr[i] < nl[i]:
+                            on_max = fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
+                        else:
+                            i = min_l + off
+                            if nl[i] < nr[i]:
+                                on_max = fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
 
-            # A unit-step path from 0 has hit exactly the sites between its
-            # running extremes, so R trails L's envelope exactly when L has
-            # reached a positive site (or R a negative one) first.
-            if on_env:
-                if max_r < max_l:
-                    failures["hitting_order"] = {"t": t, "x": max_l, "detail": "L reached a positive site before R"}
-                    on_env = fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={max_l}"})
-                elif min_r < min_l:
-                    failures["hitting_order"] = {"t": t, "x": min_r, "detail": "R reached a negative site before L"}
-                    on_env = fail("envelopes", {"t": t, "detail": f"running min R={min_r} < L={min_l}"})
+                    if on_nbr:
+                        # R trails right of where it leads: a pair of such
+                        # neighbours appears only where d changes sign, at
+                        # L's site, then at R's
+                        x = None
+                        if flip:
+                            d = nr[ia] - ka
+                            if d < 0:
+                                if nr[ia - 1] > nl[ia - 1]:
+                                    x = a
+                            elif d > 0 and nr[ia + 1] < nl[ia + 1]:
+                                x = a + 1
+                            if x is None:
+                                d = kb - nl[ib]
+                                if d < 0:
+                                    if nr[ib - 1] > nl[ib - 1]:
+                                        x = b
+                                elif d > 0 and nr[ib + 1] < nl[ib + 1]:
+                                    x = b + 1
+                        if x is not None:
+                            on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
+                        elif b < a and plus:
+                            i = bisect_left(plus, b)
+                            if i < len(plus) and plus[i] < a:
+                                y0 = plus[i]
+                                j = bisect_right(minus, a) - 1
+                                if j >= 0 and minus[j] > y0:
+                                    on_nbr = fail("neighbour_interval", {
+                                        "t": t, "x": minus[j],
+                                        "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
+                                    })
 
-            if on_count and plus and minus:
-                x = plus[0]
-                y = minus[-1]
-                if x < y:
-                    on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {y}"})
-
-            if on_max:
-                i = max_r + off
-                if nr[i] < nl[i]:
-                    on_max = fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
-                else:
-                    i = min_l + off
-                    if nl[i] < nr[i]:
-                        on_max = fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
-
-            if on_nbr:
-                # at L's site, then at R's: R trails right of where it leads
-                x = None
-                d = diff[ia]
-                if d < 0:
-                    if diff[ia - 1] > 0:
-                        x = a
-                elif d > 0 and diff[ia + 1] < 0:
-                    x = a + 1
-                if x is None:
-                    d = diff[ib]
-                    if d < 0:
-                        if diff[ib - 1] > 0:
-                            x = b
-                    elif d > 0 and diff[ib + 1] < 0:
-                        x = b + 1
-                if x is not None:
-                    on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
-                elif b < a and plus:
-                    i = bisect_left(plus, b)
-                    if i < len(plus) and plus[i] < a:
-                        y0 = plus[i]
-                        j = bisect_right(minus, a) - 1
-                        if j >= 0 and minus[j] > y0:
-                            on_nbr = fail("neighbour_interval", {
-                                "t": t, "x": minus[j],
-                                "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
-                            })
-
-            if on_kth:
-                k = nl[ia]
-                c = nl[ia - 1]
-                kth_l[ia].append(c)
-                other = kth_r[ia]
-                if len(other) >= k:
-                    hyp_kth = True
-                    if other[k - 1] > c:
+                if on_kth:
+                    # The first path to make its k-th visit to a site
+                    # records the left neighbour's count; the other compares.
+                    seen = kth[ia]
+                    c = nl[ia - 1]
+                    if len(seen) < ka:
+                        seen.append(c)
+                    elif seen[ka - 1] > c:
                         on_kth = fail("kth_visit_counts", {
-                            "t": t, "x": a, "k": k,
-                            "detail": f"R saw left neighbour {other[k - 1]} times vs L {c}",
+                            "t": t, "x": a, "k": ka,
+                            "detail": f"R saw left neighbour {seen[ka - 1]} times vs L {c}",
                         })
-                k = nr[ib]
-                c = nr[ib - 1]
-                kth_r[ib].append(c)
-                other = kth_l[ib]
-                if len(other) >= k:
-                    hyp_kth = True
-                    if on_kth and c > other[k - 1]:
+                    seen = kth[ib]
+                    c = nr[ib - 1]
+                    if nl[ib] < kb:  # L has made fewer than kb visits here
+                        seen.append(c)
+                    elif on_kth and c > seen[kb - 1]:
                         on_kth = fail("kth_visit_counts", {
-                            "t": t, "x": b, "k": k,
-                            "detail": f"R saw left neighbour {c} times vs L {other[k - 1]}",
+                            "t": t, "x": b, "k": kb,
+                            "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",
                         })
+        except _AllFailed:
+            pass
 
-            if not live:
-                break
-
+        # A check that passed ran to the horizon, so its running extremes
+        # are the paths' extremes.  Both paths make their first visit to 0
+        # at t = 0, so kth_visit_counts's hypothesis always fires.
         vacuous = {
             "envelopes": False,
             "max_visits": False,
-            "hitting_order": max_l <= 0 and min_r >= 0,
+            "hitting_order": top_l <= 0 and low_r >= 0,
             "count_dominance": not hyp_plus,
             "neighbour_interval": not hyp_plus,
-            "kth_visit_counts": not hyp_kth,
-            "record_lead": not hyp_rec,
+            "kth_visit_counts": False,
+            "record_lead": top_r <= 0 and low_l >= 0,
         }
         results = {}
         for check in self.checks:

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from arrowwalk import (
     speed_and_recurrence_stats,
 )
 from arrowwalk.campaign import run_trial
+from arrowwalk.verify import check_pair
 from arrowwalk.core import LEFT, RIGHT, ArrowSystem, run_walk, zero_right_transform
 from arrowwalk.couplings import (
     BlockPartition,
@@ -37,6 +40,18 @@ def quiet(family, **kw):
 
 
 # --------------------------------------------------------- configuration
+
+
+def test_a_string_of_checks_is_refused_whole():
+    # the same message as check_pair's, naming the id, not its letters
+    with pytest.raises(ValueError) as refused:
+        CampaignConfig("shared-uniform", checks="envelopes")
+    message = str(refused.value)
+    assert "not the string 'envelopes'" in message
+    pair = shared_pair(constant_env(0.5), constant_env(0.5), UniformField(0), 4)
+    with pytest.raises(ValueError) as refused_by_check_pair:
+        check_pair(pair, "envelopes")
+    assert str(refused_by_check_pair.value) == message
 
 
 def test_config_validation():
@@ -335,16 +350,29 @@ class _RecordingPool:
     [(64, 2, 25, 2), (64, None, 25, None), (8, 16, 3, 3), (4, 16, 25, 4)],
 )
 def test_workers_are_clamped(monkeypatch, workers, cpus, trials, expected):
-    from arrowwalk import campaign
+    import concurrent.futures
 
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
+    # run_campaign imports the pool only when it uses one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = quiet("shared-uniform", trials=trials, horizon=50, workers=workers)
     report = run_campaign(config)
     assert _RecordingPool.max_workers == ([] if expected is None else [expected])
     serial = run_campaign(quiet("shared-uniform", trials=trials, horizon=50))
     assert report.to_json() == serial.to_json()
+
+
+def test_a_serial_campaign_imports_no_process_pool():
+    # the pool's import pulls in multiprocessing, which only workers need
+    code = (
+        "import sys, arrowwalk.cli; from arrowwalk import CampaignConfig, run_campaign; "
+        "run_campaign(CampaignConfig('shared-uniform', trials=2, horizon=20)); "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(campaign.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_seed_changes_the_trials():

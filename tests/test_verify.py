@@ -25,7 +25,9 @@ from arrowwalk.core import (
     check_relation,
     consumed_stacks,
 )
+from arrowwalk.campaign import FAMILIES, CampaignConfig, replay_trial
 from arrowwalk.verify import CoupledPair, PairChecker, make_pair
+from reference import ReferencePairChecker
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
 ALWAYS_LIVE = {"envelopes", "max_visits"}
@@ -252,6 +254,27 @@ def test_checker_matches_reference_on_every_pair_to_length_six():
     assert count == 5461
 
 
+# The five statements the checker decides only once count dominance fails.
+IMPLIED_BY_COUNT = ("envelopes", "hitting_order", "max_visits", "neighbour_interval", "record_lead")
+
+
+def test_count_dominance_fails_no_later_than_the_five_it_implies_to_length_eight():
+    # d = n_R - n_L sums to 0 at every time, so a failure of any of the five
+    # at time t shows a site with d > 0 left of one with d < 0 at t.  The
+    # checker rests on this; the brute reference confirms it.  Whether a
+    # statement fails at t depends on the paths up to t only, so the pairs
+    # of length 8 cover every shorter pair as a prefix.
+    count = 0
+    for pos_l, pos_r in itertools.product(all_paths(8), repeat=2):
+        reference = reference_results(pos_l, pos_r)
+        count_passed, count_t, _ = reference["count_dominance"]
+        for name in IMPLIED_BY_COUNT:
+            passed, fail_t, _ = reference[name]
+            assert passed or not count_passed and count_t <= fail_t, (name, pos_l, pos_r)
+        count += 1
+    assert count == 65536
+
+
 def test_hitting_order_and_envelopes_fail_together_to_length_eight():
     # On unit-step paths from 0 the sites hit are those between the running
     # extremes, so "L hits a positive site first" is "L's running max pulls
@@ -304,6 +327,69 @@ def test_every_order_admitted_pair_passes_every_check_to_length_eight():
         blind_spots.append(blind)
     assert (preceq_count, trileq_count) == (24563, 23200)
     assert blind_spots == [0, 0, 0, 1, 4, 28, 112, 573]
+
+
+# ---------------------------------------------------------------------------
+# the checker against the per-step checker it replaced: every report the same
+# to the byte, witnesses and their key order included
+
+def report(results):
+    """Each result's fields in order, each witness as its list of items."""
+    return [
+        (name, r.statement, r.passed, r.vacuous, r.witness and list(r.witness.items()))
+        for name, r in results.items()
+    ]
+
+
+def assert_matches_reference_checker(pos_l, pos_r, checks=None):
+    fast = PairChecker(pos_l, pos_r, checks).run()
+    slow = ReferencePairChecker(pos_l, pos_r, checks).run()
+    assert report(fast) == report(slow), (pos_l, pos_r, checks)
+
+
+def test_checker_matches_the_reference_checker_on_every_pair_to_length_eight():
+    count = 0
+    for pos_l, pos_r in all_path_pairs(8):
+        assert_matches_reference_checker(pos_l, pos_r)
+        count += 1
+    assert count == 87381
+
+
+def test_each_check_alone_matches_the_reference_checker_to_length_six():
+    for pos_l, pos_r in all_path_pairs(6):
+        for name in STATEMENT_IDS:
+            assert_matches_reference_checker(pos_l, pos_r, (name,))
+
+
+@st.composite
+def shadowing_pairs(draw, max_len=300):
+    """R takes L's steps but for a few flipped ones, so count dominance
+    typically holds for a while and then fails."""
+    n = draw(st.integers(0, max_len))
+    steps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=6)) if n else set()
+    return (
+        [0, *itertools.accumulate(steps)],
+        [0, *itertools.accumulate(-s if i in flips else s for i, s in enumerate(steps))],
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(shadowing_pairs(), st.sets(st.sampled_from(STATEMENT_IDS), min_size=1))
+def test_check_subsets_match_the_reference_checker_on_shadowing_pairs(pair, checks):
+    assert_matches_reference_checker(*pair, checks)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_checker_matches_the_reference_checker_on_campaign_pairs(family):
+    horizon = {} if family == "ce2" else {"horizon": 2000}
+    config = CampaignConfig(family, trials=3, seed=17, collect_returns=False, **horizon)
+    without_count = tuple(c for c in STATEMENT_IDS if c != "count_dominance")
+    for trial in range(config.effective_trials()):
+        _, pair = replay_trial(config, trial)
+        positions = pair.traj_l.positions, pair.traj_r.positions
+        assert_matches_reference_checker(*positions)
+        assert_matches_reference_checker(*positions, without_count)
 
 
 @settings(deadline=None, max_examples=300)
@@ -382,6 +468,8 @@ def test_pair_checker_validates_inputs():
         PairChecker([0, 1], [0, 1], checks=("envelopes", "imaginary"))
     with pytest.raises(ValueError):
         PairChecker([0, 2], [0, 1])
+    with pytest.raises(ValueError, match="not the string 'envelopes'"):  # not letter by letter
+        PairChecker([0, 1], [0, 1], checks="envelopes")
 
 
 def test_check_subset_returns_only_requested():

@@ -35,8 +35,11 @@ TIMEOUT_S = 600
 
 CORE = "src/arrowwalk/core.py"
 COUPLINGS = "src/arrowwalk/couplings.py"
+VERIFY = "src/arrowwalk/verify.py"
 CHUNKS = "tests/test_chunks.py"
 COUPLING_TESTS = "tests/test_couplings.py"
+VERIFY_TESTS = "tests/test_verify.py"
+TO_EIGHT = f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_every_pair_to_length_eight"
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,51 @@ MUTANTS = (
         "    system._prefix = prefix\n"
         "    return run_walk(system, traj.horizon)\n",
         (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",),
+    ),
+    # The pair checker decides the five statements count dominance implies
+    # from the step where it fails, and the rest on the steps that can
+    # change them.
+    Mutant(
+        "checker-late-extremes-include-the-failing-step",
+        VERIFY,
+        "max_l, min_l = max(pos_l[:t]), min(pos_l[:t])",
+        "max_l, min_l = max(pos_l[:t + 1]), min(pos_l[:t + 1])",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-implied-never-decided",
+        VERIFY,
+        "                        if implied:\n",
+        "                        if False:\n",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-kth-first-visit-le",
+        VERIFY,
+        "if len(seen) < ka:",
+        "if len(seen) <= ka:",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-kth-second-path-le",
+        VERIFY,
+        "if nl[ib] < kb:",
+        "if nl[ib] <= kb:",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-adjacency-skips-r-site",
+        VERIFY,
+        "                            if x is None:\n",
+        "                            if False:\n",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-record-vacuity-or",
+        VERIFY,
+        '"record_lead": top_r <= 0 and low_l >= 0,',
+        '"record_lead": top_r <= 0 or low_l >= 0,',
+        (f"{VERIFY_TESTS}::test_identical_paths_pass_with_expected_vacuity", TO_EIGHT),
     ),
 )
 
