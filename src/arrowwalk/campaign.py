@@ -478,46 +478,81 @@ def _cookie_walk_stats(
     just skips the per-site bookkeeping and runs much faster.  A step goes
     Right when its word is below the cell's limit, which is exactly when
     its uniform is below the cell's probability.
+
+    A step does only what the next step reads: it takes a word, picks the
+    limit of the site's visit count, moves and counts the visit.  The rest
+    is read off the final visit counts.  A unit-step path from 0 visits
+    every site between 0 and its maximum and none above, so the maximum
+    is one below the first site never visited; one spare slot past the
+    reachable range keeps that site inside the list.  The returns are the
+    visits to 0 after the start.  The raw walk takes one word per step, so
+    it walks the first `after` steps and then the rest, and its late
+    returns are the visits to 0 made in the second part.  The transformed
+    walk takes no word on its forced steps from 0: it walks one excursion
+    above 0 at a time, each as long as twice its down steps, and counts a
+    return, late when past `after`, where an excursion ends.
     """
-    pos = 0
-    # Visit counts by position.  The raw walk stays in [-horizon, horizon]
-    # and a negative position indexes from the end of the list; the
-    # transformed walk never goes below 0.
-    visits = [0] * (horizon + 1 if transformed else 2 * horizon + 1)
-    visits[0] = 1
     sites, dflt, tail = limits
     homogeneous = not sites
     nd = len(dflt)
     words = field.words(stream, 0)
-    returns = 0
-    returns_after = 0
-    max_pos = 0
-    for n in range(1, horizon + 1):
-        if transformed and pos <= 0:
-            pos += 1
-        else:
-            a = next(words)
-            k = visits[pos]
-            if homogeneous:
-                limit = dflt[k - 1] if k <= nd else tail
-            else:  # as `env.prob`: the site's list or the default, then the tail
-                lst = sites.get(pos, dflt)
-                limit = lst[k - 1] if k <= len(lst) else tail
-            if a < limit:
-                pos += 1
-            else:
-                pos -= 1
-        visits[pos] += 1
-        if pos > max_pos:
-            max_pos = pos
-        if pos == 0:
-            returns += 1
+    pos = 0
+    if not transformed:
+        # Visit counts by position: the walk stays in [-horizon, horizon],
+        # a negative position indexing from the end of the list, and slot
+        # horizon + 1 is the spare one.
+        visits = [0] * (2 * horizon + 2)
+        visits[0] = 1
+        for m in (after, horizon - after):
+            early = visits[0]  # last read before the late steps
+            for a in itertools.islice(words, m):
+                k = visits[pos]
+                if homogeneous:
+                    limit = dflt[k - 1] if k <= nd else tail
+                else:  # as `env.prob`: the site's list or the default, then the tail
+                    lst = sites.get(pos, dflt)
+                    limit = lst[k - 1] if k <= len(lst) else tail
+                if a < limit:
+                    pos += 1
+                else:
+                    pos -= 1
+                visits[pos] += 1
+        returns_after = visits[0] - early
+    else:
+        # The walk never goes below 0.
+        visits = [0] * (horizon + 2)
+        visits[0] = 1
+        returns_after = 0
+        n = 0  # steps taken, counted where the walk is at 0
+        while n < horizon:
+            pos = 1  # the forced step
+            visits[1] += 1
+            down = 0
+            for a in itertools.islice(words, horizon - n - 1):
+                k = visits[pos]
+                if homogeneous:
+                    limit = dflt[k - 1] if k <= nd else tail
+                else:
+                    lst = sites.get(pos, dflt)
+                    limit = lst[k - 1] if k <= len(lst) else tail
+                if a < limit:
+                    pos += 1
+                else:
+                    pos -= 1
+                    down += 1
+                    if not pos:
+                        break
+                visits[pos] += 1
+            else:  # the horizon, inside the excursion
+                break
+            visits[0] += 1
+            n += 2 * down
             if n > after:
                 returns_after += 1
     return {
         "speed": pos / horizon,
-        "max_pos": max_pos,
-        "returns": returns,
+        "max_pos": visits.index(0) - 1,
+        "returns": visits[0] - 1,
         "returns_after": returns_after,
     }
 

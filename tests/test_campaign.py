@@ -535,3 +535,30 @@ def test_stats_walks_match_the_sequential_reference(env):
             stream = ("stats", i, kind)
             got = campaign._cookie_walk_stats(limits, field, stream, 3000, 100, transformed)
             assert got == reference_walk_stats(env, field, stream, 3000, 100, transformed), (i, kind)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        cookie_env((0.0, 0.0), tail=0.0),
+        cookie_env((1.0, 1.0), tail=1.0),
+        cookie_env((), tail=0.5),
+        CookieEnvironment({-1: (0.9, 0.1), 0: (1.0, 0.0, 1.0), 3: (0.0,)}, (0.6, 0.4), 0.5),
+    ],
+    ids=["all-left", "all-right", "empty-default", "listed"],
+)
+@pytest.mark.parametrize("horizon", [1, 2, 7, 50])
+def test_stats_walks_match_the_sequential_reference_at_the_edges(env, horizon):
+    # Returns, late returns and the maximum are read off the final visit
+    # counts.  The all-Right raw walk ends at +horizon, in the last slot
+    # before the spare one, and the all-Left transformed walk returns to 0
+    # on every second step, the last of them at the horizon when it is even.
+    field = UniformField(5)
+    limits = campaign._word_limits(env)
+    for after in sorted({0, 1, horizon}):
+        for i in range(4):
+            for kind, transformed in (("raw", False), ("plus", True)):
+                stream = ("stats", i, kind)
+                got = campaign._cookie_walk_stats(limits, field, stream, horizon, after, transformed)
+                want = reference_walk_stats(env, field, stream, horizon, after, transformed)
+                assert got == want, (after, i, kind)

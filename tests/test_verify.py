@@ -1,6 +1,7 @@
 """Statement checkers on coupled path pairs, validated against a reference
 that recomputes every statement from scratch at every time."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -53,8 +54,15 @@ def path_pairs(draw, max_len=50):
 # ---------------------------------------------------------------------------
 # reference checker: no incremental state, just brute recomputation
 
+@functools.lru_cache(maxsize=4096)
+def _prefix_counts(path):
+    """The visit counts of every prefix of `path` (a tuple), counted once
+    per path: the statements below read them at every time of every pair."""
+    return [Counter(path[: t + 1]) for t in range(len(path))]
+
+
 def _counts(pos, t):
-    return Counter(pos[: t + 1])
+    return _prefix_counts(tuple(pos))[t]
 
 
 def _diff(pos_l, pos_r, t):

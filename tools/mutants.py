@@ -14,7 +14,7 @@ mutant naming it and prove nothing.
 Exit code 0 when every mutant is killed, 1 when any survives or its run
 errs (no tests collected, a timeout), 2 on a usage error or a table entry
 that does not apply to the checkout.  A full run of the table below takes
-about 30 s on a 2-core Xeon.
+about 45 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -33,12 +33,16 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
 TIMEOUT_S = 600
 
+CAMPAIGN = "src/arrowwalk/campaign.py"
 CORE = "src/arrowwalk/core.py"
 COUPLINGS = "src/arrowwalk/couplings.py"
 VERIFY = "src/arrowwalk/verify.py"
+CAMPAIGN_TESTS = "tests/test_campaign.py"
 CHUNKS = "tests/test_chunks.py"
 COUPLING_TESTS = "tests/test_couplings.py"
 VERIFY_TESTS = "tests/test_verify.py"
+STATS_REFERENCE = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference"
+STATS_EDGES = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference_at_the_edges"
 TO_EIGHT = f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_every_pair_to_length_eight"
 
 
@@ -52,6 +56,50 @@ class Mutant:
 
 
 MUTANTS = (
+    # Words decided against integer limits, and the direct preceq loop.
+    Mutant(
+        "limit-floor",
+        COUPLINGS,
+        "return math.ceil(p * 2.0**53) << 11",
+        "return math.floor(p * 2.0**53) << 11",
+        (f"{COUPLING_TESTS}::test_limit_decides_as_the_float_comparison",),
+    ),
+    Mutant(
+        "stats-walk-ignores-listed-sites",
+        CAMPAIGN,
+        "homogeneous = not sites",
+        "homogeneous = True",
+        (STATS_REFERENCE, STATS_EDGES),
+    ),
+    Mutant(
+        "preceq-free-right-levels-left",
+        CORE,
+        "lead += (a_l is not RIGHT) - (a_r is LEFT)",
+        "lead += (a_l is not RIGHT) - (a_r is not RIGHT)",
+        ("tests/test_core.py::test_paths_admit_preceq_matches_the_favourable_completions_to_length_seven",),
+    ),
+    # The stats walks read the maximum and the returns off the visit counts.
+    Mutant(
+        "stats-max-off-by-one",
+        CAMPAIGN,
+        '"max_pos": visits.index(0) - 1,',
+        '"max_pos": visits.index(0),',
+        (STATS_REFERENCE, STATS_EDGES),
+    ),
+    Mutant(
+        "stats-late-snapshot-before-the-first-part",
+        CAMPAIGN,
+        "        for m in (after, horizon - after):\n            early = visits[0]",
+        "        early = visits[0]\n        for m in (after, horizon - after):\n            pass",
+        (STATS_EDGES,),
+    ),
+    Mutant(
+        "stats-zero-right-late-at-after",
+        CAMPAIGN,
+        "            if n > after:\n                returns_after += 1",
+        "            if n >= after:\n                returns_after += 1",
+        (STATS_EDGES,),
+    ),
     # The sampled chunk's written-out decision.
     Mutant(
         "chunk-decision-le",
