@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO, Union
@@ -53,6 +53,10 @@ def _coerce_arrow(a: Union[Arrow, str, int]) -> Arrow:
     return Arrow(a)
 
 
+# `_coerce_arrow` on its usual inputs; the ints -1 and 1 are the keys LEFT and RIGHT.
+_ARROW_OF = {LEFT: LEFT, RIGHT: RIGHT, "L": LEFT, "R": RIGHT}
+
+
 class ArrowSystem:
     """Deterministic map (site, level) -> Arrow.
 
@@ -61,15 +65,15 @@ class ArrowSystem:
     the same arrow, and queries have no observable side effects beyond
     internal memoization.
 
-    A system may also define `chunk(site, q)`, returning the arrows of
-    levels 8q+1 .. 8q+8 at `site` as a sequence equal to `arrow_at` on
-    those levels; `run_walk` then reads a site's stack a chunk at a time,
-    and never changes a chunk it is given, so chunks may be shared.
-    A system whose arrows depend on the order its cells are first queried
-    must leave it None: a chunk reads eight cells at once.
+    A system may also define `cell_words(site, q)`: the words and the limits
+    of levels 8q+1 .. 8q+8 at `site`, two sequences of eight, with the arrow
+    at level 8q+r+1 Right iff words[r] < limits[r].  `run_walk` then reads a
+    stack eight levels at a time, never changing what it is given, so both
+    may be shared.  A system whose arrows depend on the order its cells are
+    first queried must leave it None: it hands out eight cells at once.
     """
 
-    chunk: Optional[Callable[[int, int], Sequence[Arrow]]] = None
+    cell_words: Optional[Callable[[int, int], tuple[Sequence[int], Sequence[int]]]] = None
     # The first positions of the system's walk, when already known: `run_walk`
     # copies them and walks on from the last.  Only the transformed systems
     # `zero_right_walk` builds know more than the start.
@@ -92,12 +96,14 @@ class ExplicitSystem(ArrowSystem):
         stacks: Mapping[int, Union[str, Sequence[Union[Arrow, str, int]]]],
         default_fill: Union[Arrow, str] = RIGHT,
     ):
-        self.stacks = {
-            int(site): tuple(map(_coerce_arrow, prefix))
-            for site, prefix in stacks.items()
-        }
+        try:  # by dict lookups; on any other entry `_coerce_arrow` raises its own error
+            self.stacks = {int(site): tuple(map(_ARROW_OF.__getitem__, prefix))
+                           for site, prefix in stacks.items()}
+        except (KeyError, TypeError):
+            self.stacks = {int(site): tuple(map(_coerce_arrow, prefix))
+                           for site, prefix in stacks.items()}
         self.default_fill = _coerce_arrow(default_fill)
-        self._fill_chunk = (self.default_fill,) * 8
+        self._fill_arrows = (self.default_fill,) * 8
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -107,16 +113,18 @@ class ExplicitSystem(ArrowSystem):
             return prefix[level - 1]
         return self.default_fill
 
-    def chunk(self, site: int, q: int) -> tuple[Arrow, ...]:
+    def cell_words(self, site: int, q: int) -> tuple[tuple[int, ...], tuple[Arrow, ...]]:
+        """Zero words against the arrows as limits: 0 < arrow is Right."""
         if q < 0:
-            raise ValueError(f"chunk index must be >= 0, got {q}")
+            raise ValueError(f"block index must be >= 0, got {q}")
         prefix = self.stacks.get(site)
         if prefix is None or len(prefix) <= 8 * q:
-            return self._fill_chunk
+            return _ZERO_WORDS, self._fill_arrows
         part = prefix[8 * q : 8 * q + 8]
-        return part + self._fill_chunk[len(part):]
+        return _ZERO_WORDS, part + self._fill_arrows[len(part):]
 
 
+_ZERO_WORDS = (0,) * 8
 _ALL_RIGHT = (RIGHT,) * 8
 
 
@@ -130,8 +138,8 @@ class _ZeroRightSystem(ArrowSystem):
     def __init__(self, base: ArrowSystem, prefix: Sequence[int] = (0,)):
         self.base = base
         self._prefix = prefix
-        if base.chunk is None:
-            self.chunk = None  # nothing to delegate to: walked arrow by arrow
+        if base.cell_words is None:
+            self.cell_words = None  # nothing to delegate to: walked arrow by arrow
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if site == 0:
@@ -140,12 +148,12 @@ class _ZeroRightSystem(ArrowSystem):
             return RIGHT
         return self.base.arrow_at(site, level)
 
-    def chunk(self, site: int, q: int) -> Sequence[Arrow]:
+    def cell_words(self, site: int, q: int) -> tuple[Sequence[int], Sequence[int]]:
         if site == 0:
             if q < 0:
-                raise ValueError(f"chunk index must be >= 0, got {q}")
-            return _ALL_RIGHT
-        return self.base.chunk(site, q)
+                raise ValueError(f"block index must be >= 0, got {q}")
+            return _ZERO_WORDS, _ALL_RIGHT
+        return self.base.cell_words(site, q)
 
 
 def zero_right_transform(system: ArrowSystem) -> ArrowSystem:
@@ -224,46 +232,51 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
 
     On each step the walk, sitting at `pos` for the k-th time, consumes the
     level-k arrow at `pos` and moves one unit in its direction.  A system
-    with chunks is read a chunk at a time: the walk keeps the arrows read
-    so far at each site and reads the site's chunks up to level k when the
-    walk runs past them.  It keeps a site's first chunk as read, and copies
-    it into a list of its own only when it runs past it, so a chunk the
-    system hands out is never changed.  Any other system is queried arrow
-    by arrow.  A system that knows the first positions of its walk (see
+    with `cell_words` is read eight levels at a time: the walk keeps the
+    words and limits read so far at each site, reads the next ones up to
+    level k when it runs past them, and steps Right iff word k - 1 is below
+    limit k - 1.  It keeps a site's first block as handed out, and copies it
+    into lists of its own only when it runs past it, so what the system
+    hands out is never changed.  Any other system is queried arrow by arrow.
+    A system that knows the first positions of its walk (see
     `zero_right_walk`) has them copied, and only the steps after them are
     walked: such a walk resumes mid-path and can first read a site's stack
-    above its first chunk.
+    above its first block.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     positions = list(system._prefix[: horizon + 1])
     # A plain dict: the walk loop's lookups are slower on a dict subclass.
     visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))
-    chunk = system.chunk
+    cell_words = system.cell_words
     start = len(positions)
     pos = positions[-1]
     positions += [0] * (horizon + 1 - start)
-    if chunk is None:
+    if cell_words is None:
         arrow_at = system.arrow_at
         for n in range(start, horizon + 1):
             pos += arrow_at(pos, visits[pos])
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1
     else:
-        # site -> its arrows read so far: its first chunk as read, which is
-        # never changed, then a list of its own once the walk runs past it
-        stacks: dict[int, Sequence[Arrow]] = {}
+        # site -> its words and limits read so far: its first block as handed
+        # out, never changed, then two lists of its own once the walk runs past it
+        stacks: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
+        unread = ((), ())
         for n in range(start, horizon + 1):
             k = visits[pos]
-            stack = stacks.get(pos)
-            if stack is None:
-                stack = stacks[pos] = chunk(pos, 0)
-            if k > len(stack):  # past the chunks read: the next ones
-                if len(stack) == 8:  # the first chunk as read: copied, once
-                    stack = stacks[pos] = list(stack)
-                while k > len(stack):
-                    stack += chunk(pos, len(stack) >> 3)
-            pos += stack[k - 1]
+            words, limits = stacks.get(pos, unread)
+            if k > len(words):  # past the blocks read: the next ones
+                if not words:  # the site's first read: its first block
+                    words, limits = stacks[pos] = cell_words(pos, 0)
+                if k > len(words):
+                    if len(words) == 8:  # the first block as handed out: copied, once
+                        words, limits = stacks[pos] = list(words), list(limits)
+                    while k > len(words):
+                        more, more_limits = cell_words(pos, len(words) >> 3)
+                        words += more
+                        limits += more_limits
+            pos += 1 if words[k - 1] < limits[k - 1] else -1
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1
     traj = Trajectory(positions, visits, system)
@@ -568,10 +581,10 @@ def consumed_stacks(positions: Sequence[int]) -> dict[int, list[Arrow]]:
     that is not a unit step counts by its sign, Right when the position
     rises and Left otherwise.
     """
-    stacks: dict[int, list[Arrow]] = {}
+    stacks: defaultdict[int, list[Arrow]] = defaultdict(list)
     for here, after in zip(positions, positions[1:]):
-        stacks.setdefault(here, []).append(RIGHT if after > here else LEFT)
-    return stacks
+        stacks[here].append(RIGHT if after > here else LEFT)
+    return dict(stacks)
 
 
 def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> RelationResult:

@@ -38,15 +38,6 @@ from .verify import CoupledPair, make_pair
 
 StreamTag = Union[int, str, tuple]
 
-# Every chunk of eight arrows, by the tuple of its eight comparisons
-# a < _limit(p) of a word with its cell's limit, which decide u < p: True
-# for Right, False for Left.  Sampled chunks are these tuples, shared by
-# every system and never changed.
-_CHUNKS = {
-    bits: tuple(RIGHT if b else LEFT for b in bits)
-    for bits in itertools.product((False, True), repeat=8)
-}
-
 _U64_SCALE = 2.0**-53
 _UNPACK_8Q = struct.Struct(">8Q").unpack
 # Length prefixes in `_pack` are two bytes wide.
@@ -414,12 +405,13 @@ def env_leq_pointwise(
 
 
 class SampledCookieSystem(ArrowSystem):
-    """Arrow at (x, n) is Right iff U(x, n) < env.prob(x, n).
+    """Arrow at (x, n) is Right iff U(x, n) < env.prob(x, n), decided on
+    the raw word as word < `_limit(p)`.
 
-    Arrows are memoized in blocks of eight, so queries are consistent and
-    re-walking the same instance replays the same walk.  Two instances on
-    views of the same field and stream share every uniform cell by cell;
-    on one view, they also hash each raw block of uniforms once.
+    It hands out the view's memoized words and per-lane limits, so queries
+    are consistent and re-walking the same instance replays the same walk.
+    Two instances on views of the same field and stream share every uniform
+    cell by cell; on one view, they also hash each raw block of uniforms once.
     """
 
     def __init__(self, env: CookieEnvironment, view: FieldStream):
@@ -427,7 +419,6 @@ class SampledCookieSystem(ArrowSystem):
         self.view = view
         self._memo = view._blocks  # read directly, its words by (site, q)
         self._fill = view._fill
-        self._chunks: dict[tuple[int, int], tuple[Arrow, ...]] = {}
         # (lane, q) -> the word limits (`_limit`) of levels 8q+1 .. 8q+8;
         # lane None stands for every site the environment does not list
         self._limits: dict[tuple[Optional[int], int], tuple[int, ...]] = {}
@@ -436,25 +427,19 @@ class SampledCookieSystem(ArrowSystem):
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
-        return self.chunk(site, q)[r]
+        words, limits = self.cell_words(site, q)
+        return RIGHT if words[r] < limits[r] else LEFT
 
-    def chunk(self, site: int, q: int) -> tuple[Arrow, ...]:
-        key = (site, q)
-        arrows = self._chunks.get(key)
-        if arrows is None:
-            a, b, c, d, e, f, g, h = self._memo.get(key) or self._fill(site, q)
-            env = self.env
-            lane = (site if site in env.sites else None, q)
-            limits = self._limits.get(lane)
-            if limits is None:
-                probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
-                limits = self._limits[lane] = tuple(
-                    map(_limit, probs + (env.tail,) * (8 - len(probs))))
-            la, lb, lc, ld, le, lf, lg, lh = limits
-            # Written out: a third of the cost of one call mapping `<`.
-            arrows = self._chunks[key] = _CHUNKS[
-                a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]
-        return arrows
+    def cell_words(self, site: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        words = self._memo.get((site, q)) or self._fill(site, q)
+        env = self.env
+        lane = (site if site in env.sites else None, q)
+        limits = self._limits.get(lane)
+        if limits is None:
+            probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
+            limits = self._limits[lane] = tuple(
+                map(_limit, probs + (env.tail,) * (8 - len(probs))))
+        return words, limits
 
 
 def sample_system(

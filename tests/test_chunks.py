@@ -1,11 +1,13 @@
-"""The chunk walk loop against the per-arrow loop.
+"""The word walk loop against the per-arrow loop.
 
-`run_walk` reads a system that defines `chunk(site, q)` eight arrows at a
-time, and queries any other system arrow by arrow.  `reference_walk` is
-the per-arrow loop, kept here as the slow reference: both must give equal
-positions and visit counts for every system that has chunks.  A sampled
-system's `arrow_at` reads its chunks, so its reference walk queries
-`CellSystem`, the sampling rule applied to one field value at a time.
+`run_walk` reads a system that defines `cell_words(site, q)` eight levels
+at a time, a chunk of words and their limits, and steps Right iff the word
+of the level it reads is below its limit; it queries any other system arrow
+by arrow.  `reference_walk` is the per-arrow loop, kept here as the slow
+reference: both must give equal positions and visit counts for every
+system that has `cell_words`.  A sampled system's `arrow_at` reads its
+`cell_words`, so its reference walk queries `CellSystem`, the sampling rule
+applied to one field value at a time.
 
 `zero_right_walk` reuses a walked path's right excursions and walks only
 the rest; its reference is the full walk of the transformed system.
@@ -22,6 +24,7 @@ from arrowwalk import verify
 from arrowwalk.campaign import _build_pair
 from arrowwalk.core import (
     _ALL_RIGHT,
+    _ZERO_WORDS,
     LEFT,
     RIGHT,
     ArrowSystem,
@@ -31,7 +34,6 @@ from arrowwalk.core import (
     zero_right_walk,
 )
 from arrowwalk.couplings import (
-    _CHUNKS,
     CookieEnvironment,
     EtaSystem,
     FieldStream,
@@ -73,7 +75,7 @@ LISTED = CookieEnvironment(
 class CellSystem(ArrowSystem):
     """A sampled system's definition, cell by cell and with no memo:
     Right at (site, level) iff the field's uniform there is below the
-    environment's probability.  It defines no chunk."""
+    environment's probability.  It defines no `cell_words`."""
 
     def __init__(self, env, field, stream):
         self.env = env
@@ -112,7 +114,7 @@ def explicit(fill, seed):
 
 def assert_walks_agree(make_system, horizons=HORIZONS):
     for horizon in horizons:
-        # A fresh instance for the reference, which must not read the chunk memo.
+        # A fresh instance for the reference, which must not read the memo.
         traj = run_walk(make_system(), horizon)
         assert traj._walked
         want_positions, want_visits = reference_walk(definition(make_system()), horizon)
@@ -162,12 +164,13 @@ def test_chunk_equals_arrow_at_on_its_eight_levels(system):
         for q in range(4):
             levels = range(8 * q + 1, 8 * q + 9)
             want = [cells.arrow_at(site, level) for level in levels]
-            got = system.chunk(site, q)
-            assert len(got) == 8
+            words, limits = system.cell_words(site, q)
+            assert len(words) == len(limits) == 8
+            got = [RIGHT if a < limit else LEFT for a, limit in zip(words, limits)]
             assert all(a is b for a, b in zip(got, want)), (site, q)
             assert all(system.arrow_at(site, level) is a for level, a in zip(levels, want)), (site, q)
     with pytest.raises(ValueError):
-        system.chunk(0, -1)
+        system.cell_words(0, -1)
 
 
 class CountingSampled(SampledCookieSystem):
@@ -192,7 +195,8 @@ def test_a_sampled_walk_reads_chunks_only():
 
 class SequentialSystem(ArrowSystem):
     """Order-dependent: each cell takes the next arrow of one sequence when
-    first queried.  It defines no chunk, so it is walked arrow by arrow."""
+    first queried.  It defines no `cell_words`, so it is walked arrow by
+    arrow."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -206,9 +210,9 @@ class SequentialSystem(ArrowSystem):
 
 def test_systems_without_chunks_are_walked_arrow_by_arrow():
     eta = EtaSystem((0.9, 0.9), UniformField(1), "eta")
-    assert eta.chunk is None
-    assert zero_right_transform(eta).chunk is None
-    assert zero_right_transform(SequentialSystem(0)).chunk is None
+    assert eta.cell_words is None
+    assert zero_right_transform(eta).cell_words is None
+    assert zero_right_transform(SequentialSystem(0)).cell_words is None
     for transformed in (False, True):
         wrap = zero_right_transform if transformed else (lambda system: system)
         traj = run_walk(wrap(SequentialSystem(7)), 500)
@@ -324,6 +328,34 @@ BOUNDARY = CookieEnvironment(
 )
 
 
+class AtZero(ArrowSystem):
+    """The stack of `base` at `site`, placed at 0, where the walk reads it
+    one level per visit: site 1 holds Lefts and site -1 Rights, so the walk
+    is back at 0 after every second step, and step 2m + 1 takes level
+    m + 1 of the stack."""
+
+    def __init__(self, base, site):
+        self.base = base
+        self.site = site
+        self.sides = ExplicitSystem({1: "L" * 40}, RIGHT)
+
+    def arrow_at(self, site, level):
+        if site == 0:
+            return self.base.arrow_at(self.site, level)
+        return self.sides.arrow_at(site, level)
+
+    def cell_words(self, site, q):
+        if site == 0:
+            return self.base.cell_words(self.site, q)
+        return self.sides.cell_words(site, q)
+
+
+def walked_arrows(system, site, levels):
+    """The arrows `run_walk` takes at `site` on `levels`, read off its steps."""
+    positions = run_walk(AtZero(system, site), 2 * max(levels)).positions
+    return tuple(RIGHT if positions[2 * level - 1] > 0 else LEFT for level in levels)
+
+
 class MemoField:
     """The `value` of a field whose blocks are those a view's memo holds."""
 
@@ -338,9 +370,9 @@ class MemoField:
                          ids=["listed-q0", "listed-q1", "default-q0", "default-q1", "tail-q2"])
 def test_sampled_chunk_decides_at_each_limit_as_the_float_rule(site, q):
     # Every one of the eight words at its cell's limit - 1 (Right: u < p) or
-    # at its limit (Left), in all 256 patterns.  Random words never hit a
-    # limit exactly, so only words made to do so tell `<` from `<=`, and
-    # tell the eight positions apart.
+    # at its limit (Left), in all 256 patterns, as the walk and `arrow_at`
+    # decide them.  Random words never hit a limit exactly, so only words
+    # made to do so tell `<` from `<=`, and tell the eight positions apart.
     levels = range(8 * q + 1, 8 * q + 9)
     limits = [_limit(BOUNDARY.prob(site, level)) for level in levels]
     for below in itertools.product((True, False), repeat=8):
@@ -350,12 +382,13 @@ def test_sampled_chunk_decides_at_each_limit_as_the_float_rule(site, q):
         cells = CellSystem(BOUNDARY, MemoField(view), None)
         want = tuple(cells.arrow_at(site, level) for level in levels)
         assert want == tuple(RIGHT if b else LEFT for b in below)
-        assert system.chunk(site, q) == want, below
+        assert walked_arrows(system, site, levels) == want, below
+        assert tuple(system.arrow_at(site, level) for level in levels) == want, below
 
 
 class ListChunks(ArrowSystem):
-    """A system handing out each chunk as one list that it keeps, and
-    counting the chunks read."""
+    """A system handing out each chunk's words and limits as two lists that
+    it keeps, and counting the chunks read."""
 
     def __init__(self, base):
         self.base = base
@@ -365,20 +398,19 @@ class ListChunks(ArrowSystem):
     def arrow_at(self, site, level):
         return self.base.arrow_at(site, level)
 
-    def chunk(self, site, q):
+    def cell_words(self, site, q):
         self.reads[site, q] += 1
         got = self.handed.get((site, q))
         if got is None:
-            got = self.handed[site, q] = list(self.base.chunk(site, q))
+            got = self.handed[site, q] = tuple(map(list, self.base.cell_words(site, q)))
         return got
 
 
 def test_walks_never_change_a_chunk_they_store():
-    chunks = {bits: list(arrows) for bits, arrows in _CHUNKS.items()}
-    all_right = list(_ALL_RIGHT)
+    all_right, zeros = list(_ALL_RIGHT), list(_ZERO_WORDS)
     bases = [sampled(LISTED, 5, "keep"), sampled(cookie_env((0.5,)), 6, "keep"),
              explicit(LEFT, 7), explicit(RIGHT, 8)]
-    fills = [list(base._fill_chunk) for base in bases[2:]]
+    fills = [list(base._fill_arrows) for base in bases[2:]]
     for base in bases:
         for wrap in (lambda system: system, zero_right_transform):
             lists = ListChunks(base)
@@ -394,7 +426,7 @@ def test_walks_never_change_a_chunk_they_store():
             again = zero_right_walk(traj)
             assert (again.positions, again.visit_counts) == reference_walk(
                 zero_right_transform(definition(base)), 3000)
-            assert all(got == list(base.chunk(site, q)) for (site, q), got in lists.handed.items())
-    assert {bits: list(arrows) for bits, arrows in _CHUNKS.items()} == chunks
-    assert list(_ALL_RIGHT) == all_right
-    assert [list(base._fill_chunk) for base in bases[2:]] == fills
+            assert all(got == tuple(map(list, base.cell_words(site, q)))
+                       for (site, q), got in lists.handed.items())
+    assert (list(_ALL_RIGHT), list(_ZERO_WORDS)) == (all_right, zeros)
+    assert [list(base._fill_arrows) for base in bases[2:]] == fills

@@ -21,6 +21,7 @@ from arrowwalk.core import (
     ArrowSystem,
     ExplicitSystem,
     Trajectory,
+    _coerce_arrow,
     check_identities,
     check_relation,
     consumed_stacks,
@@ -90,6 +91,24 @@ def test_explicit_system_stacks_and_fill():
     assert sys_.arrow_at(5, 1) is RIGHT  # untouched site, default fill
     with pytest.raises(ValueError):
         sys_.arrow_at(0, 0)
+
+
+def test_explicit_stacks_are_coerced_as_coerce_arrow_does():
+    # Stacks are coerced by dict lookups, and by `_coerce_arrow` on any
+    # entry that is not a key: the same arrows, and the same errors.
+    for prefix in ([LEFT, RIGHT, "L", "R", -1, 1], (1, -1, RIGHT), "RLLR", ""):
+        got = ExplicitSystem({0: prefix}).stacks[0]
+        want = tuple(map(_coerce_arrow, prefix))
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), prefix
+    for bad in ("X", 0, 2, None):
+        with pytest.raises((ValueError, TypeError)) as want:
+            _coerce_arrow(bad)
+        for prefix in (["R", bad], (bad,)):
+            with pytest.raises(type(want.value)) as got:
+                ExplicitSystem({0: prefix})
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="arrow char"):
+        ExplicitSystem({0: "RXL"})
 
 
 def test_constant_and_rule_systems():

@@ -302,7 +302,7 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
     # The hot readers' miss path raises what `block` raises, and keeps nothing.
     view = FieldStream(UniformField(0), "s")
     system = sample_system(cookie_env((0.5,)), UniformField(0), "s")
-    for read in (view.words, view._fill, view.block, system.chunk):
+    for read in (view.words, view._fill, view.block, system.cell_words):
         with pytest.raises(error, match=message):
             read(site, q)
     if q == 0:
@@ -310,7 +310,7 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
         with pytest.raises(error, match=message):
             eta.arrow_at(site, 1)
         assert eta.view._blocks == {}
-    assert view._blocks == {} and system.view._blocks == {} and system._chunks == {}
+    assert view._blocks == {} and system.view._blocks == {} and system._limits == {}
 
 
 def test_field_words_decode_to_the_uniforms():

@@ -31,8 +31,8 @@ def load_spans():
 # `FieldStream` memos hash, nor `UniformField.uniforms`, which draws a
 # trial's random environments, so field.block_calls is 0: the memos' counts
 # are pinned in `tests/test_couplings.py` instead.  Nor does it wrap
-# `chunk`: `run_walk` reads sampled systems a chunk at a time, so the
-# sampled families query no `arrow_at` at all.  walk.steps counts the
+# `cell_words`: `run_walk` reads sampled systems eight words at a time, so
+# the sampled families query no `arrow_at` at all.  walk.steps counts the
 # horizon of every `run_walk`, the zero-right return walks included, though
 # those walk only the steps past the pair walk's right excursions (pinned in
 # RETURN_STEPS); the arrows they reuse are not queried again.

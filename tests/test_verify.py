@@ -110,10 +110,10 @@ def reference_results(pos_l, pos_r):
 
     out["hitting_order"] = reference_hitting_order(pos_l, pos_r)[:3]
 
+    diffs = [_diff(pos_l, pos_r, t) for t in range(horizon + 1)]
     fail_t = None
     hyp = False
-    for t in range(horizon + 1):
-        diff = _diff(pos_l, pos_r, t)
+    for t, diff in enumerate(diffs):
         plus = [x for x, d in diff.items() if d > 0]
         minus = [x for x, d in diff.items() if d < 0]
         if plus:
@@ -134,8 +134,7 @@ def reference_results(pos_l, pos_r):
 
     fail_t = None
     hyp = False
-    for t in range(horizon + 1):
-        diff = _diff(pos_l, pos_r, t)
+    for t, diff in enumerate(diffs):
         if any(d > 0 for d in diff.values()):
             hyp = True
         bad = any(

@@ -100,20 +100,47 @@ MUTANTS = (
         "            if n >= after:\n                returns_after += 1",
         (STATS_EDGES,),
     ),
-    # The sampled chunk's written-out decision.
+    # The walk's one comparison of a word with its limit, on the level read.
     Mutant(
         "chunk-decision-le",
-        COUPLINGS,
-        "a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]",
-        "a < la, b < lb, c < lc, d < ld, e <= le, f < lf, g < lg, h < lh]",
+        CORE,
+        "pos += 1 if words[k - 1] < limits[k - 1] else -1",
+        "pos += 1 if words[k - 1] <= limits[k - 1] else -1",
         (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
     ),
     Mutant(
+        # Each level read against its neighbour's limit: 1 with 2, 3 with 4, ...
         "chunk-decision-swapped",
-        COUPLINGS,
-        "a < la, b < lb, c < lc, d < ld, e < le, f < lf, g < lg, h < lh]",
-        "a < la, b < lb, d < ld, c < lc, e < le, f < lf, g < lg, h < lh]",
+        CORE,
+        "pos += 1 if words[k - 1] < limits[k - 1] else -1",
+        "pos += 1 if words[k - 1] < limits[(k - 1) ^ 1] else -1",
         (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
+    ),
+    # What the systems hand the walk.
+    Mutant(
+        "limits-cached-without-their-lane",
+        COUPLINGS,
+        "lane = (site if site in env.sites else None, q)",
+        "lane = (None, q)",
+        (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
+    ),
+    Mutant(
+        "explicit-words-one-level-off",
+        CORE,
+        "part = prefix[8 * q : 8 * q + 8]",
+        "part = prefix[8 * q + 1 : 8 * q + 9]",
+        (f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
+    ),
+    Mutant(
+        "zero-right-site-0-not-forced",
+        CORE,
+        "            return _ZERO_WORDS, _ALL_RIGHT\n",
+        "            return self.base.cell_words(site, q)\n",
+        (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
     ),
     # The partition couplings' cells decided on one word.
     Mutant(
@@ -145,13 +172,22 @@ MUTANTS = (
         "return None if p == 1.0 else _limit(1.0 - p)",
         (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
     ),
-    # The walk keeps a site's first chunk as read and copies it once.
+    # The walk keeps a site's first chunk as handed out, copies it once and
+    # reads on from the chunks it holds.
     Mutant(
         "walk-extends-the-stored-chunk",
         CORE,
-        "                    stack = stacks[pos] = list(stack)\n",
-        "                    pass\n",
+        "                        words, limits = stacks[pos] = list(words), list(limits)\n",
+        "                        pass\n",
         (f"{CHUNKS}::test_walks_never_change_a_chunk_they_store",),
+    ),
+    Mutant(
+        "walk-rereads-the-first-chunk",
+        CORE,
+        "more, more_limits = cell_words(pos, len(words) >> 3)",
+        "more, more_limits = cell_words(pos, 0)",
+        (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk"),
     ),
     # A memo miss hashes the block into the memo.
     Mutant(
@@ -169,15 +205,15 @@ MUTANTS = (
     Mutant(
         "walk-first-read-no-extension",
         CORE,
-        "            if k > len(stack):  # past the chunks read: the next ones\n",
-        "            elif k > len(stack):  # past the chunks read: the next ones\n",
+        "                if k > len(words):\n",
+        "                elif k > len(words):\n",
         (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
     ),
     Mutant(
         "walk-one-chunk-per-step",
         CORE,
-        "                while k > len(stack):\n",
-        "                if k > len(stack):\n",
+        "                    while k > len(words):\n",
+        "                    if k > len(words):\n",
         (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
     ),
     Mutant(
