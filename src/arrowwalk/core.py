@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -89,7 +90,14 @@ class ExplicitSystem(ArrowSystem):
     `stacks` maps a site to its explicit bottom portion (strings like "RRL"
     are accepted).  Levels above the explicit portion, and every level of a
     site absent from `stacks`, hold `default_fill`.
+
+    `ExplicitSystem.forced(positions)` is the system a path forces: the
+    arrows it consumed, then Left fill.  It builds its `stacks` only when
+    something first reads them.
     """
+
+    # The path whose consumed arrows the system holds, when built by `forced`.
+    _forced_by: Optional[list[int]] = None
 
     def __init__(
         self,
@@ -104,6 +112,21 @@ class ExplicitSystem(ArrowSystem):
                            for site, prefix in stacks.items()}
         self.default_fill = _coerce_arrow(default_fill)
         self._fill_arrows = (self.default_fill,) * 8
+
+    @classmethod
+    def forced(cls, positions: list[int]) -> "ExplicitSystem":
+        """`ExplicitSystem(consumed_stacks(positions), LEFT)`, its stacks
+        built on first read.  The path must not change afterwards."""
+        system = cls.__new__(cls)
+        system._forced_by = positions
+        system.default_fill = LEFT
+        system._fill_arrows = (LEFT,) * 8
+        return system
+
+    @functools.cached_property
+    def stacks(self) -> dict[int, tuple[Arrow, ...]]:
+        # Read only on a forced system: `__init__` sets `stacks` itself.
+        return {site: tuple(arrows) for site, arrows in consumed_stacks(self._forced_by).items()}
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -297,11 +320,23 @@ def zero_right_walk(traj: Trajectory) -> Trajectory:
     took.  The transformed system built here knows that prefix, and
     `run_walk` walks only the rest.  The reuse needs `system` to generate
     `traj`, which `_walked` marks; any other trajectory is walked in full.
+
+    When `system` is the one `traj` forces (`ExplicitSystem.forced` on this
+    very path), the rest is known too: every arrow it reads at a site x >= 1
+    lies above the ones `traj` consumed there, so it is the Left fill, and
+    site 0 is Right.  The walk descends from the prefix's last site to 0 and
+    then alternates 1, 0 up to the horizon; `run_walk` gets all of it as the
+    prefix and walks no step.  Every other system, Left-filled explicit ones
+    included, has the rest walked.
     """
     base = traj.system
     if isinstance(base, _ZeroRightSystem):  # a new one: the prefix is this walk's
         base = base.base
     prefix = _right_excursions(traj.positions) if traj._walked else (0,)
+    if traj._walked and isinstance(base, ExplicitSystem) and base._forced_by is traj.positions:
+        prefix += range(prefix[-1] - 1, -1, -1)
+        prefix += (1, 0) * ((traj.horizon + 2 - len(prefix)) // 2)
+        del prefix[traj.horizon + 1 :]
     return run_walk(_ZeroRightSystem(base, prefix), traj.horizon)
 
 

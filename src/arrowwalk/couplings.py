@@ -31,7 +31,6 @@ from .core import (
     ExplicitSystem,
     Trajectory,
     check_keys,
-    consumed_stacks,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -1188,8 +1187,9 @@ def envelope_walk(
     exactly (the scaling is exact, and so is comparing an int with a float).
 
     Returns the pair (adaptive walk, envelope walk) in the "trileq"
-    relation.  The adaptive trajectory carries an explicit system holding
-    its consumed arrows with Left fill.
+    relation.  The adaptive trajectory carries the system its path forces,
+    `ExplicitSystem.forced`: its consumed arrows, then Left fill, built only
+    when first read.  Its zero-right return walk needs none of it.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -1225,7 +1225,7 @@ def envelope_walk(
             pos -= 1
         positions.append(pos)
         visits[pos] = visits.get(pos, 0) + 1
-    traj_l.system = ExplicitSystem(consumed_stacks(positions), LEFT)
+    traj_l.system = ExplicitSystem.forced(positions)
     traj_l._walked = True
     return CoupledPair(
         traj_l, run_walk(eta_sys, horizon), relation_mode="trileq", provenance="envelope"

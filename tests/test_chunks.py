@@ -10,7 +10,10 @@ system that has `cell_words`.  A sampled system's `arrow_at` reads its
 applied to one field value at a time.
 
 `zero_right_walk` reuses a walked path's right excursions and walks only
-the rest; its reference is the full walk of the transformed system.
+the rest; its reference is the full walk of the transformed system.  On the
+system a path forces (`ExplicitSystem.forced`) it walks nothing: the rest is
+a closed form, whose reference is the full walk of the eager build
+`ExplicitSystem(consumed_stacks(path), LEFT)`.
 """
 
 import itertools
@@ -30,6 +33,8 @@ from arrowwalk.core import (
     ArrowSystem,
     ExplicitSystem,
     Trajectory,
+    _right_excursions,
+    consumed_stacks,
     zero_right_transform,
     zero_right_walk,
 )
@@ -316,6 +321,76 @@ def test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged():
     # A shorter walk of the new system copies only the steps it needs.
     short = run_walk(got.system, 50)
     assert (short.positions, short.visit_counts) == reference_walk(system, 50)
+
+
+def forced_walk(path):
+    """`path` as `envelope_walk` leaves its adaptive side: walked, and
+    carrying the system it forces."""
+    traj = Trajectory.from_positions(path)
+    traj.system = ExplicitSystem.forced(traj.positions)
+    traj._walked = True
+    return traj
+
+
+def eager_return_walk(path, horizon):
+    """The slow reference: the forced system built eagerly, then walked."""
+    return run_walk(zero_right_transform(ExplicitSystem(consumed_stacks(path), LEFT)), horizon)
+
+
+def test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve():
+    # Every unit-step path of length 0 to 12: the return walk is copied
+    # whole, and the forced system's stacks are never built.
+    paths = 0
+    for length in range(13):
+        for steps in itertools.product((-1, 1), repeat=length):
+            path = list(itertools.accumulate(steps, initial=0))
+            traj = forced_walk(path)
+            got = zero_right_walk(traj)
+            want = eager_return_walk(path, length)
+            assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), path
+            assert len(got.system._prefix) == length + 1 and got._walked
+            assert "stacks" not in vars(traj.system)
+            paths += 1
+    assert paths == 2**13 - 1
+
+
+def test_zero_right_walk_walks_the_rest_on_any_other_system():
+    # Each trajectory below is generated by its system, but the system is
+    # not the one its very path forces, so the rest is walked.  The closed
+    # form of the path's own forced system would be wrong on the first
+    # three kinds; on the last two it happens to be right.
+    rng = random.Random(27)
+    closed_form_wrong = Counter()
+    walked = Counter()
+    for _ in range(300):
+        steps = [rng.choice((-1, 1)) for _ in range(rng.randint(1, 40))]
+        path = list(itertools.accumulate(steps, initial=0))
+        horizon = len(path) - 1
+        forced = consumed_stacks(path)
+        site = rng.randint(1, max(path) + 1)
+        extra = {**forced, site: forced.get(site, []) + [RIGHT]}
+        shared = Trajectory(path, dict(Counter(path)), ExplicitSystem.forced(path))
+        copied = Trajectory(list(path), dict(Counter(path)), ExplicitSystem.forced(path))
+        copied._walked = True
+        cases = {
+            "extra-right-arrow": run_walk(ExplicitSystem(extra, LEFT), horizon),
+            "right-fill": run_walk(ExplicitSystem(forced, RIGHT), horizon),
+            "forced-by-a-longer-path": run_walk(ExplicitSystem.forced(path), horizon // 2),
+            "not-walked": shared,
+            "another-list": copied,
+        }
+        for kind, traj in cases.items():
+            got = zero_right_walk(traj)
+            want = run_walk(zero_right_transform(traj.system), traj.horizon)
+            assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), kind
+            reused = _right_excursions(traj.positions) if traj._walked else [0]
+            assert list(got.system._prefix) == reused, kind
+            walked[kind] += len(reused) < traj.horizon + 1
+            closed = zero_right_walk(forced_walk(traj.positions))
+            closed_form_wrong[kind] += closed.positions != want.positions
+    assert all(walked[kind] for kind in cases)
+    assert all(closed_form_wrong[kind] for kind in list(cases)[:3])
+    assert not any(closed_form_wrong[kind] for kind in list(cases)[3:])
 
 
 # A listed site and a default lane with eight different probabilities in

@@ -31,7 +31,9 @@ from arrowwalk import (
     scan_identities,
     shared_pair,
 )
-from arrowwalk.core import LEFT, RIGHT, Trajectory, check_relation
+from arrowwalk.core import (
+    LEFT, RIGHT, ExplicitSystem, Trajectory, check_relation, consumed_stacks, zero_right_transform,
+)
 from arrowwalk.couplings import (
     BlockPartition,
     CookieEnvironment,
@@ -53,7 +55,7 @@ from arrowwalk.couplings import (
     swap_path,
 )
 from arrowwalk.verify import make_pair
-from arrowwalk import campaign, couplings
+from arrowwalk import campaign, core, couplings
 from arrowwalk.couplings import (
     _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _limit, _limit_le, _pack,
 )
@@ -1402,6 +1404,46 @@ def test_envelope_walk_containment_over_trials():
             for level in range(1, count):
                 if adaptive.arrow_at(site, level) is RIGHT:
                     assert eta_sys.arrow_at(site, level) is RIGHT
+
+
+def test_envelope_walk_builds_its_forced_system_on_first_read():
+    # The criterion 8 law, at horizon 500: the adaptive side's system is
+    # built only when read, and then equals the eager build on every cell
+    # that its walk or its zero-right walk, run twice as long, reads.
+    for trial in range(40):
+        pair = envelope_walk(
+            orrw_drift_law(1.0), (0.9, 0.9), UniformField(9), 500, stream=("ew", trial)
+        )
+        positions = pair.traj_l.positions
+        system = pair.traj_l.system
+        assert type(system) is ExplicitSystem and "stacks" not in vars(system)
+        eager = ExplicitSystem(consumed_stacks(positions), LEFT)
+        walks = [run_walk(system, 1000), run_walk(zero_right_transform(system), 1000)]
+        assert walks[0].positions[: len(positions)] == positions
+        assert system.stacks == eager.stacks and system.default_fill is eager.default_fill
+        for walk in walks:
+            for site, visits in walk.visit_counts.items():
+                for q in range(visits // 8 + 1):
+                    assert system.cell_words(site, q) == eager.cell_words(site, q)
+                for level in range(1, visits + 1):
+                    assert system.arrow_at(site, level) is eager.arrow_at(site, level)
+
+
+def test_envelope_trial_with_returns_never_builds_the_adaptive_stacks(monkeypatch):
+    config = CampaignConfig("envelope", trials=3, horizon=3000, seed=4, include_timestamp=False)
+    assert config.collect_returns
+    rows = []
+    with monkeypatch.context() as patch:
+        for module in (core, couplings, campaign):  # wherever the name is bound
+            patch.setattr(module, "consumed_stacks", lambda positions: pytest.fail("stacks built"),
+                          raising=False)
+        for trial in range(3):
+            rows.append(campaign.replay_trial(config, trial))
+    for row, pair in rows:
+        assert "stacks" not in vars(pair.traj_l.system)
+        want = run_walk(zero_right_transform(ExplicitSystem(
+            consumed_stacks(pair.traj_l.positions), LEFT)), 3000)
+        assert row["returns_l"] == want.visit_counts[0] - 1
 
 
 def test_classify_alpha_boundaries():

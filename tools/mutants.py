@@ -14,7 +14,7 @@ mutant naming it and prove nothing.
 Exit code 0 when every mutant is killed, 1 when any survives or its run
 errs (no tests collected, a timeout), 2 on a usage error or a table entry
 that does not apply to the checkout.  A full run of the table below takes
-about 45 s on a 2-core Xeon.
+about 55 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ VERIFY_TESTS = "tests/test_verify.py"
 STATS_REFERENCE = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference"
 STATS_EDGES = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference_at_the_edges"
 TO_EIGHT = f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_every_pair_to_length_eight"
+CLOSED_FORM = f"{CHUNKS}::test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve"
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,47 @@ MUTANTS = (
         "    system._prefix = prefix\n"
         "    return run_walk(system, traj.horizon)\n",
         (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",),
+    ),
+    # The return walk of a path's own forced system, in closed form past the
+    # right excursions: down to 0, then 1, 0, ..., and only on that system.
+    Mutant(
+        "returns-closed-form-bounce-swapped",
+        CORE,
+        "prefix += (1, 0) * ((traj.horizon + 2 - len(prefix)) // 2)",
+        "prefix += (0, 1) * ((traj.horizon + 2 - len(prefix)) // 2)",
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk"),
+    ),
+    Mutant(
+        "returns-closed-form-descent-stops-above-0",
+        CORE,
+        "prefix += range(prefix[-1] - 1, -1, -1)",
+        "prefix += range(prefix[-1] - 1, 0, -1)",
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk"),
+    ),
+    Mutant(
+        "returns-closed-form-on-any-left-fill-explicit-system",
+        CORE,
+        "isinstance(base, ExplicitSystem) and base._forced_by is traj.positions",
+        "isinstance(base, ExplicitSystem) and base.default_fill is LEFT",
+        (f"{CHUNKS}::test_zero_right_walk_walks_the_rest_on_any_other_system",),
+    ),
+    # The adaptive side's system is built only when read.
+    Mutant(
+        "envelope-system-built-eagerly",
+        COUPLINGS,
+        "traj_l.system = ExplicitSystem.forced(positions)",
+        "traj_l.system = ExplicitSystem(ExplicitSystem.forced(positions).stacks, LEFT)",
+        (f"{COUPLING_TESTS}::test_envelope_trial_with_returns_never_builds_the_adaptive_stacks",
+         f"{COUPLING_TESTS}::test_envelope_walk_builds_its_forced_system_on_first_read"),
+    ),
+    # The envelope's containment check reads the envelope system's arrow,
+    # not the adaptive walk's own word.
+    Mutant(
+        "envelope-containment-reads-its-own-word",
+        COUPLINGS,
+        "if envelope_arrow(pos, k) is not RIGHT:",
+        "if (words[k - 1] >> 11) > p * scale:",
+        (f"{COUPLING_TESTS}::test_envelope_walk_containment_reads_the_eta_arrow",),
     ),
     # The pair checker decides the five statements count dominance implies
     # from the step where it fails, and the rest on the steps that can
