@@ -31,6 +31,7 @@ from .couplings import (
     DriftContractError,
     UniformField,
     _limit,
+    _word_limits,
     constant_env,
     cookie_env,
     couple_block_family,
@@ -450,16 +451,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 # directional statistics for transformed walks
 
 
-def _word_limits(env: CookieEnvironment) -> tuple[dict, tuple[int, ...], int]:
-    """`env` with each probability p replaced by its word limit `_limit(p)`:
-    (listed sites, default, tail)."""
-    return (
-        {site: tuple(map(_limit, lst)) for site, lst in env.sites.items()},
-        tuple(map(_limit, env.default)),
-        _limit(env.tail),
-    )
-
-
 def _cookie_walk_stats(
     limits: tuple[dict, tuple[int, ...], int],
     field: UniformField,
@@ -469,7 +460,7 @@ def _cookie_walk_stats(
     transformed: bool,
 ) -> dict:
     """One walk of a system sampled from the environment whose word limits
-    are `limits` (see `_word_limits`), driven by sequential words.  With
+    are `limits` (`_word_limits` with `_limit`), driven by sequential words.  With
     `transformed` set, steps from the origin and below are forced Right, as
     under the zero-right transform.
 
@@ -575,7 +566,7 @@ def speed_and_recurrence_stats(
     if not 0 <= after <= horizon:
         raise ValueError(f"after must be in [0, {horizon}], got {after}")
     field = UniformField(seed)
-    limits = _word_limits(env)
+    limits = _word_limits(env, _limit)
     raw = [
         _cookie_walk_stats(limits, field, ("stats", i, "raw"), horizon, after, False)
         for i in range(trials)

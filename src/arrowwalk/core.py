@@ -54,10 +54,6 @@ def _coerce_arrow(a: Union[Arrow, str, int]) -> Arrow:
     return Arrow(a)
 
 
-# `_coerce_arrow` on its usual inputs; the ints -1 and 1 are the keys LEFT and RIGHT.
-_ARROW_OF = {LEFT: LEFT, RIGHT: RIGHT, "L": LEFT, "R": RIGHT}
-
-
 class ArrowSystem:
     """Deterministic map (site, level) -> Arrow.
 
@@ -104,12 +100,8 @@ class ExplicitSystem(ArrowSystem):
         stacks: Mapping[int, Union[str, Sequence[Union[Arrow, str, int]]]],
         default_fill: Union[Arrow, str] = RIGHT,
     ):
-        try:  # by dict lookups; on any other entry `_coerce_arrow` raises its own error
-            self.stacks = {int(site): tuple(map(_ARROW_OF.__getitem__, prefix))
-                           for site, prefix in stacks.items()}
-        except (KeyError, TypeError):
-            self.stacks = {int(site): tuple(map(_coerce_arrow, prefix))
-                           for site, prefix in stacks.items()}
+        self.stacks = {int(site): tuple(map(_coerce_arrow, prefix))
+                       for site, prefix in stacks.items()}
         self.default_fill = _coerce_arrow(default_fill)
         self._fill_arrows = (self.default_fill,) * 8
 

@@ -41,9 +41,6 @@ _U64_SCALE = 2.0**-53
 _UNPACK_8Q = struct.Struct(">8Q").unpack
 # Length prefixes in `_pack` are two bytes wide.
 _PACK_LIMIT = 0xFFFF
-# Keyed hashers kept per field; at this many the memo starts over.  Each
-# holds about 450 bytes of hash state.
-_HEAD_CAP = 1024
 # Ints whose `_pack` bytes are kept in a table: sites within +-4096 and the
 # block indexes of a walk of up to 100,000 steps at one site.
 _INT_LO = -4096
@@ -137,19 +134,19 @@ class UniformField:
     independent uses of the same cells.
 
     The digest of block (stream, site, index) is that of the message
-    `_pack((stream, site, index))`.  Its stream part is the same on every
-    call, so it is absorbed once into a keyed hasher that each call copies
-    (counter-based generation in the style of Salmon et al., SC'11).  Small
-    sites and indexes take their packed bytes from a shared table.
+    `_pack((stream, site, index))`.  Its stream part is the same for every
+    block of the stream, so `_hasher` absorbs it once into a keyed hasher
+    that each block copies (counter-based generation in the style of Salmon
+    et al., SC'11).  Small sites and indexes take their packed bytes from a
+    shared table.  The field keeps no memo: `block` builds its hasher
+    afresh, and each `FieldStream` holds one for its stream.
     """
 
-    __slots__ = ("seed", "_key", "_heads", "_packed")
+    __slots__ = ("seed", "_key", "_packed")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._key = blake2b(_pack(self.seed), digest_size=32).digest()
-        # stream tag -> (the tag object cached, its `_hasher`)
-        self._heads: dict = {}
         self._packed = _packed_ints()
 
     def _head(self, stream: StreamTag):
@@ -160,9 +157,9 @@ class UniformField:
     def _hasher(self, stream: StreamTag) -> Callable[[int, int], bytes]:
         """The digest of block (stream, site, index), as a function of site
         and index.  It holds the stream's keyed hasher, built once here, and
-        copies it for each block.  `block`, `block_words` and every
-        `FieldStream` hash through one; only the sequential readers
-        (`_digests`) absorb a site into their hasher as well."""
+        copies it for each block.  `block` and every `FieldStream` hash
+        through one; only the sequential readers (`_digests`) absorb a site
+        into their hasher as well."""
         copy = self._head(stream).copy
         packed = self._packed
 
@@ -181,31 +178,7 @@ class UniformField:
 
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
-        return _decode(self._cached_hasher(stream)(site, index))
-
-    def block_words(self, stream: StreamTag, site: int, index: int) -> tuple[int, ...]:
-        """The eight 64-bit words behind `block(stream, site, index)`: the
-        uniform of word a is (a >> 11) * 2**-53."""
-        return _UNPACK_8Q(self._cached_hasher(stream)(site, index))
-
-    def _cached_hasher(self, stream: StreamTag) -> Callable[[int, int], bytes]:
-        """`_hasher(stream)`, kept for the next call with the same tag."""
-        heads = self._heads
-        try:
-            tag, digest = heads[stream]
-        except KeyError:
-            tag = None
-        except TypeError:  # a list tag: unhashable, never cached
-            return self._hasher(stream)
-        if tag is not stream:
-            # A hit counts only on the very object cached, so a tag that
-            # is equal but of another type (1.0 for 1) is packed, and
-            # rejected, like any new tag.
-            digest = self._hasher(stream)
-            if len(heads) >= _HEAD_CAP:
-                heads.clear()
-            heads[stream] = (stream, digest)
-        return digest
+        return _decode(self._hasher(stream)(site, index))
 
     def _digests(self, stream: StreamTag, site: int) -> Iterator[bytes]:
         """The digests of blocks 0, 1, ... at `site` of `stream`, in order.
@@ -257,9 +230,9 @@ class FieldStream:
     Systems coupled through shared uniforms share one view, so each block
     is hashed once per pair or family.  The memo is never on the field,
     which serves many streams: it goes away with the systems holding it.
-    Readers decide on the words (`_limit`, `_limit_le`); `value` and
-    `block` turn them into the field's uniforms.  The systems that read
-    it hot look their words up in `_blocks` and call `_fill` on a miss.
+    Readers decide on the words (`_limit`, `_limit_le`); `value` turns
+    them into the field's uniforms.  The systems that read it hot look
+    their words up in `_blocks` and call `_fill` on a miss.
     """
 
     __slots__ = ("field", "stream", "_blocks", "_digest")
@@ -278,11 +251,6 @@ class FieldStream:
     def words(self, site: int, q: int) -> tuple[int, ...]:
         """The words of levels 8*q+1 .. 8*q+8 at `site`."""
         return self._blocks.get((site, q)) or self._fill(site, q)
-
-    def block(self, site: int, q: int) -> tuple[float, ...]:
-        """Uniforms of levels 8*q+1 .. 8*q+8 at `site`."""
-        s = _U64_SCALE
-        return tuple((a >> 11) * s for a in self.words(site, q))
 
     def value(self, site: int, level: int) -> float:
         if level < 1:
@@ -368,6 +336,18 @@ def load_env(path: str) -> CookieEnvironment:
         return parse_env(json.load(fh))
 
 
+def _word_limits(
+    env: CookieEnvironment, limit: Callable[[float], Optional[int]]
+) -> tuple[dict, tuple, Optional[int]]:
+    """`env` with each probability p replaced by its word limit `limit(p)`:
+    (listed sites, default, tail)."""
+    return (
+        {site: tuple(map(limit, lst)) for site, lst in env.sites.items()},
+        tuple(map(limit, env.default)),
+        limit(env.tail),
+    )
+
+
 def _lanes(*envs: CookieEnvironment) -> list[Optional[int]]:
     """Distinct site behaviours across environments: explicit sites plus
     None for the shared default lane."""
@@ -407,8 +387,10 @@ class SampledCookieSystem(ArrowSystem):
     """Arrow at (x, n) is Right iff U(x, n) < env.prob(x, n), decided on
     the raw word as word < `_limit(p)`.
 
-    It hands out the view's memoized words and per-lane limits, so queries
-    are consistent and re-walking the same instance replays the same walk.
+    It hands out the view's memoized words and the limits of its lanes, so
+    queries are consistent and re-walking the same instance replays the same
+    walk.  Each lane of limits, a listed site's or the default, is padded
+    with the tail's to whole blocks of eight; past it a block reads the tail.
     Two instances on views of the same field and stream share every uniform
     cell by cell; on one view, they also hash each raw block of uniforms once.
     """
@@ -418,9 +400,10 @@ class SampledCookieSystem(ArrowSystem):
         self.view = view
         self._memo = view._blocks  # read directly, its words by (site, q)
         self._fill = view._fill
-        # (lane, q) -> the word limits (`_limit`) of levels 8q+1 .. 8q+8;
-        # lane None stands for every site the environment does not list
-        self._limits: dict[tuple[Optional[int], int], tuple[int, ...]] = {}
+        sites, default, tail = _word_limits(env, _limit)
+        self._lanes = {site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}
+        self._default = default + (tail,) * (-len(default) % 8)
+        self._tail8 = (tail,) * 8
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -431,14 +414,7 @@ class SampledCookieSystem(ArrowSystem):
 
     def cell_words(self, site: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         words = self._memo.get((site, q)) or self._fill(site, q)
-        env = self.env
-        lane = (site if site in env.sites else None, q)
-        limits = self._limits.get(lane)
-        if limits is None:
-            probs = env.sites.get(site, env.default)[q * 8 : q * 8 + 8]
-            limits = self._limits[lane] = tuple(
-                map(_limit, probs + (env.tail,) * (8 - len(probs))))
-        return words, limits
+        return words, self._lanes.get(site, self._default)[8 * q : 8 * q + 8] or self._tail8
 
 
 def sample_system(
@@ -742,8 +718,9 @@ class _BlockState:
 
     The cells that the subclass decides on one word each, outside the
     blocks, compare it with `_word_limit` of the first environment's
-    probability there: kept per (lane, level), and one constant above
-    `_depth`, where every lane reads the tail."""
+    probability there.  `_limits` holds those limits, built once by
+    `_word_limits`: the first environment's listed sites, its default and
+    its tail.  Above `_depth` every lane reads the tail."""
 
     def __init__(self, envs: Sequence[CookieEnvironment], partition: BlockPartition):
         self.envs = tuple(envs)
@@ -754,15 +731,7 @@ class _BlockState:
         # (lane, block) -> what a draw needs besides the site
         self._plans: dict[tuple, tuple] = {}
         self._depth = max(env.depth() for env in self.envs)
-        self._tail_limit = self._word_limit(self.envs[0].tail)
-        # (lane, level) -> the limit of a cell decided on one word
-        self._limits: dict[tuple[Optional[int], int], Optional[int]] = {}
-
-    def _limit_at(self, site: int, level: int) -> Optional[int]:
-        """The limit of cell (site, level), at most `_depth`, kept for its lane."""
-        key = (site if site in self._listed else None, level)
-        limit = self._limits[key] = self._word_limit(self.envs[0].prob(site, level))
-        return limit
+        self._limits = _word_limits(self.envs[0], self._word_limit)
 
     def realize(self, site: int, block: tuple[int, ...]) -> tuple[tuple[Arrow, ...], ...]:
         key = (site, block[0])
@@ -784,10 +753,8 @@ class _StateSide(ArrowSystem):
         self._state = state
         self._side = side
         self._places = state.partition._places
-        self._listed = state._listed
         self._depth = state._depth
-        self._tail_limit = state._tail_limit
-        self._limits = state._limits
+        self._sites, self._default, self._tail = state._limits
         self._memo = view._blocks  # read directly, its words by (site, q)
         self._fill = view._fill
 
@@ -827,16 +794,11 @@ class _FamilyState(_BlockState):
         super().__init__(envs, partition)
         self._totals = FieldStream(field, (stream, "total"))
         self._picks = FieldStream(field, (stream, "pick"))
-        # the block probabilities of every environment -> the plan less its slot
-        self._laws: dict[tuple, tuple] = {}
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         probs = tuple(tuple(env.prob(site, l) for l in block) for env in self.envs)
-        law = self._laws.get(probs)
-        if law is None:
-            cum = list(itertools.accumulate(poisson_binomial(probs[0])))
-            law = self._laws[probs] = (cum, probs[1:], {})
-        return (self.partition.block_index(block),) + law
+        cum = list(itertools.accumulate(poisson_binomial(probs[0])))
+        return (self.partition.block_index(block), cum, probs[1:], {})
 
     def _draw(self, site: int, plan: tuple) -> tuple[tuple[Arrow, ...], ...]:
         slot, total_cum, probs, rows = plan
@@ -869,11 +831,10 @@ class BlockSampledSystem(_StateSide):
         place = self._places.get(level)
         if place is None:
             if level > self._depth:
-                limit = self._tail_limit
+                limit = self._tail
             else:
-                limit = self._limits.get((site if site in self._listed else None, level))
-                if limit is None:
-                    limit = self._state._limit_at(site, level)
+                lane = self._sites.get(site, self._default)
+                limit = lane[level - 1] if level <= len(lane) else self._tail
             if limit is not None:
                 i = self._nb + level  # the word of slot nb + 1 + level
                 words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
@@ -1056,11 +1017,10 @@ class ChainEndSystem(_StateSide):
         if place is None:
             if level > self._top:
                 if level > self._depth:
-                    limit = self._tail_limit
+                    limit = self._tail
                 else:
-                    limit = self._limits.get((site if site in self._listed else None, level))
-                    if limit is None:
-                        limit = self._state._limit_at(site, level)
+                    lane = self._sites.get(site, self._default)
+                    limit = lane[level - 1] if level <= len(lane) else self._tail
                 i = level - 1  # at place i & 7 of block i >> 3
                 cell = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
                 return RIGHT if cell[i & 7] < limit else LEFT
@@ -1181,10 +1141,10 @@ def envelope_walk(
     `<=` rule, so every Right the adaptive walk consumes is matched by a
     Right in the envelope system at the same cell; that containment is
     asserted on every step, against the envelope system's own `arrow_at`.
-    The adaptive walk keeps the words it has read at each site and reads
-    the site's next block of the envelope's view when it runs past them;
-    a word a steps Right when (a >> 11) <= p * 2**53, which is u <= p
-    exactly (the scaling is exact, and so is comparing an int with a float).
+    The adaptive walk reads its words from the memo of the envelope's view,
+    hashing a block on a miss, and a word a steps Right when
+    (a >> 11) <= p * 2**53, which is u <= p exactly (the scaling is exact,
+    and so is comparing an int with a float).
 
     Returns the pair (adaptive walk, envelope walk) in the "trileq"
     relation.  The adaptive trajectory carries the system its path forces,
@@ -1196,13 +1156,12 @@ def envelope_walk(
     eta_sys = EtaSystem(eta, field, stream)
     eta = eta_sys.eta
     depth = len(eta)
-    words_of = eta_sys.view.words
+    memo, fill = eta_sys._memo, eta_sys._fill
     envelope_arrow = eta_sys.arrow_at
     scale = 2.0**53
     traj_l = Trajectory([0], {0: 1})
     positions = traj_l.positions
     visits = traj_l.visit_counts
-    read: dict[int, list[int]] = {}  # site -> its words read so far
     pos = 0
     for n in range(1, horizon + 1):
         k = visits[pos]
@@ -1210,12 +1169,9 @@ def envelope_walk(
         bound = eta[k - 1] if k <= depth else _ETA_TAIL
         if not 0.0 <= p <= bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
-        words = read.get(pos)
-        if words is None:
-            words = read[pos] = list(words_of(pos, 0))
-        elif k > len(words):  # one level past the blocks read: the next one
-            words += words_of(pos, len(words) >> 3)
-        if (words[k - 1] >> 11) <= p * scale:
+        i = k - 1  # at place i & 7 of block i >> 3
+        words = memo.get((pos, i >> 3)) or fill(pos, i >> 3)
+        if (words[i & 7] >> 11) <= p * scale:
             if envelope_arrow(pos, k) is not RIGHT:
                 raise RuntimeError(
                     f"envelope containment broken at site {pos} level {k}"

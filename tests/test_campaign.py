@@ -27,6 +27,8 @@ from arrowwalk.couplings import (
     BlockPartition,
     CookieEnvironment,
     UniformField,
+    _limit,
+    _word_limits,
     constant_env,
     shared_pair,
 )
@@ -529,7 +531,7 @@ def test_stats_walks_match_the_sequential_reference(env):
     # The fast path compares words with integer limits; the reference
     # compares uniforms with probabilities through `run_walk`.
     field = UniformField(11)
-    limits = campaign._word_limits(env)
+    limits = _word_limits(env, _limit)
     for i in range(20):
         for kind, transformed in (("raw", False), ("plus", True)):
             stream = ("stats", i, kind)
@@ -554,7 +556,7 @@ def test_stats_walks_match_the_sequential_reference_at_the_edges(env, horizon):
     # before the spare one, and the all-Left transformed walk returns to 0
     # on every second step, the last of them at the horizon when it is even.
     field = UniformField(5)
-    limits = campaign._word_limits(env)
+    limits = _word_limits(env, _limit)
     for after in sorted({0, 1, horizon}):
         for i in range(4):
             for kind, transformed in (("raw", False), ("plus", True)):

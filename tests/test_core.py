@@ -94,8 +94,7 @@ def test_explicit_system_stacks_and_fill():
 
 
 def test_explicit_stacks_are_coerced_as_coerce_arrow_does():
-    # Stacks are coerced by dict lookups, and by `_coerce_arrow` on any
-    # entry that is not a key: the same arrows, and the same errors.
+    # Stacks are coerced by `_coerce_arrow`: the same arrows, and the same errors.
     for prefix in ([LEFT, RIGHT, "L", "R", -1, 1], (1, -1, RIGHT), "RLLR", ""):
         got = ExplicitSystem({0: prefix}).stacks[0]
         want = tuple(map(_coerce_arrow, prefix))

@@ -57,14 +57,14 @@ from arrowwalk.couplings import (
 from arrowwalk.verify import make_pair
 from arrowwalk import campaign, core, couplings
 from arrowwalk.couplings import (
-    _HEAD_CAP, _INT_HI, _INT_LO, _apply_swap, _glue_pair, _limit, _limit_le, _pack,
+    _INT_HI, _INT_LO, _apply_swap, _glue_pair, _limit, _limit_le, _pack,
 )
 
 
 class CountingField(UniformField):
-    """A field that counts how often each (stream, site, index) is hashed,
-    through `_hasher`, which every `FieldStream` memo and `block_words`
-    hash through."""
+    """A field that counts how often each (stream, site, index) is hashed
+    through `_hasher`, which every `FieldStream` memo and `block` hash
+    through."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -156,10 +156,11 @@ def test_field_stream_matches_field():
         for level in range(1, 30):
             assert view.value(site, level) == field.value(("s", 1), site, level)
         for index in (0, 2, _INT_HI + 1):
-            assert view.block(site, index) == field.block(("s", 1), site, index)
             words = view.words(site, index)
-            assert words == field.block_words(("s", 1), site, index)
-            assert tuple((a >> 11) * 2.0**-53 for a in words) == view.block(site, index)
+            assert len(words) == 8 and all(0 <= a < 2**64 for a in words)
+            want = reference_block(field, ("s", 1), site, index)
+            assert tuple((a >> 11) * 2.0**-53 for a in words) == want
+            assert field.block(("s", 1), site, index) == want
 
 
 def test_field_stream_hashes_each_block_once():
@@ -168,7 +169,7 @@ def test_field_stream_hashes_each_block_once():
     for _ in range(3):
         for level in range(1, 20):
             view.value(4, level)
-        view.block(4, 5)
+        view.words(4, 5)
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
 
 
@@ -221,7 +222,7 @@ TABLE_EDGES = [_INT_LO - 1, _INT_LO, _INT_HI, _INT_HI + 1, 2**40, -(2**40), 0]
 @settings(max_examples=150, deadline=None)
 def test_field_block_matches_reference(seed, tags, sites, index):
     field = UniformField(seed)
-    for _ in range(2):  # the second round reads the cached hashers
+    for _ in range(2):  # the second round hashes the same blocks again
         for tag in tags:
             for site in sites:
                 assert field.block(tag, site, index) == reference_block(field, tag, site, index)
@@ -276,7 +277,7 @@ def test_field_rejects_negative_block_indexes(index):
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
         field.block("s", 0, index)
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
-        FieldStream(field, "s").block(3, index)
+        FieldStream(field, "s").words(3, index)
 
 
 @pytest.mark.parametrize("index", ["a", "", 1.0, -1.0, 2.5, float(_INT_HI + 1), None, (1,), [0]])
@@ -304,7 +305,7 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
     # The hot readers' miss path raises what `block` raises, and keeps nothing.
     view = FieldStream(UniformField(0), "s")
     system = sample_system(cookie_env((0.5,)), UniformField(0), "s")
-    for read in (view.words, view._fill, view.block, system.cell_words):
+    for read in (view.words, view._fill, system.cell_words):
         with pytest.raises(error, match=message):
             read(site, q)
     if q == 0:
@@ -312,7 +313,7 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
         with pytest.raises(error, match=message):
             eta.arrow_at(site, 1)
         assert eta.view._blocks == {}
-    assert view._blocks == {} and system.view._blocks == {} and system._limits == {}
+    assert view._blocks == {} and system.view._blocks == {}
 
 
 def test_field_words_decode_to_the_uniforms():
@@ -405,14 +406,6 @@ def test_field_list_tags_keep_their_values():
         assert field.block(["lst", 2], -3, 5) == want
         assert field.value(("lst", [7]), 1, 9) == 0.3738293745516579
     assert field.block(("lst", 2), -3, 5) == want
-
-
-def test_field_head_memo_is_bounded():
-    field = UniformField(1)
-    for i in range(3 * _HEAD_CAP + 7):
-        field.block(("stream", i), 0, 0)
-        assert len(field._heads) <= _HEAD_CAP
-    assert field.block(("stream", 5), 0, 0) == reference_block(field, ("stream", 5), 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -1280,6 +1273,109 @@ def test_partition_word_cells_decide_at_each_limit_as_the_float_rule(site, q):
                 want = reference_swap_chain_cell(EDGE_LOW, EDGE_HIGH, EDGE_PARTITION, cells, "edge", site, level, side)
                 assert want is (RIGHT if word < limit else LEFT)
                 assert end.arrow_at(site, level) is want, (below, level, side)
+
+
+# Lanes of 0, 3, 8, 9 and 17 probabilities, listed on both sides of 0 and
+# as the default, with p = 0 and p = 1 among them.  Each lane of length >= 3
+# holds ascending values at levels 2 and 3, the block of LANE_PARTITION, and
+# LANE_HIGH swaps them: a block permutation of LANE_LOW, reachable by one
+# favourable swap.  Sites 0 and 3 read the default lane.
+LANE_POOL = (0.0, 1.0, 0.5, 0.3, 0.6, 0.9, 0.25, 0.75, 0.1, 0.4)
+
+
+def pool_lane(n, shift):
+    values = [LANE_POOL[(shift + 3 * k) % len(LANE_POOL)] for k in range(n)]
+    values[1:3] = sorted(values[1:3])
+    return tuple(values)
+
+
+def swap_two_three(lane):
+    return lane[:1] + lane[2:3] + lane[1:2] + lane[3:] if len(lane) >= 3 else lane
+
+
+LANE_PARTITION = BlockPartition(((2, 3),))
+LANE_LOW = CookieEnvironment(
+    {-7: pool_lane(9, 1), -1: (), 2: pool_lane(3, 2), 5: pool_lane(8, 3), 9: pool_lane(17, 5)},
+    pool_lane(17, 4),
+    0.45,
+)
+LANE_HIGH = CookieEnvironment(
+    {s: swap_two_three(lane) for s, lane in LANE_LOW.sites.items()},
+    swap_two_three(LANE_LOW.default),
+    LANE_LOW.tail,
+)
+LANE_SITES = (-7, -1, 0, 2, 3, 5, 9)
+
+
+def test_sampled_limit_lanes_match_the_float_rule():
+    # The lanes padded to whole blocks of eight, then the tail: each limit
+    # of `cell_words` is `_limit` of the cell's probability, the word limit
+    # of u < p, on every block of every lane and of unlisted sites.
+    assert {len(lane) for lane in LANE_LOW.sites.values()} == {0, 3, 8, 9, 17}
+    for env in (LANE_LOW, LANE_HIGH, constant_env(1.0), cookie_env((0.0,) * 9, tail=1.0)):
+        system = sample_system(env, UniformField(0), "lanes")
+        for site in LANE_SITES:
+            for q in range(4):
+                _, limits = system.cell_words(site, q)
+                want = tuple(_limit(env.prob(site, 8 * q + r + 1)) for r in range(8))
+                assert tuple(limits) == want, (site, q)
+
+
+def set_word(view, site, i, word):
+    """Word i of `site`'s stack in `view`'s memo, at place i & 7 of block i >> 3."""
+    words = list(view.words(site, i >> 3))
+    words[i & 7] = word
+    view._blocks[site, i >> 3] = tuple(words)
+
+
+def around(limit):
+    """The words just below `limit` and at it, within the 64-bit range."""
+    return min(max(limit - 1, 0), WORD_MAX), min(limit, WORD_MAX)
+
+
+def test_partition_word_limits_match_the_float_rules():
+    # Each cell a partition side decides on one word, at the words on either
+    # side of its limit: a block-family singleton is Right where the word of
+    # its total is u > 1 - p (`_pick`'s rule on the total's cumulative), and
+    # a swap-chain cell above the partition where its `cell` word is u < p,
+    # p being the first environment's probability there.  A family cell
+    # with p = 1 is realized: its total of u = 0 raises as a zero-mass count.
+    field = UniformField(0)
+    members = couple_block_family(LANE_LOW, LANE_PARTITION, [LANE_LOW, LANE_HIGH], field, "lanes")
+    pair = couple_swap_chain(LANE_LOW, LANE_HIGH, LANE_PARTITION, field, 0, stream="lanes")
+    ends = (pair.traj_l.system, pair.traj_r.system)
+    family, chain = members[0]._state, ends[0]._state
+    nb = len(LANE_PARTITION.blocks)
+    checked = Counter()
+    for site in LANE_SITES:
+        for level in range(1, LANE_LOW.depth() + 10):
+            if level in LANE_PARTITION._places:
+                continue
+            p = LANE_LOW.prob(site, level)
+            for word in around(_limit_le(1.0 - p)):
+                u = (word >> 11) * 2.0**-53
+                set_word(family._totals, site, nb + level, word)
+                for member in members:
+                    if p == 1.0 and u == 0.0:
+                        with pytest.raises(ValueError, match="zero-probability"):
+                            member.arrow_at(site, level)
+                        continue
+                    assert member.arrow_at(site, level) is (RIGHT if u > 1.0 - p else LEFT), (
+                        site, level, word)
+                    checked["family", p] += 1
+            if level > LANE_PARTITION.depth():
+                for word in around(_limit(p)):
+                    u = (word >> 11) * 2.0**-53
+                    set_word(chain._cell_view, site, level - 1, word)
+                    for end in ends:
+                        assert end.arrow_at(site, level) is (RIGHT if u < p else LEFT), (
+                            site, level, word)
+                        checked["chain", p] += 1
+    assert {kind_p for kind_p in checked if kind_p[1] in (0.0, 1.0)} == {
+        ("family", 0.0), ("family", 1.0), ("chain", 0.0), ("chain", 1.0)}
+    realized = {(site, level) for site, level in family._cells}
+    assert realized == {(site, level) for site in LANE_SITES for level in range(1, 18)
+                        if level not in LANE_PARTITION._places and LANE_LOW.prob(site, level) == 1.0}
 
 
 @pytest.mark.parametrize("build", [block_family_pair, swap_chain_pair], ids=["block-family", "swap-chain"])

@@ -28,7 +28,7 @@ def load_spans():
 # (field.block_calls, systems.arrow_queries, walk.steps, checker.pair_steps);
 # field.value_calls is 0 for every family.  A change to these counts is a
 # change to what the library computes, so a refactor must keep them.  The
-# tracer wraps neither `UniformField.block_words`, through which the
+# tracer wraps neither `UniformField._hasher`, through which the
 # `FieldStream` memos hash, nor `UniformField.uniforms`, which draws a
 # trial's random environments, so field.block_calls is 0: the memos' counts
 # are pinned in `tests/test_couplings.py` instead.  Nor does it wrap

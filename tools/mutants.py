@@ -14,7 +14,7 @@ mutant naming it and prove nothing.
 Exit code 0 when every mutant is killed, 1 when any survives or its run
 errs (no tests collected, a timeout), 2 on a usage error or a table entry
 that does not apply to the checkout.  A full run of the table below takes
-about 55 s on a 2-core Xeon.
+about 100 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ STATS_REFERENCE = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_refe
 STATS_EDGES = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference_at_the_edges"
 TO_EIGHT = f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_every_pair_to_length_eight"
 CLOSED_FORM = f"{CHUNKS}::test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve"
+SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rule"
+PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,26 @@ MUTANTS = (
     Mutant(
         "limits-cached-without-their-lane",
         COUPLINGS,
-        "lane = (site if site in env.sites else None, q)",
-        "lane = (None, q)",
+        "self._lanes.get(site, self._default)[8 * q : 8 * q + 8]",
+        "self._default[8 * q : 8 * q + 8]",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
-         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",
+         SAMPLED_LANES),
+    ),
+    # A sampled lane is padded with the tail to whole blocks of eight.
+    Mutant(
+        "sampled-listed-lanes-unpadded",
+        COUPLINGS,
+        "{site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}",
+        "dict(sites)",
+        (SAMPLED_LANES, f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk"),
+    ),
+    Mutant(
+        "sampled-default-lane-unpadded",
+        COUPLINGS,
+        "self._default = default + (tail,) * (-len(default) % 8)",
+        "self._default = default",
+        (SAMPLED_LANES,),
     ),
     Mutant(
         "explicit-words-one-level-off",
@@ -165,6 +183,24 @@ MUTANTS = (
         "i = self._nb + level + 1",
         (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",
          f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells"),
+    ),
+    # A partition side reads the lane of the site's own list where the
+    # first environment lists the site.
+    Mutant(
+        "family-singleton-reads-the-default-lane",
+        COUPLINGS,
+        "\n                lane = self._sites.get(site, self._default)\n",
+        "\n                lane = self._default\n",
+        (PARTITION_LANES,
+         f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"),
+    ),
+    Mutant(
+        "chain-cell-reads-the-default-lane",
+        COUPLINGS,
+        "\n                    lane = self._sites.get(site, self._default)\n",
+        "\n                    lane = self._default\n",
+        (PARTITION_LANES,
+         f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"),
     ),
     Mutant(
         "family-singleton-limit-lt",
@@ -300,7 +336,7 @@ MUTANTS = (
         "envelope-containment-reads-its-own-word",
         COUPLINGS,
         "if envelope_arrow(pos, k) is not RIGHT:",
-        "if (words[k - 1] >> 11) > p * scale:",
+        "if (words[i & 7] >> 11) > p * scale:",
         (f"{COUPLING_TESTS}::test_envelope_walk_containment_reads_the_eta_arrow",),
     ),
     # The pair checker decides the five statements count dominance implies
