@@ -43,7 +43,7 @@ from .couplings import (
     shared_pair,
     sorted_env,
 )
-from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair, _refuse_string_checks
+from .verify import STATEMENT_IDS, CoupledPair, check_pair, make_pair, _check_ids
 
 # Each family and the options it reads.  Every other option must stay at its
 # default, or the report would echo a setting the run never used: the ce2
@@ -95,8 +95,7 @@ class CampaignConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.checks is not None:
-            _refuse_string_checks(self.checks)
-            self.checks = tuple(self.checks)
+            self.checks = _check_ids(self.checks)
             bad = [c for c in self.checks if c not in STATEMENT_IDS]
             if bad:
                 raise ValueError(f"unknown checks {bad}; valid: {', '.join(STATEMENT_IDS)}")

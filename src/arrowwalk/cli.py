@@ -61,7 +61,7 @@ def _load(loader, path: str, what: str):
 
 
 def _parse_checks(text: Optional[str]) -> Optional[tuple[str, ...]]:
-    if not text:
+    if text is None:
         return None
     return tuple(c.strip() for c in text.split(",") if c.strip())
 

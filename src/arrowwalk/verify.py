@@ -100,13 +100,21 @@ class _AllFailed(Exception):
     """Every requested statement has failed: the pass has nothing left to decide."""
 
 
-def _refuse_string_checks(checks) -> None:
-    """A bare string is not a collection of check ids, though it iterates."""
+def _check_ids(checks) -> tuple:
+    """A selection of check ids as a tuple.  A bare string is not a
+    collection of check ids, though it iterates, and an empty selection
+    would decide nothing: both are refused."""
     if isinstance(checks, str):
         raise ValueError(
             f"checks must be a collection of check ids, not the string {checks!r}; "
             f"for that one check, pass ({checks!r},)"
         )
+    checks = tuple(checks)
+    if not checks:
+        raise ValueError(
+            f"the selection of checks is empty; name at least one of {', '.join(STATEMENT_IDS)}"
+        )
+    return checks
 
 
 class PairChecker:
@@ -125,10 +133,22 @@ class PairChecker:
     are decided only from the step where `count_dominance` fails, or from
     the start when it is not requested; until then a step updates the
     counts, tests `count_dominance` when d changes sign at L's or R's site,
-    and tests `kth_visit_counts`.  A step is O(1), plus an insertion into
-    or removal from a sorted list where d changes sign, plus, once the five
-    are decided, a bisection for `neighbour_interval`.  The pass ends once
-    every statement has failed.
+    and tests `kth_visit_counts`.
+
+    A step is two half-steps, L's and R's.  A half-step at a site the
+    other walk never reaches within the horizon is skipped, R's right of
+    L's maximum and L's left of R's minimum, since no statement reads it.
+    At such an R site L's count is 0, as it is one site further right, so
+    d > 0 there, right of every site where d < 0.  The site can neither
+    make `count_dominance` fail nor form a `neighbour_interval` pair, nor
+    lie in one of its lead intervals, which end at L's site; `max_visits`
+    compares R's count there with L's 0, and no `kth_visit_counts` record
+    there would ever be compared, so none is kept.  The mirror image holds
+    for L.  R's first visit there would have set d > 0, so that hypothesis
+    is read off the paths' extremes.  A half-step that is not skipped costs
+    O(1), plus an insertion into or removal from a sorted list where d
+    changes sign; once the five are decided, a step adds a bisection for
+    `neighbour_interval`.  The pass ends once every statement has failed.
     """
 
     def __init__(
@@ -139,10 +159,7 @@ class PairChecker:
         *,
         _walked: bool = False,
     ):
-        if checks is None:
-            checks = STATEMENT_IDS
-        _refuse_string_checks(checks)
-        checks = tuple(checks)
+        checks = STATEMENT_IDS if checks is None else _check_ids(checks)
         unknown = set(checks) - set(STATEMENT_IDS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -197,50 +214,86 @@ class PairChecker:
                 raise _AllFailed
             return False
 
-        # per site index: the left neighbour's count at each visit
-        kth: list[list[int]] = [[] for _ in range(width)] if on_kth else []
+        # per site index: the left neighbour's count at each visit, kept
+        # only where both walks reach, since elsewhere half-steps are skipped
+        kth: list = [None] * width
+        if on_kth:
+            for i in range(low_r + off, top_l + off + 1):
+                kth[i] = []
 
         max_l = max_r = min_l = min_r = 0  # running extremes, kept while late
-        hyp_plus = False  # some site ever had d > 0
+        # some site ever had d > 0; R's skipped first visit right of top_l did
+        hyp_plus = top_r > top_l
 
         try:
             for t in range(horizon + 1):
                 a = pos_l[t]
                 b = pos_r[t]
-                ia = a + off
-                ib = b + off
-                ka = nl[ia] + 1
-                nl[ia] = ka
-                kb = nr[ib] + 1
-                nr[ib] = kb
-
-                # d falls at L's site and rises at R's, so only there can its
-                # sign change, and nowhere when they share a site.
                 flip = False
-                if a != b and (on_count or on_nbr):
-                    d = nr[ia] - ka
-                    if d == 0:
-                        plus.pop(bisect_left(plus, a))
-                        flip = True
-                    elif d == -1:
-                        insort(minus, a)
-                        flip = True
-                    d = kb - nl[ib]
-                    if d == 0:
-                        minus.pop(bisect_left(minus, b))
-                        flip = True
-                    elif d == 1:
-                        insort(plus, b)
-                        hyp_plus = flip = True
-                    if flip and on_count and plus and minus and plus[0] < minus[-1]:
-                        x = plus[0]
-                        on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {minus[-1]}"})
-                        if implied:
-                            # Count dominance held up to t - 1, and so did
-                            # the five: decide them from step t on.
-                            late = True
-                            max_l, min_l = max(pos_l[:t]), min(pos_l[:t])
-                            max_r, min_r = max(pos_r[:t]), min(pos_r[:t])
+
+                # L's half-step, then R's: each updates its walk's count,
+                # the sign of d at its site, and its k-th visit record.  d
+                # falls at L's site and rises at R's, so only there can its
+                # sign change, and nowhere when they share a site.  A
+                # half-step at a site the other walk never reaches is
+                # skipped: no statement reads it (see the class docstring).
+                if a >= low_r:
+                    ia = a + off
+                    ka = nl[ia] + 1
+                    nl[ia] = ka
+                    if a != b and (on_count or on_nbr):
+                        d = nr[ia] - ka
+                        if d == 0:
+                            plus.pop(bisect_left(plus, a))
+                            flip = True
+                        elif d == -1:
+                            insort(minus, a)
+                            flip = True
+                    if on_kth:
+                        # The first path to make its k-th visit to a site
+                        # records the left neighbour's count; the other
+                        # compares.
+                        seen = kth[ia]
+                        c = nl[ia - 1]
+                        if len(seen) < ka:
+                            seen.append(c)
+                        elif seen[ka - 1] > c:
+                            on_kth = fail("kth_visit_counts", {
+                                "t": t, "x": a, "k": ka,
+                                "detail": f"R saw left neighbour {seen[ka - 1]} times vs L {c}",
+                            })
+                if b <= top_l:
+                    ib = b + off
+                    kb = nr[ib] + 1
+                    nr[ib] = kb
+                    if a != b and (on_count or on_nbr):
+                        d = kb - nl[ib]
+                        if d == 0:
+                            minus.pop(bisect_left(minus, b))
+                            flip = True
+                        elif d == 1:
+                            insort(plus, b)
+                            hyp_plus = flip = True
+                    if on_kth:
+                        seen = kth[ib]
+                        c = nr[ib - 1]
+                        if nl[ib] < kb:  # L has made fewer than kb visits here
+                            seen.append(c)
+                        elif on_kth and c > seen[kb - 1]:
+                            on_kth = fail("kth_visit_counts", {
+                                "t": t, "x": b, "k": kb,
+                                "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",
+                            })
+
+                if flip and on_count and plus and minus and plus[0] < minus[-1]:
+                    x = plus[0]
+                    on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {minus[-1]}"})
+                    if implied:
+                        # Count dominance held up to t - 1, and so did
+                        # the five: decide them from step t on.
+                        late = True
+                        max_l, min_l = max(pos_l[:t]), min(pos_l[:t])
+                        max_r, min_r = max(pos_r[:t]), min(pos_r[:t])
 
                 if late:
                     # Records and envelopes change only where an extreme
@@ -279,21 +332,27 @@ class PairChecker:
                     if on_nbr:
                         # R trails right of where it leads: a pair of such
                         # neighbours appears only where d changes sign, at
-                        # L's site, then at R's
+                        # L's site, then at R's.  The counts are read from
+                        # the arrays, not the half-steps: a skipped one left
+                        # its walk's count stale at a site where the other
+                        # walk's count is 0, as it is one site further out,
+                        # so neither test there can fire.
                         x = None
                         if flip:
-                            d = nr[ia] - ka
+                            i = a + off
+                            d = nr[i] - nl[i]
                             if d < 0:
-                                if nr[ia - 1] > nl[ia - 1]:
+                                if nr[i - 1] > nl[i - 1]:
                                     x = a
-                            elif d > 0 and nr[ia + 1] < nl[ia + 1]:
+                            elif d > 0 and nr[i + 1] < nl[i + 1]:
                                 x = a + 1
                             if x is None:
-                                d = kb - nl[ib]
+                                i = b + off
+                                d = nr[i] - nl[i]
                                 if d < 0:
-                                    if nr[ib - 1] > nl[ib - 1]:
+                                    if nr[i - 1] > nl[i - 1]:
                                         x = b
-                                elif d > 0 and nr[ib + 1] < nl[ib + 1]:
+                                elif d > 0 and nr[i + 1] < nl[i + 1]:
                                     x = b + 1
                         if x is not None:
                             on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
@@ -307,28 +366,6 @@ class PairChecker:
                                         "t": t, "x": minus[j],
                                         "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
                                     })
-
-                if on_kth:
-                    # The first path to make its k-th visit to a site
-                    # records the left neighbour's count; the other compares.
-                    seen = kth[ia]
-                    c = nl[ia - 1]
-                    if len(seen) < ka:
-                        seen.append(c)
-                    elif seen[ka - 1] > c:
-                        on_kth = fail("kth_visit_counts", {
-                            "t": t, "x": a, "k": ka,
-                            "detail": f"R saw left neighbour {seen[ka - 1]} times vs L {c}",
-                        })
-                    seen = kth[ib]
-                    c = nr[ib - 1]
-                    if nl[ib] < kb:  # L has made fewer than kb visits here
-                        seen.append(c)
-                    elif on_kth and c > seen[kb - 1]:
-                        on_kth = fail("kth_visit_counts", {
-                            "t": t, "x": b, "k": kb,
-                            "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",
-                        })
         except _AllFailed:
             pass
 

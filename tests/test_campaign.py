@@ -56,6 +56,18 @@ def test_a_string_of_checks_is_refused_whole():
     assert str(refused_by_check_pair.value) == message
 
 
+def test_an_empty_selection_of_checks_is_refused():
+    # None selects every check; an empty selection is refused, not read as
+    # None, and with the same message by the config and by check_pair
+    with pytest.raises(ValueError, match="selection of checks is empty") as refused:
+        CampaignConfig("shared-uniform", checks=())
+    pair = shared_pair(constant_env(0.5), constant_env(0.5), UniformField(0), 4)
+    with pytest.raises(ValueError) as refused_by_check_pair:
+        check_pair(pair, ())
+    assert str(refused_by_check_pair.value) == str(refused.value)
+    assert list(check_pair(pair)) == list(STATEMENT_IDS)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="family"):
         CampaignConfig("nonsense")

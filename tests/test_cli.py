@@ -335,6 +335,18 @@ def test_unknown_checks_are_refused(runner, command):
     assert "valid: envelopes, " in result.output
 
 
+@pytest.mark.parametrize("command", ["campaign", "couple"])
+@pytest.mark.parametrize("text", [",", ""])
+def test_an_empty_selection_of_checks_is_refused(runner, monkeypatch, command, text):
+    def never(*a, **k):
+        raise AssertionError("no pair may be built")
+
+    monkeypatch.setattr(campaign, "_build_pair", never)
+    result = runner.invoke(main, [command, "--checks", text])
+    assert result.exit_code == 2
+    assert "selection of checks is empty" in result.output
+
+
 # -------------------------------------------------------------- campaign
 
 

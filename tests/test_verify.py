@@ -387,6 +387,68 @@ def test_check_subsets_match_the_reference_checker_on_shadowing_pairs(pair, chec
     assert_matches_reference_checker(*pair, checks)
 
 
+@st.composite
+def separating_pairs(draw, max_len=300):
+    """Paths made of stretches in which each walk drifts its own way or
+    wanders, so that for long stretches each walks where the other never
+    goes, and the checker skips that walk's half-steps."""
+    steps_l: list[int] = []
+    steps_r: list[int] = []
+    while len(steps_l) < max_len and draw(st.booleans()):
+        n = draw(st.integers(1, max_len - len(steps_l)))
+        for steps in (steps_l, steps_r):
+            drift = draw(st.sampled_from((-1, 0, 1)))
+            choices = (drift, drift, drift, -drift) if drift else (1, -1)
+            steps += draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n))
+    return [0, *itertools.accumulate(steps_l)], [0, *itertools.accumulate(steps_r)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(separating_pairs(), st.sets(st.sampled_from(STATEMENT_IDS), min_size=1))
+def test_check_subsets_match_the_reference_checker_on_separating_pairs(pair, checks):
+    assert_matches_reference_checker(*pair, checks)
+
+
+def test_count_dominance_failing_on_a_skipped_half_step_matches_the_reference_checker():
+    # The step at which count dominance first fails can be one whose other
+    # half-step, at a site the other walk never reaches, the checker skips;
+    # from that step on it decides the five statements count dominance
+    # implies.  Every pair of 8 steps where this happens, under every
+    # selection that includes count_dominance.
+    others = [c for c in STATEMENT_IDS if c != "count_dominance"]
+    with_count = [
+        ("count_dominance", *rest)
+        for n in range(len(others) + 1)
+        for rest in itertools.combinations(others, n)
+    ]
+    skipped = Counter()
+    for pos_l, pos_r in itertools.product(all_paths(8), repeat=2):
+        witness = ReferencePairChecker(pos_l, pos_r, ("count_dominance",)).run()["count_dominance"].witness
+        if witness is None:
+            continue
+        t = witness["t"]
+        far = {"L": pos_l[t] < min(pos_r), "R": pos_r[t] > max(pos_l)}
+        if not any(far.values()):
+            continue
+        skipped.update(side for side, is_far in far.items() if is_far)
+        for checks in with_count:
+            assert_matches_reference_checker(pos_l, pos_r, checks)
+    assert skipped == {"L": 64, "R": 64}
+
+
+def test_checker_matches_the_reference_checker_on_an_envelope_pair_at_horizon_ten_thousand():
+    # Criterion 8's pair: the eta walk runs far right of all the adaptive
+    # walk reaches, so most of R's half-steps are skipped.
+    config = CampaignConfig("envelope", trials=1, horizon=10_000, seed=29, collect_returns=False)
+    _, pair = replay_trial(config, 0)
+    pos_l, pos_r = pair.traj_l.positions, pair.traj_r.positions
+    top_l, low_r = max(pos_l), min(pos_r)
+    far = sum(b > top_l for b in pos_r) + sum(a < low_r for a in pos_l)
+    assert far > len(pos_l)  # more than half of the 2 (h + 1) half-steps
+    assert_matches_reference_checker(pos_l, pos_r)
+    assert_matches_reference_checker(pos_l, pos_r, tuple(c for c in STATEMENT_IDS if c != "count_dominance"))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_checker_matches_the_reference_checker_on_campaign_pairs(family):
     horizon = {} if family == "ce2" else {"horizon": 2000}

@@ -44,6 +44,12 @@ VERIFY_TESTS = "tests/test_verify.py"
 STATS_REFERENCE = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference"
 STATS_EDGES = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference_at_the_edges"
 TO_EIGHT = f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_every_pair_to_length_eight"
+SKIPPED_HALF = (
+    f"{VERIFY_TESTS}::test_count_dominance_failing_on_a_skipped_half_step_matches_the_reference_checker"
+)
+ENVELOPE_PAIR = (
+    f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_an_envelope_pair_at_horizon_ten_thousand"
+)
 CLOSED_FORM = f"{CHUNKS}::test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve"
 SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rule"
 PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
@@ -352,8 +358,8 @@ MUTANTS = (
     Mutant(
         "checker-implied-never-decided",
         VERIFY,
-        "                        if implied:\n",
-        "                        if False:\n",
+        "                    if implied:\n",
+        "                    if False:\n",
         (TO_EIGHT,),
     ),
     Mutant(
@@ -383,6 +389,43 @@ MUTANTS = (
         '"record_lead": top_r <= 0 and low_l >= 0,',
         '"record_lead": top_r <= 0 or low_l >= 0,',
         (f"{VERIFY_TESTS}::test_identical_paths_pass_with_expected_vacuity", TO_EIGHT),
+    ),
+    # It skips a half-step only at a site the other walk never reaches, and
+    # reads R's skipped leads off the paths' extremes.
+    Mutant(
+        "checker-skips-r-at-l-max",
+        VERIFY,
+        "if b <= top_l:",
+        "if b <= top_l - 1:",
+        (TO_EIGHT, SKIPPED_HALF),
+    ),
+    Mutant(
+        "checker-skips-l-at-r-min",
+        VERIFY,
+        "if a >= low_r:",
+        "if a >= low_r + 1:",
+        (TO_EIGHT, SKIPPED_HALF, ENVELOPE_PAIR),
+    ),
+    Mutant(
+        "checker-kth-lists-stop-short-of-l-max",
+        VERIFY,
+        "for i in range(low_r + off, top_l + off + 1):",
+        "for i in range(low_r + off, top_l + off):",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-kth-lists-start-right-of-r-min",
+        VERIFY,
+        "for i in range(low_r + off, top_l + off + 1):",
+        "for i in range(low_r + off + 1, top_l + off + 1):",
+        (TO_EIGHT,),
+    ),
+    Mutant(
+        "checker-lead-vacuity-ignores-skipped-leads",
+        VERIFY,
+        "hyp_plus = top_r > top_l",
+        "hyp_plus = False",
+        (TO_EIGHT,),
     ),
 )
 
