@@ -3,11 +3,11 @@
 An arrow system fixes, for every site and visit number, the direction the
 walker takes next; the walk deterministically consumes these arrows.  The
 package runs such walks, checks the bookkeeping identities tying a path to
-its occupation counts, compares systems under two stack orders, verifies
-the path statements those orders imply for coupled walks, reproduces the
-two extreme examples that delimit them, couples randomized systems sampled
-from cookie environments, and batches everything into deterministic Monte
-Carlo campaigns.
+its occupation counts, decides whether two paths admit stack-ordered
+systems, verifies the path statements the stack orders imply for coupled
+walks, reproduces the two extreme examples that delimit them, couples
+randomized systems sampled from cookie environments, and batches
+everything into deterministic Monte Carlo campaigns.
 
 The package exports what the README and the command line use; everything
 else is imported from its submodule.

@@ -16,7 +16,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO, Union
+from typing import Callable, Mapping, Optional, Sequence, TextIO, Union
 
 
 class Arrow(enum.IntEnum):
@@ -182,17 +182,6 @@ def zero_right_transform(system: ArrowSystem) -> ArrowSystem:
     return _ZeroRightSystem(system)
 
 
-def stack_counts(system: ArrowSystem, site: int, depth: int) -> tuple[int, int]:
-    """Count (lefts, rights) among the first `depth` arrows at `site`."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    lefts = 0
-    for level in range(1, depth + 1):
-        if system.arrow_at(site, level) is LEFT:
-            lefts += 1
-    return lefts, depth - lefts
-
-
 @dataclass
 class Trajectory:
     """A finite walk path with its per-site visit counters.
@@ -351,39 +340,6 @@ def _right_excursions(positions: list[int]) -> list[int]:
     return prefix
 
 
-@dataclass
-class LocalTimeTable:
-    """Occupation counts of a path up to a fixed time.
-
-    node_counts[x]  = number of n <= t with position x
-    edge_counts[(x, y)] = number of steps from x to its neighbour y
-    """
-
-    t: int
-    node_counts: dict[int, int]
-    edge_counts: dict[tuple[int, int], int]
-
-
-def occupation(traj: Trajectory, t: Optional[int] = None) -> LocalTimeTable:
-    """Tabulate node and directed-edge visit counts of `traj` up to time t."""
-    if t is None:
-        t = traj.horizon
-    if not 0 <= t <= traj.horizon:
-        raise ValueError(f"t must be in [0, {traj.horizon}], got {t}")
-    pos = traj.positions
-    nodes: dict[int, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-    prev = pos[0]
-    nodes[prev] = 1
-    for n in range(1, t + 1):
-        cur = pos[n]
-        e = (prev, cur)
-        edges[e] = edges.get(e, 0) + 1
-        nodes[cur] = nodes.get(cur, 0) + 1
-        prev = cur
-    return LocalTimeTable(t, nodes, edges)
-
-
 IDENTITY_IDS = (
     "steps",
     "arrivals",
@@ -418,95 +374,13 @@ class IdentityReport:
         return None
 
 
-def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityReport:
-    """Check the conservation identities tying a path to its occupation table.
-
-    At time t, with E the position process, n(x) node counts and n(x, y)
-    directed edge counts up to t, the suite checks for every site x in the
-    visited window:
-
-      steps        the path is a valid unit-step path from 0
-      arrivals     n(x) = [x == 0] + n(x-1, x) + n(x+1, x)
-      departures   n(x) = [E_t == x] + n(x, x+1) + n(x, x-1)
-      total        sum_x n(x) = t + 1
-      used_right   n(x, x+1) equals the Right count of the first
-                   n(x) - [E_t == x] arrows at x
-      used_left    n(x, x-1) equals the Left count of those arrows
-      reciprocity  n(x, x+1) + [x+1 <= 0][E_t <= x]
-                     = n(x+1, x) + [x >= 0][E_t >= x+1]
-
-    used_right and used_left compare against the generating system when the
-    trajectory carries one; otherwise against the system the path itself
-    forces, whose fill is never read, which degrades them to an internal
-    consistency check of the counting.
-    """
-    if t is None:
-        t = traj.horizon
-    if not 0 <= t <= traj.horizon:
-        raise ValueError(f"t must be in [0, {traj.horizon}], got {t}")
-    ok = {name: True for name in IDENTITY_IDS}
-    witnesses: dict[str, tuple] = {}
-
-    def fail(name: str, witness: tuple) -> None:
-        if ok[name]:
-            ok[name] = False
-            witnesses[name] = witness
-
-    pos = traj.positions
-    if pos[0] != 0:
-        fail("steps", (0, pos[0]))
-    for n in range(1, t + 1):
-        if abs(pos[n] - pos[n - 1]) != 1:
-            fail("steps", (n, pos[n] - pos[n - 1]))
-            break
-
-    table = occupation(traj, t)
-    nodes, edges = table.node_counts, table.edge_counts
-    e_t = pos[t]
-
-    if sum(nodes.values()) != t + 1:
-        fail("total", (sum(nodes.values()), t + 1))
-
-    system = traj.system
-    if system is None:
-        system = ExplicitSystem(consumed_stacks(pos[: t + 1]), LEFT)
-
-    lo = min(nodes) - 1
-    hi = max(nodes) + 1
-    for x in range(lo, hi + 1):
-        n_x = nodes.get(x, 0)
-        in_left = edges.get((x - 1, x), 0)
-        in_right = edges.get((x + 1, x), 0)
-        out_right = edges.get((x, x + 1), 0)
-        out_left = edges.get((x, x - 1), 0)
-        here = 1 if e_t == x else 0
-
-        if n_x != (1 if x == 0 else 0) + in_left + in_right:
-            fail("arrivals", (x, n_x, in_left, in_right))
-        if n_x != here + out_right + out_left:
-            fail("departures", (x, n_x, out_right, out_left))
-
-        consumed = n_x - here
-        if consumed:
-            lefts, rights = stack_counts(system, x, consumed)
-            if out_right != rights:
-                fail("used_right", (x, out_right, rights))
-            if out_left != lefts:
-                fail("used_left", (x, out_left, lefts))
-
-        lhs = out_right + (1 if (x + 1 <= 0 and e_t <= x) else 0)
-        rhs = edges.get((x + 1, x), 0) + (1 if (x >= 0 and e_t >= x + 1) else 0)
-        if lhs != rhs:
-            fail("reciprocity", (x, lhs, rhs))
-
-    return IdentityReport(t, ok, witnesses)
-
-
 def scan_identities(traj: Trajectory) -> IdentityReport:
     """Check the full identity suite at *every* time in one pass.
 
-    Equivalent to calling `check_identities` for each t but runs in time
-    linear in the horizon.  Only `steps`, `used_right` and `used_left` can
+    Equivalent to calling `check_identities` for each t, the per-time
+    suite kept as its test reference in `tests/reference.py` (with the
+    occupation table it counts on), but runs in time linear in the
+    horizon.  Only `steps`, `used_right` and `used_left` can
     fail.  The other four hold for every unit-step path from 0: `total`
     counts its t + 1 positions, `arrivals` and `departures` count each visit
     once as the end of the step into it or the start of the step out of it,
@@ -553,50 +427,11 @@ class RelationResult:
         return self.holds
 
 
+# The two stack orders.  "preceq": at every site and depth r, the left
+# system's first r arrows hold at least as many Lefts as the right one's.
+# "trileq": cell by cell, a Right on the left forces a Right on the right,
+# which implies preceq.
 RELATION_MODES = ("preceq", "trileq")
-
-
-def check_relation(
-    sys_l: ArrowSystem,
-    sys_r: ArrowSystem,
-    sites: Iterable[int],
-    max_level: int,
-    mode: str = "preceq",
-) -> RelationResult:
-    """Compare two arrow systems over a finite window of cells.
-
-    mode "preceq": at every site in `sites` and every depth r <= max_level,
-    the left system's stack must hold at least as many Left arrows among its
-    first r entries as the right system's stack.
-
-    mode "trileq": cell by cell, a Right arrow in the left system forces a
-    Right arrow in the right system at the same cell.  This is the stronger
-    comparison: whenever it holds on a window, so does preceq.
-
-    Returns the first violating (site, level) as witness.
-    """
-    if mode not in RELATION_MODES:
-        raise ValueError(f"mode must be one of {RELATION_MODES}, got {mode!r}")
-    if max_level < 1:
-        raise ValueError(f"max_level must be >= 1, got {max_level}")
-    for site in sites:
-        if mode == "trileq":
-            for level in range(1, max_level + 1):
-                if sys_l.arrow_at(site, level) is RIGHT and (
-                    sys_r.arrow_at(site, level) is not RIGHT
-                ):
-                    return RelationResult(False, mode, (site, level))
-        else:
-            lefts_l = 0
-            lefts_r = 0
-            for level in range(1, max_level + 1):
-                if sys_l.arrow_at(site, level) is LEFT:
-                    lefts_l += 1
-                if sys_r.arrow_at(site, level) is LEFT:
-                    lefts_r += 1
-                if lefts_l < lefts_r:
-                    return RelationResult(False, mode, (site, level))
-    return RelationResult(True, mode)
 
 
 def consumed_stacks(positions: Sequence[int]) -> dict[int, list[Arrow]]:
@@ -630,7 +465,8 @@ def paths_admit_preceq(path_l: Sequence[int], path_r: Sequence[int]) -> Relation
     only gains Lefts and the right side none.  So a site forced on one
     side only never fails.  The witness is the first violating (site,
     level), sites in increasing order, as `check_relation` on the two
-    completions would give.  Raises ValueError unless both paths are
+    completions would give: that window comparison is the test reference,
+    kept in `tests/reference.py`.  Raises ValueError unless both paths are
     unit-step paths from 0.
     """
     validate_path(path_l)

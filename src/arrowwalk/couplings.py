@@ -248,15 +248,11 @@ class FieldStream:
         words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))
         return words
 
-    def words(self, site: int, q: int) -> tuple[int, ...]:
-        """The words of levels 8*q+1 .. 8*q+8 at `site`."""
-        return self._blocks.get((site, q)) or self._fill(site, q)
-
     def value(self, site: int, level: int) -> float:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
-        words = self._blocks.get((site, q)) or self._fill(site, q)  # `words`, inline
+        words = self._blocks.get((site, q)) or self._fill(site, q)
         return (words[r] >> 11) * _U64_SCALE  # only the word read is converted
 
 
@@ -452,13 +448,22 @@ def shared_pair(
 # block partitions and environment order
 
 
+# Largest level a partition block may hold.  The partition couplings' random
+# environments draw one uniform per level up to the partition's depth, and
+# `sorted_env` pads every lane to it, so a level of 10**7 in a 30-byte file
+# cost a swap-chain run 1.2 GB.  Blocks hold at most 3 levels (the stack
+# chains' height), so 64 levels leave room for many blocks.
+MAX_PARTITION_LEVEL = 64
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Disjoint finite blocks of stack levels, identical at every site.
 
     Levels not covered by any block behave as singletons.  `cap` bounds
     the block sizes accepted by the block-family coupling (the stack
-    chains it relies on exist only up to height 3).
+    chains it relies on exist only up to height 3).  Levels run from 1 to
+    `MAX_PARTITION_LEVEL`.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -474,6 +479,8 @@ class BlockPartition:
                 raise ValueError("blocks must be nonempty")
             if b[0] < 1:
                 raise ValueError(f"levels must be >= 1, got {b[0]}")
+            if b[-1] > MAX_PARTITION_LEVEL:
+                raise ValueError(f"levels must be <= {MAX_PARTITION_LEVEL}, got {b[-1]}")
             if len(b) > self.cap:
                 raise ValueError(f"block {b} exceeds cap {self.cap}")
             if seen & set(b):
@@ -621,9 +628,10 @@ def sorted_env(env: CookieEnvironment, partition: BlockPartition) -> CookieEnvir
     """Sort each block's values ascending by level, at every lane.
 
     The result is the swap-minimal member of the block-permutation class:
-    every other member is reachable from it by favourable swaps.
+    every other member is reachable from it by favourable swaps.  Each lane
+    is padded with the tail up to the partition's depth, and no further.
     """
-    depth = max(env.depth(), partition.depth())
+    depth = partition.depth()
 
     def sort_lane(probs: tuple[float, ...], tail: float) -> tuple[float, ...]:
         padded = list(probs) + [tail] * (depth - len(probs))

@@ -101,9 +101,10 @@ class _AllFailed(Exception):
 
 
 def _check_ids(checks) -> tuple:
-    """A selection of check ids as a tuple.  A bare string is not a
-    collection of check ids, though it iterates, and an empty selection
-    would decide nothing: both are refused."""
+    """A selection of check ids in `STATEMENT_IDS` order, each once, so
+    equal selections are equal tuples.  A bare string is not a collection
+    of check ids, though it iterates, an empty selection would decide
+    nothing, and an unknown id decides nothing either: all are refused."""
     if isinstance(checks, str):
         raise ValueError(
             f"checks must be a collection of check ids, not the string {checks!r}; "
@@ -114,7 +115,10 @@ def _check_ids(checks) -> tuple:
         raise ValueError(
             f"the selection of checks is empty; name at least one of {', '.join(STATEMENT_IDS)}"
         )
-    return checks
+    bad = [c for c in dict.fromkeys(checks) if c not in STATEMENT_IDS]
+    if bad:
+        raise ValueError(f"unknown checks {bad}; valid: {', '.join(STATEMENT_IDS)}")
+    return tuple(c for c in STATEMENT_IDS if c in checks)
 
 
 class PairChecker:
@@ -159,10 +163,7 @@ class PairChecker:
         *,
         _walked: bool = False,
     ):
-        checks = STATEMENT_IDS if checks is None else _check_ids(checks)
-        unknown = set(checks) - set(STATEMENT_IDS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+        self.checks = STATEMENT_IDS if checks is None else _check_ids(checks)
         if len(positions_l) != len(positions_r):
             raise ValueError("paths must have equal length")
         if not _walked:  # a walk's own paths are unit-step paths from 0
@@ -170,7 +171,6 @@ class PairChecker:
             validate_path(positions_r)
         self.positions_l = positions_l
         self.positions_r = positions_r
-        self.checks = tuple(c for c in STATEMENT_IDS if c in checks)
 
     def run(self) -> dict[str, VerifyResult]:
         pos_l = self.positions_l

@@ -35,7 +35,7 @@ from arrowwalk import (
     scan_identities,
     speed_and_recurrence_stats,
 )
-from arrowwalk.core import LEFT, RIGHT, ExplicitSystem, occupation
+from arrowwalk.core import LEFT, RIGHT, ExplicitSystem
 from arrowwalk.couplings import (
     BlockPartition,
     DriftContractError,
@@ -44,6 +44,7 @@ from arrowwalk.couplings import (
     stack_chain,
 )
 from arrowwalk.verify import PairChecker
+from reference import occupation
 
 LIMIT_HI = 3.0 / 5.0
 LIMIT_LO = 1.0 / 7.0

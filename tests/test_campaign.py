@@ -22,7 +22,6 @@ from arrowwalk import (
 )
 from arrowwalk.campaign import run_trial
 from arrowwalk.verify import check_pair
-from arrowwalk.core import LEFT, RIGHT, ArrowSystem, run_walk, zero_right_transform
 from arrowwalk.couplings import (
     BlockPartition,
     CookieEnvironment,
@@ -32,6 +31,7 @@ from arrowwalk.couplings import (
     constant_env,
     shared_pair,
 )
+from reference import reference_stats, reference_trial, reference_walk_stats
 
 CHECK_ORDER = sorted(STATEMENT_IDS)
 
@@ -494,37 +494,6 @@ def test_stats_validation():
         speed_and_recurrence_stats(env, trials=1, horizon=10, after=-1)
 
 
-class SequentialCookieSystem(ArrowSystem):
-    """The stats walks' law, cell by cell: each cell takes the next uniform
-    of `field.uniforms(stream, 0)` the first time it is queried, and holds
-    Right when that uniform is below the environment's probability."""
-
-    def __init__(self, env, field, stream):
-        self.env = env
-        self.uniforms = field.uniforms(stream, 0)
-        self.cells = {}
-
-    def arrow_at(self, site, level):
-        arrow = self.cells.get((site, level))
-        if arrow is None:
-            u = next(self.uniforms)
-            arrow = self.cells[(site, level)] = RIGHT if u < self.env.prob(site, level) else LEFT
-        return arrow
-
-
-def reference_walk_stats(env, field, stream, horizon, after, transformed):
-    system = SequentialCookieSystem(env, field, stream)
-    if transformed:
-        system = zero_right_transform(system)
-    positions = run_walk(system, horizon).positions
-    return {
-        "speed": positions[-1] / horizon,
-        "max_pos": max(positions),
-        "returns": sum(1 for x in positions[1:] if x == 0),
-        "returns_after": sum(1 for x in positions[after + 1:] if x == 0),
-    }
-
-
 @pytest.mark.parametrize(
     "env",
     [
@@ -576,3 +545,48 @@ def test_stats_walks_match_the_sequential_reference_at_the_edges(env, horizon):
                 got = campaign._cookie_walk_stats(limits, field, stream, horizon, after, transformed)
                 want = reference_walk_stats(env, field, stream, horizon, after, transformed)
                 assert got == want, (after, i, kind)
+
+
+# ------------------------------------------------ whole trials from references
+#
+# Each layer has its own differential test; these hold where the layers meet
+# (a memo shared by a pair, a return walk resuming a pair walk, a check
+# decided late) to a trial rebuilt from the references alone.
+
+TRIAL_SUBSET = ("record_lead", "kth_visit_counts", "envelopes")
+LISTED_LO = CookieEnvironment({-1: (0.2, 0.4), 2: (0.1,)}, (0.3, 0.5), 0.45)
+LISTED_HI = CookieEnvironment({-1: (0.6, 0.4), 2: (0.5,)}, (0.3, 0.7), 0.5)
+SPLIT = BlockPartition(((1, 2), (4, 5, 6)))  # level 3 and those above 6 are singletons
+# Per family, a default trial at horizon 300, then one with other options at
+# horizon 61 (ce2 does not read the horizon: its pair is 28 steps a cycle).
+TRIAL_CASES = {
+    "shared-uniform": {"env": LISTED_LO, "env2": LISTED_HI},
+    "block-family": {"partition": SPLIT},
+    "swap-chain": {"partition": SPLIT},
+    "envelope": {"eta": (0.9, 0.7, 0.6), "beta": 0.5},
+    "ce1": {"n": 4},
+    "ce2": {"variant": "periodic", "cycles": 2},
+    "independent-control": {"env": LISTED_LO},
+}
+
+
+@pytest.mark.parametrize("checks", [None, TRIAL_SUBSET], ids=["all", "subset"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trial_rows_match_the_reference_trial(family, checks):
+    for seed, horizon, kw in ((3, 300, {}), (8, 61, TRIAL_CASES[family])):
+        if family != "ce2":
+            kw = {**kw, "horizon": horizon}
+        config = quiet(family, seed=seed, checks=checks, **kw)
+        for trial in (0, 1, 2):
+            assert run_trial(config, trial) == reference_trial(config, trial), (seed, trial)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [cookie_env((0.6, 0.6)), CookieEnvironment({-2: (0.9, 0.1), 1: (0.3,)}, (0.55, 0.7), 0.45)],
+    ids=["two-cookies", "listed"],
+)
+def test_stats_payloads_match_the_reference_stats(env):
+    for seed, horizon, after in ((3, 300, 40), (8, 61, 0)):
+        got = speed_and_recurrence_stats(env, trials=5, horizon=horizon, seed=seed, after=after)
+        assert got == reference_stats(env, 5, horizon, seed, after), seed

@@ -3,8 +3,8 @@
 `run_walk` reads a system that defines `cell_words(site, q)` eight levels
 at a time, a chunk of words and their limits, and steps Right iff the word
 of the level it reads is below its limit; it queries any other system arrow
-by arrow.  `reference_walk` is the per-arrow loop, kept here as the slow
-reference: both must give equal positions and visit counts for every
+by arrow.  `reference_walk` is the per-arrow loop, kept in `reference.py`
+as the slow reference: both must give equal positions and visit counts for every
 system that has `cell_words`.  A sampled system's `arrow_at` reads its
 `cell_words`, so its reference walk queries `CellSystem`, the sampling rule
 applied to one field value at a time.
@@ -47,20 +47,9 @@ from arrowwalk.couplings import (
     cookie_env,
 )
 from arrowwalk.verify import CoupledPair, make_pair
+from reference import CellSystem, reference_walk
 
 HORIZONS = (0, 1, 7, 8, 9, 17, 300, 3000)
-
-
-def reference_walk(system, horizon):
-    """The walk, one `arrow_at` query per step."""
-    pos = 0
-    positions = [0]
-    visits = {0: 1}
-    for _ in range(horizon):
-        pos += system.arrow_at(pos, visits[pos])
-        positions.append(pos)
-        visits[pos] = visits.get(pos, 0) + 1
-    return positions, visits
 
 
 # Listed sites and a default longer than 8, so chunks q >= 1 read the
@@ -75,21 +64,6 @@ LISTED = CookieEnvironment(
     (0.3, 0.6, 0.2, 0.5, 0.4, 0.1, 0.7, 0.3, 0.45, 0.25, 0.15),
     0.42,
 )
-
-
-class CellSystem(ArrowSystem):
-    """A sampled system's definition, cell by cell and with no memo:
-    Right at (site, level) iff the field's uniform there is below the
-    environment's probability.  It defines no `cell_words`."""
-
-    def __init__(self, env, field, stream):
-        self.env = env
-        self.field = field
-        self.stream = stream
-
-    def arrow_at(self, site, level):
-        u = self.field.value(self.stream, site, level)
-        return RIGHT if u < self.env.prob(site, level) else LEFT
 
 
 def sampled(env, seed, stream):

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from arrowwalk import campaign, cli
 from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, MAX_TRIALS, main
 from arrowwalk.counterexamples import ce1_milestones
+from arrowwalk.couplings import MAX_PARTITION_LEVEL
 
 
 @pytest.fixture
@@ -90,6 +91,16 @@ def test_unknown_keys_in_input_files_are_refused(runner, files, tmp_path, comman
     result = runner.invoke(main, [a.format(path=path, **files) for a in command])
     assert result.exit_code == 2
     assert f"unknown {what} keys" in result.output
+
+
+@pytest.mark.parametrize("blocks", [[[10**7]], [[1, 2], [10**9]]])
+def test_partition_levels_above_the_bound_are_refused(runner, files, tmp_path, blocks):
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps({"blocks": blocks}))
+    result = runner.invoke(main, ["campaign", "--family", "swap-chain", "--partition", str(path),
+                                  "--trials", "1", "--horizon", "10", "--no-timestamp"])
+    assert result.exit_code == 2
+    assert f"levels must be <= {MAX_PARTITION_LEVEL}" in result.output
 
 
 # ---------------------------------------------------------------- verify
@@ -333,6 +344,21 @@ def test_unknown_checks_are_refused(runner, command):
     assert result.exit_code == 2
     assert "unknown checks ['bogus']" in result.output
     assert "valid: envelopes, " in result.output
+
+
+def test_equal_selections_of_checks_print_the_same_report(runner):
+    # a selection is kept in STATEMENT_IDS order, each id once
+    def report(checks):
+        result = runner.invoke(main, ["campaign", "--trials", "2", "--horizon", "60", "--no-timestamp",
+                                      "--checks", checks])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    both = report("envelopes,record_lead")
+    assert '"envelopes",\n      "record_lead"' in both
+    assert report("record_lead,envelopes") == both
+    assert report("envelopes,record_lead,envelopes") == both
+    assert report("envelopes,envelopes") == report("envelopes")
 
 
 @pytest.mark.parametrize("command", ["campaign", "couple"])

@@ -22,16 +22,13 @@ from arrowwalk.core import (
     ExplicitSystem,
     Trajectory,
     _coerce_arrow,
-    check_identities,
-    check_relation,
     consumed_stacks,
-    occupation,
     parse_system,
-    stack_counts,
     validate_path,
     zero_right_transform,
 )
 from arrowwalk.counterexamples import Ce1LeftSystem
+from reference import check_identities, check_relation, occupation, stack_counts
 
 
 # ---------------------------------------------------------------------------

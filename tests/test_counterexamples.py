@@ -15,7 +15,7 @@ from arrowwalk import (
     observe_ce1_milestones,
     paths_admit_preceq,
 )
-from arrowwalk.core import LEFT, RIGHT, check_relation, occupation
+from arrowwalk.core import LEFT, RIGHT
 from arrowwalk.counterexamples import (
     CE2_LEFT_PATH,
     CE2_RIGHT_PATH,
@@ -23,6 +23,7 @@ from arrowwalk.counterexamples import (
     Ce1RightSystem,
     marker_sites,
 )
+from reference import check_relation, occupation
 
 # closed forms for n=3: x_k, first-hit t_k = x_k + 2 x_{k-1}, last-exit
 # s_k = 2 x_k + x_{k-1}

@@ -5,10 +5,7 @@ import itertools
 import json
 import math
 import random
-import struct
-from bisect import bisect_left
 from collections import Counter
-from hashlib import blake2b
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +29,7 @@ from arrowwalk import (
     shared_pair,
 )
 from arrowwalk.core import (
-    LEFT, RIGHT, ExplicitSystem, Trajectory, check_relation, consumed_stacks, zero_right_transform,
+    LEFT, RIGHT, ExplicitSystem, Trajectory, consumed_stacks, zero_right_transform,
 )
 from arrowwalk.couplings import (
     BlockPartition,
@@ -57,7 +54,14 @@ from arrowwalk.couplings import (
 from arrowwalk.verify import make_pair
 from arrowwalk import campaign, core, couplings
 from arrowwalk.couplings import (
-    _INT_HI, _INT_LO, _apply_swap, _glue_pair, _limit, _limit_le, _pack,
+    _INT_HI, _INT_LO, _limit, _limit_le,
+)
+from reference import (
+    check_relation,
+    prefix_lefts,
+    reference_block,
+    reference_block_family_cell,
+    reference_swap_chain_cell,
 )
 
 
@@ -78,10 +82,6 @@ class CountingField(UniformField):
             return digest(site, index)
 
         return counted
-
-
-def prefix_lefts(stack):
-    return list(itertools.accumulate(1 if a is LEFT else 0 for a in stack))
 
 
 def stack_at(system, site, depth):
@@ -156,7 +156,7 @@ def test_field_stream_matches_field():
         for level in range(1, 30):
             assert view.value(site, level) == field.value(("s", 1), site, level)
         for index in (0, 2, _INT_HI + 1):
-            words = view.words(site, index)
+            words = view._blocks.get((site, index)) or view._fill(site, index)
             assert len(words) == 8 and all(0 <= a < 2**64 for a in words)
             want = reference_block(field, ("s", 1), site, index)
             assert tuple((a >> 11) * 2.0**-53 for a in words) == want
@@ -169,7 +169,7 @@ def test_field_stream_hashes_each_block_once():
     for _ in range(3):
         for level in range(1, 20):
             view.value(4, level)
-        view.words(4, 5)
+        view._blocks.get((4, 5)) or view._fill(4, 5)
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
 
 
@@ -190,12 +190,6 @@ def test_field_uniforms_hash_a_block_when_first_read(monkeypatch):
     assert len(decoded) == 1
     next(uniforms)
     assert len(decoded) == 2
-
-
-def reference_block(field, stream, site, index):
-    """The field's definition: a keyed blake2b of the whole packed message."""
-    digest = blake2b(_pack((stream, site, index)), key=field._key, digest_size=64).digest()
-    return tuple((u >> 11) * 2.0**-53 for u in struct.unpack(">8Q", digest))
 
 
 stream_tags = st.recursive(
@@ -274,10 +268,11 @@ def test_field_rejects_non_int_sites(site):
 @pytest.mark.parametrize("index", [-1, -5, _INT_LO, _INT_LO - 1, -(2**70)])
 def test_field_rejects_negative_block_indexes(index):
     field = UniformField(0)
+    view = FieldStream(field, "s")
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
         field.block("s", 0, index)
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
-        FieldStream(field, "s").words(3, index)
+        view._blocks.get((3, index)) or view._fill(3, index)
 
 
 @pytest.mark.parametrize("index", ["a", "", 1.0, -1.0, 2.5, float(_INT_HI + 1), None, (1,), [0]])
@@ -305,7 +300,11 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
     # The hot readers' miss path raises what `block` raises, and keeps nothing.
     view = FieldStream(UniformField(0), "s")
     system = sample_system(cookie_env((0.5,)), UniformField(0), "s")
-    for read in (view.words, view._fill, system.cell_words):
+
+    def read_view(site, q):  # as the systems read it
+        return view._blocks.get((site, q)) or view._fill(site, q)
+
+    for read in (read_view, view._fill, system.cell_words):
         with pytest.raises(error, match=message):
             read(site, q)
     if q == 0:
@@ -629,6 +628,11 @@ def test_partition_validation():
         BlockPartition(((1, 2), (2, 3)))
     with pytest.raises(ValueError, match="cap"):
         BlockPartition(((1, 2, 3, 4),), cap=3)
+    top = couplings.MAX_PARTITION_LEVEL
+    assert BlockPartition(((top - 1, top),)).depth() == top
+    for blocks in (((top + 1,),), ((1, 2), (10**9,))):
+        with pytest.raises(ValueError, match=f"levels must be <= {top}"):
+            BlockPartition(blocks)
 
 
 def test_partition_json_roundtrip(tmp_path):
@@ -686,6 +690,24 @@ def test_sorted_env():
     assert [low.prob(0, k) for k in (1, 2, 3, 4)] == [0.2, 0.5, 0.7, 0.5]
     again = sorted_env(low, part)
     assert again.to_json_obj() == low.to_json_obj()
+
+
+def test_sorted_env_pads_each_lane_only_to_the_partition():
+    # A lane shorter than the partition is padded with the tail up to its
+    # depth; a longer one keeps its length, and reads the same cells.
+    part = BlockPartition(((1, 2), (4, 5, 6)))
+    env = CookieEnvironment(
+        {-1: (0.9,), 0: tuple(i / 20 for i in range(10)), 3: ()}, (0.4, 0.1, 0.3), 0.6
+    )
+    low = sorted_env(env, part)
+    assert {site: len(lane) for site, lane in low.sites.items()} == {-1: 6, 0: 10, 3: 6}
+    assert len(low.default) == 6
+    assert low.sites[-1] == (0.6, 0.9, 0.6, 0.6, 0.6, 0.6)
+    for site in (-1, 0, 3, 7):
+        for level in range(1, 14):
+            block = part.block_of(level)
+            want = sorted(env.prob(site, l) for l in block)[block.index(level)]
+            assert low.prob(site, level) == want, (site, level)
 
 
 def test_env_order_reports():
@@ -1044,75 +1066,6 @@ def test_swap_chain_rejects_unreachable_target():
         )
 
 
-# ------------------------------------- reference realizations, per cell
-#
-# These realize block-coupled cells as the field-value reference would: one
-# `UniformField.value` call per uniform, no memo of raw blocks and stack
-# chains enumerated afresh.  The systems under test must agree cell by cell.
-
-
-def reference_chain(n, y):
-    stacks = [s for s in itertools.product((LEFT, RIGHT), repeat=n) if s.count(RIGHT) == y]
-    return sorted(stacks, key=lambda s: tuple(prefix_lefts(s)))
-
-
-def reference_pick(probs, u):
-    cums = list(itertools.accumulate(probs))
-    return min(bisect_left(cums, u), len(cums) - 1)
-
-
-def reference_block_family_cell(env, base_env, partition, field, stream, site, level):
-    block = partition.block_of(level)
-    slot = partition.block_index(block)
-    u_total = field.value((stream, "total"), site, slot)
-    y = reference_pick(poisson_binomial([base_env.prob(site, l) for l in block]), u_total)
-    chain = reference_chain(len(block), y)
-    weights = []
-    for stack in chain:
-        w = 1.0
-        for l, a in zip(block, stack):
-            p = env.prob(site, l)
-            w *= p if a is RIGHT else 1.0 - p
-        weights.append(w)
-    u_pick = field.value((stream, "pick"), site, slot)
-    stack = chain[reference_pick([w / sum(weights) for w in weights], u_pick)]
-    return dict(zip(block, stack))[level]
-
-
-def reference_swap_chain_cell(env, env2, partition, field, stream, site, level, side):
-    block = partition.block_of(level)
-    if len(block) == 1 and block[0] > partition.depth():
-        u = field.value((stream, "cell"), site, level)
-        return RIGHT if u < env.prob(site, level) else LEFT
-    n = len(block)
-    slot = partition.block_index(block)
-    probs0 = tuple(env.prob(site, l) for l in block)
-    probs1 = tuple(env2.prob(site, l) for l in block)
-    path = swap_path(probs0, probs1)
-    states = [probs0]
-    for i, j in path:
-        states.append(_apply_swap(states[-1], i, j))
-    link = (stream, "link", slot)
-    if not path:
-        arrows = [RIGHT if field.value(link, site, pos + 1) < probs0[pos] else LEFT for pos in range(n)]
-        return dict(zip(block, arrows))[level]
-    i0, j0 = path[0]
-    start = [None] * n
-    for pos in range(n):
-        if pos not in (i0, j0):
-            u = field.value(link, site, pos + 1)
-            start[pos] = RIGHT if u < probs0[pos] else LEFT
-    u_pair = field.value(link, site, n + 1)
-    start[i0], start[j0] = pair_swap_block(probs0[i0], probs0[j0], u_pair)
-    current = list(start)
-    current[i0], current[j0] = pair_swap_block(states[1][i0], states[1][j0], u_pair)
-    for m in range(1, len(path)):
-        i, j = path[m]
-        v = field.value((stream, "glue", slot, m), site, 1)
-        current[i], current[j] = _glue_pair(states[m][i], states[m][j], (current[i], current[j]), v)
-    return dict(zip(block, (start, current)[side]))[level]
-
-
 DIFFERENTIAL_PARTITIONS = [
     BlockPartition(((1, 2, 3),)),
     BlockPartition(((1, 2), (3,))),
@@ -1323,7 +1276,7 @@ def test_sampled_limit_lanes_match_the_float_rule():
 
 def set_word(view, site, i, word):
     """Word i of `site`'s stack in `view`'s memo, at place i & 7 of block i >> 3."""
-    words = list(view.words(site, i >> 3))
+    words = list(view._blocks.get((site, i >> 3)) or view._fill(site, i >> 3))
     words[i & 7] = word
     view._blocks[site, i >> 3] = tuple(words)
 

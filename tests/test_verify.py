@@ -23,12 +23,11 @@ from arrowwalk.core import (
     RIGHT,
     ExplicitSystem,
     Trajectory,
-    check_relation,
     consumed_stacks,
 )
 from arrowwalk.campaign import FAMILIES, CampaignConfig, replay_trial
 from arrowwalk.verify import CoupledPair, PairChecker, make_pair
-from reference import ReferencePairChecker
+from reference import ReferencePairChecker, check_relation
 
 # checks whose conclusion never needs a hypothesis, so they are never vacuous
 ALWAYS_LIVE = {"envelopes", "max_visits"}

@@ -53,6 +53,8 @@ ENVELOPE_PAIR = (
 CLOSED_FORM = f"{CHUNKS}::test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve"
 SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rule"
 PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
+TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
+STATS_PAYLOAD = f"{CAMPAIGN_TESTS}::test_stats_payloads_match_the_reference_stats"
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ MUTANTS = (
         CAMPAIGN,
         "homogeneous = not sites",
         "homogeneous = True",
-        (STATS_REFERENCE, STATS_EDGES),
+        (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
     ),
     Mutant(
         "preceq-free-right-levels-left",
@@ -93,7 +95,7 @@ MUTANTS = (
         CAMPAIGN,
         '"max_pos": visits.index(0) - 1,',
         '"max_pos": visits.index(0),',
-        (STATS_REFERENCE, STATS_EDGES),
+        (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
     ),
     Mutant(
         "stats-late-snapshot-before-the-first-part",
@@ -107,7 +109,7 @@ MUTANTS = (
         CAMPAIGN,
         "            if n > after:\n                returns_after += 1",
         "            if n >= after:\n                returns_after += 1",
-        (STATS_EDGES,),
+        (STATS_EDGES, STATS_PAYLOAD),
     ),
     # The walk's one comparison of a word with its limit, on the level read.
     Mutant(
@@ -123,7 +125,7 @@ MUTANTS = (
         CORE,
         "pos += 1 if words[k - 1] < limits[k - 1] else -1",
         "pos += 1 if words[k - 1] < limits[(k - 1) ^ 1] else -1",
-        (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule",),
+        (f"{CHUNKS}::test_sampled_chunk_decides_at_each_limit_as_the_float_rule", TRIAL_REFERENCE),
     ),
     # What the systems hand the walk.
     Mutant(
@@ -133,7 +135,7 @@ MUTANTS = (
         "self._default[8 * q : 8 * q + 8]",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",
-         SAMPLED_LANES),
+         SAMPLED_LANES, TRIAL_REFERENCE),
     ),
     # A sampled lane is padded with the tail to whole blocks of eight.
     Mutant(
@@ -141,14 +143,15 @@ MUTANTS = (
         COUPLINGS,
         "{site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}",
         "dict(sites)",
-        (SAMPLED_LANES, f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk"),
+        (SAMPLED_LANES, f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
+         TRIAL_REFERENCE),
     ),
     Mutant(
         "sampled-default-lane-unpadded",
         COUPLINGS,
         "self._default = default + (tail,) * (-len(default) % 8)",
         "self._default = default",
-        (SAMPLED_LANES,),
+        (SAMPLED_LANES, TRIAL_REFERENCE),
     ),
     Mutant(
         "explicit-words-one-level-off",
@@ -165,7 +168,7 @@ MUTANTS = (
         "            return self.base.cell_words(site, q)\n",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
-         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels", TRIAL_REFERENCE),
     ),
     # The partition couplings' cells decided on one word.
     Mutant(
@@ -188,7 +191,7 @@ MUTANTS = (
         "i = self._nb + level  # the word of slot nb + 1 + level",
         "i = self._nb + level + 1",
         (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",
-         f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells"),
+         f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells", TRIAL_REFERENCE),
     ),
     # A partition side reads the lane of the site's own list where the
     # first environment lists the site.
@@ -230,7 +233,7 @@ MUTANTS = (
         "more, more_limits = cell_words(pos, len(words) >> 3)",
         "more, more_limits = cell_words(pos, 0)",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
-         f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk"),
+         f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk", TRIAL_REFERENCE),
     ),
     # A memo miss hashes the block into the memo.
     Mutant(
@@ -250,36 +253,41 @@ MUTANTS = (
         CORE,
         "                if k > len(words):\n",
         "                elif k > len(words):\n",
-        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
+        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",
+         TRIAL_REFERENCE),
     ),
     Mutant(
         "walk-one-chunk-per-step",
         CORE,
         "                    while k > len(words):\n",
         "                    if k > len(words):\n",
-        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",),
+        (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",
+         TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-reuse-left-excursions",
         CORE,
         "            if positions[i + 1] > 0:\n                prefix += positions[i + 1 : j + 1]\n",
         "            if True:\n                prefix += positions[i + 1 : j + 1]\n",
-        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
-        # Still correct, it only walks more: the step pins catch it.
+        # On a walked system it only walks more, and the step pins catch it;
+        # the forced system's closed form needs every excursion, so there
+        # the returns go wrong.
         "returns-drop-the-last-excursion",
         CORE,
         "        if positions[i + 1] > 0:\n            prefix += positions[i + 1 :]\n",
         "        if False:\n            prefix += positions[i + 1 :]\n",
-        ("tests/test_trace.py::test_return_walks_walk_only_the_steps_the_pair_never_took",),
+        ("tests/test_trace.py::test_return_walks_walk_only_the_steps_the_pair_never_took",
+         TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-resume-at-an-end-left-of-0",
         CORE,
         "        if positions[i + 1] > 0:\n            prefix += positions[i + 1 :]\n",
         "        if True:\n            prefix += positions[i + 1 :]\n",
-        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-reuse-a-path-not-walked",
@@ -293,7 +301,7 @@ MUTANTS = (
         CORE,
         "visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))",
         "visits = {0: 1}",
-        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",),
+        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-prefix-on-the-paths-system",
@@ -311,14 +319,14 @@ MUTANTS = (
         CORE,
         "prefix += (1, 0) * ((traj.horizon + 2 - len(prefix)) // 2)",
         "prefix += (0, 1) * ((traj.horizon + 2 - len(prefix)) // 2)",
-        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk"),
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-closed-form-descent-stops-above-0",
         CORE,
         "prefix += range(prefix[-1] - 1, -1, -1)",
         "prefix += range(prefix[-1] - 1, 0, -1)",
-        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk"),
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-closed-form-on-any-left-fill-explicit-system",
@@ -353,42 +361,43 @@ MUTANTS = (
         VERIFY,
         "max_l, min_l = max(pos_l[:t]), min(pos_l[:t])",
         "max_l, min_l = max(pos_l[:t + 1]), min(pos_l[:t + 1])",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-implied-never-decided",
         VERIFY,
         "                    if implied:\n",
         "                    if False:\n",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-kth-first-visit-le",
         VERIFY,
         "if len(seen) < ka:",
         "if len(seen) <= ka:",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-kth-second-path-le",
         VERIFY,
         "if nl[ib] < kb:",
         "if nl[ib] <= kb:",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-adjacency-skips-r-site",
         VERIFY,
         "                            if x is None:\n",
         "                            if False:\n",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-record-vacuity-or",
         VERIFY,
         '"record_lead": top_r <= 0 and low_l >= 0,',
         '"record_lead": top_r <= 0 or low_l >= 0,',
-        (f"{VERIFY_TESTS}::test_identical_paths_pass_with_expected_vacuity", TO_EIGHT),
+        (f"{VERIFY_TESTS}::test_identical_paths_pass_with_expected_vacuity", TO_EIGHT,
+         TRIAL_REFERENCE),
     ),
     # It skips a half-step only at a site the other walk never reaches, and
     # reads R's skipped leads off the paths' extremes.
@@ -397,28 +406,28 @@ MUTANTS = (
         VERIFY,
         "if b <= top_l:",
         "if b <= top_l - 1:",
-        (TO_EIGHT, SKIPPED_HALF),
+        (TO_EIGHT, SKIPPED_HALF, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-skips-l-at-r-min",
         VERIFY,
         "if a >= low_r:",
         "if a >= low_r + 1:",
-        (TO_EIGHT, SKIPPED_HALF, ENVELOPE_PAIR),
+        (TO_EIGHT, SKIPPED_HALF, ENVELOPE_PAIR, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-kth-lists-stop-short-of-l-max",
         VERIFY,
         "for i in range(low_r + off, top_l + off + 1):",
         "for i in range(low_r + off, top_l + off):",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-kth-lists-start-right-of-r-min",
         VERIFY,
         "for i in range(low_r + off, top_l + off + 1):",
         "for i in range(low_r + off + 1, top_l + off + 1):",
-        (TO_EIGHT,),
+        (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-lead-vacuity-ignores-skipped-leads",
@@ -426,6 +435,36 @@ MUTANTS = (
         "hyp_plus = top_r > top_l",
         "hyp_plus = False",
         (TO_EIGHT,),
+    ),
+    # Where the layers meet: a trial's row and a stats payload against the
+    # same rebuilt from the references alone.
+    Mutant(
+        "trial-max-r-off-the-left-walk",
+        CAMPAIGN,
+        '"max_r": max(pair.traj_r.positions),',
+        '"max_r": max(pair.traj_l.positions),',
+        (TRIAL_REFERENCE,),
+    ),
+    Mutant(
+        "trial-returns-sides-swapped",
+        CAMPAIGN,
+        "    return out[0], out[1]\n",
+        "    return out[1], out[0]\n",
+        (TRIAL_REFERENCE,),
+    ),
+    Mutant(
+        "trial-block-family-members-reversed",
+        CAMPAIGN,
+        "couple_block_family(base, partition, [slow, fast], field,",
+        "couple_block_family(base, partition, [fast, slow], field,",
+        (TRIAL_REFERENCE,),
+    ),
+    Mutant(
+        "stats-returns-off-the-raw-walks",
+        CAMPAIGN,
+        '"returns": _summary([r["returns"] for r in plus]),',
+        '"returns": _summary([r["returns"] for r in raw]),',
+        (STATS_PAYLOAD,),
     ),
 )
 
