@@ -30,6 +30,7 @@ from .couplings import (
     CookieEnvironment,
     DriftContractError,
     UniformField,
+    _U64_SCALE,
     _limit,
     _word_limits,
     constant_env,
@@ -144,8 +145,9 @@ class UnreadOptionError(ValueError):
 
 
 def _uniforms(field: UniformField, stream: tuple, count: int) -> list[float]:
-    """The uniforms of levels 1 .. count at site 0 of `stream`."""
-    return list(itertools.islice(field.uniforms(stream, 0), count))
+    """The uniforms of levels 1 .. count at site 0 of `stream`, decoded
+    from their words."""
+    return [(a >> 11) * _U64_SCALE for a in itertools.islice(field.words(stream, 0), count)]
 
 
 def _random_ordered_envs(field: UniformField, trial: int) -> tuple[CookieEnvironment, CookieEnvironment]:
@@ -160,26 +162,6 @@ def _random_ordered_envs(field: UniformField, trial: int) -> tuple[CookieEnviron
 
 def _default_partition() -> BlockPartition:
     return BlockPartition(((1, 2, 3),))
-
-
-def _reversed_env(env: CookieEnvironment, partition: BlockPartition) -> CookieEnvironment:
-    """Each block's values sorted descending: the swap-maximal member.
-    `sorted_env` pads every lane to cover the partition."""
-    asc = sorted_env(env, partition)
-
-    def rev_lane(probs: tuple[float, ...]) -> tuple[float, ...]:
-        lst = list(probs)
-        for block in partition.blocks:
-            vals = sorted((lst[l - 1] for l in block), reverse=True)
-            for l, v in zip(block, vals):
-                lst[l - 1] = v
-        return tuple(lst)
-
-    return CookieEnvironment(
-        {s: rev_lane(lst) for s, lst in asc.sites.items()},
-        rev_lane(asc.default),
-        asc.tail,
-    )
 
 
 def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tuple[CoupledPair, dict]:
@@ -210,7 +192,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
             vals = _uniforms(field, ("envbf", trial), partition.depth())
             base = cookie_env(tuple(vals))
         slow = sorted_env(base, partition)
-        fast = _reversed_env(base, partition)
+        fast = sorted_env(base, partition, descending=True)
         systems = couple_block_family(base, partition, [slow, fast], field, ("bf", trial))
         pair = make_pair(*systems, h, relation_mode="preceq", provenance="block-family")
     elif fam == "swap-chain":
@@ -221,7 +203,7 @@ def _build_pair(config: CampaignConfig, trial: int, field: UniformField) -> tupl
             vals = _uniforms(field, ("envsc", trial), partition.depth())
             base = cookie_env(tuple(vals))
             lo = sorted_env(base, partition)
-            hi = _reversed_env(base, partition)
+            hi = sorted_env(base, partition, descending=True)
         pair = couple_swap_chain(lo, hi, partition, field, h, stream=("sc", trial))
     elif fam == "envelope":
         pair = envelope_walk(orrw_drift_law(config.beta), config.eta, field, h, stream=("ew", trial))

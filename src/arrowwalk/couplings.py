@@ -158,8 +158,8 @@ class UniformField:
         """The digest of block (stream, site, index), as a function of site
         and index.  It holds the stream's keyed hasher, built once here, and
         copies it for each block.  `block` and every `FieldStream` hash
-        through one; only the sequential readers (`_digests`) absorb a site
-        into their hasher as well."""
+        through one; only the sequential reader `words` absorbs a site into
+        its hasher as well."""
         copy = self._head(stream).copy
         packed = self._packed
 
@@ -180,10 +180,13 @@ class UniformField:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
         return _decode(self._hasher(stream)(site, index))
 
-    def _digests(self, stream: StreamTag, site: int) -> Iterator[bytes]:
-        """The digests of blocks 0, 1, ... at `site` of `stream`, in order.
+    def words(self, stream: StreamTag, site: int) -> Iterator[int]:
+        """The 64-bit words of levels 1, 2, ... at `site` of `stream`, in
+        order: those of `block(stream, site, 0)`, then block 1, and so on.
         One hasher absorbs the stream and the site once; each block copies
-        it, adds its index, and is hashed when the block is read."""
+        it, adds its index, and is hashed when its first word is read.  The
+        uniform of word a is (a >> 11) * 2**-53, and `a < _limit(p)` decides
+        `u < p` without it."""
         _check_site(site)
         head = self._head(stream)
         head.update(_pack(site))
@@ -198,19 +201,7 @@ class UniformField:
             itertools.islice(self._packed, -_INT_LO, None),
             map(_pack, itertools.count(_INT_HI + 1)),
         )
-        return map(digest_of, indexes)
-
-    def uniforms(self, stream: StreamTag, site: int) -> Iterator[float]:
-        """The uniforms of levels 1, 2, ... at `site` of `stream`, in order:
-        `block(stream, site, 0)`, then block 1, and so on, each block
-        hashed when its first uniform is read."""
-        return itertools.chain.from_iterable(map(_decode, self._digests(stream, site)))
-
-    def words(self, stream: StreamTag, site: int) -> Iterator[int]:
-        """The 64-bit words behind `uniforms(stream, site)`, in the same
-        order and as lazily: the uniform of word a is (a >> 11) * 2**-53,
-        and `a < _limit(p)` decides `u < p` without it."""
-        return itertools.chain.from_iterable(map(_UNPACK_8Q, self._digests(stream, site)))
+        return itertools.chain.from_iterable(map(_UNPACK_8Q, map(digest_of, indexes)))
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
         """One uniform, hashed afresh: the reference that `FieldStream`
@@ -344,18 +335,19 @@ def _word_limits(
     )
 
 
-def _lanes(*envs: CookieEnvironment) -> list[Optional[int]]:
-    """Distinct site behaviours across environments: explicit sites plus
-    None for the shared default lane."""
-    sites: set[int] = set()
-    for env in envs:
-        sites.update(env.sites)
-    return sorted(sites) + [None]
-
-
-def _lane_probs(env: CookieEnvironment, lane: Optional[int], depth: int) -> tuple[float, ...]:
-    lst = env.sites.get(lane, env.default)  # lane None: no site key is None
-    return tuple(lst[k] if k < len(lst) else env.tail for k in range(depth))
+def _lane_pairs(
+    env_a: CookieEnvironment, env_b: CookieEnvironment, depth: int = 0
+) -> Iterator[tuple[Optional[int], list[float], list[float]]]:
+    """Each lane of the two environments, with both their probabilities at
+    its levels 1 .. max(len_a, len_b, depth) + 1: the sites either lists, in
+    order, then None for every unlisted site.  Each list is padded with its
+    environment's tail, so every level above the last reads the same two
+    values as the last one."""
+    for lane in sorted(env_a.sites.keys() | env_b.sites.keys()) + [None]:
+        la = env_a.sites.get(lane, env_a.default)  # lane None: no site key is None
+        lb = env_b.sites.get(lane, env_b.default)
+        n = max(len(la), len(lb), depth) + 1
+        yield lane, [*la] + [env_a.tail] * (n - len(la)), [*lb] + [env_b.tail] * (n - len(lb))
 
 
 def env_leq_pointwise(
@@ -363,15 +355,10 @@ def env_leq_pointwise(
 ) -> Optional[tuple[Optional[int], int]]:
     """First cell (lane, level) where env_a exceeds env_b, or None if
     env_a <= env_b everywhere.  Lane None stands for all unlisted sites."""
-    depth = max(env_a.depth(), env_b.depth()) + 1
-    for lane in _lanes(env_a, env_b):
-        pa = _lane_probs(env_a, lane, depth)
-        pb = _lane_probs(env_b, lane, depth)
+    for lane, pa, pb in _lane_pairs(env_a, env_b):
         for k, (x, y) in enumerate(zip(pa, pb), start=1):
             if x > y:
                 return (lane, k)
-        if env_a.tail > env_b.tail:
-            return (lane, depth + 1)
     return None
 
 
@@ -594,23 +581,16 @@ def env_order(
                           swaps inside each block (implies the sampled
                           systems can be coupled in stack order).
     """
-    depth = max(env_a.depth(), env_b.depth(), partition.depth()) + 1
     is_perm = True
     reachable = True
     witness = None
-    covered = {l for b in partition.blocks for l in b}
-    for lane in _lanes(env_a, env_b):
-        pa = _lane_probs(env_a, lane, depth)
-        pb = _lane_probs(env_b, lane, depth)
-        for level in range(1, depth + 1):
-            if level not in covered and pa[level - 1] != pb[level - 1]:
+    covered = partition._places
+    for lane, pa, pb in _lane_pairs(env_a, env_b, partition.depth()):
+        for level, (x, y) in enumerate(zip(pa, pb), start=1):
+            if x != y and level not in covered:
                 is_perm = False
                 reachable = False
                 witness = witness or {"lane": lane, "level": level, "reason": "values differ outside blocks"}
-        if env_a.tail != env_b.tail:
-            is_perm = False
-            reachable = False
-            witness = witness or {"lane": lane, "reason": "tails differ"}
         for block in partition.blocks:
             va = tuple(pa[l - 1] for l in block)
             vb = tuple(pb[l - 1] for l in block)
@@ -624,19 +604,23 @@ def env_order(
     return EnvOrderReport(is_perm, reachable, witness)
 
 
-def sorted_env(env: CookieEnvironment, partition: BlockPartition) -> CookieEnvironment:
-    """Sort each block's values ascending by level, at every lane.
+def sorted_env(
+    env: CookieEnvironment, partition: BlockPartition, descending: bool = False
+) -> CookieEnvironment:
+    """Sort each block's values by level, at every lane: ascending, or
+    descending with `descending` set.
 
-    The result is the swap-minimal member of the block-permutation class:
-    every other member is reachable from it by favourable swaps.  Each lane
-    is padded with the tail up to the partition's depth, and no further.
+    Ascending gives the swap-minimal member of the block-permutation class:
+    every other member is reachable from it by favourable swaps.  Descending
+    gives the swap-maximal member, reachable from every other.  Each lane is
+    padded with the tail up to the partition's depth, and no further.
     """
     depth = partition.depth()
 
     def sort_lane(probs: tuple[float, ...], tail: float) -> tuple[float, ...]:
         padded = list(probs) + [tail] * (depth - len(probs))
         for block in partition.blocks:
-            vals = sorted(padded[l - 1] for l in block)
+            vals = sorted((padded[l - 1] for l in block), reverse=descending)
             for l, v in zip(block, vals):
                 padded[l - 1] = v
         return tuple(padded)

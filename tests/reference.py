@@ -21,7 +21,13 @@ what each guards:
   `campaign._cookie_walk_stats`.
 - `reference_block`: the field's definition, one keyed blake2b of the whole
   packed message.  It guards `UniformField._hasher`, its packed-int table
-  and the sequential readers `uniforms` and `words`.
+  and the sequential reader `words`.
+- `reference_env_leq_pointwise`, `reference_env_order` and
+  `reference_reversed_env`: the environment comparisons with every lane
+  padded to the depth of both environments and the partition, and the
+  descending block sort as a second sort over the ascending one.  They
+  guard `couplings._lane_pairs`, which stops each lane at its own depth, and
+  `sorted_env(..., descending=True)`.
 - `reference_pick`, `reference_chain`, `reference_block_family_cell` and
   `reference_swap_chain_cell`: partition-coupled cells from field values,
   with stack chains enumerated afresh.  They guard `BlockSampledSystem` and
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Iterable, Optional
 
-from arrowwalk.campaign import CampaignConfig, _reversed_env, _summary
+from arrowwalk.campaign import CampaignConfig, _summary
 from arrowwalk.core import (
     IDENTITY_IDS,
     LEFT,
@@ -74,6 +80,7 @@ from arrowwalk.couplings import (
     BlockPartition,
     CookieEnvironment,
     DriftContractError,
+    EnvOrderReport,
     UniformField,
     _apply_swap,
     _glue_pair,
@@ -296,19 +303,19 @@ class CellSystem(ArrowSystem):
 
 
 class SequentialCookieSystem(ArrowSystem):
-    """The stats walks' law, cell by cell: each cell takes the next uniform
-    of `field.uniforms(stream, 0)` the first time it is queried, and holds
-    Right when that uniform is below the environment's probability."""
+    """The stats walks' law, cell by cell: each cell takes the uniform of the
+    next word of `field.words(stream, 0)` the first time it is queried, and
+    holds Right when that uniform is below the environment's probability."""
 
     def __init__(self, env, field, stream):
         self.env = env
-        self.uniforms = field.uniforms(stream, 0)
+        self.words = field.words(stream, 0)
         self.cells = {}
 
     def arrow_at(self, site, level):
         arrow = self.cells.get((site, level))
         if arrow is None:
-            u = next(self.uniforms)
+            u = (next(self.words) >> 11) * 2.0**-53
             arrow = self.cells[(site, level)] = RIGHT if u < self.env.prob(site, level) else LEFT
         return arrow
 
@@ -330,6 +337,90 @@ def reference_block(field, stream, site, index):
     """The field's definition: a keyed blake2b of the whole packed message."""
     digest = blake2b(_pack((stream, site, index)), key=field._key, digest_size=64).digest()
     return tuple((u >> 11) * 2.0**-53 for u in struct.unpack(">8Q", digest))
+
+
+# ---------------------------------------------------------------------------
+# environment order
+#
+# Every lane is padded to one global depth, one level above every list of
+# both environments and every block of the partition.
+
+
+def _reference_lanes(*envs):
+    """Explicit sites of any environment, plus None for the default lane."""
+    sites = set()
+    for env in envs:
+        sites.update(env.sites)
+    return sorted(sites) + [None]
+
+
+def _reference_lane_probs(env, lane, depth):
+    lst = env.sites.get(lane, env.default)  # lane None: no site key is None
+    return tuple(lst[k] if k < len(lst) else env.tail for k in range(depth))
+
+
+def reference_env_leq_pointwise(env_a, env_b):
+    depth = max(env_a.depth(), env_b.depth()) + 1
+    for lane in _reference_lanes(env_a, env_b):
+        pa = _reference_lane_probs(env_a, lane, depth)
+        pb = _reference_lane_probs(env_b, lane, depth)
+        for k, (x, y) in enumerate(zip(pa, pb), start=1):
+            if x > y:
+                return (lane, k)
+        if env_a.tail > env_b.tail:
+            return (lane, depth + 1)
+    return None
+
+
+def reference_env_order(env_a, env_b, partition):
+    depth = max(env_a.depth(), env_b.depth(), partition.depth()) + 1
+    is_perm = True
+    reachable = True
+    witness = None
+    covered = {l for b in partition.blocks for l in b}
+    for lane in _reference_lanes(env_a, env_b):
+        pa = _reference_lane_probs(env_a, lane, depth)
+        pb = _reference_lane_probs(env_b, lane, depth)
+        for level in range(1, depth + 1):
+            if level not in covered and pa[level - 1] != pb[level - 1]:
+                is_perm = False
+                reachable = False
+                witness = witness or {"lane": lane, "level": level, "reason": "values differ outside blocks"}
+        if env_a.tail != env_b.tail:
+            is_perm = False
+            reachable = False
+            witness = witness or {"lane": lane, "reason": "tails differ"}
+        for block in partition.blocks:
+            va = tuple(pa[l - 1] for l in block)
+            vb = tuple(pb[l - 1] for l in block)
+            if sorted(va) != sorted(vb):
+                is_perm = False
+                reachable = False
+                witness = witness or {"lane": lane, "block": block, "reason": "value multisets differ"}
+            elif reachable and swap_path(va, vb) is None:
+                reachable = False
+                witness = witness or {"lane": lane, "block": block, "reason": "not reachable by favourable swaps"}
+    return EnvOrderReport(is_perm, reachable, witness)
+
+
+def reference_reversed_env(env, partition):
+    """Each block's values sorted descending, over the ascending sort, which
+    pads every lane to cover the partition."""
+    asc = sorted_env(env, partition)
+
+    def rev_lane(probs):
+        lst = list(probs)
+        for block in partition.blocks:
+            vals = sorted((lst[l - 1] for l in block), reverse=True)
+            for l, v in zip(block, vals):
+                lst[l - 1] = v
+        return tuple(lst)
+
+    return CookieEnvironment(
+        {s: rev_lane(lst) for s, lst in asc.sites.items()},
+        rev_lane(asc.default),
+        asc.tail,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +741,10 @@ def _reference_pair(config, trial, field):
     """The trial's two systems (None for a path given without one), their
     walks' positions, and the family's extras, from references only.
 
-    The environments' transforms (`sorted_env`, `_reversed_env`) and the
-    extras (`ce1_milestones`, `classify_alpha`) are the package's own: they
-    have no faster path to hold to a slower one."""
+    The environments' descending sort is `reference_reversed_env`; their
+    ascending sort (`sorted_env`) and the extras (`ce1_milestones`,
+    `classify_alpha`) are the package's own: they have no faster path to
+    hold to a slower one."""
     fam, h = config.family, config.horizon
     extra = {}
     if fam == "shared-uniform":
@@ -672,7 +764,7 @@ def _reference_pair(config, trial, field):
         systems = tuple(
             FunctionSystem(lambda site, level, env=env: reference_block_family_cell(
                 env, base, partition, field, ("bf", trial), site, level))
-            for env in (sorted_env(base, partition), _reversed_env(base, partition))
+            for env in (sorted_env(base, partition), reference_reversed_env(base, partition))
         )
     elif fam == "swap-chain":
         partition = config.partition or BlockPartition(((1, 2, 3),))
@@ -680,7 +772,7 @@ def _reference_pair(config, trial, field):
             lo, hi = config.env, config.env2
         else:
             base = cookie_env(tuple(_field_values(field, ("envsc", trial), partition.depth())))
-            lo, hi = sorted_env(base, partition), _reversed_env(base, partition)
+            lo, hi = sorted_env(base, partition), reference_reversed_env(base, partition)
         systems = tuple(
             FunctionSystem(lambda site, level, side=side: reference_swap_chain_cell(
                 lo, hi, partition, field, ("sc", trial), site, level, side))

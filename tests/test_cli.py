@@ -3,10 +3,16 @@ and the exit-code contract (0 pass, 1 check failure, 2 usage error)."""
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import arrowwalk
 from arrowwalk import campaign, cli
 from arrowwalk.cli import MAX_CYCLES, MAX_KMAX, MAX_N, MAX_STEPS, MAX_TRIALS, main
 from arrowwalk.counterexamples import ce1_milestones
@@ -614,3 +620,42 @@ def test_campaign_at_the_n_and_kmax_bounds_reports(runner):
     report = json.loads(result.output)
     assert report["config"]["n"] == MAX_N
     assert len(report["extra"]["milestones"]["sites"]) == MAX_KMAX
+
+
+# CPU seconds a child run of the command line may take.  A campaign on the
+# long environment below took 44-63 s on a 2-core Xeon when each environment
+# comparison padded every lane to the longest list, and takes about 0.5 s.
+CHILD_CPU_S = 20
+
+
+def run_cpu_limited(args):
+    """The command line run in a child process, with its CPU time, and only
+    its own, limited to CHILD_CPU_S seconds."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S + 5))
+
+    src = str(Path(arrowwalk.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "arrowwalk.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=10 * CHILD_CPU_S,
+    )
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("block-family", ["--env"]),
+    ("swap-chain", ["--env", "--env2"]),
+])
+def test_a_long_environment_file_runs_within_the_cpu_limit(tmp_path, family, flags):
+    # 199 KB: sites 1 .. 9,999 list one level each, site 0 lists 10,000.
+    sites = {str(s): [0.5] for s in range(1, 10_000)}
+    sites["0"] = [0.5] * 10_000
+    path = tmp_path / "long_env.json"
+    path.write_text(json.dumps({"sites": sites, "default": [], "tail": 0.5}))
+    env_args = [arg for flag in flags for arg in (flag, str(path))]
+    done = run_cpu_limited([
+        "campaign", "--family", family, *env_args, "--trials", "1", "--horizon", "10", "--no-timestamp",
+    ])
+    assert done.returncode == 0, done.stderr[-500:]
+    assert json.loads(done.stdout)["passed"] is True

@@ -61,6 +61,9 @@ from reference import (
     prefix_lefts,
     reference_block,
     reference_block_family_cell,
+    reference_env_leq_pointwise,
+    reference_env_order,
+    reference_reversed_env,
     reference_swap_chain_cell,
 )
 
@@ -173,23 +176,15 @@ def test_field_stream_hashes_each_block_once():
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
 
 
+def uniforms_of(words):
+    """The field's uniforms of the words `UniformField.words` yields."""
+    return [(a >> 11) * 2.0**-53 for a in words]
+
+
 def test_field_uniforms_read_the_field_in_order():
     field = UniformField(3)
-    first = list(itertools.islice(field.uniforms(("s", 1), 0), 20))
+    first = uniforms_of(itertools.islice(field.words(("s", 1), 0), 20))
     assert first == [field.value(("s", 1), 0, level) for level in range(1, 21)]
-
-
-def test_field_uniforms_hash_a_block_when_first_read(monkeypatch):
-    decoded = []
-    decode = couplings._decode
-    monkeypatch.setattr(couplings, "_decode", lambda digest: decoded.append(digest) or decode(digest))
-    uniforms = UniformField(3).uniforms("s", 0)
-    assert decoded == []
-    for _ in range(8):
-        next(uniforms)
-    assert len(decoded) == 1
-    next(uniforms)
-    assert len(decoded) == 2
 
 
 stream_tags = st.recursive(
@@ -225,7 +220,7 @@ def test_field_block_matches_reference(seed, tags, sites, index):
 @pytest.mark.parametrize("site", TABLE_EDGES)
 def test_field_uniforms_match_reference(site):
     field = UniformField(6)
-    first = list(itertools.islice(field.uniforms(("u", site), site), 24))
+    first = uniforms_of(itertools.islice(field.words(("u", site), site), 24))
     want = [u for q in range(3) for u in reference_block(field, ("u", site), site, q)]
     assert first == want
 
@@ -233,7 +228,7 @@ def test_field_uniforms_match_reference(site):
 def test_field_uniforms_read_past_the_table():
     field = UniformField(7)
     count = 8 * (_INT_HI + 4)  # about 100k uniforms, through block _INT_HI + 3
-    got = list(itertools.islice(field.uniforms("long", 0), count))
+    got = uniforms_of(itertools.islice(field.words("long", 0), count))
     assert got == [u for q in range(_INT_HI + 4) for u in field.block("long", 0, q)]
     for q in (_INT_HI - 1, _INT_HI, _INT_HI + 1, _INT_HI + 3):
         assert tuple(got[8 * q:8 * q + 8]) == reference_block(field, "long", 0, q)
@@ -244,8 +239,6 @@ def test_field_rejects_float_sites(site):
     field = UniformField(0)
     with pytest.raises(TypeError):
         field.block("s", site, 0)
-    with pytest.raises(TypeError):
-        field.uniforms("s", site)
     with pytest.raises(TypeError):
         field.words("s", site)
 
@@ -259,8 +252,6 @@ def test_field_rejects_non_int_sites(site):
     for index in (0, _INT_HI + 1):
         with pytest.raises(TypeError, match="sites must be ints"):
             field.block("s", site, index)
-    with pytest.raises(TypeError, match="sites must be ints"):
-        field.uniforms("s", site)
     with pytest.raises(TypeError, match="sites must be ints"):
         field.words("s", site)
 
@@ -319,8 +310,8 @@ def test_field_words_decode_to_the_uniforms():
     field = UniformField(8)
     count = 8 * (_INT_HI + 3)  # through block _INT_HI + 2, past the table
     words = list(itertools.islice(field.words(("w", 1), -2), count))
-    uniforms = list(itertools.islice(field.uniforms(("w", 1), -2), count))
-    assert [(a >> 11) * 2.0**-53 for a in words] == uniforms
+    uniforms = [u for q in range(_INT_HI + 3) for u in field.block(("w", 1), -2, q)]
+    assert uniforms_of(words) == uniforms
 
 
 def test_field_words_hash_a_block_when_first_read(monkeypatch):
@@ -727,6 +718,9 @@ def test_env_order_reports():
     }
     other = env_order(asc, cookie_env((0.2, 0.5, 0.9)), part)
     assert not other.is_block_permutation
+    # Tails that differ are read one level above the lists and the partition.
+    tails = env_order(cookie_env((0.2,), tail=0.6), cookie_env((0.2,), tail=0.4), part)
+    assert tails.witness == {"lane": None, "level": 4, "reason": "values differ outside blocks"}
 
 
 def test_sorted_env_reaches_all_permutations():
@@ -734,6 +728,66 @@ def test_sorted_env_reaches_all_permutations():
     for perm in itertools.permutations((0.2, 0.5, 0.7)):
         env = cookie_env(perm)
         assert env_order(sorted_env(env, part), env, part).swap_reachable
+        assert env_order(env, sorted_env(env, part, descending=True), part).swap_reachable
+
+
+# A few values, so that lanes often agree, and the sure cookies 0 and 1.
+ORDER_PROBS = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
+order_lanes = st.lists(ORDER_PROBS, max_size=5).map(tuple)
+order_envs = st.builds(
+    CookieEnvironment, st.dictionaries(st.integers(-2, 2), order_lanes, max_size=3), order_lanes, ORDER_PROBS
+)
+
+
+@st.composite
+def order_partitions(draw):
+    """Blocks of up to three levels in 1 .. 8, so some lie above every lane
+    of `order_envs`."""
+    levels = draw(st.permutations(range(1, 9)))[: draw(st.integers(0, 8))]
+    blocks = []
+    while levels:
+        n = draw(st.integers(1, 3))
+        blocks.append(tuple(levels[:n]))
+        levels = levels[n:]
+    return BlockPartition(tuple(blocks))
+
+
+def padded_by_the_tail(env, extra):
+    """The same environment with every list longer by `extra` tail values."""
+    return CookieEnvironment(
+        {s: lst + (env.tail,) * extra for s, lst in env.sites.items()},
+        env.default + (env.tail,) * extra,
+        env.tail,
+    )
+
+
+@st.composite
+def order_cases(draw):
+    """A partition and two environments: unrelated, block-sorted either way,
+    the same cells in lists of other lengths, or the same lists with another
+    tail."""
+    env_a = draw(order_envs)
+    partition = draw(order_partitions())
+    env_b = draw(st.one_of(
+        order_envs,
+        st.just(sorted_env(env_a, partition)),
+        st.just(reference_reversed_env(env_a, partition)),
+        st.integers(1, 4).map(lambda extra: padded_by_the_tail(env_a, extra)),
+        ORDER_PROBS.map(lambda tail: CookieEnvironment(env_a.sites, env_a.default, tail)),
+    ))
+    return env_a, env_b, partition
+
+
+@given(order_cases())
+@settings(max_examples=400, deadline=None)
+def test_environment_comparisons_match_the_global_depth_references(case):
+    # Each lane stops one level above its own lists and the partition; the
+    # references pad every lane to the depth of all of them.
+    env_a, env_b, partition = case
+    for x, y in ((env_a, env_b), (env_b, env_a)):
+        assert env_leq_pointwise(x, y) == reference_env_leq_pointwise(x, y)
+        assert env_order(x, y, partition) == reference_env_order(x, y, partition)
+    assert sorted_env(env_a, partition, descending=True) == reference_reversed_env(env_a, partition)
 
 
 # ------------------------------------------------------ stack count laws

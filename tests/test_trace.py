@@ -29,8 +29,8 @@ def load_spans():
 # field.value_calls is 0 for every family.  A change to these counts is a
 # change to what the library computes, so a refactor must keep them.  The
 # tracer wraps neither `UniformField._hasher`, through which the
-# `FieldStream` memos hash, nor `UniformField.uniforms`, which draws a
-# trial's random environments, so field.block_calls is 0: the memos' counts
+# `FieldStream` memos hash, nor `UniformField.words`, from which a trial's
+# random environments are drawn, so field.block_calls is 0: the memos' counts
 # are pinned in `tests/test_couplings.py` instead.  Nor does it wrap
 # `cell_words`: `run_walk` reads sampled systems eight words at a time, so
 # the sampled families query no `arrow_at` at all.  walk.steps counts the

@@ -14,7 +14,7 @@ mutant naming it and prove nothing.
 Exit code 0 when every mutant is killed, 1 when any survives or its run
 errs (no tests collected, a timeout), 2 on a usage error or a table entry
 that does not apply to the checkout.  A full run of the table below takes
-about 100 s on a 2-core Xeon.
+about 150 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rul
 PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
 TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
 STATS_PAYLOAD = f"{CAMPAIGN_TESTS}::test_stats_payloads_match_the_reference_stats"
+ENV_REFERENCES = f"{COUPLING_TESTS}::test_environment_comparisons_match_the_global_depth_references"
 
 
 @dataclass(frozen=True)
@@ -465,6 +466,38 @@ MUTANTS = (
         '"returns": _summary([r["returns"] for r in plus]),',
         '"returns": _summary([r["returns"] for r in raw]),',
         (STATS_PAYLOAD,),
+    ),
+    # The environment layer: each lane compared to its own depth, one block
+    # sort for both orders, and random environments decoded from words.
+    Mutant(
+        # The level above the lists, where the two tails meet, goes unread.
+        "lane-pairs-without-the-level-above",
+        COUPLINGS,
+        "n = max(len(la), len(lb), depth) + 1",
+        "n = max(len(la), len(lb), depth)",
+        (ENV_REFERENCES, f"{COUPLING_TESTS}::test_env_leq_pointwise_witnesses",
+         f"{COUPLING_TESTS}::test_env_order_reports"),
+    ),
+    Mutant(
+        "env-order-compares-covered-levels",
+        COUPLINGS,
+        "if x != y and level not in covered:",
+        "if x != y:",
+        (ENV_REFERENCES, f"{COUPLING_TESTS}::test_env_order_reports"),
+    ),
+    Mutant(
+        "sorted-env-ignores-descending",
+        COUPLINGS,
+        "sorted((padded[l - 1] for l in block), reverse=descending)",
+        "sorted((padded[l - 1] for l in block), reverse=False)",
+        (ENV_REFERENCES, f"{COUPLING_TESTS}::test_sorted_env_reaches_all_permutations", TRIAL_REFERENCE),
+    ),
+    Mutant(
+        "random-env-words-decoded-one-bit-short",
+        CAMPAIGN,
+        "(a >> 11) * _U64_SCALE",
+        "(a >> 10) * _U64_SCALE",
+        (TRIAL_REFERENCE,),
     ),
 )
 
