@@ -66,8 +66,13 @@ class ArrowSystem:
     of levels 8q+1 .. 8q+8 at `site`, two sequences of eight, with the arrow
     at level 8q+r+1 Right iff words[r] < limits[r].  `run_walk` then reads a
     stack eight levels at a time, never changing what it is given, so both
-    may be shared.  A system whose arrows depend on the order its cells are
-    first queried must leave it None: it hands out eight cells at once.
+    may be shared.  Only systems whose walks measured faster that way define
+    it: the sampled systems and their zero-right transform.  Every other
+    system leaves it None and is walked one `arrow_at` per step, which
+    measured faster or no slower for explicit and forced systems,
+    `EtaSystem` and the partition sides.  A system whose arrows depend on
+    the order its cells are first queried must leave it None, since it
+    would hand out eight cells at once; such systems stay supported.
     """
 
     cell_words: Optional[Callable[[int, int], tuple[Sequence[int], Sequence[int]]]] = None
@@ -103,7 +108,6 @@ class ExplicitSystem(ArrowSystem):
         self.stacks = {int(site): tuple(map(_coerce_arrow, prefix))
                        for site, prefix in stacks.items()}
         self.default_fill = _coerce_arrow(default_fill)
-        self._fill_arrows = (self.default_fill,) * 8
 
     @classmethod
     def forced(cls, positions: list[int]) -> "ExplicitSystem":
@@ -112,7 +116,6 @@ class ExplicitSystem(ArrowSystem):
         system = cls.__new__(cls)
         system._forced_by = positions
         system.default_fill = LEFT
-        system._fill_arrows = (LEFT,) * 8
         return system
 
     @functools.cached_property
@@ -128,17 +131,9 @@ class ExplicitSystem(ArrowSystem):
             return prefix[level - 1]
         return self.default_fill
 
-    def cell_words(self, site: int, q: int) -> tuple[tuple[int, ...], tuple[Arrow, ...]]:
-        """Zero words against the arrows as limits: 0 < arrow is Right."""
-        if q < 0:
-            raise ValueError(f"block index must be >= 0, got {q}")
-        prefix = self.stacks.get(site)
-        if prefix is None or len(prefix) <= 8 * q:
-            return _ZERO_WORDS, self._fill_arrows
-        part = prefix[8 * q : 8 * q + 8]
-        return _ZERO_WORDS, part + self._fill_arrows[len(part):]
 
-
+# Site 0 of a zero-right transform, as words: zero words against Rights as
+# limits, since arrows are ±1 and 0 < RIGHT.
 _ZERO_WORDS = (0,) * 8
 _ALL_RIGHT = (RIGHT,) * 8
 

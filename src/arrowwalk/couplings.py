@@ -708,11 +708,14 @@ class _BlockState:
     builds once per (lane, block).  The lane is the site if some
     environment of the coupling lists it, else the default lane.
 
-    The cells that the subclass decides on one word each, outside the
-    blocks, compare it with `_word_limit` of the first environment's
-    probability there.  `_limits` holds those limits, built once by
-    `_word_limits`: the first environment's listed sites, its default and
-    its tail.  Above `_depth` every lane reads the tail."""
+    A level outside every block, from `_first` on, is decided on one word:
+    word level + `_shift` of the subclass's `_word_view`, compared with
+    `_word_limit` of the first environment's probability there, gives
+    `_under` below the limit and the other arrow at or above it.  A limit of
+    None, and every level below `_first`, is realized as a block of its own.
+    `_limits` holds the limits, built once by `_word_limits`: the first
+    environment's listed sites, its default and its tail.  Above `_depth`
+    every lane reads the tail."""
 
     def __init__(self, envs: Sequence[CookieEnvironment], partition: BlockPartition):
         self.envs = tuple(envs)
@@ -738,17 +741,39 @@ class _BlockState:
 
 
 class _StateSide(ArrowSystem):
-    """One side of a block state.  Each subclass keeps its own `arrow_at`,
-    and reads the state's limits and the view of its word cells directly."""
+    """One side of a block state, reading the state's word rule, its limits
+    and the view of its word cells directly.  Each subclass names its own
+    `arrow_at`, so that it can be told apart when traced."""
 
-    def __init__(self, state: _BlockState, side: int, view: FieldStream):
+    def __init__(self, state: _BlockState, side: int):
         self._state = state
         self._side = side
         self._places = state.partition._places
         self._depth = state._depth
         self._sites, self._default, self._tail = state._limits
-        self._memo = view._blocks  # read directly, its words by (site, q)
-        self._fill = view._fill
+        self._first, self._shift, self._under = state._first, state._shift, state._under
+        self._over = LEFT if state._under is RIGHT else RIGHT
+        self._memo = state._word_view._blocks  # read directly, its words by (site, q)
+        self._fill = state._word_view._fill
+
+    def arrow_at(self, site: int, level: int) -> Arrow:
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        place = self._places.get(level)
+        if place is None:
+            if level >= self._first:
+                if level > self._depth:
+                    limit = self._tail
+                else:
+                    lane = self._sites.get(site, self._default)
+                    limit = lane[level - 1] if level <= len(lane) else self._tail
+                if limit is not None:
+                    i = level + self._shift  # at place i & 7 of block i >> 3
+                    words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
+                    return self._under if words[i & 7] < limit else self._over
+            place = ((level,), 0)
+        block, pos = place
+        return self._state.realize(site, block)[self._side][pos]
 
 
 def _pick(cums: Sequence[float], u: float) -> int:
@@ -767,9 +792,10 @@ class _FamilyState(_BlockState):
     A level outside every block is a singleton block of its own, at slot
     nb + 1 + level for nb blocks, where every member has the base's
     probability p.  Its count alone is its arrow, so the members read it
-    from the total's word: Right when u > fl(1 - p), that is when the word
-    is >= `_limit_le(1.0 - p)`, `_pick`'s rule.  Where p = 1 the cell is
-    realized instead, so that a uniform of 0 raises as a zero-mass count.
+    from the total's word nb + level: Right when u > fl(1 - p), that is
+    when the word is >= `_limit_le(1.0 - p)`, `_pick`'s rule.  Where p = 1
+    the cell is realized instead, so that a uniform of 0 raises as a
+    zero-mass count.
     """
 
     @staticmethod
@@ -784,8 +810,9 @@ class _FamilyState(_BlockState):
         stream: StreamTag,
     ):
         super().__init__(envs, partition)
-        self._totals = FieldStream(field, (stream, "total"))
+        self._totals = self._word_view = FieldStream(field, (stream, "total"))
         self._picks = FieldStream(field, (stream, "pick"))
+        self._first, self._shift, self._under = 1, len(partition.blocks), LEFT
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         probs = tuple(tuple(env.prob(site, l) for l in block) for env in self.envs)
@@ -813,27 +840,7 @@ class _FamilyState(_BlockState):
 class BlockSampledSystem(_StateSide):
     """Member of a block-coupled family: one side of the family's state."""
 
-    def __init__(self, state: _FamilyState, side: int):
-        super().__init__(state, side, state._totals)
-        self._nb = len(state.partition.blocks)
-
-    def arrow_at(self, site: int, level: int) -> Arrow:
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        place = self._places.get(level)
-        if place is None:
-            if level > self._depth:
-                limit = self._tail
-            else:
-                lane = self._sites.get(site, self._default)
-                limit = lane[level - 1] if level <= len(lane) else self._tail
-            if limit is not None:
-                i = self._nb + level  # the word of slot nb + 1 + level
-                words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
-                return RIGHT if words[i & 7] >= limit else LEFT
-            place = ((level,), 0)
-        block, pos = place
-        return self._state.realize(site, block)[self._side][pos]
+    arrow_at = _StateSide.arrow_at
 
 
 def couple_block_family(
@@ -928,7 +935,8 @@ def _glue_pair(p: float, q: float, observed: tuple, v: float) -> tuple:
 class _ChainState(_BlockState):
     """Both ends of a swap chain, one side per environment of `envs`.
     Cells above the partition are shared by both ends, which decide them on
-    the words of `_cell_view`."""
+    the words of `_cell_view`: level L on word L - 1, Right below
+    `_limit(p)`."""
 
     _word_limit = staticmethod(_limit)
 
@@ -942,7 +950,8 @@ class _ChainState(_BlockState):
         super().__init__(envs, partition)
         self.field = field
         self.stream = stream
-        self._cell_view = FieldStream(field, (stream, "cell"))
+        self._cell_view = self._word_view = FieldStream(field, (stream, "cell"))
+        self._first, self._shift, self._under = partition.depth() + 1, -1, RIGHT
 
     def _plan(self, site: int, block: tuple[int, ...]) -> tuple:
         slot = self.partition.block_index(block)
@@ -998,27 +1007,7 @@ class ChainEndSystem(_StateSide):
     of its own.
     """
 
-    def __init__(self, state: _ChainState, side: int):
-        super().__init__(state, side, state._cell_view)
-        self._top = state.partition.depth()
-
-    def arrow_at(self, site: int, level: int) -> Arrow:
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        place = self._places.get(level)
-        if place is None:
-            if level > self._top:
-                if level > self._depth:
-                    limit = self._tail
-                else:
-                    lane = self._sites.get(site, self._default)
-                    limit = lane[level - 1] if level <= len(lane) else self._tail
-                i = level - 1  # at place i & 7 of block i >> 3
-                cell = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
-                return RIGHT if cell[i & 7] < limit else LEFT
-            place = ((level,), 0)
-        block, pos = place
-        return self._state.realize(site, block)[self._side][pos]
+    arrow_at = _StateSide.arrow_at
 
 
 def couple_swap_chain(
@@ -1100,11 +1089,6 @@ class EtaSystem(ArrowSystem):
         self._limits = tuple(map(_limit_le, self.eta))
         self._depth = len(self.eta)
 
-    def threshold(self, level: int) -> float:
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        return self.eta[level - 1] if level <= len(self.eta) else _ETA_TAIL
-
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
@@ -1127,8 +1111,9 @@ def envelope_walk(
     At each step the drift law gets the adaptive `Trajectory` so far (its
     last position is the current site) and the visit number k, and must
     return a Right probability in [0, eta_k], eta_k being the envelope's
-    threshold `EtaSystem.threshold(k)`; any other value (NaN included)
-    raises DriftContractError with the offending (time, visit, value).
+    threshold at visit k (1/2 above its window); any other value (NaN
+    included) raises DriftContractError with the offending (time, visit,
+    value).
     Both walks turn the same uniform U(x, k) into a step with the same
     `<=` rule, so every Right the adaptive walk consumes is matched by a
     Right in the envelope system at the same cell; that containment is

@@ -7,7 +7,9 @@ by arrow.  `reference_walk` is the per-arrow loop, kept in `reference.py`
 as the slow reference: both must give equal positions and visit counts for every
 system that has `cell_words`.  A sampled system's `arrow_at` reads its
 `cell_words`, so its reference walk queries `CellSystem`, the sampling rule
-applied to one field value at a time.
+applied to one field value at a time.  Only sampled systems and their
+zero-right transform hand out words, so the word loop is tested on explicit
+stacks through `as_words`: a sampled system whose probabilities are 0 and 1.
 
 `zero_right_walk` reuses a walked path's right excursions and walks only
 the rest; its reference is the full walk of the transformed system.  On the
@@ -39,6 +41,8 @@ from arrowwalk.core import (
     zero_right_walk,
 )
 from arrowwalk.couplings import (
+    BlockSampledSystem,
+    ChainEndSystem,
     CookieEnvironment,
     EtaSystem,
     FieldStream,
@@ -91,6 +95,16 @@ def explicit(fill, seed):
     return ExplicitSystem(stacks, fill)
 
 
+def as_words(system, seed=0):
+    """The explicit `system` as a system that hands out words: a sampled
+    system whose probability is 1 at each Right of its stacks and fill and 0
+    at each Left, so that every word decides the explicit arrow."""
+    p = {RIGHT: 1.0, LEFT: 0.0}
+    env = CookieEnvironment({site: [p[a] for a in stack] for site, stack in system.stacks.items()},
+                            (), p[system.default_fill])
+    return sampled(env, seed, "explicit")
+
+
 def assert_walks_agree(make_system, horizons=HORIZONS):
     for horizon in horizons:
         # A fresh instance for the reference, which must not read the memo.
@@ -113,9 +127,13 @@ def test_sampled_chunk_walk_matches_the_per_arrow_walk(env, transformed):
 @pytest.mark.parametrize("transformed", [False, True], ids=["plain", "zero-right"])
 @pytest.mark.parametrize("fill", [LEFT, RIGHT], ids=["fill-L", "fill-R"])
 def test_explicit_chunk_walk_matches_the_per_arrow_walk(fill, transformed):
+    # Stacks of 9 to 20 arrows, so the walk reads a site's second chunk.
     wrap = zero_right_transform if transformed else (lambda system: system)
     for seed in range(6):
-        assert_walks_agree(lambda: wrap(explicit(fill, seed)), (0, 1, 8, 9, 40, 400))
+        system = explicit(fill, seed)
+        for horizon in (0, 1, 8, 9, 40, 400):
+            traj = run_walk(wrap(as_words(system, seed)), horizon)
+            assert (traj.positions, traj.visit_counts) == reference_walk(wrap(system), horizon)
 
 
 def test_independent_control_chunk_walks_match_the_per_arrow_walk():
@@ -133,9 +151,8 @@ def test_independent_control_chunk_walks_match_the_per_arrow_walk():
 
 @pytest.mark.parametrize(
     "system",
-    [sampled(LISTED, 3, "c"), explicit(LEFT, 1), explicit(RIGHT, 2),
-     zero_right_transform(sampled(LISTED, 4, "z")), zero_right_transform(explicit(LEFT, 3))],
-    ids=["sampled", "explicit-L", "explicit-R", "zero-right-sampled", "zero-right-explicit"],
+    [sampled(LISTED, 3, "c"), zero_right_transform(sampled(LISTED, 4, "z"))],
+    ids=["sampled", "zero-right-sampled"],
 )
 def test_chunk_equals_arrow_at_on_its_eight_levels(system):
     cells = definition(system)
@@ -188,14 +205,26 @@ class SequentialSystem(ArrowSystem):
 
 
 def test_systems_without_chunks_are_walked_arrow_by_arrow():
+    # Explicit systems, built or forced by a path, the envelope's, the
+    # partition sides (which share one arrow rule) and order-dependent ones.
+    path = run_walk(explicit(RIGHT, 5), 300).positions
+    explicit_systems = [explicit(LEFT, 4), explicit(RIGHT, 5), ExplicitSystem.forced(path)]
+    sides = [_build_pair(CampaignConfig(family, trials=1, horizon=50, seed=2), 0,
+                         UniformField(2))[0].traj_l.system
+             for family in ("block-family", "swap-chain")]
+    assert [type(side) for side in sides] == [BlockSampledSystem, ChainEndSystem]
+    assert BlockSampledSystem.arrow_at is ChainEndSystem.arrow_at
     eta = EtaSystem((0.9, 0.9), UniformField(1), "eta")
-    assert eta.cell_words is None
-    assert zero_right_transform(eta).cell_words is None
-    assert zero_right_transform(SequentialSystem(0)).cell_words is None
+    for system in [*explicit_systems, *sides, eta, SequentialSystem(0)]:
+        assert system.cell_words is None
+        assert zero_right_transform(system).cell_words is None
     for transformed in (False, True):
         wrap = zero_right_transform if transformed else (lambda system: system)
         traj = run_walk(wrap(SequentialSystem(7)), 500)
         assert (traj.positions, traj.visit_counts) == reference_walk(wrap(SequentialSystem(7)), 500)
+        for system in explicit_systems:
+            traj = run_walk(wrap(system), 500)
+            assert (traj.positions, traj.visit_counts) == reference_walk(wrap(system), 500)
 
 
 def test_check_pair_validates_only_paths_it_did_not_walk(monkeypatch):
@@ -251,7 +280,7 @@ def test_zero_right_walk_reads_a_site_first_past_its_first_chunk():
     # Each visit to 0 alternates a right excursion 0, 1, 0 with a left one
     # 0, -1, 0, so after 4m steps site 1 holds m consumed arrows and the
     # resumed walk reads it first at level m + 1.
-    system = ExplicitSystem({0: "RL" * 20, 1: "L" * 20, -1: "R" * 20}, RIGHT)
+    system = as_words(ExplicitSystem({0: "RL" * 20, 1: "L" * 20, -1: "R" * 20}, RIGHT))
     ends = set()
     for horizon in (0, 4, 33, 35, 37, 40, 68, 100):
         traj = run_walk(system, horizon)
@@ -386,7 +415,7 @@ class AtZero(ArrowSystem):
     def __init__(self, base, site):
         self.base = base
         self.site = site
-        self.sides = ExplicitSystem({1: "L" * 40}, RIGHT)
+        self.sides = as_words(ExplicitSystem({1: "L" * 40}, RIGHT))
 
     def arrow_at(self, site, level):
         if site == 0:
@@ -458,8 +487,7 @@ class ListChunks(ArrowSystem):
 def test_walks_never_change_a_chunk_they_store():
     all_right, zeros = list(_ALL_RIGHT), list(_ZERO_WORDS)
     bases = [sampled(LISTED, 5, "keep"), sampled(cookie_env((0.5,)), 6, "keep"),
-             explicit(LEFT, 7), explicit(RIGHT, 8)]
-    fills = [list(base._fill_arrows) for base in bases[2:]]
+             as_words(explicit(LEFT, 7)), as_words(explicit(RIGHT, 8))]
     for base in bases:
         for wrap in (lambda system: system, zero_right_transform):
             lists = ListChunks(base)
@@ -478,4 +506,3 @@ def test_walks_never_change_a_chunk_they_store():
             assert all(got == tuple(map(list, base.cell_words(site, q)))
                        for (site, q), got in lists.handed.items())
     assert (list(_ALL_RIGHT), list(_ZERO_WORDS)) == (all_right, zeros)
-    assert [list(base._fill_arrows) for base in bases[2:]] == fills

@@ -56,6 +56,9 @@ PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float
 TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
 STATS_PAYLOAD = f"{CAMPAIGN_TESTS}::test_stats_payloads_match_the_reference_stats"
 ENV_REFERENCES = f"{COUPLING_TESTS}::test_environment_comparisons_match_the_global_depth_references"
+WORD_CELLS = f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"
+FAMILY_RULE = "self._first, self._shift, self._under = 1, len(partition.blocks), LEFT"
+CHAIN_RULE = "self._first, self._shift, self._under = partition.depth() + 1, -1, RIGHT"
 
 
 @dataclass(frozen=True)
@@ -155,14 +158,6 @@ MUTANTS = (
         (SAMPLED_LANES, TRIAL_REFERENCE),
     ),
     Mutant(
-        "explicit-words-one-level-off",
-        CORE,
-        "part = prefix[8 * q : 8 * q + 8]",
-        "part = prefix[8 * q + 1 : 8 * q + 9]",
-        (f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
-         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
-    ),
-    Mutant(
         "zero-right-site-0-not-forced",
         CORE,
         "            return _ZERO_WORDS, _ALL_RIGHT\n",
@@ -171,53 +166,79 @@ MUTANTS = (
          f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels", TRIAL_REFERENCE),
     ),
-    # The partition couplings' cells decided on one word.
+    # The partition sides' cells decided on one word: one rule for both
+    # sides, fed by each state's first level, word shift and arrow below the
+    # limit, so each side's rule can still be broken on its own.
     Mutant(
-        "family-singleton-gt",
+        "partition-word-cell-le",
         COUPLINGS,
-        "return RIGHT if words[i & 7] >= limit else LEFT",
-        "return RIGHT if words[i & 7] > limit else LEFT",
-        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+        "return self._under if words[i & 7] < limit else self._over",
+        "return self._under if words[i & 7] <= limit else self._over",
+        (WORD_CELLS,),
     ),
     Mutant(
-        "chain-cell-le",
+        # A side reads the lane of the site's own list where the first
+        # environment lists the site.
+        "partition-word-cell-reads-the-default-lane",
         COUPLINGS,
-        "return RIGHT if cell[i & 7] < limit else LEFT",
-        "return RIGHT if cell[i & 7] <= limit else LEFT",
-        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+        "\n                    lane = self._sites.get(site, self._default)\n",
+        "\n                    lane = self._default\n",
+        (PARTITION_LANES, WORD_CELLS),
+    ),
+    Mutant(
+        "family-singleton-first-level-off-by-one",
+        COUPLINGS,
+        FAMILY_RULE,
+        "self._first, self._shift, self._under = 2, len(partition.blocks), LEFT",
+        (PARTITION_LANES,),
     ),
     Mutant(
         "family-singleton-slot-off-by-one",
         COUPLINGS,
-        "i = self._nb + level  # the word of slot nb + 1 + level",
-        "i = self._nb + level + 1",
-        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",
-         f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells", TRIAL_REFERENCE),
-    ),
-    # A partition side reads the lane of the site's own list where the
-    # first environment lists the site.
-    Mutant(
-        "family-singleton-reads-the-default-lane",
-        COUPLINGS,
-        "\n                lane = self._sites.get(site, self._default)\n",
-        "\n                lane = self._default\n",
-        (PARTITION_LANES,
-         f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"),
+        FAMILY_RULE,
+        "self._first, self._shift, self._under = 1, len(partition.blocks) + 1, LEFT",
+        (WORD_CELLS, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
+         TRIAL_REFERENCE),
     ),
     Mutant(
-        "chain-cell-reads-the-default-lane",
+        "family-singleton-under-right",
         COUPLINGS,
-        "\n                    lane = self._sites.get(site, self._default)\n",
-        "\n                    lane = self._default\n",
-        (PARTITION_LANES,
-         f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"),
+        FAMILY_RULE,
+        "self._first, self._shift, self._under = 1, len(partition.blocks), RIGHT",
+        (WORD_CELLS, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
+         TRIAL_REFERENCE),
     ),
     Mutant(
         "family-singleton-limit-lt",
         COUPLINGS,
         "return None if p == 1.0 else _limit_le(1.0 - p)",
         "return None if p == 1.0 else _limit(1.0 - p)",
-        (f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule",),
+        (WORD_CELLS,),
+    ),
+    Mutant(
+        # Level depth + 1 is realized as a block of its own, on the link view.
+        "chain-cell-first-level-off-by-one",
+        COUPLINGS,
+        CHAIN_RULE,
+        "self._first, self._shift, self._under = partition.depth() + 2, -1, RIGHT",
+        (PARTITION_LANES, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
+         TRIAL_REFERENCE),
+    ),
+    Mutant(
+        "chain-cell-reads-the-next-word",
+        COUPLINGS,
+        CHAIN_RULE,
+        "self._first, self._shift, self._under = partition.depth() + 1, 0, RIGHT",
+        (WORD_CELLS, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
+         TRIAL_REFERENCE),
+    ),
+    Mutant(
+        "chain-cell-under-left",
+        COUPLINGS,
+        CHAIN_RULE,
+        "self._first, self._shift, self._under = partition.depth() + 1, -1, LEFT",
+        (WORD_CELLS, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
+         TRIAL_REFERENCE),
     ),
     # The walk keeps a site's first chunk as handed out, copies it once and
     # reads on from the chunks it holds.
@@ -245,6 +266,16 @@ MUTANTS = (
         (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_shared_pair_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks"),
+    ),
+    # The packed-int table serves block indexes 0 .. _INT_HI only: a
+    # negative one must reach `_pack_index`, which refuses it.
+    Mutant(
+        "packed-table-serves-negative-indexes",
+        COUPLINGS,
+        "packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))",
+        "packed[index - _INT_LO] if index <= _INT_HI else _pack_index(index))",
+        (f"{COUPLING_TESTS}::test_field_rejects_negative_block_indexes",
+         f"{COUPLING_TESTS}::test_memo_misses_reject_bad_sites_and_indexes"),
     ),
     # Return walks that resume after the pair walk's right excursions.  A
     # resumed walk can first read a site above its first chunk, so the walk
@@ -391,6 +422,22 @@ MUTANTS = (
         "                            if x is None:\n",
         "                            if False:\n",
         (TO_EIGHT, TRIAL_REFERENCE),
+    ),
+    Mutant(
+        # Narrower than the one above: only R's right neighbour goes unread.
+        "checker-adjacency-skips-r-right-neighbour",
+        VERIFY,
+        "x = b + 1",
+        "x = None",
+        (TO_EIGHT, TRIAL_REFERENCE),
+    ),
+    Mutant(
+        # `check_pair` validates every path that no walk built.
+        "check-pair-trusts-imported-paths",
+        VERIFY,
+        "_walked=traj_l._walked and traj_r._walked",
+        "_walked=True",
+        (f"{CHUNKS}::test_check_pair_validates_only_paths_it_did_not_walk",),
     ),
     Mutant(
         "checker-record-vacuity-or",
