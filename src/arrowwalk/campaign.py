@@ -274,7 +274,7 @@ def replay_trial(config: CampaignConfig, trial: int) -> tuple[dict, Optional[Cou
             "checks": statuses,
             "speed_l": pair.traj_l.positions[-1] / t,
             "speed_r": pair.traj_r.positions[-1] / t,
-            "max_r": max(pair.traj_r.positions),
+            "max_r": max(pair.traj_r.visit_counts),
         }
         if config.collect_returns:
             row["returns_l"], row["returns_r"] = _returns_to_zero(pair)

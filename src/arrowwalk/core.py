@@ -77,9 +77,13 @@ class ArrowSystem:
 
     cell_words: Optional[Callable[[int, int], tuple[Sequence[int], Sequence[int]]]] = None
     # The first positions of the system's walk, when already known: `run_walk`
-    # copies them and walks on from the last.  Only the transformed systems
-    # `zero_right_walk` builds know more than the start.
+    # walks on from the last.  Only the transformed systems `zero_right_walk`
+    # builds know more than the start, and they hand over the prefix's visit
+    # counts as well: the first walk takes both over and extends them in
+    # place, so the prefix grows to that walk and its counts are handed over
+    # once.  Any later walk copies the prefix and counts it.
     _prefix: Sequence[int] = (0,)
+    _prefix_visits: Optional[dict[int, int]] = None
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         raise NotImplementedError
@@ -145,9 +149,11 @@ class _ZeroRightSystem(ArrowSystem):
     to 0 count how often the original stack at 0 would have been re-read.
     """
 
-    def __init__(self, base: ArrowSystem, prefix: Sequence[int] = (0,)):
+    def __init__(self, base: ArrowSystem, prefix: Sequence[int] = (0,),
+                 visits: Optional[dict[int, int]] = None):
         self.base = base
         self._prefix = prefix
+        self._prefix_visits = visits
         if base.cell_words is None:
             self.cell_words = None  # nothing to delegate to: walked arrow by arrow
 
@@ -191,8 +197,9 @@ class Trajectory:
     visit_counts: dict[int, int]
     system: Optional[ArrowSystem] = None
     # Not a field: set on the paths `run_walk` and `envelope_walk` build.
-    # They are unit-step paths from 0 by construction, which the checker
-    # trusts, and `system` generates them, which `zero_right_walk` trusts.
+    # They are unit-step paths from 0 by construction, counted as they are
+    # walked, which the checker trusts, and `system` generates them, which
+    # `zero_right_walk` trusts.
     _walked = False
 
     @property
@@ -238,15 +245,21 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     into lists of its own only when it runs past it, so what the system
     hands out is never changed.  Any other system is queried arrow by arrow.
     A system that knows the first positions of its walk (see
-    `zero_right_walk`) has them copied, and only the steps after them are
-    walked: such a walk resumes mid-path and can first read a site's stack
-    above its first block.
+    `zero_right_walk`) has only the steps after them walked: such a walk
+    resumes mid-path and can first read a site's stack above its first
+    block.  When the system hands over the prefix's visit counts too, and
+    the prefix fits the horizon, the walk takes over the prefix list and the
+    counts and extends them; otherwise it copies the prefix and counts it.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    positions = list(system._prefix[: horizon + 1])
-    # A plain dict: the walk loop's lookups are slower on a dict subclass.
-    visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))
+    positions, visits = system._prefix, system._prefix_visits
+    if visits is not None and len(positions) <= horizon + 1:
+        system._prefix_visits = None  # taken over: this walk extends both
+    else:
+        positions = list(positions[: horizon + 1])
+        # A plain dict: the walk loop's lookups are slower on a dict subclass.
+        visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))
     cell_words = system.cell_words
     start = len(positions)
     pos = positions[-1]
@@ -293,34 +306,57 @@ def zero_right_walk(traj: Trajectory) -> Trajectory:
     left.  The transformed walk steps Right at every visit to 0, so it is
     the pair walk's right excursions placed end to end, the last one cut
     where the pair walk ends, followed by the steps the pair walk never
-    took.  The transformed system built here knows that prefix, and
-    `run_walk` walks only the rest.  The reuse needs `system` to generate
-    `traj`, which `_walked` marks; any other trajectory is walked in full.
+    took.  That prefix visits each site x >= 1 as often as `traj` does, 0 at
+    its start and at the end of each completed excursion, and no site left
+    of 0, so its visit counts are read off `traj.visit_counts` without a
+    scan.  The transformed system built here hands over the prefix and its
+    counts, and `run_walk` takes both over and walks only the rest.  The
+    reuse needs `system` to generate `traj`, which `_walked` marks; any
+    other trajectory is walked in full.
 
     When `system` is the one `traj` forces (`ExplicitSystem.forced` on this
     very path), the rest is known too: every arrow it reads at a site x >= 1
     lies above the ones `traj` consumed there, so it is the Left fill, and
     site 0 is Right.  The walk descends from the prefix's last site to 0 and
-    then alternates 1, 0 up to the horizon; `run_walk` gets all of it as the
-    prefix and walks no step.  Every other system, Left-filled explicit ones
-    included, has the rest walked.
+    then alternates 1, 0 up to the horizon, which adds one visit to each site
+    of the descent the horizon keeps, then the alternation's visits to 1 and
+    0; `run_walk` gets all of it as the prefix and walks no step.  Every
+    other system, Left-filled explicit ones included, has the rest walked.
     """
     base = traj.system
     if isinstance(base, _ZeroRightSystem):  # a new one: the prefix is this walk's
         base = base.base
-    prefix = _right_excursions(traj.positions) if traj._walked else (0,)
-    if traj._walked and isinstance(base, ExplicitSystem) and base._forced_by is traj.positions:
-        prefix += range(prefix[-1] - 1, -1, -1)
+    if not traj._walked:
+        return run_walk(_ZeroRightSystem(base), traj.horizon)
+    prefix, returns = _right_excursions(traj.positions)
+    visits = dict(traj.visit_counts)
+    x = -1
+    while x in visits:  # a unit-step path from 0 visits every site down to its minimum
+        del visits[x]
+        x -= 1
+    visits[0] = 1 + returns
+    if isinstance(base, ExplicitSystem) and base._forced_by is traj.positions:
+        room = traj.horizon + 1 - len(prefix)  # the steps past the excursions
+        end = prefix[-1]
+        prefix += range(end - 1, -1, -1)
         prefix += (1, 0) * ((traj.horizon + 2 - len(prefix)) // 2)
         del prefix[traj.horizon + 1 :]
-    return run_walk(_ZeroRightSystem(base, prefix), traj.horizon)
+        for x in range(end - 1, end - 1 - min(end, room), -1):
+            visits[x] += 1
+        bounce = room - end  # the steps the alternation keeps
+        if bounce > 0:
+            visits[1] = visits.get(1, 0) + (bounce + 1) // 2
+            visits[0] += bounce // 2
+    return run_walk(_ZeroRightSystem(base, prefix, visits), traj.horizon)
 
 
-def _right_excursions(positions: list[int]) -> list[int]:
+def _right_excursions(positions: list[int]) -> tuple[list[int], int]:
     """0 followed by the path's right excursions from 0, end to end: the
-    steps n with positions[n - 1] + positions[n] > 0, in order.  One list
-    search and one slice per return to 0."""
+    steps n with positions[n - 1] + positions[n] > 0, in order; and how many
+    of those excursions end back at 0.  One list search and one slice per
+    return to 0."""
     prefix = [0]
+    returns = 0
     last = len(positions) - 1
     i = 0  # a time at 0
     try:
@@ -328,11 +364,12 @@ def _right_excursions(positions: list[int]) -> list[int]:
             j = positions.index(0, i + 1)
             if positions[i + 1] > 0:
                 prefix += positions[i + 1 : j + 1]
+                returns += 1
             i = j
     except ValueError:  # no return after time i: the path ends in this excursion
         if positions[i + 1] > 0:
             prefix += positions[i + 1 :]
-    return prefix
+    return prefix, returns
 
 
 IDENTITY_IDS = (

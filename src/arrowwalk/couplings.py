@@ -116,15 +116,6 @@ def _limit_le(t: float) -> int:
     return (math.floor(t * 2.0**53) + 1) << 11
 
 
-def _decode(digest: bytes) -> tuple[float, ...]:
-    """The eight 53-bit uniforms of a 64-byte digest."""
-    a, b, c, d, e, f, g, k = _UNPACK_8Q(digest)
-    s = _U64_SCALE
-    # Written out: a generator over the eight words costs twice as much.
-    return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
-            (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
-
-
 class UniformField:
     """Pure map (stream, site, level) -> uniform in [0, 1), keyed by a seed.
 
@@ -139,7 +130,8 @@ class UniformField:
     that each block copies (counter-based generation in the style of Salmon
     et al., SC'11).  Small sites and indexes take their packed bytes from a
     shared table.  The field keeps no memo: `block` builds its hasher
-    afresh, and each `FieldStream` holds one for its stream.
+    afresh, into a throwaway memo, and each `FieldStream` holds one for its
+    stream and its memo.
     """
 
     __slots__ = ("seed", "_key", "_packed")
@@ -154,16 +146,22 @@ class UniformField:
         the 3-tuple header and `_pack(stream)`."""
         return blake2b(b"t\x00\x03" + _pack(stream), key=self._key, digest_size=64)
 
-    def _hasher(self, stream: StreamTag) -> Callable[[int, int], bytes]:
-        """The digest of block (stream, site, index), as a function of site
-        and index.  It holds the stream's keyed hasher, built once here, and
-        copies it for each block.  `block` and every `FieldStream` hash
-        through one; only the sequential reader `words` absorbs a site into
-        its hasher as well."""
+    def _hasher(
+        self, stream: StreamTag, memo: dict[tuple[int, int], tuple[int, ...]]
+    ) -> Callable[[int, int], tuple[int, ...]]:
+        """The fill of `memo` from `stream`: a function of site and index
+        that hashes block (stream, site, index), unpacks its eight 64-bit
+        words, stores them in `memo[site, index]` and returns them, in one
+        call.  It holds the stream's keyed hasher, built once here, and
+        copies it for each block.  A bad site or index raises before
+        anything is stored.  `block` and every `FieldStream` hash through
+        one; only the sequential reader `words` absorbs a site into its
+        hasher as well."""
         copy = self._head(stream).copy
         packed = self._packed
+        unpack = _UNPACK_8Q
 
-        def digest(site: int, index: int) -> bytes:
+        def fill(site: int, index: int) -> tuple[int, ...]:
             try:
                 msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
                     packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
@@ -172,13 +170,19 @@ class UniformField:
                 raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
             h = copy()
             h.update(msg)
-            return h.digest()
+            words = memo[site, index] = unpack(h.digest())
+            return words
 
-        return digest
+        return fill
 
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
-        """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8."""
-        return _decode(self._hasher(stream)(site, index))
+        """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8, the
+        53-bit uniforms of the block's words."""
+        a, b, c, d, e, f, g, k = self._hasher(stream, {})(site, index)
+        s = _U64_SCALE
+        # Written out: a generator over the eight words costs twice as much.
+        return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
+                (e >> 11) * s, (f >> 11) * s, (g >> 11) * s, (k >> 11) * s)
 
     def words(self, stream: StreamTag, site: int) -> Iterator[int]:
         """The 64-bit words of levels 1, 2, ... at `site` of `stream`, in
@@ -216,8 +220,9 @@ class FieldStream:
     """One stream of a field, with a memo of its raw blocks by (site, q):
     the eight 64-bit words of each.
 
-    The view keeps its stream's `UniformField._hasher`, built once, so a
-    block it has not read yet costs one call into the field (`_fill`).
+    The view keeps its stream's `UniformField._hasher` of its memo, built
+    once, as `_fill(site, q)`: a block it has not read yet costs that one
+    call, which hashes the block into the memo and returns its words.
     Systems coupled through shared uniforms share one view, so each block
     is hashed once per pair or family.  The memo is never on the field,
     which serves many streams: it goes away with the systems holding it.
@@ -226,18 +231,13 @@ class FieldStream:
     their words up in `_blocks` and call `_fill` on a miss.
     """
 
-    __slots__ = ("field", "stream", "_blocks", "_digest")
+    __slots__ = ("field", "stream", "_blocks", "_fill")
 
     def __init__(self, field: UniformField, stream: StreamTag):
         self.field = field
         self.stream = stream
         self._blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._digest = field._hasher(stream)
-
-    def _fill(self, site: int, q: int) -> tuple[int, ...]:
-        """Hash block (site, q), which the memo does not hold, into it."""
-        words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))
-        return words
+        self._fill = field._hasher(stream, self._blocks)
 
     def value(self, site: int, level: int) -> float:
         if level < 1:

@@ -153,6 +153,11 @@ class PairChecker:
     O(1), plus an insertion into or removal from a sorted list where d
     changes sign; once the five are decided, a step adds a bisection for
     `neighbour_interval`.  The pass ends once every statement has failed.
+
+    Raw paths are validated and scanned for their extremes.  `check_pair`
+    passes the visit counts of paths a walk built, `_visits`: those are
+    unit-step paths from 0 by construction, and their extremes are the
+    smallest and largest sites their counts hold, so neither scan is made.
     """
 
     def __init__(
@@ -161,23 +166,27 @@ class PairChecker:
         positions_r: Sequence[int],
         checks: Optional[Iterable[str]] = None,
         *,
-        _walked: bool = False,
+        _visits: Optional[tuple[dict[int, int], dict[int, int]]] = None,
     ):
         self.checks = STATEMENT_IDS if checks is None else _check_ids(checks)
         if len(positions_l) != len(positions_r):
             raise ValueError("paths must have equal length")
-        if not _walked:  # a walk's own paths are unit-step paths from 0
+        if _visits is None:
             validate_path(positions_l)
             validate_path(positions_r)
         self.positions_l = positions_l
         self.positions_r = positions_r
+        # the sites each path visits, scanned for its extremes: the keys of
+        # its visit counts when passed, else its positions
+        self._sites = _visits or (positions_l, positions_r)
 
     def run(self) -> dict[str, VerifyResult]:
         pos_l = self.positions_l
         pos_r = self.positions_r
         horizon = len(pos_l) - 1
-        low_l, top_l = min(pos_l), max(pos_l)
-        low_r, top_r = min(pos_r), max(pos_r)
+        sites_l, sites_r = self._sites
+        low_l, top_l = min(sites_l), max(sites_l)
+        low_r, top_r = min(sites_r), max(sites_r)
 
         # One site of margin on each side, so i - 1 and i + 1 index the
         # arrays for every visited site's index i.
@@ -397,9 +406,12 @@ def check_pair(
     pair: CoupledPair, checks: Optional[Iterable[str]] = None
 ) -> dict[str, VerifyResult]:
     """Run the selected statement checks (default: all) over a coupled pair.
-    Paths that `run_walk` or `envelope_walk` built are not validated again."""
+    Paths that `run_walk` or `envelope_walk` built are not validated again,
+    and their extremes are read off their visit counts."""
     traj_l, traj_r = pair.traj_l, pair.traj_r
+    walked = traj_l._walked and traj_r._walked
     return PairChecker(
-        traj_l.positions, traj_r.positions, checks, _walked=traj_l._walked and traj_r._walked
+        traj_l.positions, traj_r.positions, checks,
+        _visits=(traj_l.visit_counts, traj_r.visit_counts) if walked else None,
     ).run()
 

@@ -12,7 +12,9 @@ zero-right transform hand out words, so the word loop is tested on explicit
 stacks through `as_words`: a sampled system whose probabilities are 0 and 1.
 
 `zero_right_walk` reuses a walked path's right excursions and walks only
-the rest; its reference is the full walk of the transformed system.  On the
+the rest; its reference is the full walk of the transformed system.  The
+visit counts it hands over with the excursions are read off the path's own,
+and `Counter` of the prefix is their reference.  On the
 system a path forces (`ExplicitSystem.forced`) it walks nothing: the rest is
 a closed form, whose reference is the full walk of the eager build
 `ExplicitSystem(consumed_stacks(path), LEFT)`.
@@ -25,7 +27,7 @@ from collections import Counter
 import pytest
 
 from arrowwalk import CampaignConfig, UniformField, check_pair, run_walk
-from arrowwalk import verify
+from arrowwalk import core, verify
 from arrowwalk.campaign import _build_pair
 from arrowwalk.core import (
     _ALL_RIGHT,
@@ -357,11 +359,27 @@ def test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve(
     assert paths == 2**13 - 1
 
 
-def test_zero_right_walk_walks_the_rest_on_any_other_system():
+def record_handed_over(monkeypatch):
+    """The prefix and the visit counts (None if it has none) that each
+    return walk's system hands over to `run_walk`, copied as they are when
+    the walk starts."""
+    handed = []
+    walk = core.run_walk
+
+    def record(system, horizon):
+        handed.append((list(system._prefix), system._prefix_visits and dict(system._prefix_visits)))
+        return walk(system, horizon)
+
+    monkeypatch.setattr(core, "run_walk", record)
+    return handed
+
+
+def test_zero_right_walk_walks_the_rest_on_any_other_system(monkeypatch):
     # Each trajectory below is generated by its system, but the system is
     # not the one its very path forces, so the rest is walked.  The closed
     # form of the path's own forced system would be wrong on the first
     # three kinds; on the last two it happens to be right.
+    handed = record_handed_over(monkeypatch)
     rng = random.Random(27)
     closed_form_wrong = Counter()
     walked = Counter()
@@ -386,14 +404,89 @@ def test_zero_right_walk_walks_the_rest_on_any_other_system():
             got = zero_right_walk(traj)
             want = run_walk(zero_right_transform(traj.system), traj.horizon)
             assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), kind
-            reused = _right_excursions(traj.positions) if traj._walked else [0]
-            assert list(got.system._prefix) == reused, kind
+            reused = _right_excursions(traj.positions)[0] if traj._walked else [0]
+            assert handed.pop()[0] == reused, kind
             walked[kind] += len(reused) < traj.horizon + 1
             closed = zero_right_walk(forced_walk(traj.positions))
             closed_form_wrong[kind] += closed.positions != want.positions
     assert all(walked[kind] for kind in cases)
     assert all(closed_form_wrong[kind] for kind in list(cases)[:3])
     assert not any(closed_form_wrong[kind] for kind in list(cases)[3:])
+
+
+def assert_walks_again_alike(got, system, horizon):
+    """Walking the return walk's system again, to the same horizon and past
+    it, gives the transformed walk and leaves `got` as it was."""
+    kept = list(got.positions), dict(got.visit_counts)
+    again = run_walk(got.system, horizon)
+    assert (again.positions, again.visit_counts) == kept
+    assert again.positions is not got.positions and again.visit_counts is not got.visit_counts
+    longer = run_walk(got.system, horizon + 40)
+    want = run_walk(zero_right_transform(system), horizon + 40)
+    assert (longer.positions, longer.visit_counts) == (want.positions, want.visit_counts)
+    assert (got.positions, got.visit_counts) == kept
+
+
+@pytest.mark.parametrize("family", ["shared-uniform", "block-family", "swap-chain", "envelope",
+                                    "explicit"])
+def test_handed_over_counts_are_the_prefix_counts(family, monkeypatch):
+    # Sampled, partition-side, eta and explicit systems: the counts each
+    # return walk takes over are those `Counter` gives its prefix, and it
+    # ends at the full re-walk.  Prefixes end at 0 and inside an excursion.
+    handed = record_handed_over(monkeypatch)
+    kinds = Counter()
+    for seed in (0, 5):
+        for horizon in (1, 2, 9, 60, 700):
+            if family == "explicit":
+                trajs = [run_walk(explicit(fill, seed + horizon), horizon) for fill in (LEFT, RIGHT)]
+            else:
+                config = CampaignConfig(family, trials=2, horizon=horizon, seed=seed)
+                pairs = [_build_pair(config, trial, UniformField(seed))[0] for trial in range(2)]
+                trajs = [traj for pair in pairs for traj in (pair.traj_l, pair.traj_r)]
+            for traj in trajs:
+                got = zero_right_walk(traj)
+                prefix, visits = handed.pop()
+                assert visits == dict(Counter(prefix))
+                want = run_walk(zero_right_transform(traj.system), horizon)
+                assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts)
+                assert_walks_again_alike(got, traj.system, horizon)
+                ends = "at-0" if prefix[-1] == 0 else "mid-excursion"
+                kinds[type(traj.system).__name__, ends] += 1
+    names = {"shared-uniform": ["SampledCookieSystem"], "block-family": ["BlockSampledSystem"],
+             "swap-chain": ["ChainEndSystem"], "envelope": ["ExplicitSystem", "EtaSystem"],
+             "explicit": ["ExplicitSystem"]}[family]
+    assert set(kinds) == {(name, ends) for name in names for ends in ("at-0", "mid-excursion")}
+
+
+def test_handed_over_counts_of_the_closed_form_are_the_prefix_counts(monkeypatch):
+    # Random paths of up to 40 steps on the system each forces: horizons
+    # that cut the descent, that end it, and that cut the alternation at 1
+    # and at 0, after prefixes that end at 0 and inside an excursion.
+    handed = record_handed_over(monkeypatch)
+    rng = random.Random(33)
+    kinds = Counter()
+    for _ in range(600):
+        steps = [rng.choice((-1, 1, 1)) for _ in range(rng.randint(0, 40))]
+        path = list(itertools.accumulate(steps, initial=0))
+        traj = forced_walk(path)
+        excursions = _right_excursions(path)[0]
+        got = zero_right_walk(traj)
+        prefix, visits = handed.pop()
+        assert visits == dict(Counter(prefix)) and prefix == got.positions
+        want = eager_return_walk(path, len(path) - 1)
+        assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), path
+        assert_walks_again_alike(got, ExplicitSystem(consumed_stacks(path), LEFT), len(path) - 1)
+        end, room = excursions[-1], len(path) - len(excursions)
+        if room < end:
+            cut = "descent"
+        elif room == end:
+            cut = "at-0-after-descent"
+        else:
+            cut = ("at-1", "at-0")[(room - end) % 2 == 0]
+        kinds[cut, "at-0" if end == 0 else "mid-excursion"] += 1
+    assert set(kinds) == {("descent", "mid-excursion"), ("at-0-after-descent", "mid-excursion"),
+                          ("at-1", "mid-excursion"), ("at-0", "mid-excursion"),
+                          ("at-0-after-descent", "at-0"), ("at-1", "at-0"), ("at-0", "at-0")}
 
 
 # A listed site and a default lane with eight different probabilities in

@@ -71,19 +71,19 @@ from reference import (
 
 class CountingField(UniformField):
     """A field that counts how often each (stream, site, index) is hashed
-    through `_hasher`, which every `FieldStream` memo and `block` hash
-    through."""
+    through `_hasher`, which fills every `FieldStream` memo and which
+    `block` hashes through."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = Counter()
 
-    def _hasher(self, stream):
-        digest = super()._hasher(stream)
+    def _hasher(self, stream, memo):
+        fill = super()._hasher(stream, memo)
 
         def counted(site, index):
             self.calls[(stream, site, index)] += 1
-            return digest(site, index)
+            return fill(site, index)
 
         return counted
 

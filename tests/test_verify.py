@@ -233,6 +233,46 @@ def test_all_statement_ids_have_a_broken_pair():
 # ---------------------------------------------------------------------------
 # agreement with the reference on arbitrary pairs
 
+def assert_check_pair_matches_the_scan(pair, checks=None):
+    """`check_pair` against `PairChecker` on list copies of the pair's
+    positions, which it validates and scans for their extremes."""
+    want = PairChecker(list(pair.traj_l.positions), list(pair.traj_r.positions), checks).run()
+    assert check_pair(pair, checks) == want
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "envelope-10000"])
+def test_check_pair_reads_the_extremes_of_walked_paths_off_their_counts(family):
+    # Every family's pairs, and criterion 8's envelope pair at horizon
+    # 10,000, whose eta walk runs far right of the adaptive walk.
+    if family == "envelope-10000":
+        config = CampaignConfig("envelope", trials=1, horizon=10_000, seed=29, collect_returns=False)
+    else:
+        horizon = {} if family == "ce2" else {"horizon": 2000}
+        config = CampaignConfig(family, trials=3, seed=17, collect_returns=False, **horizon)
+    without_count = tuple(c for c in STATEMENT_IDS if c != "count_dominance")
+    for trial in range(config.effective_trials()):
+        _, pair = replay_trial(config, trial)
+        # ce2's paths are built from positions: scanned on both sides
+        assert pair.traj_l._walked == pair.traj_r._walked == (family != "ce2")
+        assert_check_pair_matches_the_scan(pair)
+        assert_check_pair_matches_the_scan(pair, without_count)
+
+
+def test_check_pair_scans_and_validates_hand_built_trajectories():
+    # Counts that disagree with the positions would shift the extremes (R
+    # seen never right of 1, so its half-steps at 2 skipped and its lead
+    # there unseen), but a hand-built trajectory is not walked: its
+    # positions are validated and scanned.
+    pos_l, pos_r = [0, 1, 0, 1, 0], [0, 1, 2, 1, 2]
+    pair = CoupledPair(Trajectory(pos_l, {0: 3, 1: 2}), Trajectory(pos_r, {0: 1, 1: 4}))
+    assert_check_pair_matches_the_scan(pair)
+    trusted = PairChecker(pos_l, pos_r, _visits=(pair.traj_l.visit_counts, pair.traj_r.visit_counts))
+    assert trusted.run() != check_pair(pair)
+    jump = CoupledPair(Trajectory([0, 1, 0], {0: 2, 1: 1}), Trajectory([0, 2, 1], {0: 1, 1: 2}))
+    with pytest.raises(ValueError, match="path step"):
+        check_pair(jump)
+
+
 @settings(deadline=None, max_examples=300)
 @given(path_pairs())
 def test_checker_matches_reference_on_random_pairs(pair):

@@ -51,6 +51,9 @@ ENVELOPE_PAIR = (
     f"{VERIFY_TESTS}::test_checker_matches_the_reference_checker_on_an_envelope_pair_at_horizon_ten_thousand"
 )
 CLOSED_FORM = f"{CHUNKS}::test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve"
+HANDED_OVER = f"{CHUNKS}::test_handed_over_counts_are_the_prefix_counts"
+CLOSED_FORM_HANDED_OVER = f"{CHUNKS}::test_handed_over_counts_of_the_closed_form_are_the_prefix_counts"
+WALKED_EXTREMES = f"{VERIFY_TESTS}::test_check_pair_reads_the_extremes_of_walked_paths_off_their_counts"
 SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rule"
 PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
 TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
@@ -257,15 +260,23 @@ MUTANTS = (
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk", TRIAL_REFERENCE),
     ),
-    # A memo miss hashes the block into the memo.
+    # A memo miss hashes the block into the memo, under its own key.
     Mutant(
         "miss-skips-the-memo",
         COUPLINGS,
-        "words = self._blocks[site, q] = _UNPACK_8Q(self._digest(site, q))",
-        "words = _UNPACK_8Q(self._digest(site, q))",
+        "words = memo[site, index] = unpack(h.digest())",
+        "words = unpack(h.digest())",
         (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_shared_pair_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks"),
+    ),
+    Mutant(
+        "fill-stores-under-the-wrong-key",
+        COUPLINGS,
+        "words = memo[site, index] = unpack(h.digest())",
+        "words = memo[index, site] = unpack(h.digest())",
+        (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
+         f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks", TRIAL_REFERENCE),
     ),
     # The packed-int table serves block indexes 0 .. _INT_HI only: a
     # negative one must reach `_pack_index`, which refuses it.
@@ -324,23 +335,33 @@ MUTANTS = (
     Mutant(
         "returns-reuse-a-path-not-walked",
         CORE,
-        "prefix = _right_excursions(traj.positions) if traj._walked else (0,)",
-        "prefix = _right_excursions(traj.positions)",
+        "    if not traj._walked:\n        return run_walk(_ZeroRightSystem(base), traj.horizon)\n",
+        "",
         (f"{CHUNKS}::test_zero_right_walk_walks_imported_paths_in_full",),
     ),
+    # A prefix handed over without its counts is counted; one handed over
+    # with them hands over the counts the prefix has.
     Mutant(
         "walk-visits-from-the-start-only",
         CORE,
         "visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))",
         "visits = {0: 1}",
-        (f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
+        (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",
+         HANDED_OVER),
+    ),
+    Mutant(
+        "returns-count-at-0-misses-the-start",
+        CORE,
+        "visits[0] = 1 + returns",
+        "visits[0] = returns",
+        (HANDED_OVER, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-prefix-on-the-paths-system",
         CORE,
-        "    return run_walk(_ZeroRightSystem(base, prefix), traj.horizon)\n",
+        "    return run_walk(_ZeroRightSystem(base, prefix, visits), traj.horizon)\n",
         "    system = traj.system if isinstance(traj.system, _ZeroRightSystem) else _ZeroRightSystem(base)\n"
-        "    system._prefix = prefix\n"
+        "    system._prefix, system._prefix_visits = prefix, visits\n"
         "    return run_walk(system, traj.horizon)\n",
         (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",),
     ),
@@ -351,14 +372,23 @@ MUTANTS = (
         CORE,
         "prefix += (1, 0) * ((traj.horizon + 2 - len(prefix)) // 2)",
         "prefix += (0, 1) * ((traj.horizon + 2 - len(prefix)) // 2)",
-        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",
+         CLOSED_FORM_HANDED_OVER),
     ),
     Mutant(
         "returns-closed-form-descent-stops-above-0",
         CORE,
-        "prefix += range(prefix[-1] - 1, -1, -1)",
-        "prefix += range(prefix[-1] - 1, 0, -1)",
-        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
+        "prefix += range(end - 1, -1, -1)",
+        "prefix += range(end - 1, 0, -1)",
+        (CLOSED_FORM, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk",
+         CLOSED_FORM_HANDED_OVER),
+    ),
+    Mutant(
+        "returns-closed-form-alternation-count-off-by-one",
+        CORE,
+        "visits[0] += bounce // 2",
+        "visits[0] += (bounce + 1) // 2",
+        (CLOSED_FORM, CLOSED_FORM_HANDED_OVER, TRIAL_REFERENCE),
     ),
     Mutant(
         "returns-closed-form-on-any-left-fill-explicit-system",
@@ -435,9 +465,18 @@ MUTANTS = (
         # `check_pair` validates every path that no walk built.
         "check-pair-trusts-imported-paths",
         VERIFY,
-        "_walked=traj_l._walked and traj_r._walked",
-        "_walked=True",
-        (f"{CHUNKS}::test_check_pair_validates_only_paths_it_did_not_walk",),
+        "_visits=(traj_l.visit_counts, traj_r.visit_counts) if walked else None,",
+        "_visits=(traj_l.visit_counts, traj_r.visit_counts),",
+        (f"{CHUNKS}::test_check_pair_validates_only_paths_it_did_not_walk",
+         f"{VERIFY_TESTS}::test_check_pair_scans_and_validates_hand_built_trajectories"),
+    ),
+    Mutant(
+        # The extremes of walked paths are read off their visit counts.
+        "checker-extreme-off-by-one",
+        VERIFY,
+        "low_r, top_r = min(sites_r), max(sites_r)",
+        "low_r, top_r = min(sites_r) + 1, max(sites_r)",
+        (WALKED_EXTREMES, TRIAL_REFERENCE),
     ),
     Mutant(
         "checker-record-vacuity-or",
@@ -489,8 +528,8 @@ MUTANTS = (
     Mutant(
         "trial-max-r-off-the-left-walk",
         CAMPAIGN,
-        '"max_r": max(pair.traj_r.positions),',
-        '"max_r": max(pair.traj_l.positions),',
+        '"max_r": max(pair.traj_r.visit_counts),',
+        '"max_r": max(pair.traj_l.visit_counts),',
         (TRIAL_REFERENCE,),
     ),
     Mutant(
