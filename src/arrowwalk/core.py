@@ -13,7 +13,7 @@ import csv
 import enum
 import functools
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Mapping, Optional, Sequence, TextIO, Union
@@ -60,7 +60,8 @@ class ArrowSystem:
     Levels are 1-based: level k is the arrow consumed on the k-th visit.
     Implementations must be pure: repeated queries of the same cell return
     the same arrow, and queries have no observable side effects beyond
-    internal memoization.
+    internal memoization.  A walk only reads its system and leaves it
+    unchanged: where a walk starts is given to `run_walk`, not held here.
 
     A system may also define `cell_words(site, q)`: the words and the limits
     of levels 8q+1 .. 8q+8 at `site`, two sequences of eight, with the arrow
@@ -76,14 +77,6 @@ class ArrowSystem:
     """
 
     cell_words: Optional[Callable[[int, int], tuple[Sequence[int], Sequence[int]]]] = None
-    # The first positions of the system's walk, when already known: `run_walk`
-    # walks on from the last.  Only the transformed systems `zero_right_walk`
-    # builds know more than the start, and they hand over the prefix's visit
-    # counts as well: the first walk takes both over and extends them in
-    # place, so the prefix grows to that walk and its counts are handed over
-    # once.  Any later walk copies the prefix and counts it.
-    _prefix: Sequence[int] = (0,)
-    _prefix_visits: Optional[dict[int, int]] = None
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         raise NotImplementedError
@@ -149,11 +142,8 @@ class _ZeroRightSystem(ArrowSystem):
     to 0 count how often the original stack at 0 would have been re-read.
     """
 
-    def __init__(self, base: ArrowSystem, prefix: Sequence[int] = (0,),
-                 visits: Optional[dict[int, int]] = None):
+    def __init__(self, base: ArrowSystem):
         self.base = base
-        self._prefix = prefix
-        self._prefix_visits = visits
         if base.cell_words is None:
             self.cell_words = None  # nothing to delegate to: walked arrow by arrow
 
@@ -233,7 +223,8 @@ def validate_path(positions: Sequence[int]) -> None:
             )
 
 
-def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
+def run_walk(system: ArrowSystem, horizon: int,
+             _start: Optional[tuple[list[int], dict[int, int]]] = None) -> Trajectory:
     """Run the arrow walk for `horizon` steps from 0.
 
     On each step the walk, sitting at `pos` for the k-th time, consumes the
@@ -244,22 +235,16 @@ def run_walk(system: ArrowSystem, horizon: int) -> Trajectory:
     limit k - 1.  It keeps a site's first block as handed out, and copies it
     into lists of its own only when it runs past it, so what the system
     hands out is never changed.  Any other system is queried arrow by arrow.
-    A system that knows the first positions of its walk (see
-    `zero_right_walk`) has only the steps after them walked: such a walk
-    resumes mid-path and can first read a site's stack above its first
-    block.  When the system hands over the prefix's visit counts too, and
-    the prefix fits the horizon, the walk takes over the prefix list and the
-    counts and extends them; otherwise it copies the prefix and counts it.
+
+    `_start` is `(positions, visits)` of a walk of `system` already begun,
+    at most `horizon + 1` positions from 0 and their visit counts (see
+    `zero_right_walk`).  The walk extends both in place and returns them,
+    walking only the steps after the last position: it resumes mid-path
+    and can first read a site's stack above its first block.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    positions, visits = system._prefix, system._prefix_visits
-    if visits is not None and len(positions) <= horizon + 1:
-        system._prefix_visits = None  # taken over: this walk extends both
-    else:
-        positions = list(positions[: horizon + 1])
-        # A plain dict: the walk loop's lookups are slower on a dict subclass.
-        visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))
+    positions, visits = _start or ([0], {0: 1})
     cell_words = system.cell_words
     start = len(positions)
     pos = positions[-1]
@@ -309,25 +294,30 @@ def zero_right_walk(traj: Trajectory) -> Trajectory:
     took.  That prefix visits each site x >= 1 as often as `traj` does, 0 at
     its start and at the end of each completed excursion, and no site left
     of 0, so its visit counts are read off `traj.visit_counts` without a
-    scan.  The transformed system built here hands over the prefix and its
-    counts, and `run_walk` takes both over and walks only the rest.  The
-    reuse needs `system` to generate `traj`, which `_walked` marks; any
-    other trajectory is walked in full.
+    scan.  `run_walk` is handed the prefix and its counts as its start, and
+    walks only the rest.  The reuse needs `traj.system` to generate `traj`,
+    which `_walked` marks; any other trajectory is walked in full.
 
-    When `system` is the one `traj` forces (`ExplicitSystem.forced` on this
-    very path), the rest is known too: every arrow it reads at a site x >= 1
-    lies above the ones `traj` consumed there, so it is the Left fill, and
-    site 0 is Right.  The walk descends from the prefix's last site to 0 and
-    then alternates 1, 0 up to the horizon, which adds one visit to each site
-    of the descent the horizon keeps, then the alternation's visits to 1 and
-    0; `run_walk` gets all of it as the prefix and walks no step.  Every
-    other system, Left-filled explicit ones included, has the rest walked.
+    When `traj.system` is the one `traj` forces (`ExplicitSystem.forced` on
+    this very path), the rest is known too: every arrow it reads at a site
+    x >= 1 lies above the ones `traj` consumed there, so it is the Left
+    fill, and site 0 is Right.  The walk descends from the prefix's last
+    site to 0 and then alternates 1, 0 up to the horizon, which adds one
+    visit to each site of the descent the horizon keeps, then the
+    alternation's visits to 1 and 0; `run_walk` gets all of it as the
+    prefix and walks no step.  Every other system, Left-filled explicit
+    ones included, has the rest walked.
+
+    The return walk runs on `zero_right_transform(traj.system)`, so on that
+    very system when `traj` is a transformed walk, and leaves `traj` as it
+    was.  Raises ValueError when `traj` carries no system.
     """
     base = traj.system
-    if isinstance(base, _ZeroRightSystem):  # a new one: the prefix is this walk's
-        base = base.base
+    if base is None:
+        raise ValueError("the trajectory carries no system, so it has no zero-right walk")
+    system = zero_right_transform(base)
     if not traj._walked:
-        return run_walk(_ZeroRightSystem(base), traj.horizon)
+        return run_walk(system, traj.horizon)
     prefix, returns = _right_excursions(traj.positions)
     visits = dict(traj.visit_counts)
     x = -1
@@ -347,7 +337,7 @@ def zero_right_walk(traj: Trajectory) -> Trajectory:
         if bounce > 0:
             visits[1] = visits.get(1, 0) + (bounce + 1) // 2
             visits[0] += bounce // 2
-    return run_walk(_ZeroRightSystem(base, prefix, visits), traj.horizon)
+    return run_walk(system, traj.horizon, _start=(prefix, visits))
 
 
 def _right_excursions(positions: list[int]) -> tuple[list[int], int]:

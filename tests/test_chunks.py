@@ -12,11 +12,14 @@ zero-right transform hand out words, so the word loop is tested on explicit
 stacks through `as_words`: a sampled system whose probabilities are 0 and 1.
 
 `zero_right_walk` reuses a walked path's right excursions and walks only
-the rest; its reference is the full walk of the transformed system.  The
-visit counts it hands over with the excursions are read off the path's own,
-and `Counter` of the prefix is their reference.  On the
-system a path forces (`ExplicitSystem.forced`) it walks nothing: the rest is
-a closed form, whose reference is the full walk of the eager build
+the rest; its reference is the full walk of the transformed system.  It
+hands `run_walk` the excursions and their visit counts as the `_start` of
+the call, which the tests record by wrapping `core.run_walk`; the counts
+are read off the path's own, and `Counter` of the prefix is their
+reference.  The path it reuses is left as it was, and so is every system:
+a return walk's start is the call's, not the system's.  On the system a
+path forces (`ExplicitSystem.forced`) it walks nothing: the rest is a
+closed form, whose reference is the full walk of the eager build
 `ExplicitSystem(consumed_stacks(path), LEFT)`.
 """
 
@@ -315,17 +318,19 @@ def test_zero_right_walk_walks_imported_paths_in_full():
             traj, lambda: run_walk(zero_right_transform(system), len(path) - 1))
 
 
-def test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged():
-    # The path of a transformed system is all right excursions, so all of it
-    # is reused, on a new system: the one the path carries keeps its start.
-    system = zero_right_transform(explicit(LEFT, 4))
-    traj = run_walk(system, 300)
-    got = zero_right_walk(traj)
-    assert got.system is not system and system._prefix == (0,)
-    assert (got.positions, got.visit_counts) == (traj.positions, traj.visit_counts)
-    # A shorter walk of the new system copies only the steps it needs.
-    short = run_walk(got.system, 50)
-    assert (short.positions, short.visit_counts) == reference_walk(system, 50)
+def test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged(monkeypatch):
+    # The path of a transformed system is all right excursions, so its return
+    # walk runs on that same system, reuses every step and equals the walk;
+    # the system holds nothing it did not hold before.
+    handed = record_handed_over(monkeypatch)
+    for system in (zero_right_transform(explicit(LEFT, 4)),
+                   zero_right_transform(as_words(explicit(RIGHT, 5)))):
+        traj = run_walk(system, 300)
+        kept = dict(vars(system))
+        got = zero_right_walk(traj)
+        assert got.system is system and vars(system) == kept
+        assert handed.pop()[0] == traj.positions
+        assert (got.positions, got.visit_counts) == (traj.positions, traj.visit_counts)
 
 
 def forced_walk(path):
@@ -342,9 +347,10 @@ def eager_return_walk(path, horizon):
     return run_walk(zero_right_transform(ExplicitSystem(consumed_stacks(path), LEFT)), horizon)
 
 
-def test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve():
-    # Every unit-step path of length 0 to 12: the return walk is copied
-    # whole, and the forced system's stacks are never built.
+def test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve(monkeypatch):
+    # Every unit-step path of length 0 to 12: the return walk is handed to
+    # `run_walk` whole, and the forced system's stacks are never built.
+    handed = record_handed_over(monkeypatch)
     paths = 0
     for length in range(13):
         for steps in itertools.product((-1, 1), repeat=length):
@@ -353,22 +359,23 @@ def test_zero_right_walk_of_a_forced_system_is_its_closed_form_to_length_twelve(
             got = zero_right_walk(traj)
             want = eager_return_walk(path, length)
             assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), path
-            assert len(got.system._prefix) == length + 1 and got._walked
+            assert len(handed.pop()[0]) == length + 1 and got._walked
             assert "stacks" not in vars(traj.system)
             paths += 1
     assert paths == 2**13 - 1
 
 
 def record_handed_over(monkeypatch):
-    """The prefix and the visit counts (None if it has none) that each
-    return walk's system hands over to `run_walk`, copied as they are when
-    the walk starts."""
+    """The prefix and the visit counts that each return walk starts from,
+    the `_start` of its `run_walk` call (the start at 0 when it has none),
+    copied as they are when the walk starts."""
     handed = []
     walk = core.run_walk
 
-    def record(system, horizon):
-        handed.append((list(system._prefix), system._prefix_visits and dict(system._prefix_visits)))
-        return walk(system, horizon)
+    def record(system, horizon, _start=None):
+        prefix, visits = _start or ([0], {0: 1})
+        handed.append((list(prefix), dict(visits)))
+        return walk(system, horizon, _start=_start)
 
     monkeypatch.setattr(core, "run_walk", record)
     return handed
@@ -414,19 +421,6 @@ def test_zero_right_walk_walks_the_rest_on_any_other_system(monkeypatch):
     assert not any(closed_form_wrong[kind] for kind in list(cases)[3:])
 
 
-def assert_walks_again_alike(got, system, horizon):
-    """Walking the return walk's system again, to the same horizon and past
-    it, gives the transformed walk and leaves `got` as it was."""
-    kept = list(got.positions), dict(got.visit_counts)
-    again = run_walk(got.system, horizon)
-    assert (again.positions, again.visit_counts) == kept
-    assert again.positions is not got.positions and again.visit_counts is not got.visit_counts
-    longer = run_walk(got.system, horizon + 40)
-    want = run_walk(zero_right_transform(system), horizon + 40)
-    assert (longer.positions, longer.visit_counts) == (want.positions, want.visit_counts)
-    assert (got.positions, got.visit_counts) == kept
-
-
 @pytest.mark.parametrize("family", ["shared-uniform", "block-family", "swap-chain", "envelope",
                                     "explicit"])
 def test_handed_over_counts_are_the_prefix_counts(family, monkeypatch):
@@ -449,7 +443,6 @@ def test_handed_over_counts_are_the_prefix_counts(family, monkeypatch):
                 assert visits == dict(Counter(prefix))
                 want = run_walk(zero_right_transform(traj.system), horizon)
                 assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts)
-                assert_walks_again_alike(got, traj.system, horizon)
                 ends = "at-0" if prefix[-1] == 0 else "mid-excursion"
                 kinds[type(traj.system).__name__, ends] += 1
     names = {"shared-uniform": ["SampledCookieSystem"], "block-family": ["BlockSampledSystem"],
@@ -475,7 +468,6 @@ def test_handed_over_counts_of_the_closed_form_are_the_prefix_counts(monkeypatch
         assert visits == dict(Counter(prefix)) and prefix == got.positions
         want = eager_return_walk(path, len(path) - 1)
         assert (got.positions, got.visit_counts) == (want.positions, want.visit_counts), path
-        assert_walks_again_alike(got, ExplicitSystem(consumed_stacks(path), LEFT), len(path) - 1)
         end, room = excursions[-1], len(path) - len(excursions)
         if room < end:
             cut = "descent"
@@ -487,6 +479,32 @@ def test_handed_over_counts_of_the_closed_form_are_the_prefix_counts(monkeypatch
     assert set(kinds) == {("descent", "mid-excursion"), ("at-0-after-descent", "mid-excursion"),
                           ("at-1", "mid-excursion"), ("at-0", "mid-excursion"),
                           ("at-0-after-descent", "at-0"), ("at-1", "at-0"), ("at-0", "at-0")}
+
+
+@pytest.mark.parametrize("family", RETURN_FAMILIES)
+def test_zero_right_walk_leaves_the_walk_it_reuses_as_it_was(family):
+    # The return walk extends the prefix and the counts it starts from, so
+    # those must be its own: on every return family, the envelope's forced
+    # side and its closed form among them, the pair walk keeps its positions
+    # and its counts, its sites left of 0 and its count at 0 included.
+    for seed in (0, 5):
+        for horizon in (1, 9, 60, 700):
+            config = CampaignConfig(family, trials=2, horizon=horizon, seed=seed,
+                                    **({"kmax": 3} if family == "ce1" else {}))
+            field = UniformField(seed)
+            for trial in range(config.effective_trials()):
+                pair, _ = _build_pair(config, trial, field)
+                for traj in (pair.traj_l, pair.traj_r):
+                    kept = list(traj.positions), dict(traj.visit_counts)
+                    got = zero_right_walk(traj)
+                    assert (traj.positions, traj.visit_counts) == kept
+                    assert got.positions is not traj.positions
+                    assert got.visit_counts is not traj.visit_counts
+
+
+def test_zero_right_walk_of_a_trajectory_without_a_system_is_refused():
+    with pytest.raises(ValueError, match="carries no system"):
+        zero_right_walk(Trajectory.from_positions([0, 1, 0]))
 
 
 # A listed site and a default lane with eight different probabilities in

@@ -104,8 +104,9 @@ def test_return_walks_walk_only_the_steps_the_pair_never_took(monkeypatch):
         config = config_of(family)
         pair, _ = campaign._build_pair(config, 0, UniformField(config.seed))
         walked = []
-        monkeypatch.setattr(core, "run_walk", lambda system, horizon: (
-            walked.append(horizon + 1 - len(system._prefix)) or run_walk(system, horizon)))
+        monkeypatch.setattr(core, "run_walk", lambda system, horizon, _start=None: (
+            walked.append(horizon + 1 - len((_start or ([0],))[0]))
+            or run_walk(system, horizon, _start=_start)))
         campaign._returns_to_zero(pair)
         monkeypatch.setattr(core, "run_walk", run_walk)
         assert tuple(walked) == RETURN_STEPS[family], family

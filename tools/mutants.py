@@ -335,20 +335,13 @@ MUTANTS = (
     Mutant(
         "returns-reuse-a-path-not-walked",
         CORE,
-        "    if not traj._walked:\n        return run_walk(_ZeroRightSystem(base), traj.horizon)\n",
+        "    if not traj._walked:\n        return run_walk(system, traj.horizon)\n",
         "",
         (f"{CHUNKS}::test_zero_right_walk_walks_imported_paths_in_full",),
     ),
-    # A prefix handed over without its counts is counted; one handed over
-    # with them hands over the counts the prefix has.
-    Mutant(
-        "walk-visits-from-the-start-only",
-        CORE,
-        "visits = {0: 1} if len(positions) == 1 else dict(Counter(positions))",
-        "visits = {0: 1}",
-        (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",
-         HANDED_OVER),
-    ),
+    # The counts a return walk starts from are the prefix's, and a copy:
+    # the walk extends them in place, so the pair walk's own would lose its
+    # sites left of 0 and gain the return walk's steps.
     Mutant(
         "returns-count-at-0-misses-the-start",
         CORE,
@@ -357,13 +350,11 @@ MUTANTS = (
         (HANDED_OVER, f"{CHUNKS}::test_zero_right_walk_matches_the_full_rewalk", TRIAL_REFERENCE),
     ),
     Mutant(
-        "returns-prefix-on-the-paths-system",
+        "returns-hand-over-the-pair-walks-counts",
         CORE,
-        "    return run_walk(_ZeroRightSystem(base, prefix, visits), traj.horizon)\n",
-        "    system = traj.system if isinstance(traj.system, _ZeroRightSystem) else _ZeroRightSystem(base)\n"
-        "    system._prefix, system._prefix_visits = prefix, visits\n"
-        "    return run_walk(system, traj.horizon)\n",
-        (f"{CHUNKS}::test_zero_right_walk_of_a_transformed_walk_leaves_its_system_unchanged",),
+        "visits = dict(traj.visit_counts)",
+        "visits = traj.visit_counts",
+        (f"{CHUNKS}::test_zero_right_walk_leaves_the_walk_it_reuses_as_it_was",),
     ),
     # The return walk of a path's own forced system, in closed form past the
     # right excursions: down to 0, then 1, 0, ..., and only on that system.
