@@ -429,101 +429,93 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 # directional statistics for transformed walks
 
 
-def _cookie_walk_stats(
+def _raw_walk(
     limits: tuple[dict, tuple[int, ...], int],
     field: UniformField,
     stream: object,
     horizon: int,
-    after: int,
-    transformed: bool,
-) -> dict:
-    """One walk of a system sampled from the environment whose word limits
-    are `limits` (`_word_limits` with `_limit`), driven by sequential words.  With
-    `transformed` set, steps from the origin and below are forced Right, as
-    under the zero-right transform.
+) -> tuple[int, int]:
+    """The end and the maximum of one walk of a system sampled from the
+    environment whose word limits are `limits` (`_word_limits` with
+    `_limit`), driven by sequential words.
 
     Each cell is consumed at most once, so feeding fresh uniforms in step
     order draws from the same law as sampling the system cell by cell; it
     just skips the per-site bookkeeping and runs much faster.  A step goes
     Right when its word is below the cell's limit, which is exactly when
-    its uniform is below the cell's probability.
-
-    A step does only what the next step reads: it takes a word, picks the
-    limit of the site's visit count, moves and counts the visit.  The rest
-    is read off the final visit counts.  A unit-step path from 0 visits
-    every site between 0 and its maximum and none above, so the maximum
-    is one below the first site never visited; one spare slot past the
-    reachable range keeps that site inside the list.  The returns are the
-    visits to 0 after the start.  The raw walk takes one word per step, so
-    it walks the first `after` steps and then the rest, and its late
-    returns are the visits to 0 made in the second part.  The transformed
-    walk takes no word on its forced steps from 0: it walks one excursion
-    above 0 at a time, each as long as twice its down steps, and counts a
-    return, late when past `after`, where an excursion ends.
+    its uniform is below the cell's probability.  A unit-step path from 0
+    visits every site between 0 and its maximum and none above, so the
+    maximum is one below the first site never visited.
     """
     sites, dflt, tail = limits
     homogeneous = not sites
     nd = len(dflt)
-    words = field.words(stream, 0)
     pos = 0
-    if not transformed:
-        # Visit counts by position: the walk stays in [-horizon, horizon],
-        # a negative position indexing from the end of the list, and slot
-        # horizon + 1 is the spare one.
-        visits = [0] * (2 * horizon + 2)
-        visits[0] = 1
-        for m in (after, horizon - after):
-            early = visits[0]  # last read before the late steps
-            for a in itertools.islice(words, m):
-                k = visits[pos]
-                if homogeneous:
-                    limit = dflt[k - 1] if k <= nd else tail
-                else:  # as `env.prob`: the site's list or the default, then the tail
-                    lst = sites.get(pos, dflt)
-                    limit = lst[k - 1] if k <= len(lst) else tail
-                if a < limit:
-                    pos += 1
-                else:
-                    pos -= 1
-                visits[pos] += 1
-        returns_after = visits[0] - early
-    else:
-        # The walk never goes below 0.
-        visits = [0] * (horizon + 2)
-        visits[0] = 1
-        returns_after = 0
-        n = 0  # steps taken, counted where the walk is at 0
-        while n < horizon:
-            pos = 1  # the forced step
-            visits[1] += 1
-            down = 0
-            for a in itertools.islice(words, horizon - n - 1):
-                k = visits[pos]
-                if homogeneous:
-                    limit = dflt[k - 1] if k <= nd else tail
-                else:
-                    lst = sites.get(pos, dflt)
-                    limit = lst[k - 1] if k <= len(lst) else tail
-                if a < limit:
-                    pos += 1
-                else:
-                    pos -= 1
-                    down += 1
-                    if not pos:
-                        break
-                visits[pos] += 1
-            else:  # the horizon, inside the excursion
-                break
-            visits[0] += 1
-            n += 2 * down
-            if n > after:
-                returns_after += 1
-    return {
-        "speed": pos / horizon,
-        "max_pos": visits.index(0) - 1,
-        "returns": visits[0] - 1,
-        "returns_after": returns_after,
-    }
+    # Visit counts by position: the walk stays in [-horizon, horizon], a
+    # negative position indexing from the end of the list, and slot
+    # horizon + 1 is the spare one.
+    visits = [0] * (2 * horizon + 2)
+    visits[0] = 1
+    for a in itertools.islice(field.words(stream, 0), horizon):
+        k = visits[pos]
+        if homogeneous:
+            limit = dflt[k - 1] if k <= nd else tail
+        else:  # as `env.prob`: the site's list or the default, then the tail
+            lst = sites.get(pos, dflt)
+            limit = lst[k - 1] if k <= len(lst) else tail
+        if a < limit:
+            pos += 1
+        else:
+            pos -= 1
+        visits[pos] += 1
+    return pos, visits.index(0) - 1
+
+
+def _zero_right_returns(
+    limits: tuple[dict, tuple[int, ...], int],
+    field: UniformField,
+    stream: object,
+    horizon: int,
+    after: int,
+) -> tuple[int, int]:
+    """The returns to 0, in all and after step `after`, of a walk as in
+    `_raw_walk` whose steps from the origin are forced Right, as under the
+    zero-right transform.  A forced step takes no word, so the walk goes one
+    excursion above 0 at a time, each as long as twice its down steps, and
+    counts a return, late when past `after`, where an excursion ends."""
+    sites, dflt, tail = limits
+    homogeneous = not sites
+    nd = len(dflt)
+    words = field.words(stream, 0)
+    visits = [0] * (horizon + 1)  # by position in [0, horizon]; slot 0 goes unread
+    returns = late = 0
+    n = 0  # steps taken, counted where the walk is at 0
+    while n < horizon:
+        pos = 1  # the forced step
+        visits[1] += 1
+        down = 0
+        for a in itertools.islice(words, horizon - n - 1):
+            k = visits[pos]
+            if homogeneous:
+                limit = dflt[k - 1] if k <= nd else tail
+            else:
+                lst = sites.get(pos, dflt)
+                limit = lst[k - 1] if k <= len(lst) else tail
+            if a < limit:
+                pos += 1
+            else:
+                pos -= 1
+                down += 1
+                if not pos:
+                    break
+            visits[pos] += 1
+        else:  # the horizon, inside the excursion
+            break
+        returns += 1
+        n += 2 * down
+        if n > after:
+            late += 1
+    return returns, late
 
 
 def speed_and_recurrence_stats(
@@ -534,9 +526,9 @@ def speed_and_recurrence_stats(
     after: int = 0,
 ) -> dict:
     """Directional summary of walks in systems sampled from `env`: endpoint
-    speed and running maximum of the plain walk, and returns to the origin
-    (total, after the burn-in time `after`, and as a histogram) of the
-    zero-right transformed walk."""
+    speed and running maximum of the plain walk (`_raw_walk`), and returns
+    to the origin (total, after the burn-in time `after`, and as a
+    histogram) of the zero-right transformed walk (`_zero_right_returns`)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if horizon < 1:
@@ -545,15 +537,12 @@ def speed_and_recurrence_stats(
         raise ValueError(f"after must be in [0, {horizon}], got {after}")
     field = UniformField(seed)
     limits = _word_limits(env, _limit)
-    raw = [
-        _cookie_walk_stats(limits, field, ("stats", i, "raw"), horizon, after, False)
-        for i in range(trials)
-    ]
+    raw = [_raw_walk(limits, field, ("stats", i, "raw"), horizon) for i in range(trials)]
     plus = [
-        _cookie_walk_stats(limits, field, ("stats", i, "plus"), horizon, after, True)
+        _zero_right_returns(limits, field, ("stats", i, "plus"), horizon, after)
         for i in range(trials)
     ]
-    histogram = Counter(r["returns"] for r in plus)
+    histogram = Counter(returns for returns, _ in plus)
     return {
         "schema": "arrowwalk-stats-v1",
         "env": env.to_json_obj(),
@@ -561,9 +550,9 @@ def speed_and_recurrence_stats(
         "horizon": horizon,
         "seed": seed,
         "after": after,
-        "speed": _summary([r["speed"] for r in raw]),
-        "max_ratio": _summary([r["max_pos"] / horizon for r in raw]),
-        "returns": _summary([r["returns"] for r in plus]),
-        "returns_after": _summary([r["returns_after"] for r in plus]),
+        "speed": _summary([end / horizon for end, _ in raw]),
+        "max_ratio": _summary([top / horizon for _, top in raw]),
+        "returns": _summary([returns for returns, _ in plus]),
+        "returns_after": _summary([late for _, late in plus]),
         "returns_histogram": {k: histogram[k] for k in sorted(histogram)},
     }

@@ -518,6 +518,14 @@ def check_keys(obj: Mapping, allowed: Sequence[str], what: str) -> None:
         raise ValueError(f"unknown {what} keys {unknown}; allowed: {list(allowed)}")
 
 
+def json_int(value: object, name: str) -> int:
+    """`value` if it is a JSON integer, and not a bool, float or string;
+    else ValueError naming `name` and the value."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 _SYSTEM_KEYS = {
     "explicit": ("kind", "stacks", "default_fill"),
     "ce1-L": ("kind",),
@@ -534,7 +542,7 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     Built-ins:
         {"kind": "ce1-L"}
         {"kind": "ce1-R", "N": 3}
-    Any other key raises ValueError.
+    Any other key, or an `N` that is not an integer, raises ValueError.
     """
     kind = obj.get("kind") if isinstance(obj, Mapping) else None
     if kind not in _SYSTEM_KEYS:
@@ -552,7 +560,7 @@ def parse_system(obj: Mapping) -> ArrowSystem:
         return Ce1LeftSystem()
     from .counterexamples import Ce1RightSystem
 
-    return Ce1RightSystem(int(obj.get("N", 3)))
+    return Ce1RightSystem(json_int(obj.get("N", 3), "N"))
 
 
 def load_system(path: str) -> ArrowSystem:

@@ -31,6 +31,7 @@ from .core import (
     ExplicitSystem,
     Trajectory,
     check_keys,
+    json_int,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -496,11 +497,12 @@ class BlockPartition:
 
 
 def parse_partition(obj: Mapping) -> BlockPartition:
-    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}; any other key raises
-    ValueError."""
+    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}; any other key, or a
+    level or `cap` that is not an integer, raises ValueError."""
     check_keys(obj, ("cap", "blocks"), "partition")
     return BlockPartition(
-        tuple(tuple(b) for b in obj.get("blocks", ())), obj.get("cap", 3)
+        tuple(tuple(json_int(l, "a level in blocks") for l in b) for b in obj.get("blocks", ())),
+        json_int(obj.get("cap", 3), "cap"),
     )
 
 

@@ -288,7 +288,7 @@ class PairChecker:
                         c = nr[ib - 1]
                         if nl[ib] < kb:  # L has made fewer than kb visits here
                             seen.append(c)
-                        elif on_kth and c > seen[kb - 1]:
+                        elif c > seen[kb - 1]:
                             on_kth = fail("kth_visit_counts", {
                                 "t": t, "x": b, "k": kb,
                                 "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",

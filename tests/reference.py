@@ -17,8 +17,9 @@ what each guards:
   Right iff u < p.  It guards `SampledCookieSystem`: the view memo, the
   word limits and the padded lanes.
 - `SequentialCookieSystem` and `reference_walk_stats`: the stats walks'
-  law, cell by cell through `run_walk`.  They guard
-  `campaign._cookie_walk_stats`.
+  law, cell by cell through `run_walk`.  They guard `campaign._raw_walk`
+  (speed and maximum) and `campaign._zero_right_returns` (returns and late
+  returns).
 - `reference_block`: the field's definition, one keyed blake2b of the whole
   packed message.  It guards `UniformField._hasher`, its packed-int table
   and the sequential reader `words`.

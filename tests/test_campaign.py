@@ -494,6 +494,18 @@ def test_stats_validation():
         speed_and_recurrence_stats(env, trials=1, horizon=10, after=-1)
 
 
+def assert_stats_walks_match(env, field, limits, i, horizon, after):
+    """Trial i's raw and zero-right walks equal the reference's fields for them."""
+    stream = ("stats", i, "raw")
+    end, top = campaign._raw_walk(limits, field, stream, horizon)
+    want = reference_walk_stats(env, field, stream, horizon, after, False)
+    assert (end / horizon, top) == (want["speed"], want["max_pos"]), (after, i, "raw")
+    stream = ("stats", i, "plus")
+    got = campaign._zero_right_returns(limits, field, stream, horizon, after)
+    want = reference_walk_stats(env, field, stream, horizon, after, True)
+    assert got == (want["returns"], want["returns_after"]), (after, i, "plus")
+
+
 @pytest.mark.parametrize(
     "env",
     [
@@ -514,10 +526,7 @@ def test_stats_walks_match_the_sequential_reference(env):
     field = UniformField(11)
     limits = _word_limits(env, _limit)
     for i in range(20):
-        for kind, transformed in (("raw", False), ("plus", True)):
-            stream = ("stats", i, kind)
-            got = campaign._cookie_walk_stats(limits, field, stream, 3000, 100, transformed)
-            assert got == reference_walk_stats(env, field, stream, 3000, 100, transformed), (i, kind)
+        assert_stats_walks_match(env, field, limits, i, 3000, 100)
 
 
 @pytest.mark.parametrize(
@@ -532,19 +541,15 @@ def test_stats_walks_match_the_sequential_reference(env):
 )
 @pytest.mark.parametrize("horizon", [1, 2, 7, 50])
 def test_stats_walks_match_the_sequential_reference_at_the_edges(env, horizon):
-    # Returns, late returns and the maximum are read off the final visit
-    # counts.  The all-Right raw walk ends at +horizon, in the last slot
-    # before the spare one, and the all-Left transformed walk returns to 0
-    # on every second step, the last of them at the horizon when it is even.
+    # The maximum is read off the final visit counts: the all-Right raw walk
+    # ends at +horizon, in the last slot before the spare one.  The all-Left
+    # transformed walk returns to 0 on every second step, the last of them
+    # at the horizon when it is even.
     field = UniformField(5)
     limits = _word_limits(env, _limit)
     for after in sorted({0, 1, horizon}):
         for i in range(4):
-            for kind, transformed in (("raw", False), ("plus", True)):
-                stream = ("stats", i, kind)
-                got = campaign._cookie_walk_stats(limits, field, stream, horizon, after, transformed)
-                want = reference_walk_stats(env, field, stream, horizon, after, transformed)
-                assert got == want, (after, i, kind)
+            assert_stats_walks_match(env, field, limits, i, horizon, after)
 
 
 # ------------------------------------------------ whole trials from references

@@ -99,6 +99,28 @@ def test_unknown_keys_in_input_files_are_refused(runner, files, tmp_path, comman
     assert f"unknown {what} keys" in result.output
 
 
+@pytest.mark.parametrize("command, obj, message", [
+    (["campaign", "--family", "block-family", "--partition", "{path}", "--trials", "1",
+      "--horizon", "10", "--no-timestamp"], {"blocks": [[1.9, 2.2]]}, "a level in blocks must be an integer, got 1.9"),
+    (["campaign", "--family", "block-family", "--partition", "{path}", "--trials", "1",
+      "--horizon", "10", "--no-timestamp"], {"blocks": [[1, 2]], "cap": 2.5}, "cap must be an integer, got 2.5"),
+    (["couple", "--family", "swap-chain", "--env", "{env_asc}", "--env2", "{env_desc}",
+      "--partition", "{path}"], {"blocks": [[1, True]]}, "a level in blocks must be an integer, got True"),
+    (["couple", "--family", "swap-chain", "--env", "{env_asc}", "--env2", "{env_desc}",
+      "--partition", "{path}"], {"blocks": [[1, 2]], "cap": True}, "cap must be an integer, got True"),
+    (["run", "--system", "{path}"], {"kind": "ce1-R", "N": 3.7}, "N must be an integer, got 3.7"),
+    (["run", "--system", "{path}"], {"kind": "ce1-R", "N": "4"}, "N must be an integer, got '4'"),
+    (["run", "--system", "{path}"], {"kind": "ce1-R", "N": 3.0}, "N must be an integer, got 3.0"),
+    (["run", "--system", "{path}"], {"kind": "ce1-R", "N": False}, "N must be an integer, got False"),
+])
+def test_non_integer_numbers_in_input_files_are_refused(runner, files, tmp_path, command, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, [a.format(path=path, **files) for a in command])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 @pytest.mark.parametrize("blocks", [[[10**7]], [[1, 2], [10**9]]])
 def test_partition_levels_above_the_bound_are_refused(runner, files, tmp_path, blocks):
     path = tmp_path / "part.json"

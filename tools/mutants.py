@@ -83,10 +83,17 @@ MUTANTS = (
         (f"{COUPLING_TESTS}::test_limit_decides_as_the_float_comparison",),
     ),
     Mutant(
-        "stats-walk-ignores-listed-sites",
+        "stats-raw-walk-ignores-listed-sites",
         CAMPAIGN,
-        "homogeneous = not sites",
-        "homogeneous = True",
+        "homogeneous = not sites\n    nd = len(dflt)\n    pos = 0",
+        "homogeneous = True\n    nd = len(dflt)\n    pos = 0",
+        (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
+    ),
+    Mutant(
+        "stats-zero-right-walk-ignores-listed-sites",
+        CAMPAIGN,
+        "homogeneous = not sites\n    nd = len(dflt)\n    words =",
+        "homogeneous = True\n    nd = len(dflt)\n    words =",
         (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
     ),
     Mutant(
@@ -96,26 +103,20 @@ MUTANTS = (
         "lead += (a_l is not RIGHT) - (a_r is not RIGHT)",
         ("tests/test_core.py::test_paths_admit_preceq_matches_the_favourable_completions_to_length_seven",),
     ),
-    # The stats walks read the maximum and the returns off the visit counts.
+    # The raw stats walk reads its maximum off the visit counts; the
+    # zero-right one counts a return, late past `after`, per excursion.
     Mutant(
         "stats-max-off-by-one",
         CAMPAIGN,
-        '"max_pos": visits.index(0) - 1,',
-        '"max_pos": visits.index(0),',
+        "return pos, visits.index(0) - 1",
+        "return pos, visits.index(0)",
         (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
-    ),
-    Mutant(
-        "stats-late-snapshot-before-the-first-part",
-        CAMPAIGN,
-        "        for m in (after, horizon - after):\n            early = visits[0]",
-        "        early = visits[0]\n        for m in (after, horizon - after):\n            pass",
-        (STATS_EDGES,),
     ),
     Mutant(
         "stats-zero-right-late-at-after",
         CAMPAIGN,
-        "            if n > after:\n                returns_after += 1",
-        "            if n >= after:\n                returns_after += 1",
+        "        if n > after:\n            late += 1",
+        "        if n >= after:\n            late += 1",
         (STATS_EDGES, STATS_PAYLOAD),
     ),
     # The walk's one comparison of a word with its limit, on the level read.
@@ -540,8 +541,8 @@ MUTANTS = (
     Mutant(
         "stats-returns-off-the-raw-walks",
         CAMPAIGN,
-        '"returns": _summary([r["returns"] for r in plus]),',
-        '"returns": _summary([r["returns"] for r in raw]),',
+        '"returns": _summary([returns for returns, _ in plus]),',
+        '"returns": _summary([returns for returns, _ in raw]),',
         (STATS_PAYLOAD,),
     ),
     # The environment layer: each lane compared to its own depth, one block
