@@ -36,7 +36,9 @@ from .couplings import load_env, load_partition
 from .verify import check_pair
 
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
-# ten million steps take minutes and about a gigabyte of positions.
+# ten million steps take minutes.  A campaign trial's peak RSS grows by 350-390
+# bytes per step (one shared-uniform and one envelope trial, linear from 10**5
+# to 10**6 steps), so a trial at the bound needs about 4 GB in each worker.
 MAX_STEPS = 10**7
 # Largest --kmax and --N: together they keep every milestone a report prints
 # in decimal under Python's 4300-digit limit.  At kmax 64 and N = 10**6 the

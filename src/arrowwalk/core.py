@@ -389,12 +389,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return all(self.ok.values())
 
-    def first_failure(self) -> Optional[tuple[str, tuple]]:
-        for name in IDENTITY_IDS:
-            if not self.ok.get(name, True):
-                return name, self.witnesses[name]
-        return None
-
 
 def scan_identities(traj: Trajectory) -> IdentityReport:
     """Check the full identity suite at *every* time in one pass.
@@ -526,6 +520,29 @@ def json_int(value: object, name: str) -> int:
     return value
 
 
+def json_prob(value: object, name: str) -> float:
+    """`value` as a float if it is a JSON number in [0, 1], and not a bool or
+    a string; else ValueError naming `name` and the value."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} out of range [0, 1], got {value!r}")
+    return float(value)
+
+
+def json_site(key: str, name: str) -> int:
+    """The site an object key names, if the key is an integer as `str`
+    writes it ("-2", not "-02", "+2" or " 2"), so that no two keys name one
+    site; else ValueError naming `name` and the key."""
+    try:
+        site = int(key)
+    except ValueError:
+        site = None
+    if site is None or str(site) != key:
+        raise ValueError(f'{name} must be an integer written as "3" or "-2", got {key!r}')
+    return site
+
+
 _SYSTEM_KEYS = {
     "explicit": ("kind", "stacks", "default_fill"),
     "ce1-L": ("kind",),
@@ -542,7 +559,8 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     Built-ins:
         {"kind": "ce1-L"}
         {"kind": "ce1-R", "N": 3}
-    Any other key, or an `N` that is not an integer, raises ValueError.
+    Any other key, a site key not written as `str` writes its integer, or
+    an `N` that is not an integer, raises ValueError.
     """
     kind = obj.get("kind") if isinstance(obj, Mapping) else None
     if kind not in _SYSTEM_KEYS:
@@ -551,7 +569,7 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     if kind == "explicit":
         stacks = obj.get("stacks", {})
         return ExplicitSystem(
-            {int(site): prefix for site, prefix in stacks.items()},
+            {json_site(site, "a site in stacks"): prefix for site, prefix in stacks.items()},
             default_fill=obj.get("default_fill", "R"),
         )
     if kind == "ce1-L":

@@ -32,6 +32,8 @@ from .core import (
     Trajectory,
     check_keys,
     json_int,
+    json_prob,
+    json_site,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -131,8 +133,8 @@ class UniformField:
     that each block copies (counter-based generation in the style of Salmon
     et al., SC'11).  Small sites and indexes take their packed bytes from a
     shared table.  The field keeps no memo: `block` builds its hasher
-    afresh, into a throwaway memo, and each `FieldStream` holds one for its
-    stream and its memo.
+    afresh, into a throwaway memo, `value` reads through a throwaway view,
+    and each `FieldStream` holds one hasher for its stream and its memo.
     """
 
     __slots__ = ("seed", "_key", "_packed")
@@ -209,12 +211,8 @@ class UniformField:
         return itertools.chain.from_iterable(map(_UNPACK_8Q, map(digest_of, indexes)))
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
-        """One uniform, hashed afresh: the reference that `FieldStream`
-        memoizes."""
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        q, r = divmod(level - 1, 8)
-        return self.block(stream, site, q)[r]
+        """One uniform, hashed afresh through a view of its own."""
+        return FieldStream(self, stream).value(site, level)
 
 
 class FieldStream:
@@ -310,12 +308,21 @@ def constant_env(p: float) -> CookieEnvironment:
 
 def parse_env(obj: Mapping) -> CookieEnvironment:
     """JSON form: {"sites": {"<x>": [p, ...]}, "default": [p, ...], "tail": 0.5};
-    any other key raises ValueError."""
+    any other key, a site key not written as `str` writes its integer, a
+    list that is not a JSON array, or a p not a JSON number in [0, 1] raises
+    ValueError."""
     check_keys(obj, ("sites", "default", "tail"), "environment")
+
+    def lane(value: object, name: str) -> tuple[float, ...]:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a JSON array of probabilities, got {value!r}")
+        return tuple(json_prob(p, f"a probability in {name}") for p in value)
+
     return CookieEnvironment(
-        {int(s): tuple(lst) for s, lst in obj.get("sites", {}).items()},
-        tuple(obj.get("default", ())),
-        obj.get("tail", 0.5),
+        {json_site(s, "a site in sites"): lane(lst, f"sites[{s!r}]")
+         for s, lst in obj.get("sites", {}).items()},
+        lane(obj.get("default", []), "default"),
+        json_prob(obj.get("tail", 0.5), "tail"),
     )
 
 
@@ -480,10 +487,6 @@ class BlockPartition:
 
     def depth(self) -> int:
         return self._depth
-
-    def block_of(self, level: int) -> tuple[int, ...]:
-        place = self._places.get(level)
-        return (level,) if place is None else place[0]
 
     def block_index(self, block: tuple[int, ...]) -> int:
         """Stable 1-based randomness slot for a block (singletons included)."""

@@ -96,10 +96,6 @@ def make_pair(
     )
 
 
-class _AllFailed(Exception):
-    """Every requested statement has failed: the pass has nothing left to decide."""
-
-
 def _check_ids(checks) -> tuple:
     """A selection of check ids in `STATEMENT_IDS` order, each once, so
     equal selections are equal tuples.  A bare string is not a collection
@@ -134,10 +130,9 @@ class PairChecker:
     `hitting_order`, `max_visits`, `neighbour_interval` and `record_lead`.
     d sums to 0 at every time, and a failure of any of the five at time t
     shows a site with d > 0 left of a site with d < 0 at t.  So the five
-    are decided only from the step where `count_dominance` fails, or from
-    the start when it is not requested; until then a step updates the
-    counts, tests `count_dominance` when d changes sign at L's or R's site,
-    and tests `kth_visit_counts`.
+    are decided only from the step where `count_dominance` fails; until
+    then a step updates the counts, tests `count_dominance` when d changes
+    sign at L's or R's site, and tests `kth_visit_counts`.
 
     A step is two half-steps, L's and R's.  A half-step at a site the
     other walk never reaches within the horizon is skipped, R's right of
@@ -152,7 +147,8 @@ class PairChecker:
     is read off the paths' extremes.  A half-step that is not skipped costs
     O(1), plus an insertion into or removal from a sorted list where d
     changes sign; once the five are decided, a step adds a bisection for
-    `neighbour_interval`.  The pass ends once every statement has failed.
+    `neighbour_interval`.  The pass always runs to the horizon and decides
+    every statement; the selection of checks only picks the results.
 
     Raw paths are validated and scanned for their extremes.  `check_pair`
     passes the visit counts of paths a walk built, `_visits`: those are
@@ -199,187 +195,166 @@ class PairChecker:
         plus: list[int] = []  # sites with d > 0, sorted
         minus: list[int] = []  # sites with d < 0, sorted
 
-        # One flag per statement not yet failed; envelopes and hitting_order
-        # fail together, so they share one.  `late` is set while the five
-        # statements count dominance implies are decided.
-        checks = self.checks
-        on_env = "envelopes" in checks or "hitting_order" in checks
-        on_count = "count_dominance" in checks
-        on_max = "max_visits" in checks
-        on_nbr = "neighbour_interval" in checks
-        on_kth = "kth_visit_counts" in checks
-        on_rec = "record_lead" in checks
-        implied = on_env or on_max or on_nbr or on_rec
-        late = implied and not on_count
-        live = on_env + on_count + on_max + on_nbr + on_kth + on_rec
+        # One flag per statement not yet failed, whatever the selection;
+        # envelopes and hitting_order fail together, so they share one.
+        on_env = on_count = on_max = on_nbr = on_kth = on_rec = True
         failures: dict[str, dict] = {}
 
         def fail(check: str, witness: dict) -> bool:
             """Record the witness; the new value of the check's flag."""
-            nonlocal live
             failures[check] = witness
-            live -= 1
-            if not live:
-                raise _AllFailed
             return False
 
         # per site index: the left neighbour's count at each visit, kept
         # only where both walks reach, since elsewhere half-steps are skipped
         kth: list = [None] * width
-        if on_kth:
-            for i in range(low_r + off, top_l + off + 1):
-                kth[i] = []
+        for i in range(low_r + off, top_l + off + 1):
+            kth[i] = []
 
-        max_l = max_r = min_l = min_r = 0  # running extremes, kept while late
         # some site ever had d > 0; R's skipped first visit right of top_l did
         hyp_plus = top_r > top_l
 
-        try:
-            for t in range(horizon + 1):
-                a = pos_l[t]
-                b = pos_r[t]
-                flip = False
+        for t in range(horizon + 1):
+            a = pos_l[t]
+            b = pos_r[t]
+            flip = False
 
-                # L's half-step, then R's: each updates its walk's count,
-                # the sign of d at its site, and its k-th visit record.  d
-                # falls at L's site and rises at R's, so only there can its
-                # sign change, and nowhere when they share a site.  A
-                # half-step at a site the other walk never reaches is
-                # skipped: no statement reads it (see the class docstring).
-                if a >= low_r:
-                    ia = a + off
-                    ka = nl[ia] + 1
-                    nl[ia] = ka
-                    if a != b and (on_count or on_nbr):
-                        d = nr[ia] - ka
-                        if d == 0:
-                            plus.pop(bisect_left(plus, a))
-                            flip = True
-                        elif d == -1:
-                            insort(minus, a)
-                            flip = True
-                    if on_kth:
-                        # The first path to make its k-th visit to a site
-                        # records the left neighbour's count; the other
-                        # compares.
-                        seen = kth[ia]
-                        c = nl[ia - 1]
-                        if len(seen) < ka:
-                            seen.append(c)
-                        elif seen[ka - 1] > c:
-                            on_kth = fail("kth_visit_counts", {
-                                "t": t, "x": a, "k": ka,
-                                "detail": f"R saw left neighbour {seen[ka - 1]} times vs L {c}",
-                            })
-                if b <= top_l:
-                    ib = b + off
-                    kb = nr[ib] + 1
-                    nr[ib] = kb
-                    if a != b and (on_count or on_nbr):
-                        d = kb - nl[ib]
-                        if d == 0:
-                            minus.pop(bisect_left(minus, b))
-                            flip = True
-                        elif d == 1:
-                            insort(plus, b)
-                            hyp_plus = flip = True
-                    if on_kth:
-                        seen = kth[ib]
-                        c = nr[ib - 1]
-                        if nl[ib] < kb:  # L has made fewer than kb visits here
-                            seen.append(c)
-                        elif c > seen[kb - 1]:
-                            on_kth = fail("kth_visit_counts", {
-                                "t": t, "x": b, "k": kb,
-                                "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",
-                            })
+            # L's half-step, then R's: each updates its walk's count,
+            # the sign of d at its site, and its k-th visit record.  d
+            # falls at L's site and rises at R's, so only there can its
+            # sign change, and nowhere when they share a site.  A
+            # half-step at a site the other walk never reaches is
+            # skipped: no statement reads it (see the class docstring).
+            if a >= low_r:
+                ia = a + off
+                ka = nl[ia] + 1
+                nl[ia] = ka
+                if a != b and (on_count or on_nbr):
+                    d = nr[ia] - ka
+                    if d == 0:
+                        plus.pop(bisect_left(plus, a))
+                        flip = True
+                    elif d == -1:
+                        insort(minus, a)
+                        flip = True
+                if on_kth:
+                    # The first path to make its k-th visit to a site
+                    # records the left neighbour's count; the other
+                    # compares.
+                    seen = kth[ia]
+                    c = nl[ia - 1]
+                    if len(seen) < ka:
+                        seen.append(c)
+                    elif seen[ka - 1] > c:
+                        on_kth = fail("kth_visit_counts", {
+                            "t": t, "x": a, "k": ka,
+                            "detail": f"R saw left neighbour {seen[ka - 1]} times vs L {c}",
+                        })
+            if b <= top_l:
+                ib = b + off
+                kb = nr[ib] + 1
+                nr[ib] = kb
+                if a != b and (on_count or on_nbr):
+                    d = kb - nl[ib]
+                    if d == 0:
+                        minus.pop(bisect_left(minus, b))
+                        flip = True
+                    elif d == 1:
+                        insort(plus, b)
+                        hyp_plus = flip = True
+                if on_kth:
+                    seen = kth[ib]
+                    c = nr[ib - 1]
+                    if nl[ib] < kb:  # L has made fewer than kb visits here
+                        seen.append(c)
+                    elif c > seen[kb - 1]:
+                        on_kth = fail("kth_visit_counts", {
+                            "t": t, "x": b, "k": kb,
+                            "detail": f"R saw left neighbour {c} times vs L {seen[kb - 1]}",
+                        })
 
-                if flip and on_count and plus and minus and plus[0] < minus[-1]:
-                    x = plus[0]
-                    on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {minus[-1]}"})
-                    if implied:
-                        # Count dominance held up to t - 1, and so did
-                        # the five: decide them from step t on.
-                        late = True
-                        max_l, min_l = max(pos_l[:t]), min(pos_l[:t])
-                        max_r, min_r = max(pos_r[:t]), min(pos_r[:t])
+            if flip and on_count and plus and minus and plus[0] < minus[-1]:
+                x = plus[0]
+                on_count = fail("count_dominance", {"t": t, "x": x, "detail": f"R leads visits at {x} but trails at {minus[-1]}"})
+                # Count dominance held up to t - 1, and so did the five:
+                # decide them from step t on, keeping the running extremes.
+                max_l, min_l = max(pos_l[:t]), min(pos_l[:t])
+                max_r, min_r = max(pos_r[:t]), min(pos_r[:t])
 
-                if late:
-                    # Records and envelopes change only where an extreme
-                    # moves.  A unit-step path from 0 has hit exactly the
-                    # sites between its running extremes, so R trails L's
-                    # envelope exactly when L has reached a positive site
-                    # (or R a negative one) first.
-                    if b > max_r:
-                        if on_rec and b < a:
-                            on_rec = fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
-                        max_r = b
-                    if a > max_l:
-                        max_l = a
-                        if on_env and max_r < a:
-                            failures["hitting_order"] = {"t": t, "x": a, "detail": "L reached a positive site before R"}
-                            on_env = fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={a}"})
-                    elif a < min_l:
-                        if on_rec and a > b:
-                            on_rec = fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
-                        min_l = a
-                    if b < min_r:
-                        min_r = b
-                        if on_env and b < min_l:
-                            failures["hitting_order"] = {"t": t, "x": b, "detail": "R reached a negative site before L"}
-                            on_env = fail("envelopes", {"t": t, "detail": f"running min R={b} < L={min_l}"})
+            if not on_count:
+                # Records and envelopes change only where an extreme
+                # moves.  A unit-step path from 0 has hit exactly the
+                # sites between its running extremes, so R trails L's
+                # envelope exactly when L has reached a positive site
+                # (or R a negative one) first.
+                if b > max_r:
+                    if on_rec and b < a:
+                        on_rec = fail("record_lead", {"t": t, "detail": f"R={b} < L={a} at R max record"})
+                    max_r = b
+                if a > max_l:
+                    max_l = a
+                    if on_env and max_r < a:
+                        failures["hitting_order"] = {"t": t, "x": a, "detail": "L reached a positive site before R"}
+                        on_env = fail("envelopes", {"t": t, "detail": f"running max R={max_r} < L={a}"})
+                elif a < min_l:
+                    if on_rec and a > b:
+                        on_rec = fail("record_lead", {"t": t, "detail": f"L={a} > R={b} at L min record"})
+                    min_l = a
+                if b < min_r:
+                    min_r = b
+                    if on_env and b < min_l:
+                        failures["hitting_order"] = {"t": t, "x": b, "detail": "R reached a negative site before L"}
+                        on_env = fail("envelopes", {"t": t, "detail": f"running min R={b} < L={min_l}"})
 
-                    if on_max:
-                        i = max_r + off
-                        if nr[i] < nl[i]:
-                            on_max = fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
-                        else:
-                            i = min_l + off
-                            if nl[i] < nr[i]:
-                                on_max = fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
+                if on_max:
+                    i = max_r + off
+                    if nr[i] < nl[i]:
+                        on_max = fail("max_visits", {"t": t, "x": max_r, "detail": "R visits its running max less than L does"})
+                    else:
+                        i = min_l + off
+                        if nl[i] < nr[i]:
+                            on_max = fail("max_visits", {"t": t, "x": min_l, "detail": "L visits its running min less than R does"})
 
-                    if on_nbr:
-                        # R trails right of where it leads: a pair of such
-                        # neighbours appears only where d changes sign, at
-                        # L's site, then at R's.  The counts are read from
-                        # the arrays, not the half-steps: a skipped one left
-                        # its walk's count stale at a site where the other
-                        # walk's count is 0, as it is one site further out,
-                        # so neither test there can fire.
-                        x = None
-                        if flip:
-                            i = a + off
+                if on_nbr:
+                    # R trails right of where it leads: a pair of such
+                    # neighbours appears only where d changes sign, at
+                    # L's site, then at R's.  The counts are read from
+                    # the arrays, not the half-steps: a skipped one left
+                    # its walk's count stale at a site where the other
+                    # walk's count is 0, as it is one site further out,
+                    # so neither test there can fire.
+                    x = None
+                    if flip:
+                        i = a + off
+                        d = nr[i] - nl[i]
+                        if d < 0:
+                            if nr[i - 1] > nl[i - 1]:
+                                x = a
+                        elif d > 0 and nr[i + 1] < nl[i + 1]:
+                            x = a + 1
+                        if x is None:
+                            i = b + off
                             d = nr[i] - nl[i]
                             if d < 0:
                                 if nr[i - 1] > nl[i - 1]:
-                                    x = a
+                                    x = b
                             elif d > 0 and nr[i + 1] < nl[i + 1]:
-                                x = a + 1
-                            if x is None:
-                                i = b + off
-                                d = nr[i] - nl[i]
-                                if d < 0:
-                                    if nr[i - 1] > nl[i - 1]:
-                                        x = b
-                                elif d > 0 and nr[i + 1] < nl[i + 1]:
-                                    x = b + 1
-                        if x is not None:
-                            on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
-                        elif b < a and plus:
-                            i = bisect_left(plus, b)
-                            if i < len(plus) and plus[i] < a:
-                                y0 = plus[i]
-                                j = bisect_right(minus, a) - 1
-                                if j >= 0 and minus[j] > y0:
-                                    on_nbr = fail("neighbour_interval", {
-                                        "t": t, "x": minus[j],
-                                        "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
-                                    })
-        except _AllFailed:
-            pass
+                                x = b + 1
+                    if x is not None:
+                        on_nbr = fail("neighbour_interval", {"t": t, "x": x, "detail": "R leads at left neighbour but trails here"})
+                    elif b < a and plus:
+                        i = bisect_left(plus, b)
+                        if i < len(plus) and plus[i] < a:
+                            y0 = plus[i]
+                            j = bisect_right(minus, a) - 1
+                            if j >= 0 and minus[j] > y0:
+                                on_nbr = fail("neighbour_interval", {
+                                    "t": t, "x": minus[j],
+                                    "detail": f"R trails at {minus[j]} inside lead interval [{y0}, {a}]",
+                                })
 
-        # A check that passed ran to the horizon, so its running extremes
-        # are the paths' extremes.  Both paths make their first visit to 0
+        # The pass ran to the horizon, so a check that passed saw the
+        # paths' extremes.  Both paths make their first visit to 0
         # at t = 0, so kth_visit_counts's hypothesis always fires.
         vacuous = {
             "envelopes": False,

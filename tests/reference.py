@@ -6,7 +6,8 @@ what each guards:
 
 - `check_identities`, with `occupation` (its `LocalTimeTable`) and
   `stack_counts`: the bookkeeping identity suite at one time, from the
-  occupation table.  It guards `core.scan_identities`, the one-pass scan.
+  occupation table.  It guards `core.scan_identities`, the one-pass scan;
+  `first_failure` names the identity a report flags first.
 - `check_relation`: two systems compared cell by cell over a window, in
   either stack order.  On the favourable completions of two paths it guards
   `core.paths_admit_preceq`; on sampled systems, the couplings' order.
@@ -31,8 +32,10 @@ what each guards:
   `sorted_env(..., descending=True)`.
 - `reference_pick`, `reference_chain`, `reference_block_family_cell` and
   `reference_swap_chain_cell`: partition-coupled cells from field values,
-  with stack chains enumerated afresh.  They guard `BlockSampledSystem` and
-  `ChainEndSystem`: their plans, rows, realized blocks and word cells.
+  with stack chains enumerated afresh and each level's block (`block_of`)
+  found by a scan of the partition's blocks.  They guard
+  `BlockSampledSystem` and `ChainEndSystem`: their plans, rows, realized
+  blocks and word cells.
 - `ReferencePairChecker`: the flag-driven one-pass checker that
   `PairChecker.run` replaced.  It decides every requested statement at
   every step, keeps the difference profile d = n_R - n_L in an array, and
@@ -227,6 +230,15 @@ def check_identities(traj: Trajectory, t: Optional[int] = None) -> IdentityRepor
             fail("reciprocity", (x, lhs, rhs))
 
     return IdentityReport(t, ok, witnesses)
+
+
+def first_failure(report: IdentityReport) -> Optional[tuple[str, tuple]]:
+    """The first identity `report` flags, in `IDENTITY_IDS` order, with its
+    witness; None when every identity holds."""
+    for name in IDENTITY_IDS:
+        if not report.ok.get(name, True):
+            return name, report.witnesses[name]
+    return None
 
 
 def check_relation(
@@ -432,6 +444,12 @@ def reference_reversed_env(env, partition):
 # chains enumerated afresh.  The systems under test must agree cell by cell.
 
 
+def block_of(partition, level):
+    """The block of `partition` that holds `level`: a listed block, else the
+    singleton (level,)."""
+    return next((b for b in partition.blocks if level in b), (level,))
+
+
 def prefix_lefts(stack):
     return list(itertools.accumulate(1 if a is LEFT else 0 for a in stack))
 
@@ -447,7 +465,7 @@ def reference_pick(probs, u):
 
 
 def reference_block_family_cell(env, base_env, partition, field, stream, site, level):
-    block = partition.block_of(level)
+    block = block_of(partition, level)
     slot = partition.block_index(block)
     u_total = field.value((stream, "total"), site, slot)
     y = reference_pick(poisson_binomial([base_env.prob(site, l) for l in block]), u_total)
@@ -465,7 +483,7 @@ def reference_block_family_cell(env, base_env, partition, field, stream, site, l
 
 
 def reference_swap_chain_cell(env, env2, partition, field, stream, site, level, side):
-    block = partition.block_of(level)
+    block = block_of(partition, level)
     if len(block) == 1 and block[0] > partition.depth():
         u = field.value((stream, "cell"), site, level)
         return RIGHT if u < env.prob(site, level) else LEFT

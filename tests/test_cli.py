@@ -121,6 +121,37 @@ def test_non_integer_numbers_in_input_files_are_refused(runner, files, tmp_path,
     assert message in result.output
 
 
+# Each refused before any walk; the short runs bound the cost of a refusal missed.
+STATS = ["stats", "--env", "{path}", "--trials", "1", "--horizon", "10"]
+RUN = ["run", "--system", "{path}", "--horizon", "5"]
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    (STATS, {"default": [True, 0.5]}, "a probability in default must be a number, got True"),
+    (STATS, {"default": [None]}, "a probability in default must be a number, got None"),
+    (STATS, {"default": [1.5]}, "a probability in default out of range [0, 1], got 1.5"),
+    (STATS, {"tail": "0.5"}, "tail must be a number, got '0.5'"),
+    (STATS, {"sites": {"1": ["0.5"]}}, "a probability in sites['1'] must be a number, got '0.5'"),
+    (STATS, {"sites": {"1": "0.5"}},
+     "sites['1'] must be a JSON array of probabilities, got '0.5'"),
+    (STATS, {"default": "0.5"}, "default must be a JSON array of probabilities, got '0.5'"),
+    # Two keys that would name one site, and the second would drop the first.
+    (STATS, {"sites": {"1": [0.1], "01": [0.9]}},
+     'a site in sites must be an integer written as "3" or "-2", got \'01\''),
+    (STATS, {"sites": {" 2 ": [0.1]}},
+     'a site in sites must be an integer written as "3" or "-2", got \' 2 \''),
+    (RUN, {"kind": "explicit", "stacks": {"1": "R", "01": "L"}},
+     'a site in stacks must be an integer written as "3" or "-2", got \'01\''),
+])
+def test_environment_and_stack_entries_of_another_kind_are_refused(runner, files, tmp_path, command, obj,
+                                                                    message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, [a.format(path=path, **files) for a in command])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 @pytest.mark.parametrize("blocks", [[[10**7]], [[1, 2], [10**9]]])
 def test_partition_levels_above_the_bound_are_refused(runner, files, tmp_path, blocks):
     path = tmp_path / "part.json"

@@ -28,7 +28,7 @@ from arrowwalk.core import (
     zero_right_transform,
 )
 from arrowwalk.counterexamples import Ce1LeftSystem
-from reference import check_identities, check_relation, occupation, stack_counts
+from reference import check_identities, check_relation, first_failure, occupation, stack_counts
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_identities_flag_corrupted_paths():
     bad = Trajectory([0, 1, 1], {0: 1, 1: 2})
     report = check_identities(bad)
     assert not report.passed
-    assert report.first_failure() is not None
+    assert first_failure(report) is not None
 
     jump = Trajectory([0, 1, 3], {0: 1, 1: 1, 3: 1})
     assert not check_identities(jump).passed
@@ -306,7 +306,7 @@ def test_scan_first_failure_time_matches_oracle(path, data):
     else:
         assert not scan.passed
         assert scan.t == full_first
-        name, _ = scan.first_failure()
+        name, _ = first_failure(scan)
         assert not check_identities(traj, full_first).ok[name]
 
 
@@ -328,7 +328,7 @@ def test_scan_first_foreign_arrow_matches_oracle(walked, attached, horizon):
     else:
         assert not scan.passed
         assert scan.t == full_first
-        name, (site, level, char) = scan.first_failure()
+        name, (site, level, char) = first_failure(scan)
         assert name == ("used_right" if char == "R" else "used_left")
         assert not check_identities(traj, full_first).ok[name]
         # the witness cell is where the two systems part on this walk

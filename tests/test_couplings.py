@@ -58,6 +58,7 @@ from arrowwalk.couplings import (
 )
 from reference import (
     _eta_threshold,
+    block_of,
     check_relation,
     prefix_lefts,
     reference_block,
@@ -456,6 +457,11 @@ def test_env_json_roundtrip(tmp_path):
     assert load_env(str(path)) == env
 
 
+def test_parse_env_reads_integers_and_signed_site_keys_as_written():
+    env = parse_env({"sites": {"-2": [0, 1], "10": [0.25]}, "default": [1], "tail": 0})
+    assert env == CookieEnvironment({-2: (0.0, 1.0), 10: (0.25,)}, (1.0,), 0.0)
+
+
 def test_env_validation():
     with pytest.raises(ValueError, match="out of range"):
         parse_env({"sites": {}, "default": [1.5], "tail": 0.5})
@@ -605,10 +611,10 @@ def test_shared_pair_rejects_unordered_envs():
 def test_partition_lookup():
     part = BlockPartition(((1, 2), (3,)))
     assert part.depth() == 3
-    assert part.block_of(1) == (1, 2)
-    assert part.block_of(2) == (1, 2)
-    assert part.block_of(3) == (3,)
-    assert part.block_of(9) == (9,)
+    assert block_of(part, 1) == (1, 2)
+    assert block_of(part, 2) == (1, 2)
+    assert block_of(part, 3) == (3,)
+    assert block_of(part, 9) == (9,)
     assert part.block_index((1, 2)) == 1
     assert part.block_index((3,)) == 2
     assert part.block_index((4,)) == 7
@@ -697,7 +703,7 @@ def test_sorted_env_pads_each_lane_only_to_the_partition():
     assert low.sites[-1] == (0.6, 0.9, 0.6, 0.6, 0.6, 0.6)
     for site in (-1, 0, 3, 7):
         for level in range(1, 14):
-            block = part.block_of(level)
+            block = block_of(part, level)
             want = sorted(env.prob(site, l) for l in block)[block.index(level)]
             assert low.prob(site, level) == want, (site, level)
 
@@ -1242,7 +1248,7 @@ def test_partition_word_cells_decide_at_each_limit_as_the_float_rule(site, q):
     nb = len(EDGE_PARTITION.blocks)
     words = range(8 * q, 8 * q + 8)
     # The level each word decides, None where no such cell reads it.
-    singles = [w - nb if w > nb and EDGE_PARTITION.block_of(w - nb) == (w - nb,) else None for w in words]
+    singles = [w - nb if w > nb and block_of(EDGE_PARTITION, w - nb) == (w - nb,) else None for w in words]
     shared = [w + 1 if w + 1 > EDGE_PARTITION.depth() else None for w in words]
     family_limits = [level and _limit_le(1.0 - EDGE_LOW.prob(site, level)) for level in singles]
     chain_limits = [level and _limit(EDGE_LOW.prob(site, level)) for level in shared]

@@ -60,6 +60,7 @@ TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
 STATS_PAYLOAD = f"{CAMPAIGN_TESTS}::test_stats_payloads_match_the_reference_stats"
 ENV_REFERENCES = f"{COUPLING_TESTS}::test_environment_comparisons_match_the_global_depth_references"
 WORD_CELLS = f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"
+INPUT_REFUSALS = "tests/test_cli.py::test_environment_and_stack_entries_of_another_kind_are_refused"
 FAMILY_RULE = "self._first, self._shift, self._under = 1, len(partition.blocks), LEFT"
 CHAIN_RULE = "self._first, self._shift, self._under = partition.depth() + 1, -1, RIGHT"
 
@@ -420,8 +421,8 @@ MUTANTS = (
     Mutant(
         "checker-implied-never-decided",
         VERIFY,
-        "                    if implied:\n",
-        "                    if False:\n",
+        "            if not on_count:\n",
+        "            if False:\n",
         (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
@@ -441,8 +442,8 @@ MUTANTS = (
     Mutant(
         "checker-adjacency-skips-r-site",
         VERIFY,
-        "                            if x is None:\n",
-        "                            if False:\n",
+        "                        if x is None:\n",
+        "                        if False:\n",
         (TO_EIGHT, TRIAL_REFERENCE),
     ),
     Mutant(
@@ -514,6 +515,65 @@ MUTANTS = (
         "hyp_plus = top_r > top_l",
         "hyp_plus = False",
         (TO_EIGHT,),
+    ),
+    # Input files: a probability is a JSON number in [0, 1], a lane a JSON
+    # array, and a site key an integer as `str` writes it; each refusal names
+    # its key and value.
+    Mutant(
+        "prob-accepts-bools",
+        CORE,
+        "    if type(value) not in (int, float):\n",
+        "    if not isinstance(value, (int, float)):\n",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "prob-range-left-to-the-environment",
+        CORE,
+        "    if not 0.0 <= value <= 1.0:\n",
+        "    if False:\n",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "env-lane-probabilities-unread",
+        COUPLINGS,
+        'json_prob(p, f"a probability in {name}") for p in value',
+        "p for p in value",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "env-tail-unread",
+        COUPLINGS,
+        'json_prob(obj.get("tail", 0.5), "tail"),',
+        'obj.get("tail", 0.5),',
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "env-lane-of-another-kind-iterated",
+        COUPLINGS,
+        "        if not isinstance(value, list):\n",
+        "        if False:\n",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "env-site-key-read-by-int",
+        COUPLINGS,
+        'json_site(s, "a site in sites")',
+        "int(s)",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "stacks-site-key-read-by-int",
+        CORE,
+        'json_site(site, "a site in stacks")',
+        "int(site)",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "site-key-spelling-unchecked",
+        CORE,
+        "if site is None or str(site) != key:",
+        "if site is None:",
+        (INPUT_REFUSALS,),
     ),
     # Where the layers meet: a trial's row and a stats payload against the
     # same rebuilt from the references alone.
