@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, MutableSequence, Optional, Sequence
 
 from .core import zero_right_walk
 from .counterexamples import build_ce1, build_ce2, ce1_milestones, lead_sets
@@ -366,30 +366,32 @@ class CampaignReport:
                 fh.write(f"{row['trial']},{name},{row['checks'][name]['status']}\n")
 
 
+def _map_trials(trial: Callable[[int], object], trials: int, workers: int) -> list:
+    """`[trial(i) for i in range(trials)]`, farmed out to worker processes
+    when `workers` > 1: at most one per CPU and per trial, in about four
+    batches per worker.  The pool yields results in trial order, so the list
+    is the same for any worker count.  `trial` must pickle, as a module
+    function or a `functools.partial` of one does."""
+    workers = min(workers, os.cpu_count() or 1, trials)
+    if workers <= 1:
+        return [trial(i) for i in range(trials)]
+    # imported here: it pulls in multiprocessing, which a serial run and
+    # every CLI call that farms out nothing would pay for
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(trials), chunksize=-(-trials // (workers * 4))))
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every trial of a campaign and aggregate the results.
 
-    Trials are independent given their index, so they may be farmed out to
-    worker processes, at most one per CPU and per trial, in about four
-    batches per worker; the pool yields rows in trial order either way,
-    making the report identical for any worker count.
+    Trials are independent given their index, so `_map_trials` may farm
+    them out to `config.workers` processes; it yields rows in trial order
+    either way, making the report identical for any worker count.
     """
     started = time.perf_counter()
-    trials_n = config.effective_trials()
-    workers = min(config.workers, os.cpu_count() or 1, trials_n)
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which a serial run
-        # and every CLI call that runs no campaign would pay for
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                functools.partial(run_trial, config),
-                range(trials_n),
-                chunksize=-(-trials_n // (workers * 4)),
-            ))
-    else:
-        rows = [run_trial(config, i) for i in range(trials_n)]
+    rows = _map_trials(functools.partial(run_trial, config), config.effective_trials(), config.workers)
 
     checks = config.checks or STATEMENT_IDS
     check_summary: dict[str, dict] = {}
@@ -429,6 +431,35 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 # directional statistics for transformed walks
 
 
+def _capped_counts(
+    limits: tuple[dict, tuple[int, ...], int], size: int
+) -> tuple[dict, tuple[int, ...], MutableSequence[int]]:
+    """The listed lanes and the default lane of `limits` (`_word_limits` with
+    `_limit`), each padded with two copies of the tail's limit, and `size`
+    zero counts to index by position.
+
+    A stats walk reads a site's count of earlier departures only to pick
+    the limit of its step, and every count at or above the length of the
+    site's list picks the tail.  So a site's count stops at that length + 1,
+    where its padded lane ends, and the limit of count c is lane[c].  It
+    stops above the list, not at it, so that a site left at least once,
+    even one with an empty list, never counts 0.  Counts up to 255, those
+    of an environment at most 254 levels deep, fit a `bytearray`: one byte
+    per position.  Deeper ones take an `array('I')`.  Each lane is padded
+    past its own list, not past the environment's depth, so that one deep
+    list does not pad every listed site to its length."""
+    sites, dflt, tail = limits
+    pad = (tail, tail)
+    if max([len(dflt), *map(len, sites.values())]) < 255:
+        counts = bytearray(size)
+    else:
+        # imported here: a shared library, whose load every CLI call would pay
+        from array import array
+
+        counts = array("I", [0]) * size
+    return {site: lst + pad for site, lst in sites.items()}, dflt + pad, counts
+
+
 def _raw_walk(
     limits: tuple[dict, tuple[int, ...], int],
     field: UniformField,
@@ -443,32 +474,29 @@ def _raw_walk(
     order draws from the same law as sampling the system cell by cell; it
     just skips the per-site bookkeeping and runs much faster.  A step goes
     Right when its word is below the cell's limit, which is exactly when
-    its uniform is below the cell's probability.  A unit-step path from 0
-    visits every site between 0 and its maximum and none above, so the
-    maximum is one below the first site never visited.
+    its uniform is below the cell's probability.  Each position keeps its
+    departures, capped by `_capped_counts`.  To pass a site the walk must
+    leave it, so the first site from 0 up that was never left is the
+    maximum when the walk ends there, and one above the maximum otherwise.
     """
-    sites, dflt, tail = limits
-    homogeneous = not sites
-    nd = len(dflt)
+    lanes, dflt, left = _capped_counts(limits, 2 * horizon + 1)
+    listed = bool(lanes)
+    lane, cap = dflt, len(dflt) - 1
     pos = 0
-    # Visit counts by position: the walk stays in [-horizon, horizon], a
-    # negative position indexing from the end of the list, and slot
-    # horizon + 1 is the spare one.
-    visits = [0] * (2 * horizon + 2)
-    visits[0] = 1
+    # The walk stays in [-horizon, horizon], a negative position indexing
+    # from the end of the counts.
     for a in itertools.islice(field.words(stream, 0), horizon):
-        k = visits[pos]
-        if homogeneous:
-            limit = dflt[k - 1] if k <= nd else tail
-        else:  # as `env.prob`: the site's list or the default, then the tail
-            lst = sites.get(pos, dflt)
-            limit = lst[k - 1] if k <= len(lst) else tail
-        if a < limit:
+        if listed:
+            lane = lanes.get(pos, dflt)
+            cap = len(lane) - 1
+        c = left[pos]
+        if c < cap:
+            left[pos] = c + 1
+        if a < lane[c]:
             pos += 1
         else:
             pos -= 1
-        visits[pos] += 1
-    return pos, visits.index(0) - 1
+    return pos, max(left.index(0) - 1, pos)
 
 
 def _zero_right_returns(
@@ -482,33 +510,33 @@ def _zero_right_returns(
     `_raw_walk` whose steps from the origin are forced Right, as under the
     zero-right transform.  A forced step takes no word, so the walk goes one
     excursion above 0 at a time, each as long as twice its down steps, and
-    counts a return, late when past `after`, where an excursion ends."""
-    sites, dflt, tail = limits
-    homogeneous = not sites
-    nd = len(dflt)
+    counts a return, late when past `after`, where an excursion ends.  The
+    counts are capped as in `_raw_walk`.  Above 0 every visit starts with an
+    arrival, so the departures a position keeps count its earlier
+    arrivals."""
+    lanes, dflt, left = _capped_counts(limits, horizon + 1)  # slot 0 goes unread
+    listed = bool(lanes)
+    lane, cap = dflt, len(dflt) - 1
     words = field.words(stream, 0)
-    visits = [0] * (horizon + 1)  # by position in [0, horizon]; slot 0 goes unread
     returns = late = 0
     n = 0  # steps taken, counted where the walk is at 0
     while n < horizon:
         pos = 1  # the forced step
-        visits[1] += 1
         down = 0
         for a in itertools.islice(words, horizon - n - 1):
-            k = visits[pos]
-            if homogeneous:
-                limit = dflt[k - 1] if k <= nd else tail
-            else:
-                lst = sites.get(pos, dflt)
-                limit = lst[k - 1] if k <= len(lst) else tail
-            if a < limit:
+            if listed:
+                lane = lanes.get(pos, dflt)
+                cap = len(lane) - 1
+            c = left[pos]
+            if c < cap:
+                left[pos] = c + 1
+            if a < lane[c]:
                 pos += 1
             else:
                 pos -= 1
                 down += 1
                 if not pos:
                     break
-            visits[pos] += 1
         else:  # the horizon, inside the excursion
             break
         returns += 1
@@ -518,30 +546,45 @@ def _zero_right_returns(
     return returns, late
 
 
+def _stats_trial(
+    limits: tuple[dict, tuple[int, ...], int], seed: int, horizon: int, after: int, trial: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Stats trial `trial`: its raw walk's end and maximum, and its
+    zero-right walk's returns and late returns."""
+    field = UniformField(seed)
+    return (
+        _raw_walk(limits, field, ("stats", trial, "raw"), horizon),
+        _zero_right_returns(limits, field, ("stats", trial, "plus"), horizon, after),
+    )
+
+
 def speed_and_recurrence_stats(
     env: CookieEnvironment,
     trials: int,
     horizon: int,
     seed: int = 0,
     after: int = 0,
+    workers: int = 1,
 ) -> dict:
     """Directional summary of walks in systems sampled from `env`: endpoint
     speed and running maximum of the plain walk (`_raw_walk`), and returns
     to the origin (total, after the burn-in time `after`, and as a
-    histogram) of the zero-right transformed walk (`_zero_right_returns`)."""
+    histogram) of the zero-right transformed walk (`_zero_right_returns`).
+    Trials are independent given their index, so `_map_trials` may farm
+    them out to `workers` processes; the payload is the same for any
+    worker count."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= after <= horizon:
         raise ValueError(f"after must be in [0, {horizon}], got {after}")
-    field = UniformField(seed)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     limits = _word_limits(env, _limit)
-    raw = [_raw_walk(limits, field, ("stats", i, "raw"), horizon) for i in range(trials)]
-    plus = [
-        _zero_right_returns(limits, field, ("stats", i, "plus"), horizon, after)
-        for i in range(trials)
-    ]
+    raw, plus = zip(*_map_trials(
+        functools.partial(_stats_trial, limits, seed, horizon, after), trials, workers
+    ))
     histogram = Counter(returns for returns, _ in plus)
     return {
         "schema": "arrowwalk-stats-v1",

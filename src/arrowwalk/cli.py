@@ -38,7 +38,9 @@ from .verify import check_pair
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
 # ten million steps take minutes.  A campaign trial's peak RSS grows by 350-390
 # bytes per step (one shared-uniform and one envelope trial, linear from 10**5
-# to 10**6 steps), so a trial at the bound needs about 4 GB in each worker.
+# to 10**6 steps), so a trial at the bound needs about 4 GB in each worker.  A
+# stats trial's grows by about 2 bytes per step, one byte of counts per
+# position its walks reach, so 20 MB at the bound.
 MAX_STEPS = 10**7
 # Largest --kmax and --N: together they keep every milestone a report prints
 # in decimal under Python's 4300-digit limit.  At kmax 64 and N = 10**6 the
@@ -299,14 +301,15 @@ def campaign(ctx, trials, workers, no_timestamp, out, dump_trials, **trial_optio
 @click.option("--horizon", default=10000, show_default=True, type=click.IntRange(min=1, max=MAX_STEPS))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--after", default=0, show_default=True, type=click.IntRange(min=0), help="Burn-in time for the late-return count.")
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", default=None)
-def stats(env_path, trials, horizon, seed, after, out) -> None:
+def stats(env_path, trials, horizon, seed, after, workers, out) -> None:
     """Speed and running-maximum statistics of sampled walks, plus return
     counts of their zero-right transforms."""
     env = _load(load_env, env_path, "environment")
     if after > horizon:
         raise click.UsageError(f"--after must be <= --horizon, got {after} > {horizon}")
-    payload = speed_and_recurrence_stats(env, trials, horizon, seed, after)
+    payload = speed_and_recurrence_stats(env, trials, horizon, seed, after, workers)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 

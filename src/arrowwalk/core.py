@@ -530,6 +530,29 @@ def json_prob(value: object, name: str) -> float:
     return float(value)
 
 
+def json_array(value: object, name: str, items: str) -> list:
+    """`value` if it is a JSON array; else ValueError naming `name`, what
+    the array holds, and the value."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array of {items}, got {value!r}")
+    return value
+
+
+def json_object(value: object, name: str, items: str) -> Mapping:
+    """`value` if it is a JSON object; else ValueError naming `name`, what
+    the object holds, and the value."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a JSON object of {items}, got {value!r}")
+    return value
+
+
+def json_arrow(value: object, name: str) -> Arrow:
+    """The arrow of "L" or "R"; else ValueError naming `name` and the value."""
+    if value not in ("L", "R"):
+        raise ValueError(f'{name} must be "L" or "R", got {value!r}')
+    return Arrow.from_char(value)
+
+
 def json_site(key: str, name: str) -> int:
     """The site an object key names, if the key is an integer as `str`
     writes it ("-2", not "-02", "+2" or " 2"), so that no two keys name one
@@ -559,18 +582,27 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     Built-ins:
         {"kind": "ce1-L"}
         {"kind": "ce1-R", "N": 3}
-    Any other key, a site key not written as `str` writes its integer, or
-    an `N` that is not an integer, raises ValueError.
+    Any other key, `stacks` not an object, a site key not written as `str`
+    writes its integer, a stack not a string or array of "L" and "R", a
+    `default_fill` other than "L" or "R", or an `N` that is not an integer
+    raises ValueError.
     """
     kind = obj.get("kind") if isinstance(obj, Mapping) else None
     if kind not in _SYSTEM_KEYS:
         raise ValueError(f"unknown system kind {kind!r}")
     check_keys(obj, _SYSTEM_KEYS[kind], f"{kind} system")
     if kind == "explicit":
-        stacks = obj.get("stacks", {})
+
+        def stack(value: object, name: str) -> tuple[Arrow, ...]:
+            if not isinstance(value, (str, list)):
+                raise ValueError(f'{name} must be a string or array of "L" and "R", got {value!r}')
+            return tuple(json_arrow(a, f"an arrow in {name}") for a in value)
+
+        stacks = json_object(obj.get("stacks", {}), "stacks", "arrow stacks")
         return ExplicitSystem(
-            {json_site(site, "a site in stacks"): prefix for site, prefix in stacks.items()},
-            default_fill=obj.get("default_fill", "R"),
+            {json_site(site, "a site in stacks"): stack(prefix, f"stacks[{site!r}]")
+             for site, prefix in stacks.items()},
+            default_fill=json_arrow(obj.get("default_fill", "R"), "default_fill"),
         )
     if kind == "ce1-L":
         from .counterexamples import Ce1LeftSystem
@@ -581,9 +613,26 @@ def parse_system(obj: Mapping) -> ArrowSystem:
     return Ce1RightSystem(json_int(obj.get("N", 3), "N"))
 
 
-def load_system(path: str) -> ArrowSystem:
+def _unrepeated(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of `pairs`, refusing a key it holds twice, of which
+    `json.load` would keep the last without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeated in one JSON object")
+        obj[key] = value
+    return obj
+
+
+def load_json(path: str) -> object:
+    """The JSON document in the file at `path`, whose objects each name a
+    key once."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(json.load(fh))
+        return json.load(fh, object_pairs_hook=_unrepeated)
+
+
+def load_system(path: str) -> ArrowSystem:
+    return parse_system(load_json(path))
 
 
 def write_trajectory_csv(traj: Trajectory, fh: TextIO) -> None:

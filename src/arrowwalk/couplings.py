@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import struct
 from bisect import bisect_left
@@ -31,9 +30,12 @@ from .core import (
     ExplicitSystem,
     Trajectory,
     check_keys,
+    json_array,
     json_int,
+    json_object,
     json_prob,
     json_site,
+    load_json,
     run_walk,
 )
 from .verify import CoupledPair, make_pair
@@ -308,27 +310,25 @@ def constant_env(p: float) -> CookieEnvironment:
 
 def parse_env(obj: Mapping) -> CookieEnvironment:
     """JSON form: {"sites": {"<x>": [p, ...]}, "default": [p, ...], "tail": 0.5};
-    any other key, a site key not written as `str` writes its integer, a
-    list that is not a JSON array, or a p not a JSON number in [0, 1] raises
-    ValueError."""
+    any other key, `sites` not a JSON object, a site key not written as
+    `str` writes its integer, a list that is not a JSON array, or a p not a
+    JSON number in [0, 1] raises ValueError."""
     check_keys(obj, ("sites", "default", "tail"), "environment")
 
     def lane(value: object, name: str) -> tuple[float, ...]:
-        if not isinstance(value, list):
-            raise ValueError(f"{name} must be a JSON array of probabilities, got {value!r}")
-        return tuple(json_prob(p, f"a probability in {name}") for p in value)
+        return tuple(json_prob(p, f"a probability in {name}")
+                     for p in json_array(value, name, "probabilities"))
 
     return CookieEnvironment(
         {json_site(s, "a site in sites"): lane(lst, f"sites[{s!r}]")
-         for s, lst in obj.get("sites", {}).items()},
+         for s, lst in json_object(obj.get("sites", {}), "sites", "probability arrays").items()},
         lane(obj.get("default", []), "default"),
         json_prob(obj.get("tail", 0.5), "tail"),
     )
 
 
 def load_env(path: str) -> CookieEnvironment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_env(json.load(fh))
+    return parse_env(load_json(path))
 
 
 def _word_limits(
@@ -500,18 +500,20 @@ class BlockPartition:
 
 
 def parse_partition(obj: Mapping) -> BlockPartition:
-    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}; any other key, or a
-    level or `cap` that is not an integer, raises ValueError."""
+    """JSON form: {"cap": 3, "blocks": [[1,2],[3,4,5]]}; any other key,
+    `blocks` or a block that is not a JSON array, or a level or `cap` that
+    is not an integer, raises ValueError."""
     check_keys(obj, ("cap", "blocks"), "partition")
+    blocks = json_array(obj.get("blocks", []), "blocks", "blocks")
     return BlockPartition(
-        tuple(tuple(json_int(l, "a level in blocks") for l in b) for b in obj.get("blocks", ())),
+        tuple(tuple(json_int(l, "a level in blocks") for l in json_array(b, "a block in blocks", "levels"))
+              for b in blocks),
         json_int(obj.get("cap", 3), "cap"),
     )
 
 
 def load_partition(path: str) -> BlockPartition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_partition(json.load(fh))
+    return parse_partition(load_json(path))
 
 
 def favourable_swaps(values: Sequence[float]) -> list[tuple[int, int]]:

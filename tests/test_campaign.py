@@ -2,6 +2,7 @@
 report stability, and the directional walk statistics."""
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -340,6 +341,26 @@ def test_workers_do_not_change_the_report():
     assert serial.to_json() == parallel.to_json()
 
 
+@pytest.mark.parametrize(
+    "env",
+    [cookie_env((0.6, 0.6)), CookieEnvironment({-2: (0.9, 0.1), 1: (0.3,)}, (0.55, 0.7), 0.45)],
+    ids=["two-cookies", "listed"],
+)
+def test_workers_do_not_change_the_stats_payload(env):
+    serial = speed_and_recurrence_stats(env, trials=9, horizon=2000, seed=3, after=100)
+    parallel = speed_and_recurrence_stats(env, trials=9, horizon=2000, seed=3, after=100, workers=2)
+    assert json.dumps(parallel, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_the_trial_pool_merges_stats_trials_in_trial_order():
+    # The summaries of a payload do not show the order; the trials do.
+    limits = _word_limits(cookie_env((0.6, 0.6)), _limit)
+    trial = functools.partial(campaign._stats_trial, limits, 3, 500, 50)
+    serial = [trial(i) for i in range(9)]
+    assert len(set(serial)) == 9
+    assert campaign._map_trials(trial, 9, 2) == serial
+
+
 class _RecordingPool:
     """Stand-in for ProcessPoolExecutor that runs batches in-process and
     records the worker count it was asked for."""
@@ -378,10 +399,13 @@ def test_workers_are_clamped(monkeypatch, workers, cpus, trials, expected):
 
 
 def test_a_serial_campaign_imports_no_process_pool():
-    # the pool's import pulls in multiprocessing, which only workers need
+    # the pool's import pulls in multiprocessing, which only workers need; a
+    # serial stats run shares the campaign's pool helper
     code = (
         "import sys, arrowwalk.cli; from arrowwalk import CampaignConfig, run_campaign; "
         "run_campaign(CampaignConfig('shared-uniform', trials=2, horizon=20)); "
+        "from arrowwalk import cookie_env, speed_and_recurrence_stats; "
+        "speed_and_recurrence_stats(cookie_env((0.6,)), trials=2, horizon=20); "
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(campaign.__file__))}
@@ -550,6 +574,21 @@ def test_stats_walks_match_the_sequential_reference_at_the_edges(env, horizon):
     for after in sorted({0, 1, horizon}):
         for i in range(4):
             assert_stats_walks_match(env, field, limits, i, horizon, after)
+
+
+@pytest.mark.parametrize("depth", [254, 255, 300])
+def test_stats_walks_match_the_sequential_reference_on_deep_environments(depth):
+    # Site 0 sends the walk Right and site 1 sends it Left for `depth`
+    # levels, so both are left hundreds of times: a count of 255 still fits
+    # a byte, one of 256, which a depth of 255 reaches, does not.
+    env = CookieEnvironment({0: (1.0,) * depth, 1: (0.0,) * depth}, (0.7, 0.3), 0.5)
+    field = UniformField(2)
+    limits = _word_limits(env, _limit)
+    for i in range(3):
+        assert_stats_walks_match(env, field, limits, i, 3000, 700)
+    deep = cookie_env((1.0, 0.0) * (depth // 2) + (0.6,) * (depth % 2), tail=0.4)
+    for i in range(3):
+        assert_stats_walks_match(deep, field, _word_limits(deep, _limit), i, 2000, 100)
 
 
 # ------------------------------------------------ whole trials from references

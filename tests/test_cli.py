@@ -124,6 +124,8 @@ def test_non_integer_numbers_in_input_files_are_refused(runner, files, tmp_path,
 # Each refused before any walk; the short runs bound the cost of a refusal missed.
 STATS = ["stats", "--env", "{path}", "--trials", "1", "--horizon", "10"]
 RUN = ["run", "--system", "{path}", "--horizon", "5"]
+PARTITION = ["couple", "--family", "swap-chain", "--env", "{env_asc}", "--env2", "{env_desc}",
+             "--partition", "{path}", "--horizon", "10"]
 
 
 @pytest.mark.parametrize("command, obj, message", [
@@ -142,6 +144,24 @@ RUN = ["run", "--system", "{path}", "--horizon", "5"]
      'a site in sites must be an integer written as "3" or "-2", got \' 2 \''),
     (RUN, {"kind": "explicit", "stacks": {"1": "R", "01": "L"}},
      'a site in stacks must be an integer written as "3" or "-2", got \'01\''),
+    # An object of another kind, which would otherwise raise a traceback.
+    (STATS, {"sites": [1]}, "sites must be a JSON object of probability arrays, got [1]"),
+    (RUN, {"kind": "explicit", "stacks": [1]}, "stacks must be a JSON object of arrow stacks, got [1]"),
+    (PARTITION, {"blocks": [5]}, "a block in blocks must be a JSON array of levels, got 5"),
+    (PARTITION, {"blocks": 5}, "blocks must be a JSON array of blocks, got 5"),
+    # Arrows other than "L" and "R", which `Arrow(a)` would take.
+    (RUN, {"kind": "explicit", "stacks": {"1": [True, 1]}},
+     'an arrow in stacks[\'1\'] must be "L" or "R", got True'),
+    (RUN, {"kind": "explicit", "stacks": {"1": ["R", -1]}},
+     'an arrow in stacks[\'1\'] must be "L" or "R", got -1'),
+    (RUN, {"kind": "explicit", "stacks": {"1": "RxL"}},
+     'an arrow in stacks[\'1\'] must be "L" or "R", got \'x\''),
+    (RUN, {"kind": "explicit", "stacks": {"1": 5}},
+     'stacks[\'1\'] must be a string or array of "L" and "R", got 5'),
+    (RUN, {"kind": "explicit", "stacks": {}, "default_fill": 1},
+     'default_fill must be "L" or "R", got 1'),
+    (RUN, {"kind": "explicit", "stacks": {}, "default_fill": "RIGHT"},
+     'default_fill must be "L" or "R", got \'RIGHT\''),
 ])
 def test_environment_and_stack_entries_of_another_kind_are_refused(runner, files, tmp_path, command, obj,
                                                                     message):
@@ -150,6 +170,35 @@ def test_environment_and_stack_entries_of_another_kind_are_refused(runner, files
     result = runner.invoke(main, [a.format(path=path, **files) for a in command])
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (STATS, '{"default": [0.2], "tail": 0.4, "tail": 0.6}', "tail"),
+    (STATS, '{"sites": {"1": [0.1], "1": [0.9]}}', "1"),
+    (RUN, '{"kind": "explicit", "stacks": {"0": "R", "0": "L"}}', "0"),
+    (RUN, '{"kind": "ce1-R", "N": 3, "N": 4}', "N"),
+    (PARTITION, '{"blocks": [[1, 2]], "cap": 3, "cap": 2}', "cap"),
+])
+def test_a_key_repeated_in_one_object_is_refused(runner, files, tmp_path, command, text, key):
+    # `json.load` alone keeps the last copy without a word.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    result = runner.invoke(main, [a.format(path=path, **files) for a in command])
+    assert result.exit_code == 2
+    assert f"key {key!r} repeated in one JSON object" in result.output
+
+
+@pytest.mark.parametrize("stacks, fill, output", [
+    ({"0": "RRL"}, "L", "n,pos\n0,0\n1,1\n2,0\n3,1\n4,0\n5,-1\n"),
+    ({"0": ["R", "R", "L"]}, "L", "n,pos\n0,0\n1,1\n2,0\n3,1\n4,0\n5,-1\n"),
+    ({"-1": "R"}, "L", "n,pos\n0,0\n1,-1\n2,0\n3,-1\n4,-2\n5,-3\n"),
+])
+def test_system_files_take_arrows_as_l_and_r(runner, tmp_path, stacks, fill, output):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"kind": "explicit", "stacks": stacks, "default_fill": fill}))
+    result = runner.invoke(main, ["run", "--system", str(path), "--horizon", "5"])
+    assert result.exit_code == 0
+    assert result.output == output
 
 
 @pytest.mark.parametrize("blocks", [[[10**7]], [[1, 2], [10**9]]])
@@ -595,6 +644,13 @@ def test_stats_to_file(runner, files, tmp_path):
     assert json.loads(out.read_text())["trials"] == 3
 
 
+@pytest.mark.parametrize("command", [["campaign"], ["stats", "--env", "{env_lo}"]])
+def test_zero_workers_are_refused(runner, files, command):
+    result = runner.invoke(main, [*(a.format(**files) for a in command), "--workers", "0"])
+    assert result.exit_code == 2
+    assert "--workers" in result.output and "x>=1" in result.output
+
+
 def test_stats_after_beyond_horizon(runner, files):
     result = runner.invoke(
         main, ["stats", "--env", files["env_lo"], "--horizon", "100", "--after", "200"]
@@ -681,12 +737,22 @@ def test_campaign_at_the_n_and_kmax_bounds_reports(runner):
 CHILD_CPU_S = 20
 
 
-def run_cpu_limited(args):
+# Address space a child `stats` run at STATS_HORIZON steps may take.  On a
+# 2-core Xeon with Python 3.11 the run needs about 32 MB with its walks'
+# counts in bytes, and about 72 MB with them in lists of ints (8 bytes a slot).
+CHILD_AS_MB = 56
+STATS_HORIZON = 3 * 10**6
+
+
+def run_cpu_limited(args, address_space_mb=None):
     """The command line run in a child process, with its CPU time, and only
-    its own, limited to CHILD_CPU_S seconds."""
+    its own, limited to CHILD_CPU_S seconds, and its address space to
+    `address_space_mb` MB when given."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S + 5))
+        if address_space_mb is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space_mb << 20, address_space_mb << 20))
 
     src = str(Path(arrowwalk.__file__).resolve().parent.parent)
     return subprocess.run(
@@ -712,3 +778,15 @@ def test_a_long_environment_file_runs_within_the_cpu_limit(tmp_path, family, fla
     ])
     assert done.returncode == 0, done.stderr[-500:]
     assert json.loads(done.stdout)["passed"] is True
+
+
+def test_stats_at_a_long_horizon_runs_within_the_address_space_limit(tmp_path):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"default": [0.6, 0.6], "tail": 0.5}))
+    done = run_cpu_limited(
+        ["stats", "--env", str(path), "--trials", "1", "--horizon", str(STATS_HORIZON)],
+        address_space_mb=CHILD_AS_MB,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    payload = json.loads(done.stdout)
+    assert payload["horizon"] == STATS_HORIZON and payload["returns"]["count"] == 1

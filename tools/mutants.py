@@ -58,6 +58,7 @@ SAMPLED_LANES = f"{COUPLING_TESTS}::test_sampled_limit_lanes_match_the_float_rul
 PARTITION_LANES = f"{COUPLING_TESTS}::test_partition_word_limits_match_the_float_rules"
 TRIAL_REFERENCE = f"{CAMPAIGN_TESTS}::test_trial_rows_match_the_reference_trial"
 STATS_PAYLOAD = f"{CAMPAIGN_TESTS}::test_stats_payloads_match_the_reference_stats"
+STATS_DEEP = f"{CAMPAIGN_TESTS}::test_stats_walks_match_the_sequential_reference_on_deep_environments"
 ENV_REFERENCES = f"{COUPLING_TESTS}::test_environment_comparisons_match_the_global_depth_references"
 WORD_CELLS = f"{COUPLING_TESTS}::test_partition_word_cells_decide_at_each_limit_as_the_float_rule"
 INPUT_REFUSALS = "tests/test_cli.py::test_environment_and_stack_entries_of_another_kind_are_refused"
@@ -86,15 +87,15 @@ MUTANTS = (
     Mutant(
         "stats-raw-walk-ignores-listed-sites",
         CAMPAIGN,
-        "homogeneous = not sites\n    nd = len(dflt)\n    pos = 0",
-        "homogeneous = True\n    nd = len(dflt)\n    pos = 0",
+        "listed = bool(lanes)\n    lane, cap = dflt, len(dflt) - 1\n    pos = 0",
+        "listed = False\n    lane, cap = dflt, len(dflt) - 1\n    pos = 0",
         (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
     ),
     Mutant(
         "stats-zero-right-walk-ignores-listed-sites",
         CAMPAIGN,
-        "homogeneous = not sites\n    nd = len(dflt)\n    words =",
-        "homogeneous = True\n    nd = len(dflt)\n    words =",
+        "listed = bool(lanes)\n    lane, cap = dflt, len(dflt) - 1\n    words =",
+        "listed = False\n    lane, cap = dflt, len(dflt) - 1\n    words =",
         (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
     ),
     Mutant(
@@ -104,14 +105,52 @@ MUTANTS = (
         "lead += (a_l is not RIGHT) - (a_r is not RIGHT)",
         ("tests/test_core.py::test_paths_admit_preceq_matches_the_favourable_completions_to_length_seven",),
     ),
-    # The raw stats walk reads its maximum off the visit counts; the
-    # zero-right one counts a return, late past `after`, per excursion.
+    # The raw stats walk reads its maximum off the departure counts and its
+    # end, so its counts stop one above each lane's list, not at it; they
+    # are bytes unless the environment is deeper than 254 levels.  The
+    # zero-right walk counts a return, late past `after`, per excursion.
     Mutant(
         "stats-max-off-by-one",
         CAMPAIGN,
-        "return pos, visits.index(0) - 1",
-        "return pos, visits.index(0)",
+        "return pos, max(left.index(0) - 1, pos)",
+        "return pos, max(left.index(0), pos)",
         (STATS_REFERENCE, STATS_EDGES, STATS_PAYLOAD),
+    ),
+    Mutant(
+        "stats-max-without-the-end",
+        CAMPAIGN,
+        "return pos, max(left.index(0) - 1, pos)",
+        "return pos, left.index(0) - 1",
+        (STATS_EDGES,),
+    ),
+    Mutant(
+        "stats-count-cap-one-short",
+        CAMPAIGN,
+        "pad = (tail, tail)",
+        "pad = (tail,)",
+        (STATS_REFERENCE, STATS_EDGES),
+    ),
+    Mutant(
+        "stats-deep-counts-in-bytes",
+        CAMPAIGN,
+        "if max([len(dflt), *map(len, sites.values())]) < 255:",
+        "if True:",
+        (STATS_DEEP,),
+    ),
+    Mutant(
+        "stats-byte-counts-one-level-too-deep",
+        CAMPAIGN,
+        "*map(len, sites.values())]) < 255:",
+        "*map(len, sites.values())]) < 256:",
+        (STATS_DEEP,),
+    ),
+    Mutant(
+        "trial-pool-merges-out-of-order",
+        CAMPAIGN,
+        "return list(pool.map(trial, range(trials), chunksize=-(-trials // (workers * 4))))",
+        "return list(pool.map(trial, range(trials)[::-1], chunksize=-(-trials // (workers * 4))))",
+        (f"{CAMPAIGN_TESTS}::test_the_trial_pool_merges_stats_trials_in_trial_order",
+         f"{CAMPAIGN_TESTS}::test_workers_do_not_change_the_report"),
     ),
     Mutant(
         "stats-zero-right-late-at-after",
@@ -516,9 +555,10 @@ MUTANTS = (
         "hyp_plus = False",
         (TO_EIGHT,),
     ),
-    # Input files: a probability is a JSON number in [0, 1], a lane a JSON
-    # array, and a site key an integer as `str` writes it; each refusal names
-    # its key and value.
+    # Input files: a probability is a JSON number in [0, 1], a lane or a
+    # block a JSON array, `sites` and `stacks` JSON objects, an arrow "L" or
+    # "R", a site key an integer as `str` writes it, and no object repeats a
+    # key; each refusal names its key.
     Mutant(
         "prob-accepts-bools",
         CORE,
@@ -536,8 +576,8 @@ MUTANTS = (
     Mutant(
         "env-lane-probabilities-unread",
         COUPLINGS,
-        'json_prob(p, f"a probability in {name}") for p in value',
-        "p for p in value",
+        'json_prob(p, f"a probability in {name}")',
+        "p",
         (INPUT_REFUSALS,),
     ),
     Mutant(
@@ -548,11 +588,39 @@ MUTANTS = (
         (INPUT_REFUSALS,),
     ),
     Mutant(
-        "env-lane-of-another-kind-iterated",
-        COUPLINGS,
-        "        if not isinstance(value, list):\n",
-        "        if False:\n",
+        "array-of-another-kind-iterated",
+        CORE,
+        "    if not isinstance(value, list):\n",
+        "    if False:\n",
         (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "object-of-another-kind-read",
+        CORE,
+        "    if not isinstance(value, Mapping):\n        raise ValueError(f\"{name} must be a JSON object",
+        "    if False:\n        raise ValueError(f\"{name} must be a JSON object",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "arrow-of-another-kind-read-by-arrow",
+        CORE,
+        '    if value not in ("L", "R"):\n',
+        "    if False:\n",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "stack-of-another-kind-iterated",
+        CORE,
+        "            if not isinstance(value, (str, list)):\n",
+        "            if False:\n",
+        (INPUT_REFUSALS,),
+    ),
+    Mutant(
+        "repeated-key-keeps-the-last",
+        CORE,
+        "json.load(fh, object_pairs_hook=_unrepeated)",
+        "json.load(fh)",
+        ("tests/test_cli.py::test_a_key_repeated_in_one_object_is_refused",),
     ),
     Mutant(
         "env-site-key-read-by-int",
