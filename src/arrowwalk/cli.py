@@ -36,9 +36,9 @@ from .couplings import load_env, load_partition
 from .verify import check_pair
 
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
-# ten million steps take minutes.  A campaign trial's peak RSS grows by 350-390
+# ten million steps take minutes.  A campaign trial's peak RSS grows by 290-330
 # bytes per step (one shared-uniform and one envelope trial, linear from 10**5
-# to 10**6 steps), so a trial at the bound needs about 4 GB in each worker.  A
+# to 10**6 steps), so a trial at the bound needs about 3.3 GB in each worker.  A
 # stats trial's grows by about 2 bytes per step, one byte of counts per
 # position its walks reach, so 20 MB at the bound.
 MAX_STEPS = 10**7

@@ -63,12 +63,16 @@ class ArrowSystem:
     internal memoization.  A walk only reads its system and leaves it
     unchanged: where a walk starts is given to `run_walk`, not held here.
 
-    A system may also define `cell_words(site, q)`: the words and the limits
-    of levels 8q+1 .. 8q+8 at `site`, two sequences of eight, with the arrow
-    at level 8q+r+1 Right iff words[r] < limits[r].  `run_walk` then reads a
-    stack eight levels at a time, never changing what it is given, so both
-    may be shared.  Only systems whose walks measured faster that way define
-    it: the sampled systems and their zero-right transform.  Every other
+    A system may also define `cell_words(site, q)`: the words of `site` and
+    the limits of its levels 8q+1 .. 8q+8.  The words are one sequence for
+    the site, word level - 1 at index level - 1, holding at least its words
+    through level 8q+8; the limits are eight, and the arrow at level 8q+r+1
+    is Right iff words[8q+r] < limits[r].  A block below q that the caller
+    has not asked for may be a gap, so a reader reads only the blocks it
+    asked for.  `run_walk` then reads a stack eight levels at a time,
+    reading the words in place and never changing what it is given, so
+    both may be shared.  Only systems whose walks measured faster that way
+    define it: the sampled systems and their zero-right transform.  Every other
     system leaves it None and is walked one `arrow_at` per step, which
     measured faster or no slower for explicit and forced systems,
     `EtaSystem` and the partition sides.  A system whose arrows depend on
@@ -130,7 +134,8 @@ class ExplicitSystem(ArrowSystem):
 
 
 # Site 0 of a zero-right transform, as words: zero words against Rights as
-# limits, since arrows are ±1 and 0 < RIGHT.
+# limits, since arrows are ±1 and 0 < RIGHT.  The zero words of a transform
+# start as these eight and double as its walks run past them.
 _ZERO_WORDS = (0,) * 8
 _ALL_RIGHT = (RIGHT,) * 8
 
@@ -144,6 +149,7 @@ class _ZeroRightSystem(ArrowSystem):
 
     def __init__(self, base: ArrowSystem):
         self.base = base
+        self._zeros: Sequence[int] = _ZERO_WORDS
         if base.cell_words is None:
             self.cell_words = None  # nothing to delegate to: walked arrow by arrow
 
@@ -158,7 +164,9 @@ class _ZeroRightSystem(ArrowSystem):
         if site == 0:
             if q < 0:
                 raise ValueError(f"block index must be >= 0, got {q}")
-            return _ZERO_WORDS, _ALL_RIGHT
+            if 8 * q >= len(self._zeros):
+                self._zeros = [0] * max(2 * len(self._zeros), 8 * q + 8)
+            return self._zeros, _ALL_RIGHT
         return self.base.cell_words(site, q)
 
 
@@ -229,12 +237,14 @@ def run_walk(system: ArrowSystem, horizon: int,
 
     On each step the walk, sitting at `pos` for the k-th time, consumes the
     level-k arrow at `pos` and moves one unit in its direction.  A system
-    with `cell_words` is read eight levels at a time: the walk keeps the
-    words and limits read so far at each site, reads the next ones up to
-    level k when it runs past them, and steps Right iff word k - 1 is below
-    limit k - 1.  It keeps a site's first block as handed out, and copies it
-    into lists of its own only when it runs past it, so what the system
-    hands out is never changed.  Any other system is queried arrow by arrow.
+    with `cell_words` is read eight levels at a time: the walk keeps at
+    each site the words as last handed out, read in place, and the limits
+    read so far.  It asks for the next blocks up to level k when it runs
+    past its limits, and steps Right iff word k - 1 is below limit k - 1.
+    It keeps a site's first limits as handed out and copies them into a
+    list of its own only when it runs past them, so it never changes what
+    the system hands out, and it never copies a word.  Any other system is
+    queried arrow by arrow.
 
     `_start` is `(positions, visits)` of a walk of `system` already begun,
     at most `horizon + 1` positions from 0 and their visit counts (see
@@ -256,23 +266,23 @@ def run_walk(system: ArrowSystem, horizon: int,
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1
     else:
-        # site -> its words and limits read so far: its first block as handed
-        # out, never changed, then two lists of its own once the walk runs past it
+        # site -> its words as last handed out and the limits read so far:
+        # its first block's as handed out, then a list of the walk's own
         stacks: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
         unread = ((), ())
         for n in range(start, horizon + 1):
             k = visits[pos]
             words, limits = stacks.get(pos, unread)
-            if k > len(words):  # past the blocks read: the next ones
-                if not words:  # the site's first read: its first block
+            if k > len(limits):  # past the blocks read: the next ones, up to level k
+                if not limits:  # the site's first read: its first block
                     words, limits = stacks[pos] = cell_words(pos, 0)
-                if k > len(words):
-                    if len(words) == 8:  # the first block as handed out: copied, once
-                        words, limits = stacks[pos] = list(words), list(limits)
-                    while k > len(words):
-                        more, more_limits = cell_words(pos, len(words) >> 3)
-                        words += more
-                        limits += more_limits
+                if k > len(limits):
+                    if len(limits) == 8:  # the first limits as handed out: copied, once
+                        limits = list(limits)
+                    while k > len(limits):
+                        words, more = cell_words(pos, len(limits) >> 3)
+                        limits += more
+                    stacks[pos] = words, limits
             pos += 1 if words[k - 1] < limits[k - 1] else -1
             positions[n] = pos
             visits[pos] = visits.get(pos, 0) + 1

@@ -50,6 +50,9 @@ _PACK_LIMIT = 0xFFFF
 # block indexes of a walk of up to 100,000 steps at one site.
 _INT_LO = -4096
 _INT_HI = 12_500
+# Gap slots a fill adds at most to a site's sequence of words, 512 KB of
+# them: a read further past its end is not stored.
+_GAP_LIMIT = 1 << 16
 
 
 def _pack(obj: StreamTag) -> bytes:
@@ -131,12 +134,12 @@ class UniformField:
 
     The digest of block (stream, site, index) is that of the message
     `_pack((stream, site, index))`.  Its stream part is the same for every
-    block of the stream, so `_hasher` absorbs it once into a keyed hasher
+    block of the stream, so `_digester` absorbs it once into a keyed hasher
     that each block copies (counter-based generation in the style of Salmon
     et al., SC'11).  Small sites and indexes take their packed bytes from a
-    shared table.  The field keeps no memo: `block` builds its hasher
-    afresh, into a throwaway memo, `value` reads through a throwaway view,
-    and each `FieldStream` holds one hasher for its stream and its memo.
+    shared table.  The field keeps no memo: `block` and `value` build a
+    digester afresh and hash one block, and each `FieldStream` holds the
+    fill of its memo, `_hasher`, which hashes through one digester.
     """
 
     __slots__ = ("seed", "_key", "_packed")
@@ -151,22 +154,19 @@ class UniformField:
         the 3-tuple header and `_pack(stream)`."""
         return blake2b(b"t\x00\x03" + _pack(stream), key=self._key, digest_size=64)
 
-    def _hasher(
-        self, stream: StreamTag, memo: dict[tuple[int, int], tuple[int, ...]]
-    ) -> Callable[[int, int], tuple[int, ...]]:
-        """The fill of `memo` from `stream`: a function of site and index
-        that hashes block (stream, site, index), unpacks its eight 64-bit
-        words, stores them in `memo[site, index]` and returns them, in one
-        call.  It holds the stream's keyed hasher, built once here, and
+    def _digester(self, stream: StreamTag) -> Callable[[int, int], tuple[int, ...]]:
+        """The digest of `stream`'s blocks: a function of site and index
+        that hashes block (stream, site, index) and returns its eight 64-bit
+        words.  It holds the stream's keyed hasher, built once here, and
         copies it for each block.  A bad site or index raises before
-        anything is stored.  `block` and every `FieldStream` hash through
-        one; only the sequential reader `words` absorbs a site into its
-        hasher as well."""
+        anything is hashed.  `block` and every `FieldStream` fill hash
+        through one; only the sequential reader `words` absorbs a site into
+        its hasher as well."""
         copy = self._head(stream).copy
         packed = self._packed
         unpack = _UNPACK_8Q
 
-        def fill(site: int, index: int) -> tuple[int, ...]:
+        def digest(site: int, index: int) -> tuple[int, ...]:
             try:
                 msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
                     packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
@@ -175,7 +175,56 @@ class UniformField:
                 raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
             h = copy()
             h.update(msg)
-            words = memo[site, index] = unpack(h.digest())
+            return unpack(h.digest())
+
+        return digest
+
+    def _hasher(
+        self, stream: StreamTag, memo: dict[int, Sequence[Optional[int]]]
+    ) -> Callable[[int, int], Sequence[Optional[int]]]:
+        """The fill of `memo` from `stream`: a function of site and word
+        index i that hashes the block holding word i, word i // 8 of the
+        site, into `memo[site]` and returns that sequence.
+
+        `memo[site]` holds the site's words of levels 1, 2, ... in order:
+        its first block as unpacked, then a list of its own once a second
+        block is read.  A block below the one read that no one has read
+        yet stays unhashed, as eight gap slots of None, which the fill
+        hashes when a reader asks for a word in it.  So a fill hashes
+        exactly the block asked for, and every word it stores sits at its
+        own index.  A read more than `_GAP_LIMIT` words past the end of the
+        site's sequence is not stored: its block comes back as a dict from
+        word index to word, so a stray deep read costs no memory.  A bad
+        site or index raises before anything is stored."""
+        digest = self._digester(stream)
+
+        def fill(site: int, i: int) -> Sequence[Optional[int]]:
+            try:
+                q = i >> 3
+            except TypeError:  # an index that is not an int
+                _check_site(site)
+                raise TypeError(f"block indexes must be ints, got {type(i)!r}") from None
+            block = digest(site, q)
+            words = memo.get(site)
+            if words is None:
+                if not q:  # a site's first block, kept as unpacked
+                    memo[site] = block
+                    return block
+                words = []
+            elif type(words) is tuple:  # a list of its own, once a second block is read
+                words = list(words)
+            j = q << 3
+            end = len(words)
+            if j == end:  # the next block
+                words += block
+            elif j < end:  # a gap
+                words[j : j + 8] = block
+            elif j - end > _GAP_LIMIT:
+                return dict(zip(range(j, j + 8), block))
+            else:  # past the end: gap slots below it
+                words += [None] * (j - end)
+                words += block
+            memo[site] = words
             return words
 
         return fill
@@ -183,7 +232,7 @@ class UniformField:
     def block(self, stream: StreamTag, site: int, index: int) -> tuple[float, ...]:
         """Eight consecutive uniforms: levels 8*index+1 .. 8*index+8, the
         53-bit uniforms of the block's words."""
-        a, b, c, d, e, f, g, k = self._hasher(stream, {})(site, index)
+        a, b, c, d, e, f, g, k = self._digester(stream)(site, index)
         s = _U64_SCALE
         # Written out: a generator over the eight words costs twice as much.
         return ((a >> 11) * s, (b >> 11) * s, (c >> 11) * s, (d >> 11) * s,
@@ -213,23 +262,33 @@ class UniformField:
         return itertools.chain.from_iterable(map(_UNPACK_8Q, map(digest_of, indexes)))
 
     def value(self, stream: StreamTag, site: int, level: int) -> float:
-        """One uniform, hashed afresh through a view of its own."""
-        return FieldStream(self, stream).value(site, level)
+        """One uniform, its block hashed afresh."""
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        i = level - 1
+        return (self._digester(stream)(site, i >> 3)[i & 7] >> 11) * _U64_SCALE
 
 
 class FieldStream:
-    """One stream of a field, with a memo of its raw blocks by (site, q):
-    the eight 64-bit words of each.
+    """One stream of a field, with a memo of its raw words by site: the
+    64-bit words of levels 1, 2, ... of each site in one sequence, word
+    level - 1 at index level - 1.
 
     The view keeps its stream's `UniformField._hasher` of its memo, built
-    once, as `_fill(site, q)`: a block it has not read yet costs that one
-    call, which hashes the block into the memo and returns its words.
-    Systems coupled through shared uniforms share one view, so each block
-    is hashed once per pair or family.  The memo is never on the field,
-    which serves many streams: it goes away with the systems holding it.
-    Readers decide on the words (`_limit`, `_limit_le`); `value` turns
-    them into the field's uniforms.  The systems that read it hot look
-    their words up in `_blocks` and call `_fill` on a miss.
+    once, as `_fill(site, i)`: a word it has not read yet costs that one
+    call, which hashes the word's block into the site's sequence and
+    returns the sequence.  Systems coupled through shared uniforms share
+    one view, so each block is hashed once per pair or family.  The memo is
+    never on the field, which serves many streams: it goes away with the
+    systems holding it.  Readers decide on the words (`_limit`,
+    `_limit_le`); `value` turns them into the field's uniforms.
+
+    The systems that read it hot look a site's sequence up in `_blocks`,
+    one int-keyed lookup, and index its word directly.  A reader that can
+    skip blocks (`value`, `arrow_at` of the sampled, envelope and partition
+    systems) also calls `_fill` when the word it reads is a gap slot,
+    None; a reader of a site's levels in order, as a walk is, never meets
+    one, since each block it reads was filled when it first read it.
     """
 
     __slots__ = ("field", "stream", "_blocks", "_fill")
@@ -237,15 +296,17 @@ class FieldStream:
     def __init__(self, field: UniformField, stream: StreamTag):
         self.field = field
         self.stream = stream
-        self._blocks: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._blocks: dict[int, Sequence[Optional[int]]] = {}
         self._fill = field._hasher(stream, self._blocks)
 
     def value(self, site: int, level: int) -> float:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        q, r = divmod(level - 1, 8)
-        words = self._blocks.get((site, q)) or self._fill(site, q)
-        return (words[r] >> 11) * _U64_SCALE  # only the word read is converted
+        i = level - 1
+        words = self._blocks.get(site)
+        if words is None or i >= len(words) or words[i] is None:
+            words = self._fill(site, i)
+        return (words[i] >> 11) * _U64_SCALE  # only the word read is converted
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +439,19 @@ class SampledCookieSystem(ArrowSystem):
     """Arrow at (x, n) is Right iff U(x, n) < env.prob(x, n), decided on
     the raw word as word < `_limit(p)`.
 
-    It hands out the view's memoized words and the limits of its lanes, so
-    queries are consistent and re-walking the same instance replays the same
-    walk.  Each lane of limits, a listed site's or the default, is padded
-    with the tail's to whole blocks of eight; past it a block reads the tail.
-    Two instances on views of the same field and stream share every uniform
-    cell by cell; on one view, they also hash each raw block of uniforms once.
+    It hands out the site's sequence of words in the view's memo, in place,
+    and the limits of its lanes, so queries are consistent and re-walking
+    the same instance replays the same walk.  Each lane of limits, a listed
+    site's or the default, is padded with the tail's to whole blocks of
+    eight; past it a block reads the tail.  Two instances on views of the
+    same field and stream share every uniform cell by cell; on one view,
+    they also hash each raw block of uniforms once.
     """
 
     def __init__(self, env: CookieEnvironment, view: FieldStream):
         self.env = env
         self.view = view
-        self._memo = view._blocks  # read directly, its words by (site, q)
+        self._memo = view._blocks  # read directly, its words by site
         self._fill = view._fill
         sites, default, tail = _word_limits(env, _limit)
         self._lanes = {site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}
@@ -401,11 +463,14 @@ class SampledCookieSystem(ArrowSystem):
             raise ValueError(f"level must be >= 1, got {level}")
         q, r = divmod(level - 1, 8)
         words, limits = self.cell_words(site, q)
-        return RIGHT if words[r] < limits[r] else LEFT
+        return RIGHT if words[level - 1] < limits[r] else LEFT
 
-    def cell_words(self, site: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        words = self._memo.get((site, q)) or self._fill(site, q)
-        return words, self._lanes.get(site, self._default)[8 * q : 8 * q + 8] or self._tail8
+    def cell_words(self, site: int, q: int) -> tuple[Sequence[int], tuple[int, ...]]:
+        i = 8 * q
+        words = self._memo.get(site)
+        if words is None or not 0 <= i < len(words) or words[i] is None:  # a gap is a whole block
+            words = self._fill(site, i)
+        return words, self._lanes.get(site, self._default)[i : i + 8] or self._tail8
 
 
 def sample_system(
@@ -760,7 +825,7 @@ class _StateSide(ArrowSystem):
         self._sites, self._default, self._tail = state._limits
         self._first, self._shift, self._under = state._first, state._shift, state._under
         self._over = LEFT if state._under is RIGHT else RIGHT
-        self._memo = state._word_view._blocks  # read directly, its words by (site, q)
+        self._memo = state._word_view._blocks  # read directly, its words by site
         self._fill = state._word_view._fill
 
     def arrow_at(self, site: int, level: int) -> Arrow:
@@ -775,9 +840,11 @@ class _StateSide(ArrowSystem):
                     lane = self._sites.get(site, self._default)
                     limit = lane[level - 1] if level <= len(lane) else self._tail
                 if limit is not None:
-                    i = level + self._shift  # at place i & 7 of block i >> 3
-                    words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
-                    return self._under if words[i & 7] < limit else self._over
+                    i = level + self._shift
+                    words = self._memo.get(site)
+                    if words is None or i >= len(words) or words[i] is None:
+                        words = self._fill(site, i)
+                    return self._under if words[i] < limit else self._over
             place = ((level,), 0)
         block, pos = place
         return self._state.realize(site, block)[self._side][pos]
@@ -1091,7 +1158,7 @@ class EtaSystem(ArrowSystem):
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"eta entries must be in [0, 1], got {e}")
         self.view = FieldStream(field, stream)
-        self._memo = self.view._blocks  # read directly, its words by (site, q)
+        self._memo = self.view._blocks  # read directly, its words by site
         self._fill = self.view._fill
         self._limits = tuple(map(_limit_le, self.eta))
         self._depth = len(self.eta)
@@ -1099,10 +1166,12 @@ class EtaSystem(ArrowSystem):
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        i = level - 1  # at place i & 7 of block i >> 3
-        words = self._memo.get((site, i >> 3)) or self._fill(site, i >> 3)
+        i = level - 1
+        words = self._memo.get(site)
+        if words is None or i >= len(words) or words[i] is None:
+            words = self._fill(site, i)
         limit = self._limits[i] if level <= self._depth else _ETA_TAIL_LIMIT
-        return RIGHT if words[i & 7] < limit else LEFT
+        return RIGHT if words[i] < limit else LEFT
 
 
 def envelope_walk(
@@ -1153,9 +1222,10 @@ def envelope_walk(
         bound = eta[k - 1] if k <= depth else _ETA_TAIL
         if not 0.0 <= p <= bound:
             raise DriftContractError(n - 1, pos, k, p, bound)
-        i = k - 1  # at place i & 7 of block i >> 3
-        words = memo.get((pos, i >> 3)) or fill(pos, i >> 3)
-        if (words[i & 7] >> 11) <= p * scale:
+        words = memo.get(pos)
+        if words is None or k > len(words):  # no gaps: the loop reads each site in order
+            words = fill(pos, k - 1)
+        if (words[k - 1] >> 11) <= p * scale:
             if envelope_arrow(pos, k) is not RIGHT:
                 raise RuntimeError(
                     f"envelope containment broken at site {pos} level {k}"

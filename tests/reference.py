@@ -22,8 +22,8 @@ what each guards:
   (speed and maximum) and `campaign._zero_right_returns` (returns and late
   returns).
 - `reference_block`: the field's definition, one keyed blake2b of the whole
-  packed message.  It guards `UniformField._hasher`, its packed-int table
-  and the sequential reader `words`.
+  packed message.  It guards `UniformField._digester`, its packed-int
+  table, the `FieldStream` fill and the sequential reader `words`.
 - `reference_env_leq_pointwise`, `reference_env_order` and
   `reference_reversed_env`: the environment comparisons with every lane
   padded to the depth of both environments and the partition, and the

@@ -1,9 +1,9 @@
 """The word walk loop against the per-arrow loop.
 
 `run_walk` reads a system that defines `cell_words(site, q)` eight levels
-at a time, a chunk of words and their limits, and steps Right iff the word
-of the level it reads is below its limit; it queries any other system arrow
-by arrow.  `reference_walk` is the per-arrow loop, kept in `reference.py`
+at a time, a chunk of limits and the site's words read in place, and steps
+Right iff the word of the level it reads is below its limit; it queries any
+other system arrow by arrow.  `reference_walk` is the per-arrow loop, kept in `reference.py`
 as the slow reference: both must give equal positions and visit counts for every
 system that has `cell_words`.  A sampled system's `arrow_at` reads its
 `cell_words`, so its reference walk queries `CellSystem`, the sampling rule
@@ -160,14 +160,16 @@ def test_independent_control_chunk_walks_match_the_per_arrow_walk():
     ids=["sampled", "zero-right-sampled"],
 )
 def test_chunk_equals_arrow_at_on_its_eight_levels(system):
+    # Chunks read out of order, so that a site's words hold gaps below the
+    # chunk asked for: the chunk's own eight words are always there.
     cells = definition(system)
     for site in range(-7, 8):
-        for q in range(4):
+        for q in (2, 0, 3, 1):
             levels = range(8 * q + 1, 8 * q + 9)
             want = [cells.arrow_at(site, level) for level in levels]
             words, limits = system.cell_words(site, q)
-            assert len(words) == len(limits) == 8
-            got = [RIGHT if a < limit else LEFT for a, limit in zip(words, limits)]
+            assert len(limits) == 8 and len(words) >= 8 * q + 8
+            got = [RIGHT if a < limit else LEFT for a, limit in zip(words[8 * q:], limits)]
             assert all(a is b for a, b in zip(got, want)), (site, q)
             assert all(system.arrow_at(site, level) is a for level, a in zip(levels, want)), (site, q)
     with pytest.raises(ValueError):
@@ -566,7 +568,8 @@ def test_sampled_chunk_decides_at_each_limit_as_the_float_rule(site, q):
     limits = [_limit(BOUNDARY.prob(site, level)) for level in levels]
     for below in itertools.product((True, False), repeat=8):
         view = FieldStream(UniformField(0), "boundary")
-        view._blocks[site, q] = tuple(lim - 1 if b else lim for lim, b in zip(limits, below))
+        # The chunks below q are gaps, hashed when the walk reads them.
+        view._blocks[site] = [None] * (8 * q) + [lim - 1 if b else lim for lim, b in zip(limits, below)]
         system = SampledCookieSystem(BOUNDARY, view)
         cells = CellSystem(BOUNDARY, MemoField(view), None)
         want = tuple(cells.arrow_at(site, level) for level in levels)
@@ -576,12 +579,14 @@ def test_sampled_chunk_decides_at_each_limit_as_the_float_rule(site, q):
 
 
 class ListChunks(ArrowSystem):
-    """A system handing out each chunk's words and limits as two lists that
-    it keeps, and counting the chunks read."""
+    """A system handing out each site's words as a list that it keeps,
+    extended by each chunk it is asked for, and each chunk's limits as a
+    list that it keeps; it counts the chunks read."""
 
     def __init__(self, base):
         self.base = base
-        self.handed = {}
+        self.words = {}
+        self.limits = {}
         self.reads = Counter()
 
     def arrow_at(self, site, level):
@@ -589,10 +594,21 @@ class ListChunks(ArrowSystem):
 
     def cell_words(self, site, q):
         self.reads[site, q] += 1
-        got = self.handed.get((site, q))
-        if got is None:
-            got = self.handed[site, q] = tuple(map(list, self.base.cell_words(site, q)))
-        return got
+        words, limits = self.base.cell_words(site, q)
+        kept = self.words.setdefault(site, [None] * 8)
+        kept += [None] * (8 * q + 8 - len(kept))
+        kept[8 * q:8 * q + 8] = words[8 * q:8 * q + 8]
+        return kept, self.limits.setdefault((site, q), list(limits))
+
+
+def assert_memo_holds_the_field(system):
+    """Every word in the memo of a sampled `system`, or of its base, is the
+    field's own: no walk wrote into it."""
+    view = system.view
+    digest = view.field._digester(view.stream)
+    for site, words in view._blocks.items():
+        for i, a in enumerate(words):
+            assert a is None or a == digest(site, i >> 3)[i & 7], (site, i)
 
 
 def test_walks_never_change_a_chunk_they_store():
@@ -602,7 +618,8 @@ def test_walks_never_change_a_chunk_they_store():
     for base in bases:
         for wrap in (lambda system: system, zero_right_transform):
             lists = ListChunks(base)
-            for system in (wrap(base), wrap(lists)):
+            systems = (wrap(base), wrap(lists))
+            for system in systems:
                 traj = run_walk(system, 3000)
                 # Past level 8 at some site, so a stored chunk was run past.
                 assert max(traj.visit_counts.values()) > 9
@@ -614,6 +631,14 @@ def test_walks_never_change_a_chunk_they_store():
             again = zero_right_walk(traj)
             assert (again.positions, again.visit_counts) == reference_walk(
                 zero_right_transform(definition(base)), 3000)
-            assert all(got == tuple(map(list, base.cell_words(site, q)))
-                       for (site, q), got in lists.handed.items())
+            for site, kept in lists.words.items():
+                words, _ = base.cell_words(site, len(kept) // 8 - 1)
+                assert kept == list(words[:len(kept)]), site
+            assert all(got == list(base.cell_words(site, q)[1])
+                       for (site, q), got in lists.limits.items())
+            # The words the walks read in place are the field's, and a
+            # transform's zero words are zeros.
+            assert_memo_holds_the_field(base)
+            for system in systems:
+                assert not any(getattr(system, "_zeros", ()))
     assert (list(_ALL_RIGHT), list(_ZERO_WORDS)) == (all_right, zeros)

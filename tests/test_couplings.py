@@ -37,6 +37,7 @@ from arrowwalk.couplings import (
     DriftContractError,
     EtaSystem,
     FieldStream,
+    SampledCookieSystem,
     classify_alpha,
     conditional_stack_pmf,
     constant_env,
@@ -54,7 +55,7 @@ from arrowwalk.couplings import (
 from arrowwalk.verify import make_pair
 from arrowwalk import campaign, core, couplings
 from arrowwalk.couplings import (
-    _INT_HI, _INT_LO, _limit, _limit_le,
+    _GAP_LIMIT, _INT_HI, _INT_LO, _limit, _limit_le,
 )
 from reference import (
     _eta_threshold,
@@ -71,22 +72,36 @@ from reference import (
 
 
 class CountingField(UniformField):
-    """A field that counts how often each (stream, site, index) is hashed
-    through `_hasher`, which fills every `FieldStream` memo and which
-    `block` hashes through."""
+    """A field that counts how often each block (stream, site, index) is
+    digested through `_digester`, which every `FieldStream` fill, `block`
+    and `value` hash through."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = Counter()
 
-    def _hasher(self, stream, memo):
-        fill = super()._hasher(stream, memo)
+    def _digester(self, stream):
+        digest = super()._digester(stream)
 
         def counted(site, index):
             self.calls[(stream, site, index)] += 1
-            return fill(site, index)
+            return digest(site, index)
 
         return counted
+
+
+def read_word(view, site, i):
+    """Word i of `site` in `view`, read as the systems read it: from the
+    site's sequence in the memo, through `_fill` when it is past the end
+    or a gap."""
+    words = view._blocks.get(site)
+    if words is None or i >= len(words) or words[i] is None:
+        words = view._fill(site, i)
+    return words[i]
+
+
+def read_block(view, site, q):
+    return tuple(read_word(view, site, i) for i in range(8 * q, 8 * q + 8))
 
 
 def stack_at(system, site, depth):
@@ -161,8 +176,8 @@ def test_field_stream_matches_field():
         for level in range(1, 30):
             assert view.value(site, level) == field.value(("s", 1), site, level)
         for index in (0, 2, _INT_HI + 1):
-            words = view._blocks.get((site, index)) or view._fill(site, index)
-            assert len(words) == 8 and all(0 <= a < 2**64 for a in words)
+            words = read_block(view, site, index)
+            assert all(0 <= a < 2**64 for a in words)
             want = reference_block(field, ("s", 1), site, index)
             assert tuple((a >> 11) * 2.0**-53 for a in words) == want
             assert field.block(("s", 1), site, index) == want
@@ -174,8 +189,69 @@ def test_field_stream_hashes_each_block_once():
     for _ in range(3):
         for level in range(1, 20):
             view.value(4, level)
-        view._blocks.get((4, 5)) or view._fill(4, 5)
+        read_block(view, 4, 5)
     assert field.calls == {("s", 4, 0): 1, ("s", 4, 1): 1, ("s", 4, 2): 1, ("s", 4, 5): 1}
+    # Blocks 3 and 4 were skipped: they are gap slots, unhashed.
+    words = view._blocks[4]
+    assert words[24:40] == [None] * 16 and None not in words[:24] + words[40:]
+    assert len(words) == 48
+
+
+# Sites and levels of the reads below: past the first block, across gaps,
+# and on both sides of 0.
+READS = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 120)), max_size=40)
+
+
+@given(reads=READS, readers=st.lists(st.sampled_from(["value", "arrow_at", "cell_words"]), min_size=1))
+@settings(max_examples=150, deadline=None)
+def test_view_reads_in_any_order_hash_exactly_the_blocks_read(reads, readers):
+    # The view's `value` and a sampled system on the view, its `arrow_at`
+    # and its `cell_words`, read levels in any order: each gets the
+    # reference word, each block read is hashed once, every other block of
+    # a site stays a gap, and a site read in its first block only keeps
+    # that block as unpacked.
+    field = CountingField(4)
+    view = FieldStream(field, "any")
+    system = SampledCookieSystem(constant_env(0.5), view)
+    for n, (site, level) in enumerate(reads):
+        q, r = divmod(level - 1, 8)
+        u = reference_block(field, "any", site, q)[r]
+        reader = readers[n % len(readers)]
+        if reader == "value":
+            assert view.value(site, level) == u
+        elif reader == "arrow_at":
+            assert system.arrow_at(site, level) is (RIGHT if u < 0.5 else LEFT)
+        else:
+            words, limits = system.cell_words(site, q)
+            assert (words[level - 1] >> 11) * 2.0**-53 == u and limits == (_limit(0.5),) * 8
+    read = {(site, (level - 1) >> 3) for site, level in reads}
+    assert field.calls == Counter({("any", site, q): 1 for site, q in read})
+    assert set(view._blocks) == {site for site, _ in read}
+    for site, words in view._blocks.items():
+        blocks = {q for s, q in read if s == site}
+        assert len(words) == 8 * max(blocks) + 8
+        assert type(words) is (tuple if blocks == {0} else list)
+        for q in range(len(words) // 8):
+            want = read_block(FieldStream(UniformField(4), "any"), site, q) if q in blocks else (None,) * 8
+            assert tuple(words[8 * q:8 * q + 8]) == want, (site, q)
+
+
+def test_view_reads_far_past_a_sites_words_are_not_stored():
+    # A read more than `_GAP_LIMIT` words past the end of a site's words
+    # gets its word, hashed afresh each time, and leaves the memo as it was.
+    field = CountingField(5)
+    view = FieldStream(field, "far")
+    view.value(2, 3)
+    far = 8 + _GAP_LIMIT + 9  # the first level whose block is stored no more
+    for level in (far, far, far + 8 * _GAP_LIMIT):
+        q, r = divmod(level - 1, 8)
+        assert view.value(2, level) == reference_block(field, "far", 2, q)[r]
+    assert view._blocks == {2: view._blocks[2]} and len(view._blocks[2]) == 8
+    assert field.calls == {("far", 2, 0): 1, ("far", 2, (far - 1) >> 3): 2,
+                           ("far", 2, (far + 8 * _GAP_LIMIT - 1) >> 3): 1}
+    near = far - 8  # a read just within the limit is stored, over gap slots
+    assert view.value(2, near) == reference_block(field, "far", 2, (near - 1) >> 3)[(near - 1) & 7]
+    assert len(view._blocks[2]) == near - 1 + 8 - (near - 1) % 8 == 8 + _GAP_LIMIT + 8
 
 
 def uniforms_of(words):
@@ -265,7 +341,7 @@ def test_field_rejects_negative_block_indexes(index):
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
         field.block("s", 0, index)
     with pytest.raises(ValueError, match="block indexes must be >= 0"):
-        view._blocks.get((3, index)) or view._fill(3, index)
+        view._fill(3, 8 * index)
 
 
 @pytest.mark.parametrize("index", ["a", "", 1.0, -1.0, 2.5, float(_INT_HI + 1), None, (1,), [0]])
@@ -295,9 +371,9 @@ def test_memo_misses_reject_bad_sites_and_indexes(site, q, error, message):
     system = sample_system(cookie_env((0.5,)), UniformField(0), "s")
 
     def read_view(site, q):  # as the systems read it
-        return view._blocks.get((site, q)) or view._fill(site, q)
+        return read_word(view, site, 8 * q)
 
-    for read in (read_view, view._fill, system.cell_words):
+    for read in (read_view, lambda site, q: view._fill(site, 8 * q), system.cell_words):
         with pytest.raises(error, match=message):
             read(site, q)
     if q == 0:
@@ -597,6 +673,28 @@ def test_campaign_trial_hashes_pinned_blocks(monkeypatch, family):
     config = CampaignConfig(family, trials=1, horizon=60, seed=3, include_timestamp=False)
     campaign.run_trial(config, 0)
     assert sum(field.calls.values()) == TRIAL_BLOCKS[family]
+    assert set(field.calls.values()) == {1}
+
+
+# Blocks three trials hash on a partition of twelve two-level blocks
+# (trials=3, horizon=3000, seed=3, returns on), each once.  Both families
+# read their word views past gaps: the family's singletons, levels 25 and
+# up, read its totals from word 37 on, beyond the block draws' words 0 to
+# 11, and the chain's shared cells read its cell view from word 24 on.  A
+# fill that hashed every block below the one read would hash more.
+TWELVE_BLOCKS = BlockPartition(tuple((2 * b + 1, 2 * b + 2) for b in range(12)))
+PARTITION_BLOCKS = {"block-family": 2956, "swap-chain": 5960}
+
+
+@pytest.mark.parametrize("family", sorted(PARTITION_BLOCKS))
+def test_partition_trials_hash_pinned_blocks(monkeypatch, family):
+    field = CountingField(3)
+    monkeypatch.setattr(campaign, "UniformField", lambda seed: field)
+    config = CampaignConfig(family, trials=3, horizon=3000, seed=3, partition=TWELVE_BLOCKS,
+                            include_timestamp=False)
+    for trial in range(3):
+        campaign.run_trial(config, trial)
+    assert sum(field.calls.values()) == PARTITION_BLOCKS[family]
     assert set(field.calls.values()) == {1}
 
 
@@ -1264,8 +1362,8 @@ def test_partition_word_cells_decide_at_each_limit_as_the_float_rule(site, q):
         pair = couple_swap_chain(EDGE_LOW, EDGE_HIGH, EDGE_PARTITION, field, 0, stream="edge")
         ends = (pair.traj_l.system, pair.traj_r.system)
         family, chain = members[0]._state, ends[0]._state
-        family_words = family._totals._blocks[site, q] = crafted(family_limits, below)
-        chain_words = chain._cell_view._blocks[site, q] = crafted(chain_limits, below)
+        family_words = put_block(family._totals, site, q, crafted(family_limits, below))
+        chain_words = put_block(chain._cell_view, site, q, crafted(chain_limits, below))
 
         totals = ViewField(family._totals, family._picks)
         for level, limit, word in zip(singles, family_limits, family_words):
@@ -1335,11 +1433,23 @@ def test_sampled_limit_lanes_match_the_float_rule():
                 assert tuple(limits) == want, (site, q)
 
 
+def put_block(view, site, q, words):
+    """Block q of `site`'s words in `view`'s memo set to `words`, and
+    returned; a block below it that was not read stays a gap."""
+    seq = list(view._blocks.get(site, ()))
+    seq += [None] * (8 * q + 8 - len(seq))
+    seq[8 * q:8 * q + 8] = words
+    view._blocks[site] = seq
+    return words
+
+
 def set_word(view, site, i, word):
-    """Word i of `site`'s stack in `view`'s memo, at place i & 7 of block i >> 3."""
-    words = list(view._blocks.get((site, i >> 3)) or view._fill(site, i >> 3))
-    words[i & 7] = word
-    view._blocks[site, i >> 3] = tuple(words)
+    """Word i of `site`'s words in `view`'s memo set to `word`, its other
+    words hashed as read."""
+    read_word(view, site, i)
+    words = list(view._blocks[site])
+    words[i] = word
+    view._blocks[site] = words
 
 
 def around(limit):
@@ -1391,6 +1501,28 @@ def test_partition_word_limits_match_the_float_rules():
     assert realized == {(site, level) for site in LANE_SITES for level in range(1, 18)
                         if level not in LANE_PARTITION._places and LANE_LOW.prob(site, level) == 1.0}
     assert chain._cells == {}  # every chain cell above the partition is decided on its word
+
+
+@given(cells=st.lists(st.tuples(st.sampled_from(LANE_SITES), st.integers(1, 40)), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_cells_read_in_any_order_match_the_reference_cells(cells):
+    # The partition sides and the envelope system read their words from a
+    # view that can hold gaps below a block read first: in any order, each
+    # cell is its reference's, from the field's values.
+    field, reference = UniformField(2), UniformField(2)
+    members = couple_block_family(LANE_LOW, LANE_PARTITION, [LANE_LOW, LANE_HIGH], field, "bf")
+    pair = couple_swap_chain(LANE_LOW, LANE_HIGH, LANE_PARTITION, field, 0, stream="sc")
+    eta = EtaSystem((0.9, 0.3, 0.7), field, "eta")
+    for site, level in cells:
+        for member, env in zip(members, (LANE_LOW, LANE_HIGH)):
+            want = reference_block_family_cell(env, LANE_LOW, LANE_PARTITION, reference, "bf", site, level)
+            assert member.arrow_at(site, level) is want, (site, level)
+        for side, end in enumerate((pair.traj_l.system, pair.traj_r.system)):
+            want = reference_swap_chain_cell(LANE_LOW, LANE_HIGH, LANE_PARTITION, reference, "sc", site,
+                                             level, side)
+            assert end.arrow_at(site, level) is want, (site, level, side)
+        u = reference.value("eta", site, level)
+        assert eta.arrow_at(site, level) is (RIGHT if u <= _eta_threshold(eta.eta, level) else LEFT)
 
 
 @pytest.mark.parametrize("build", [block_family_pair, swap_chain_pair], ids=["block-family", "swap-chain"])

@@ -179,8 +179,8 @@ MUTANTS = (
     Mutant(
         "limits-cached-without-their-lane",
         COUPLINGS,
-        "self._lanes.get(site, self._default)[8 * q : 8 * q + 8]",
-        "self._default[8 * q : 8 * q + 8]",
+        "self._lanes.get(site, self._default)[i : i + 8]",
+        "self._default[i : i + 8]",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",
          SAMPLED_LANES, TRIAL_REFERENCE),
@@ -204,7 +204,7 @@ MUTANTS = (
     Mutant(
         "zero-right-site-0-not-forced",
         CORE,
-        "            return _ZERO_WORDS, _ALL_RIGHT\n",
+        "            return self._zeros, _ALL_RIGHT\n",
         "            return self.base.cell_words(site, q)\n",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk",
@@ -216,8 +216,8 @@ MUTANTS = (
     Mutant(
         "partition-word-cell-le",
         COUPLINGS,
-        "return self._under if words[i & 7] < limit else self._over",
-        "return self._under if words[i & 7] <= limit else self._over",
+        "return self._under if words[i] < limit else self._over",
+        "return self._under if words[i] <= limit else self._over",
         (WORD_CELLS,),
     ),
     Mutant(
@@ -284,40 +284,110 @@ MUTANTS = (
         (WORD_CELLS, f"{COUPLING_TESTS}::test_partition_couplings_match_reference_cells",
          TRIAL_REFERENCE),
     ),
-    # The walk keeps a site's first chunk as handed out, copies it once and
-    # reads on from the chunks it holds.
+    # The walk reads a site's words in place, as last handed out, copies its
+    # first limits once into a list of its own and reads on from the chunks
+    # it holds.
     Mutant(
-        "walk-extends-the-stored-chunk",
+        "walk-extends-the-handed-limits",
         CORE,
-        "                        words, limits = stacks[pos] = list(words), list(limits)\n",
+        "                        limits = list(limits)\n",
         "                        pass\n",
         (f"{CHUNKS}::test_walks_never_change_a_chunk_they_store",),
     ),
     Mutant(
+        "walk-keeps-the-first-words-handed-out",
+        CORE,
+        "                        words, more = cell_words(pos, len(limits) >> 3)\n",
+        "                        more = cell_words(pos, len(limits) >> 3)[1]\n",
+        (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
+         f"{CHUNKS}::test_walks_never_change_a_chunk_they_store", TRIAL_REFERENCE),
+    ),
+    Mutant(
         "walk-rereads-the-first-chunk",
         CORE,
-        "more, more_limits = cell_words(pos, len(words) >> 3)",
-        "more, more_limits = cell_words(pos, 0)",
+        "words, more = cell_words(pos, len(limits) >> 3)",
+        "words, more = cell_words(pos, 0)",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_explicit_chunk_walk_matches_the_per_arrow_walk", TRIAL_REFERENCE),
     ),
-    # A memo miss hashes the block into the memo, under its own key.
+    Mutant(
+        # Site 0's zero words double from what they hold, short of a chunk
+        # asked for two or more chunks past them.
+        "zero-right-zeros-grow-one-doubling",
+        CORE,
+        "[0] * max(2 * len(self._zeros), 8 * q + 8)",
+        "[0] * (2 * len(self._zeros))",
+        (f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",),
+    ),
+    # A fill hashes the block read into the site's words, at its own index,
+    # and keeps every block below it that no one read as gap slots.
     Mutant(
         "miss-skips-the-memo",
         COUPLINGS,
-        "words = memo[site, index] = unpack(h.digest())",
-        "words = unpack(h.digest())",
+        "            memo[site] = words\n",
+        "",
         (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_shared_pair_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks"),
     ),
     Mutant(
-        "fill-stores-under-the-wrong-key",
+        "fill-stores-the-first-block-under-the-wrong-site",
         COUPLINGS,
-        "words = memo[site, index] = unpack(h.digest())",
-        "words = memo[index, site] = unpack(h.digest())",
+        "                    memo[site] = block\n",
+        "                    memo[-site] = block\n",
         (f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
          f"{COUPLING_TESTS}::test_campaign_trial_hashes_pinned_blocks", TRIAL_REFERENCE),
+    ),
+    Mutant(
+        "fill-hashes-every-block-below",
+        COUPLINGS,
+        "words += [None] * (j - end)",
+        "words += [a for b in range(end >> 3, q) for a in digest(site, b)]",
+        (f"{COUPLING_TESTS}::test_partition_trials_hash_pinned_blocks",
+         f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read",
+         f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once"),
+    ),
+    Mutant(
+        "fill-stores-far-reads",
+        COUPLINGS,
+        "            elif j - end > _GAP_LIMIT:\n",
+        "            elif False:\n",
+        (f"{COUPLING_TESTS}::test_view_reads_far_past_a_sites_words_are_not_stored",),
+    ),
+    # A reader that can skip blocks reads a gap slot through the fill.
+    Mutant(
+        "value-skips-the-gap-check",
+        COUPLINGS,
+        "        words = self._blocks.get(site)\n"
+        "        if words is None or i >= len(words) or words[i] is None:\n",
+        "        words = self._blocks.get(site)\n"
+        "        if words is None or i >= len(words):\n",
+        (f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read",
+         f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once"),
+    ),
+    Mutant(
+        "partition-side-skips-the-gap-check",
+        COUPLINGS,
+        "                    if words is None or i >= len(words) or words[i] is None:\n",
+        "                    if words is None or i >= len(words):\n",
+        (f"{COUPLING_TESTS}::test_cells_read_in_any_order_match_the_reference_cells",),
+    ),
+    Mutant(
+        "eta-skips-the-gap-check",
+        COUPLINGS,
+        "        words = self._memo.get(site)\n"
+        "        if words is None or i >= len(words) or words[i] is None:\n",
+        "        words = self._memo.get(site)\n"
+        "        if words is None or i >= len(words):\n",
+        (f"{COUPLING_TESTS}::test_cells_read_in_any_order_match_the_reference_cells",),
+    ),
+    Mutant(
+        "sampled-chunk-skips-the-gap-check",
+        COUPLINGS,
+        "if words is None or not 0 <= i < len(words) or words[i] is None:",
+        "if words is None or not 0 <= i < len(words):",
+        (f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read",
+         f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels"),
     ),
     # The packed-int table serves block indexes 0 .. _INT_HI only: a
     # negative one must reach `_pack_index`, which refuses it.
@@ -335,16 +405,16 @@ MUTANTS = (
     Mutant(
         "walk-first-read-no-extension",
         CORE,
-        "                if k > len(words):\n",
-        "                elif k > len(words):\n",
+        "                if k > len(limits):\n",
+        "                elif k > len(limits):\n",
         (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",
          TRIAL_REFERENCE),
     ),
     Mutant(
         "walk-one-chunk-per-step",
         CORE,
-        "                    while k > len(words):\n",
-        "                    if k > len(words):\n",
+        "                    while k > len(limits):\n",
+        "                    if k > len(limits):\n",
         (f"{CHUNKS}::test_zero_right_walk_reads_a_site_first_past_its_first_chunk",
          TRIAL_REFERENCE),
     ),
@@ -444,7 +514,7 @@ MUTANTS = (
         "envelope-containment-reads-its-own-word",
         COUPLINGS,
         "if envelope_arrow(pos, k) is not RIGHT:",
-        "if (words[i & 7] >> 11) > p * scale:",
+        "if (words[k - 1] >> 11) > p * scale:",
         (f"{COUPLING_TESTS}::test_envelope_walk_containment_reads_the_eta_arrow",),
     ),
     # The pair checker decides the five statements count dominance implies
