@@ -36,11 +36,11 @@ from .couplings import load_env, load_partition
 from .verify import check_pair
 
 # Step budget of every --horizon and of the `counterexample ce1` simulation:
-# ten million steps take minutes.  A campaign trial's peak RSS grows by 290-330
-# bytes per step (one shared-uniform and one envelope trial, linear from 10**5
-# to 10**6 steps), so a trial at the bound needs about 3.3 GB in each worker.  A
-# stats trial's grows by about 2 bytes per step, one byte of counts per
-# position its walks reach, so 20 MB at the bound.
+# ten million steps take minutes.  A campaign trial's peak RSS grows by 155-185
+# bytes per step (one shared-uniform and one envelope trial, each in a child
+# process, from 10**5 to 10**6 steps), so a trial at the bound needs about
+# 1.9 GB in each worker.  A stats trial's grows by about 2 bytes per step, one
+# byte of counts per position its walks reach, so 20 MB at the bound.
 MAX_STEPS = 10**7
 # Largest --kmax and --N: together they keep every milestone a report prints
 # in decimal under Python's 4300-digit limit.  At kmax 64 and N = 10**6 the

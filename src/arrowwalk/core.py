@@ -65,9 +65,10 @@ class ArrowSystem:
 
     A system may also define `cell_words(site, q)`: the words of `site` and
     the limits of its levels 8q+1 .. 8q+8.  The words are one sequence for
-    the site, word level - 1 at index level - 1, holding at least its words
-    through level 8q+8; the limits are eight, and the arrow at level 8q+r+1
-    is Right iff words[8q+r] < limits[r].  A block below q that the caller
+    the site (a list, a tuple or an `array('Q')`), word level - 1 at index
+    level - 1, holding at least its words through level 8q+8; the limits
+    are eight, and the arrow at level 8q+r+1 is Right iff
+    words[8q+r] < limits[r].  A block below q that the caller
     has not asked for may be a gap, so a reader reads only the blocks it
     asked for.  `run_walk` then reads a stack eight levels at a time,
     reading the words in place and never changing what it is given, so
@@ -259,19 +260,19 @@ def run_walk(system: ArrowSystem, horizon: int,
     start = len(positions)
     pos = positions[-1]
     positions += [0] * (horizon + 1 - start)
+    k = visits[pos]  # the visit to pos the walk is on
     if cell_words is None:
         arrow_at = system.arrow_at
         for n in range(start, horizon + 1):
-            pos += arrow_at(pos, visits[pos])
+            pos += arrow_at(pos, k)
             positions[n] = pos
-            visits[pos] = visits.get(pos, 0) + 1
+            visits[pos] = k = visits.get(pos, 0) + 1
     else:
         # site -> its words as last handed out and the limits read so far:
         # its first block's as handed out, then a list of the walk's own
         stacks: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
         unread = ((), ())
         for n in range(start, horizon + 1):
-            k = visits[pos]
             words, limits = stacks.get(pos, unread)
             if k > len(limits):  # past the blocks read: the next ones, up to level k
                 if not limits:  # the site's first read: its first block
@@ -285,7 +286,7 @@ def run_walk(system: ArrowSystem, horizon: int,
                     stacks[pos] = words, limits
             pos += 1 if words[k - 1] < limits[k - 1] else -1
             positions[n] = pos
-            visits[pos] = visits.get(pos, 0) + 1
+            visits[pos] = k = visits.get(pos, 0) + 1
     traj = Trajectory(positions, visits, system)
     traj._walked = True
     return traj

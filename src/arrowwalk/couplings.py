@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import struct
+import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -154,19 +155,24 @@ class UniformField:
         the 3-tuple header and `_pack(stream)`."""
         return blake2b(b"t\x00\x03" + _pack(stream), key=self._key, digest_size=64)
 
-    def _digester(self, stream: StreamTag) -> Callable[[int, int], tuple[int, ...]]:
+    def _digester(self, stream: StreamTag) -> Callable[[int, int], Sequence[int]]:
         """The digest of `stream`'s blocks: a function of site and index
         that hashes block (stream, site, index) and returns its eight 64-bit
-        words.  It holds the stream's keyed hasher, built once here, and
-        copies it for each block.  A bad site or index raises before
-        anything is hashed.  `block` and every `FieldStream` fill hash
-        through one; only the sequential reader `words` absorbs a site into
-        its hasher as well."""
+        words as an `array('Q')`, each the big-endian read of its 8 bytes of
+        the digest.  The array takes the digest in native byte order, so on
+        a little-endian host each word is byte-swapped.  It holds the
+        stream's keyed hasher, built once here, and copies it for each block.
+        A bad site or index raises before anything is hashed.  `block` and
+        every `FieldStream` fill hash through one; only the sequential
+        reader `words` absorbs a site into its hasher as well."""
+        # imported here: a shared library, whose load every CLI call would pay
+        from array import array
+
         copy = self._head(stream).copy
         packed = self._packed
-        unpack = _UNPACK_8Q
+        swap = sys.byteorder == "little"
 
-        def digest(site: int, index: int) -> tuple[int, ...]:
+        def digest(site: int, index: int) -> Sequence[int]:
             try:
                 msg = (packed[site - _INT_LO] if _INT_LO <= site <= _INT_HI else _pack(site)) + (
                     packed[index - _INT_LO] if 0 <= index <= _INT_HI else _pack_index(index))
@@ -175,7 +181,10 @@ class UniformField:
                 raise TypeError(f"block indexes must be ints, got {type(index)!r}") from None
             h = copy()
             h.update(msg)
-            return unpack(h.digest())
+            words = array("Q", h.digest())
+            if swap:
+                words.byteswap()
+            return words
 
         return digest
 
@@ -186,16 +195,18 @@ class UniformField:
         index i that hashes the block holding word i, word i // 8 of the
         site, into `memo[site]` and returns that sequence.
 
-        `memo[site]` holds the site's words of levels 1, 2, ... in order:
-        its first block as unpacked, then a list of its own once a second
-        block is read.  A block below the one read that no one has read
-        yet stays unhashed, as eight gap slots of None, which the fill
-        hashes when a reader asks for a word in it.  So a fill hashes
-        exactly the block asked for, and every word it stores sits at its
-        own index.  A read more than `_GAP_LIMIT` words past the end of the
-        site's sequence is not stored: its block comes back as a dict from
-        word index to word, so a stray deep read costs no memory.  A bad
-        site or index raises before anything is stored."""
+        `memo[site]` holds the site's words of levels 1, 2, ... in order,
+        8 bytes each: while the site's blocks were read in order, one
+        `array('Q')`, its first block as `_digester` returns it and each
+        later block appended in place.  A read that skips blocks makes it a
+        list: each block below the one read that no one has read yet stays
+        unhashed, as eight gap slots of None, which the fill hashes when a
+        reader asks for a word in it.  So a fill hashes exactly the block
+        asked for, and every word it stores sits at its own index.  A read
+        more than `_GAP_LIMIT` words past the end of the site's sequence is
+        not stored: its block comes back as a dict from word index to word,
+        so a stray deep read costs no memory.  A bad site or index raises
+        before anything is stored."""
         digest = self._digester(stream)
 
         def fill(site: int, i: int) -> Sequence[Optional[int]]:
@@ -207,21 +218,21 @@ class UniformField:
             block = digest(site, q)
             words = memo.get(site)
             if words is None:
-                if not q:  # a site's first block, kept as unpacked
+                if not q:  # a site's first block, kept as returned
                     memo[site] = block
                     return block
                 words = []
-            elif type(words) is tuple:  # a list of its own, once a second block is read
-                words = list(words)
             j = q << 3
             end = len(words)
-            if j == end:  # the next block
+            if j == end:  # the next block, appended in place
                 words += block
             elif j < end:  # a gap
                 words[j : j + 8] = block
             elif j - end > _GAP_LIMIT:
                 return dict(zip(range(j, j + 8), block))
-            else:  # past the end: gap slots below it
+            else:  # past the end: gap slots below it, which only a list holds
+                if type(words) is not list:
+                    words = list(words)
                 words += [None] * (j - end)
                 words += block
             memo[site] = words
@@ -272,7 +283,9 @@ class UniformField:
 class FieldStream:
     """One stream of a field, with a memo of its raw words by site: the
     64-bit words of levels 1, 2, ... of each site in one sequence, word
-    level - 1 at index level - 1.
+    level - 1 at index level - 1.  The sequence is an `array('Q')`, 8
+    bytes a word, until a read leaves a gap, and a list from then on (see
+    `UniformField._hasher`).
 
     The view keeps its stream's `UniformField._hasher` of its memo, built
     once, as `_fill(site, i)`: a word it has not read yet costs that one
@@ -304,9 +317,9 @@ class FieldStream:
             raise ValueError(f"level must be >= 1, got {level}")
         i = level - 1
         words = self._blocks.get(site)
-        if words is None or i >= len(words) or words[i] is None:
-            words = self._fill(site, i)
-        return (words[i] >> 11) * _U64_SCALE  # only the word read is converted
+        if words is None or i >= len(words) or (word := words[i]) is None:
+            word = self._fill(site, i)[i]
+        return (word >> 11) * _U64_SCALE  # only the word read is converted
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +452,12 @@ class SampledCookieSystem(ArrowSystem):
     """Arrow at (x, n) is Right iff U(x, n) < env.prob(x, n), decided on
     the raw word as word < `_limit(p)`.
 
-    It hands out the site's sequence of words in the view's memo, in place,
-    and the limits of its lanes, so queries are consistent and re-walking
+    It hands out the site's sequence of words in the view's memo, in place
+    (an `array('Q')`, or a list once a read left a gap), and the limits of
+    its lanes, so queries are consistent and re-walking
     the same instance replays the same walk.  Each lane of limits, a listed
-    site's or the default, is padded with the tail's to whole blocks of
-    eight; past it a block reads the tail.  Two instances on views of the
+    site's or the default, is kept as blocks of eight, the last padded with
+    the tail's; past it a block reads the tail.  Two instances on views of the
     same field and stream share every uniform cell by cell; on one view,
     they also hash each raw block of uniforms once.
     """
@@ -454,9 +468,14 @@ class SampledCookieSystem(ArrowSystem):
         self._memo = view._blocks  # read directly, its words by site
         self._fill = view._fill
         sites, default, tail = _word_limits(env, _limit)
-        self._lanes = {site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}
-        self._default = default + (tail,) * (-len(default) % 8)
-        self._tail8 = (tail,) * 8
+        self._tail8 = tail8 = (tail,) * 8
+
+        def blocks(lane: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+            # the lane's limits in blocks of eight, the last padded with the tail's
+            return tuple((lane[i : i + 8] + tail8)[:8] for i in range(0, len(lane), 8))
+
+        self._lanes = {site: blocks(lane) for site, lane in sites.items()}
+        self._default = blocks(default)
 
     def arrow_at(self, site: int, level: int) -> Arrow:
         if level < 1:
@@ -470,7 +489,8 @@ class SampledCookieSystem(ArrowSystem):
         words = self._memo.get(site)
         if words is None or not 0 <= i < len(words) or words[i] is None:  # a gap is a whole block
             words = self._fill(site, i)
-        return words, self._lanes.get(site, self._default)[i : i + 8] or self._tail8
+        lane = self._lanes.get(site, self._default)
+        return words, lane[q] if q < len(lane) else self._tail8
 
 
 def sample_system(
@@ -842,9 +862,9 @@ class _StateSide(ArrowSystem):
                 if limit is not None:
                     i = level + self._shift
                     words = self._memo.get(site)
-                    if words is None or i >= len(words) or words[i] is None:
-                        words = self._fill(site, i)
-                    return self._under if words[i] < limit else self._over
+                    if words is None or i >= len(words) or (word := words[i]) is None:
+                        word = self._fill(site, i)[i]
+                    return self._under if word < limit else self._over
             place = ((level,), 0)
         block, pos = place
         return self._state.realize(site, block)[self._side][pos]
@@ -1168,10 +1188,10 @@ class EtaSystem(ArrowSystem):
             raise ValueError(f"level must be >= 1, got {level}")
         i = level - 1
         words = self._memo.get(site)
-        if words is None or i >= len(words) or words[i] is None:
-            words = self._fill(site, i)
+        if words is None or i >= len(words) or (word := words[i]) is None:
+            word = self._fill(site, i)[i]
         limit = self._limits[i] if level <= self._depth else _ETA_TAIL_LIMIT
-        return RIGHT if words[i] < limit else LEFT
+        return RIGHT if word < limit else LEFT
 
 
 def envelope_walk(

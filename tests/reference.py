@@ -21,9 +21,10 @@ what each guards:
   law, cell by cell through `run_walk`.  They guard `campaign._raw_walk`
   (speed and maximum) and `campaign._zero_right_returns` (returns and late
   returns).
-- `reference_block`: the field's definition, one keyed blake2b of the whole
-  packed message.  It guards `UniformField._digester`, its packed-int
-  table, the `FieldStream` fill and the sequential reader `words`.
+- `reference_digest` and `reference_block`: the field's definition, one
+  keyed blake2b of the whole packed message, read as big-endian words.
+  They guard `UniformField._digester`, its packed-int table and its byte
+  swap, the `FieldStream` fill and the sequential reader `words`.
 - `reference_env_leq_pointwise`, `reference_env_order` and
   `reference_reversed_env`: the environment comparisons with every lane
   padded to the depth of both environments and the partition, and the
@@ -346,9 +347,15 @@ def reference_walk_stats(env, field, stream, horizon, after, transformed):
     }
 
 
-def reference_block(field, stream, site, index):
+def reference_digest(field, stream, site, index):
     """The field's definition: a keyed blake2b of the whole packed message."""
-    digest = blake2b(_pack((stream, site, index)), key=field._key, digest_size=64).digest()
+    return blake2b(_pack((stream, site, index)), key=field._key, digest_size=64).digest()
+
+
+def reference_block(field, stream, site, index):
+    """The uniforms of a block: its digest read as eight big-endian 64-bit
+    words, each word a's top 53 bits scaled, (a >> 11) * 2**-53."""
+    digest = reference_digest(field, stream, site, index)
     return tuple((u >> 11) * 2.0**-53 for u in struct.unpack(">8Q", digest))
 
 

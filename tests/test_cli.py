@@ -742,6 +742,12 @@ CHILD_CPU_S = 20
 # counts in bytes, and about 72 MB with them in lists of ints (8 bytes a slot).
 CHILD_AS_MB = 56
 STATS_HORIZON = 3 * 10**6
+# Address space a child shared-uniform `campaign` trial at CAMPAIGN_HORIZON
+# steps may take.  On a 2-core Xeon with Python 3.11 the trial needs about
+# 72 MB with the field memo's words in arrays of 8-byte words, and about
+# 120 MB with them as Python ints in tuples and lists.
+CHILD_CAMPAIGN_AS_MB = 96
+CAMPAIGN_HORIZON = 3 * 10**5
 
 
 def run_cpu_limited(args, address_space_mb=None):
@@ -790,3 +796,28 @@ def test_stats_at_a_long_horizon_runs_within_the_address_space_limit(tmp_path):
     assert done.returncode == 0, done.stderr[-500:]
     payload = json.loads(done.stdout)
     assert payload["horizon"] == STATS_HORIZON and payload["returns"]["count"] == 1
+
+
+def test_a_campaign_trial_at_a_long_horizon_runs_within_the_address_space_limit():
+    done = run_cpu_limited(
+        ["campaign", "--family", "shared-uniform", "--trials", "1", "--horizon", str(CAMPAIGN_HORIZON),
+         "--seed", "1", "--no-timestamp"],
+        address_space_mb=CHILD_CAMPAIGN_AS_MB,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    report = json.loads(done.stdout)
+    assert report["passed"] is True and report["config"]["horizon"] == CAMPAIGN_HORIZON
+
+
+def test_importing_the_cli_leaves_the_array_module_unloaded():
+    # `array` is a shared library, loaded by the first field digester built,
+    # so a CLI call that hashes nothing does not pay for loading it.
+    code = (
+        "import sys, arrowwalk.cli; print('array' in sys.modules); "
+        "from arrowwalk.couplings import FieldStream, UniformField; "
+        "FieldStream(UniformField(0), 0); print('array' in sys.modules)"
+    )
+    src = str(Path(arrowwalk.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]

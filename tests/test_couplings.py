@@ -5,6 +5,9 @@ import itertools
 import json
 import math
 import random
+import struct
+import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -64,6 +67,7 @@ from reference import (
     prefix_lefts,
     reference_block,
     reference_block_family_cell,
+    reference_digest,
     reference_env_leq_pointwise,
     reference_env_order,
     reference_reversed_env,
@@ -207,9 +211,10 @@ READS = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 120)), max_size=40
 def test_view_reads_in_any_order_hash_exactly_the_blocks_read(reads, readers):
     # The view's `value` and a sampled system on the view, its `arrow_at`
     # and its `cell_words`, read levels in any order: each gets the
-    # reference word, each block read is hashed once, every other block of
-    # a site stays a gap, and a site read in its first block only keeps
-    # that block as unpacked.
+    # reference word, each block read is hashed once, and every other block
+    # of a site stays a gap.  A site whose blocks were first read in order
+    # keeps its words as one `array('Q')`; one read that left a gap makes
+    # them a list.
     field = CountingField(4)
     view = FieldStream(field, "any")
     system = SampledCookieSystem(constant_env(0.5), view)
@@ -225,15 +230,42 @@ def test_view_reads_in_any_order_hash_exactly_the_blocks_read(reads, readers):
             words, limits = system.cell_words(site, q)
             assert (words[level - 1] >> 11) * 2.0**-53 == u and limits == (_limit(0.5),) * 8
     read = {(site, (level - 1) >> 3) for site, level in reads}
+    firsts = {}  # site -> its blocks in the order first read
+    for site, level in reads:
+        order = firsts.setdefault(site, [])
+        if (level - 1) >> 3 not in order:
+            order.append((level - 1) >> 3)
     assert field.calls == Counter({("any", site, q): 1 for site, q in read})
     assert set(view._blocks) == {site for site, _ in read}
     for site, words in view._blocks.items():
         blocks = {q for s, q in read if s == site}
         assert len(words) == 8 * max(blocks) + 8
-        assert type(words) is (tuple if blocks == {0} else list)
+        in_order = firsts[site] == list(range(len(firsts[site])))
+        assert type(words) is (array if in_order else list)
+        assert not in_order or words.typecode == "Q"
         for q in range(len(words) // 8):
             want = read_block(FieldStream(UniformField(4), "any"), site, q) if q in blocks else (None,) * 8
             assert tuple(words[8 * q:8 * q + 8]) == want, (site, q)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_fill_words_are_the_big_endian_words_of_the_digest(monkeypatch, byteorder):
+    # The fill's words are the digest read as eight big-endian 64-bit words.
+    # Its array reads the digest in the host's byte order, so the fill
+    # swaps the bytes of each word when `sys.byteorder` is "little".  Told
+    # the host's byte order, the fill gets the big-endian words; told the
+    # other one, the swap is forced the wrong way, and it gets the
+    # little-endian words.
+    field = UniformField(6)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "byteorder", byteorder)
+        view = FieldStream(field, ("swap", 1))
+    order = ">" if byteorder == sys.byteorder else "<"
+    for site, q in ((0, 0), (0, 1), (-3, 0), (-3, 2), (_INT_HI + 1, 0)):
+        want = struct.unpack(f"{order}8Q", reference_digest(field, ("swap", 1), site, q))
+        words = view._fill(site, 8 * q)
+        assert tuple(words[8 * q:8 * q + 8]) == want, (site, q)
+    assert type(view._blocks[0]) is array and type(view._blocks[-3]) is list
 
 
 def test_view_reads_far_past_a_sites_words_are_not_stored():

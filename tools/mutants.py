@@ -179,26 +179,26 @@ MUTANTS = (
     Mutant(
         "limits-cached-without-their-lane",
         COUPLINGS,
-        "self._lanes.get(site, self._default)[i : i + 8]",
-        "self._default[i : i + 8]",
+        "lane = self._lanes.get(site, self._default)",
+        "lane = self._default",
         (f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",
          SAMPLED_LANES, TRIAL_REFERENCE),
     ),
-    # A sampled lane is padded with the tail to whole blocks of eight.
+    # A sampled lane is kept in blocks of eight, the last padded with the tail.
     Mutant(
         "sampled-listed-lanes-unpadded",
         COUPLINGS,
-        "{site: lane + (tail,) * (-len(lane) % 8) for site, lane in sites.items()}",
-        "dict(sites)",
+        "{site: blocks(lane) for site, lane in sites.items()}",
+        "{site: tuple(lane[i : i + 8] for i in range(0, len(lane), 8)) for site, lane in sites.items()}",
         (SAMPLED_LANES, f"{CHUNKS}::test_sampled_chunk_walk_matches_the_per_arrow_walk",
          TRIAL_REFERENCE),
     ),
     Mutant(
         "sampled-default-lane-unpadded",
         COUPLINGS,
-        "self._default = default + (tail,) * (-len(default) % 8)",
-        "self._default = default",
+        "self._default = blocks(default)",
+        "self._default = tuple(default[i : i + 8] for i in range(0, len(default), 8))",
         (SAMPLED_LANES, TRIAL_REFERENCE),
     ),
     Mutant(
@@ -216,8 +216,8 @@ MUTANTS = (
     Mutant(
         "partition-word-cell-le",
         COUPLINGS,
-        "return self._under if words[i] < limit else self._over",
-        "return self._under if words[i] <= limit else self._over",
+        "return self._under if word < limit else self._over",
+        "return self._under if word <= limit else self._over",
         (WORD_CELLS,),
     ),
     Mutant(
@@ -319,8 +319,9 @@ MUTANTS = (
         "[0] * (2 * len(self._zeros))",
         (f"{CHUNKS}::test_chunk_equals_arrow_at_on_its_eight_levels",),
     ),
-    # A fill hashes the block read into the site's words, at its own index,
-    # and keeps every block below it that no one read as gap slots.
+    # A fill hashes the block read into the site's words, at its own index:
+    # one array of 8-byte words while the site is read in order, a list with
+    # every block below it that no one read as gap slots once it is not.
     Mutant(
         "miss-skips-the-memo",
         COUPLINGS,
@@ -354,31 +355,53 @@ MUTANTS = (
         "            elif False:\n",
         (f"{COUPLING_TESTS}::test_view_reads_far_past_a_sites_words_are_not_stored",),
     ),
+    Mutant(
+        # The digest's words read in the host's byte order, not big-endian.
+        "fill-skips-the-byteswap",
+        COUPLINGS,
+        "            if swap:\n"
+        "                words.byteswap()\n",
+        "",
+        (f"{COUPLING_TESTS}::test_fill_words_are_the_big_endian_words_of_the_digest",
+         f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read"),
+    ),
+    Mutant(
+        # An array has no slot for None: its gap slots would read as word 0.
+        "fill-keeps-the-array-across-a-gap",
+        COUPLINGS,
+        "                if type(words) is not list:\n"
+        "                    words = list(words)\n"
+        "                words += [None] * (j - end)\n",
+        "                words.extend([0] * (j - end))\n",
+        (f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read",
+         f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once",
+         f"{COUPLING_TESTS}::test_cells_read_in_any_order_match_the_reference_cells"),
+    ),
     # A reader that can skip blocks reads a gap slot through the fill.
     Mutant(
         "value-skips-the-gap-check",
         COUPLINGS,
         "        words = self._blocks.get(site)\n"
-        "        if words is None or i >= len(words) or words[i] is None:\n",
+        "        if words is None or i >= len(words) or (word := words[i]) is None:\n",
         "        words = self._blocks.get(site)\n"
-        "        if words is None or i >= len(words):\n",
+        "        if words is None or i >= len(words) or (word := words[i]) is None and False:\n",
         (f"{COUPLING_TESTS}::test_view_reads_in_any_order_hash_exactly_the_blocks_read",
          f"{COUPLING_TESTS}::test_field_stream_hashes_each_block_once"),
     ),
     Mutant(
         "partition-side-skips-the-gap-check",
         COUPLINGS,
-        "                    if words is None or i >= len(words) or words[i] is None:\n",
-        "                    if words is None or i >= len(words):\n",
+        "                    if words is None or i >= len(words) or (word := words[i]) is None:\n",
+        "                    if words is None or i >= len(words) or (word := words[i]) is None and False:\n",
         (f"{COUPLING_TESTS}::test_cells_read_in_any_order_match_the_reference_cells",),
     ),
     Mutant(
         "eta-skips-the-gap-check",
         COUPLINGS,
         "        words = self._memo.get(site)\n"
-        "        if words is None or i >= len(words) or words[i] is None:\n",
+        "        if words is None or i >= len(words) or (word := words[i]) is None:\n",
         "        words = self._memo.get(site)\n"
-        "        if words is None or i >= len(words):\n",
+        "        if words is None or i >= len(words) or (word := words[i]) is None and False:\n",
         (f"{COUPLING_TESTS}::test_cells_read_in_any_order_match_the_reference_cells",),
     ),
     Mutant(
